@@ -60,15 +60,12 @@ from .evaluation import (
     correlation_distance,
     embedded_chsh_value,
     evaluation_report,
-    ls_winning_probability,
     ls_winning_probability_from_correlation,
     sos_residuals,
     weighted_chsh_value,
 )
 from .isometry import (
     SelfTestReport,
-    apply_phi1,
-    apply_phi2,
     control_target,
     selftest_report,
 )

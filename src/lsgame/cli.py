@@ -1,8 +1,10 @@
 """Command-line front door.
 
 Subcommands: gen-game, verify-rep, gen-correlation, eval, self-test, sweep,
-demo-family.  Exit codes: 0 success, 2 bad input, 3 verification failure.
-Identical flags and seeds produce byte-identical artifacts.
+demo-family.  Exit codes: 0 success, 2 bad input or a size cap exceeded
+(DomainError, PreconditionError, ResourceError), 3 verification failure;
+any other library error exits 1.  Errors go to stderr as JSON.  Identical
+flags and seeds produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -10,9 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
-from .errors import DomainError, LsgameError, PreconditionError
+from .errors import DomainError, LsgameError, PreconditionError, ResourceError
 from .evaluation import (
     correlation_distance,
     evaluation_report,
@@ -56,12 +57,21 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _setup(args) -> tuple:
-    params = make_params(args.d, args.r)
+def _setup(d: int, r: int | None) -> tuple:
+    """params, representation, full test, ideal strategy and its correlation."""
+    params = make_params(d, r)
     rep = build_representation(params)
     test = build_full_test(params)
     strategy = build_ideal_strategy(params, rep, test)
-    return params, rep, test, strategy
+    return params, rep, test, strategy, generate_correlation(strategy, test)
+
+
+def _perturbed(strategy, args):
+    """The strategy perturbed by --kind/--delta/--seed, or itself at delta 0."""
+    if args.delta > 0:
+        spec = PerturbationSpec(kind=args.kind, magnitude=args.delta, seed=args.seed)
+        return perturb_strategy(strategy, spec)
+    return strategy
 
 
 def cmd_gen_game(args) -> int:
@@ -102,15 +112,13 @@ def cmd_verify_rep(args) -> int:
 
 
 def cmd_gen_correlation(args) -> int:
-    _, _, test, strategy = _setup(args)
-    corr = generate_correlation(strategy, test)
-    _write(args.out, corr.to_json())
+    *_, ideal_corr = _setup(args.d, args.r)
+    _write(args.out, ideal_corr.to_json())
     return 0
 
 
 def cmd_eval(args) -> int:
-    params, _, test, strategy = _setup(args)
-    ideal_corr = generate_correlation(strategy, test)
+    params, _, test, strategy, ideal_corr = _setup(args.d, args.r)
     if args.infile:
         with open(args.infile) as fh:
             corr = Correlation.from_json(fh.read())
@@ -120,22 +128,14 @@ def cmd_eval(args) -> int:
             "table_deviation": table_deviation(corr, ideal_table_values(params, test)),
         }
     else:
-        target = strategy
-        if args.delta > 0:
-            spec = PerturbationSpec(kind=args.kind, magnitude=args.delta, seed=args.seed)
-            target = perturb_strategy(strategy, spec)
-        payload = evaluation_report(target, ideal_corr, test)
+        payload = evaluation_report(_perturbed(strategy, args), ideal_corr, test)
     _write(args.out, _dump_json(payload))
     return 0
 
 
 def cmd_self_test(args) -> int:
-    _, _, test, strategy = _setup(args)
-    ideal_corr = generate_correlation(strategy, test)
-    target = strategy
-    if args.delta > 0:
-        spec = PerturbationSpec(kind=args.kind, magnitude=args.delta, seed=args.seed)
-        target = perturb_strategy(strategy, spec)
+    _, _, test, strategy, ideal_corr = _setup(args.d, args.r)
+    target = _perturbed(strategy, args)
     report = selftest_report(target, ideal_corr, test)
     payload = report.to_dict()
     payload["residuals"] = relation_residuals(target, test)
@@ -148,8 +148,7 @@ def cmd_self_test(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _, _, test, strategy = _setup(args)
-    ideal_corr = generate_correlation(strategy, test)
+    _, _, _, strategy, ideal_corr = _setup(args.d, args.r)
     kinds = KINDS if args.kind == "all" else (args.kind,)
     magnitudes = [float(x) for x in args.deltas.split(",") if x]
     records = run_sweep(strategy, ideal_corr, magnitudes, args.trials, kinds, args.seed)
@@ -166,14 +165,8 @@ def cmd_demo_family(args) -> int:
     lines = []
     ok = True
     for d in DEMO_PRIMES:
-        t0 = time.time()
-        params = make_params(d)
-        rep = build_representation(params)
-        gamma = build_presentation("Gamma", params.r)
-        residual = verify_representation(rep, gamma)
-        test = build_full_test(params)
-        strategy = build_ideal_strategy(params, rep, test)
-        ideal_corr = generate_correlation(strategy, test)
+        params, rep, test, strategy, ideal_corr = _setup(d, None)
+        residual = verify_representation(rep, build_presentation("Gamma", params.r))
         report = selftest_report(strategy, ideal_corr, test)
         worst = max(report.distances.values())
         good = residual <= args.tolerance and worst <= 1e-8
@@ -186,7 +179,6 @@ def cmd_demo_family(args) -> int:
                 "max_selftest_distance": worst,
                 "junk_norm": report.junk_norm,
                 "epsilon": report.epsilon,
-                "seconds": round(time.time() - t0, 3),
                 "ok": bool(good),
             }
         )
@@ -198,52 +190,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lsgame")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_d=True):
+    def command(name, func, help_text, need_d=True, tolerance=None, seed=False):
+        """A subcommand with --out and only the shared flags it reads."""
+        p = sub.add_parser(name, help=help_text)
         if need_d:
             p.add_argument("--d", type=int, required=True, help="odd prime parameter")
             p.add_argument("--r", type=int, default=None, help="primitive root (default: smallest)")
-        p.add_argument("--tolerance", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
+        if tolerance is not None:
+            p.add_argument("--tolerance", type=float, default=tolerance)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-game", help="emit the linear system and game sizes")
-    common(p)
-    p.set_defaults(func=cmd_gen_game)
+    p = command("gen-game", cmd_gen_game, "emit the linear system and game sizes")
+    p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("verify-rep", help="build the representation and verify all relations")
-    common(p)
-    p.set_defaults(func=cmd_verify_rep)
+    command(
+        "verify-rep", cmd_verify_rep, "build the representation and verify all relations", tolerance=1e-9
+    )
 
-    p = sub.add_parser("gen-correlation", help="emit the ideal correlation")
-    common(p)
-    p.set_defaults(func=cmd_gen_correlation)
+    command("gen-correlation", cmd_gen_correlation, "emit the ideal correlation")
 
-    p = sub.add_parser("eval", help="score a correlation file or a (perturbed) strategy")
-    common(p)
+    p = command("eval", cmd_eval, "score a correlation file or a (perturbed) strategy", seed=True)
     p.add_argument("--in", dest="infile", default=None, help="correlation JSON to score")
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--kind", choices=KINDS, default="both")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("self-test", help="isometry distance report for ideal or perturbed strategy")
-    common(p)
+    # distances at delta=0 are gated at 1e-8 by default
+    p = command(
+        "self-test",
+        cmd_self_test,
+        "isometry distance report for ideal or perturbed strategy",
+        tolerance=1e-8,
+        seed=True,
+    )
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--kind", choices=KINDS, default="both")
-    p.set_defaults(func=cmd_self_test)
-    # distances at delta=0 are gated at 1e-8 by default
-    p.set_defaults(tolerance=1e-8)
 
-    p = sub.add_parser("sweep", help="perturbation sweep to CSV")
-    common(p)
+    p = command("sweep", cmd_sweep, "perturbation sweep to CSV", seed=True)
     p.add_argument("--deltas", default="1e-4,1e-3,1e-2", help="comma-separated magnitudes")
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--kind", choices=KINDS + ("all",), default="both")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("demo-family", help="verify-rep + self-test across d in {3,5,7,11,13}")
-    common(p, need_d=False)
-    p.set_defaults(func=cmd_demo_family)
+    command(
+        "demo-family",
+        cmd_demo_family,
+        "verify-rep + self-test across d in {3,5,7,11,13}",
+        need_d=False,
+        tolerance=1e-9,
+    )
     return parser
 
 
@@ -252,12 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, PreconditionError) as exc:
-        sys.stderr.write(_dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 2
     except LsgameError as exc:
         sys.stderr.write(_dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 1
+        return 2 if isinstance(exc, (DomainError, PreconditionError, ResourceError)) else 1
 
 
 if __name__ == "__main__":

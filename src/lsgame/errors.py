@@ -1,7 +1,9 @@
 """Exception taxonomy shared by all modules.
 
-DomainError / PreconditionError signal bad inputs (CLI exit code 2),
-VerificationError a residual above tolerance (CLI exit code 3).
+DomainError / PreconditionError signal bad inputs and ResourceError a size
+cap that would be exceeded (CLI exit code 2).  Any other LsgameError, such as
+StructuralError or VerificationError, exits 1.  A residual above tolerance is
+caught by the CLI's own gates, which exit 3.
 """
 
 

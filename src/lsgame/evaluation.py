@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError, StructuralError
 from .linalg import eye, involution_residual, kron, op_norm
 from .lsg import satisfying_assignments
-from .strategy import Correlation, FullTest, Strategy, eq_label, var_label
+from .strategy import Correlation, FullTest, Strategy, eq_label, generate_correlation, var_label
 
 #: smallest |alpha| accepted: cot(pi/3), the d=3 end of the family
 MIN_ALPHA = 1 / math.sqrt(3)
@@ -124,30 +124,8 @@ def sos_residuals(m1, m2, n1, n2, ctx: WeightedChshContext) -> tuple[float, floa
 # --- linear system game value -------------------------------------------------
 
 
-def ls_winning_probability(strategy: Strategy, test: FullTest | None = None) -> float:
-    """Expected score of the strategy on the linear system block."""
-    test = test or strategy.test
-    game = test.game
-    system = game.system
-    s = strategy.state_matrix()
-    total = 0.0
-    for i, v in game.valid_pairs:
-        names = system.row_names(i)
-        pos = names.index(system.variables[v])
-        fam_a = strategy.alice_family(eq_label(i))
-        fam_b = strategy.bob_family(var_label(system.variables[v]))
-        wins = satisfying_assignments(system, i)
-        p = 0.0
-        for triple in wins:
-            idx = triple[0] * 4 + triple[1] * 2 + triple[2]
-            left = fam_a[idx] @ s
-            p += float(np.real(np.vdot(s, left @ fam_b[triple[pos]].T)))
-        total += p
-    return total / len(game.valid_pairs)
-
-
 def ls_winning_probability_from_correlation(corr: Correlation, test: FullTest) -> float:
-    """Same score computed from a correlation table alone."""
+    """Expected score on the linear system block, read off a correlation."""
     game = test.game
     system = game.system
     total = 0.0
@@ -223,8 +201,6 @@ def evaluation_report(
     test: FullTest | None = None,
 ) -> dict:
     """winning probability, embedded CHSH, SOS self-check, and epsilon."""
-    from .strategy import generate_correlation  # local to avoid cycle at import
-
     test = test or strategy.test
     corr = generate_correlation(strategy, test)
     chsh = embedded_chsh_value(strategy, test)
@@ -232,7 +208,7 @@ def evaluation_report(
     epr, m1, m2, n1, n2 = chsh_ideal_instance(alpha)
     res1, res2 = sos_residuals(m1, m2, n1, n2, WeightedChshContext.from_alpha(alpha))
     return {
-        "winning_probability": ls_winning_probability(strategy, test),
+        "winning_probability": ls_winning_probability_from_correlation(corr, test),
         "chsh": chsh,
         "sos": {"res1": res1, "res2": res2},
         "epsilon": correlation_distance(corr, ideal),

@@ -3,8 +3,9 @@
 Stage one appends a d-dimensional control register per party, Fourier
 transforms it, applies controlled powers of O = M(a1)M(a2) (resp. Bob's N
 version), undoes the Fourier transform, and applies controlled powers of
-U = M(a3)M(a4) with variant-dependent exponents.  Stage two is the standard
-four-ancilla swap circuit driven by the observables for f0, f2, g0, g2.
+U = M(a3)M(a4) with label-dependent exponent signs (see LABELS).  Stage two
+is the standard four-ancilla swap circuit driven by the observables for f0,
+f2, g0, g2.
 
 Register order of the final state: (H_A, H_B, ancillas a1 b1 a2 b2,
 controls A', B').  Ancilla pairs (a1, b1) and (a2, b2) carry the extracted
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, ResourceError, StructuralError
+from .evaluation import correlation_distance
 from .linalg import StateVector, eye, qft
 from .numtheory import PrimeParams, discrete_log
 from .strategy import (
@@ -31,46 +33,29 @@ from .strategy import (
     generate_correlation,
 )
 
-VARIANTS = ("standard", "prime", "double_prime")
+#: One row per report label, in report order:
+#:   (pre-applied (party, operator) or None,
+#:    (s_A, s_B): control value j drives U^log(s*j) on that party,
+#:    (a, b): target indices t[a*j, b*j], each (sign, k) meaning sign * r^-k mod d,
+#:    c: target phase omega^(c*j)).
+LABELS = {
+    "psi": (None, (-1, 1), ((-1, 0), (1, 0)), 0),
+    "OA_psi": (("A", "O"), (-1, 1), ((-1, 0), (1, 0)), -1),
+    "OB_psi": (("B", "O"), (-1, 1), ((-1, 0), (1, 0)), 1),
+    "UA_psi": (("A", "U"), (-1, 1), ((-1, 1), (1, 0)), 0),
+    "UB_psi": (("B", "U"), (-1, 1), ((-1, 0), (1, 1)), 0),
+    "M1_psi": (("A", "a1"), (1, 1), ((1, 0), (1, 0)), 1),
+    "M2_psi": (("A", "a2"), (1, 1), ((1, 0), (1, 0)), 0),
+    # N1 = omega^{-1} N2 on the distinguished eigenstate, which lands the +j
+    # phase pattern here (mechanically verified at epsilon=0).
+    "N1_psi": (("B", "a1"), (-1, -1), ((1, 0), (1, 0)), 1),
+    "N2_psi": (("B", "a2"), (-1, -1), ((1, 0), (1, 0)), 0),
+}
 
-REPORT_LABELS = (
-    "psi",
-    "OA_psi",
-    "OB_psi",
-    "UA_psi",
-    "UB_psi",
-    "M1_psi",
-    "M2_psi",
-    "N1_psi",
-    "N2_psi",
-)
+REPORT_LABELS = tuple(LABELS)
 
-
-@dataclass(frozen=True)
-class IsometryVariant:
-    """Exponent rules for the controlled-U stage."""
-
-    tag: str
-
-    def alice_exponent(self, j: int, params: PrimeParams) -> int:
-        if j == 0:
-            return 0
-        if self.tag == "prime":
-            return discrete_log(params, j)
-        return discrete_log(params, params.d - j)
-
-    def bob_exponent(self, j: int, params: PrimeParams) -> int:
-        if j == 0:
-            return 0
-        if self.tag == "double_prime":
-            return discrete_log(params, params.d - j)
-        return discrete_log(params, j)
-
-
-def _variant(tag: str) -> IsometryVariant:
-    if tag not in VARIANTS:
-        raise DomainError(f"unknown isometry variant {tag!r}")
-    return IsometryVariant(tag)
+#: self-test guard: largest amplitude count one isometry output may hold
+MAX_SELFTEST_ELEMENTS = 1 << 26
 
 
 def strategy_unitaries(strategy: Strategy) -> dict[str, np.ndarray]:
@@ -104,14 +89,16 @@ def phi1_with_operators(
     dims: tuple[int, int],
     ops: dict[str, np.ndarray],
     params: PrimeParams,
-    variant: str = "standard",
+    signs: tuple[int, int] = (-1, 1),
 ) -> StateVector:
     """First-stage isometry from explicit O/U operators.
 
     Input is a vector on H_A (x) H_B; output carries two extra size-d control
-    registers (A', B') appended after H_B.
+    registers (A', B') appended after H_B.  signs = (s_A, s_B) puts
+    U^log(s*j) on each party when its control register holds j != 0.
     """
-    var = _variant(variant)
+    if any(s not in (1, -1) for s in signs):
+        raise DomainError(f"exponent signs must be +1 or -1, got {signs!r}")
     d = params.d
     da, db = dims
     block = np.zeros((da, db, d, d), dtype=complex)
@@ -134,25 +121,13 @@ def phi1_with_operators(
 
     u_pow_a = _powers(ops["UA"], d - 1)
     u_pow_b = _powers(ops["UB"], d - 1)
-    ua = [u_pow_a[var.alice_exponent(j, params) % (d - 1)] for j in range(d)]
-    ub = [u_pow_b[var.bob_exponent(j, params) % (d - 1)] for j in range(d)]
+    s_a, s_b = signs
+    ua = [u_pow_a[0]] + [u_pow_a[discrete_log(params, s_a * j) % (d - 1)] for j in range(1, d)]
+    ub = [u_pow_b[0]] + [u_pow_b[discrete_log(params, s_b * j) % (d - 1)] for j in range(1, d)]
     block = _controlled(block, ua, axis=0, ctrl_axis=2, d=d)
     block = _controlled(block, ub, axis=1, ctrl_axis=3, d=d)
 
     return StateVector(block.reshape(-1), (da, db, d, d))
-
-
-def apply_phi1(strategy: Strategy, variant: str = "standard", state: np.ndarray | None = None) -> StateVector:
-    """First-stage isometry on the strategy's state (or a supplied vector)."""
-    if state is None:
-        state = strategy.state
-    return phi1_with_operators(
-        state,
-        (strategy.dim_a, strategy.dim_b),
-        strategy_unitaries(strategy),
-        strategy.params,
-        variant,
-    )
 
 
 def _stage2_maps(obs: dict[str, np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
@@ -201,15 +176,6 @@ def phi2_with_operators(state: StateVector, obs_a: dict[str, np.ndarray], obs_b:
     return StateVector(np.ascontiguousarray(full).reshape(-1), shape)
 
 
-def apply_phi2(strategy: Strategy, state: StateVector | np.ndarray) -> StateVector:
-    """Second-stage swap circuit using the strategy's f/g observables."""
-    if not isinstance(state, StateVector):
-        state = StateVector(np.asarray(state), (strategy.dim_a, strategy.dim_b))
-    obs_a = {g: alice_observable(strategy, g) for g in COMM_GENS}
-    obs_b = {g: bob_observable(strategy, g) for g in COMM_GENS}
-    return phi2_with_operators(state, obs_a, obs_b)
-
-
 # --- targets and the report ---------------------------------------------------
 
 
@@ -221,50 +187,16 @@ def _epr4() -> np.ndarray:
 
 def control_target(label: str, params: PrimeParams) -> np.ndarray:
     """Normalized control-register state the theorem predicts for a label."""
+    if label not in LABELS:
+        raise DomainError(f"unknown report label {label!r}")
+    _, _, index_rule, c = LABELS[label]
     d = params.d
-    w = params.omega_d
     r_inv = params.r_inverse()
+    a, b = (sign * pow(r_inv, k, d) for sign, k in index_rule)
     t = np.zeros((d, d), dtype=complex)
     for j in range(1, d):
-        if label == "psi":
-            t[d - j, j] = 1
-        elif label == "OA_psi":
-            t[d - j, j] = w ** (d - j)
-        elif label == "OB_psi":
-            t[d - j, j] = w ** j
-        elif label == "UA_psi":
-            t[((d - j) * r_inv) % d, j] = 1
-        elif label == "UB_psi":
-            t[d - j, (j * r_inv) % d] = 1
-        elif label == "M1_psi":
-            t[j, j] = w ** j
-        elif label == "M2_psi":
-            t[j, j] = 1
-        elif label == "N1_psi":
-            # N1 = omega^{-1} N2 on the distinguished eigenstate, which lands
-            # the +j phase pattern here (mechanically verified at epsilon=0).
-            t[j, j] = w ** j
-        elif label == "N2_psi":
-            t[j, j] = 1
-        else:
-            raise DomainError(f"unknown report label {label!r}")
+        t[(a * j) % d, (b * j) % d] = params.omega_d ** ((c * j) % d)
     return t.reshape(-1) / math.sqrt(d - 1)
-
-
-def _label_plan(label: str) -> tuple[str, str | None, str | None]:
-    """(variant, party, generator-pair key) for the pre-applied operator."""
-    table = {
-        "psi": ("standard", None, None),
-        "OA_psi": ("standard", "A", "O"),
-        "OB_psi": ("standard", "B", "O"),
-        "UA_psi": ("standard", "A", "U"),
-        "UB_psi": ("standard", "B", "U"),
-        "M1_psi": ("prime", "A", "a1"),
-        "M2_psi": ("prime", "A", "a2"),
-        "N1_psi": ("double_prime", "B", "a1"),
-        "N2_psi": ("double_prime", "B", "a2"),
-    }
-    return table[label]
 
 
 @dataclass
@@ -290,6 +222,12 @@ def selftest_report(strategy: Strategy, ideal: Correlation, test: FullTest | Non
     test = test or strategy.test
     params = strategy.params
     da, db = strategy.dim_a, strategy.dim_b
+    d = params.d
+    footprint = da * db * 16 * d * d
+    if footprint > MAX_SELFTEST_ELEMENTS:
+        raise ResourceError(
+            f"self-test would allocate {footprint} amplitudes per isometry output, above the cap"
+        )
     ops = strategy_unitaries(strategy)
     pre_ops = {
         ("A", "O"): ops["OA"],
@@ -307,15 +245,14 @@ def selftest_report(strategy: Strategy, ideal: Correlation, test: FullTest | Non
 
     distances: dict[str, float] = {}
     junk_norm = float("nan")
-    for label in REPORT_LABELS:
-        variant, party, opkey = _label_plan(label)
+    for label, (pre, signs, _, _) in LABELS.items():
         vec = strategy.state
-        if party is not None:
-            op = pre_ops[(party, opkey)]
+        if pre is not None:
+            op = pre_ops[pre]
             mat = vec.reshape(da, db)
-            mat = op @ mat if party == "A" else mat @ op.T
+            mat = op @ mat if pre[0] == "A" else mat @ op.T
             vec = mat.reshape(-1)
-        staged = phi1_with_operators(vec, (da, db), ops, params, variant)
+        staged = phi1_with_operators(vec, (da, db), ops, params, signs)
         out = phi2_with_operators(staged, obs_a, obs_b)
         target = np.kron(epr_part, control_target(label, params))
         v = out.amps.reshape(da * db, -1)
@@ -335,12 +272,5 @@ def selftest_report(strategy: Strategy, ideal: Correlation, test: FullTest | Non
         if label == "psi":
             junk_norm = jn
 
-    eps = correlation_distance_to(strategy, ideal, test)
+    eps = correlation_distance(generate_correlation(strategy, test), ideal)
     return SelfTestReport(distances=distances, junk_norm=junk_norm, epsilon=eps)
-
-
-def correlation_distance_to(strategy: Strategy, ideal: Correlation, test: FullTest | None = None) -> float:
-    from .evaluation import correlation_distance
-
-    corr = generate_correlation(strategy, test or strategy.test)
-    return correlation_distance(corr, ideal)

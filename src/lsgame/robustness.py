@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError
+from .isometry import REPORT_LABELS, selftest_report
 from .linalg import hermitian_exponential, random_hermitian
 from .strategy import (
     Correlation,
@@ -18,9 +19,6 @@ from .strategy import (
 )
 
 KINDS = ("state", "rotate", "both")
-
-#: sweep guard: largest amplitude count the per-record isometry may allocate
-MAX_SWEEP_ELEMENTS = 1 << 26
 
 RESIDUAL_LABELS = (
     "sync",
@@ -191,7 +189,7 @@ def record_row(rec: SweepRecord) -> list[str]:
         str(rec.seed),
         repr(rec.epsilon),
     ]
-    for label in ("psi", "OA_psi", "OB_psi", "UA_psi", "UB_psi", "M1_psi", "M2_psi", "N1_psi", "N2_psi"):
+    for label in REPORT_LABELS:
         row.append(repr(rec.distances[label]))
     row.append(repr(rec.junk_norm))
     for label in RESIDUAL_LABELS:
@@ -214,15 +212,11 @@ def run_sweep(
     kinds: tuple[str, ...] = ("both",),
     base_seed: int = 0,
 ) -> list[SweepRecord]:
-    """One record per (kind, magnitude, trial); deterministic given base_seed."""
-    from .isometry import selftest_report
+    """One record per (kind, magnitude, trial); deterministic given base_seed.
 
-    d = ideal.params.d
-    footprint = ideal.dim_a * ideal.dim_b * 16 * d * d
-    if footprint > MAX_SWEEP_ELEMENTS:
-        raise ResourceError(
-            f"sweep would allocate {footprint} amplitudes per record, above the cap"
-        )
+    selftest_report's size guard raises ResourceError on the first record
+    when d is too large for its isometry outputs.
+    """
     records = []
     for ki, kind in enumerate(kinds):
         for mi, delta in enumerate(magnitudes):

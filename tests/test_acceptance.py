@@ -20,7 +20,7 @@ from lsgame import (
     generate_correlation,
     ideal_table_values,
     key_unitaries,
-    ls_winning_probability,
+    ls_winning_probability_from_correlation,
     make_params,
     presentation_stats,
     relation_residuals,
@@ -79,7 +79,7 @@ def test_criterion_2_counting_formulas():
 def test_criterion_3_perfect_play(family):
     for d, r in DEMO:
         _, _, test, strategy = family[(d, r)]
-        win = ls_winning_probability(strategy, test)
+        win = ls_winning_probability_from_correlation(generate_correlation(strategy, test), test)
         assert abs(win - 1.0) <= 1e-10, (d, r, win)
         print(f"PASS criterion 3 (d={d}, r={r}): winning probability {win:.12f}")
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lsgame.cli import main
 
 
@@ -96,10 +98,13 @@ def test_eval_strategy_report(capsys):
     assert {"winning_probability", "chsh", "sos", "epsilon"} <= set(payload)
 
 
-def test_demo_family(capsys):
-    code, out, _ = run(["demo-family"], capsys)
-    assert code == 0
-    payload = json.loads(out)
+def test_demo_family(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    assert run(["demo-family", "--out", str(a)], capsys)[0] == 0
+    assert run(["demo-family", "--out", str(b)], capsys)[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+    payload = json.loads(a.read_text())
     assert [row["d"] for row in payload["family"]] == [3, 5, 7, 11, 13]
     assert payload["ok"] is True
     for row in payload["family"]:
@@ -117,3 +122,32 @@ def test_bad_root_exits_2(capsys):
     code, _, err = run(["verify-rep", "--d", "7", "--r", "2"], capsys)
     assert code == 2
     assert "primitive" in json.loads(err)["error"]["message"]
+
+
+def test_resource_cap_exits_2(monkeypatch, capsys):
+    import lsgame.isometry as iso
+
+    monkeypatch.setattr(iso, "MAX_SELFTEST_ELEMENTS", 100)
+    for argv in (["self-test", "--d", "3"], ["sweep", "--d", "3", "--trials", "1"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ResourceError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-rep", "--d", "3", "--format", "json"],
+        ["gen-game", "--d", "3", "--seed", "1"],
+        ["gen-correlation", "--d", "3", "--tolerance", "1e-3"],
+        ["eval", "--d", "3", "--tolerance", "1e-3"],
+        ["sweep", "--d", "3", "--format", "csv"],
+        ["demo-family", "--seed", "1"],
+    ],
+)
+def test_ignored_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from lsgame import (
     build_representation,
     correlation_distance,
     generate_correlation,
-    ls_winning_probability,
     ls_winning_probability_from_correlation,
     make_params,
     sos_residuals,
@@ -22,6 +21,9 @@ from lsgame import (
 )
 from lsgame.evaluation import chsh_ideal_instance, embedded_chsh_value, evaluation_report
 from lsgame.linalg import random_binary_observable
+from lsgame.lsg import satisfying_assignments
+from lsgame.robustness import PerturbationSpec, perturb_strategy
+from lsgame.strategy import eq_label, var_label
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -103,16 +105,38 @@ def ideal_setup(d):
     return p, rep, test, build_ideal_strategy(p, rep, test)
 
 
+def ls_winning_probability_reference(strategy, test):
+    """Expected LS-block score straight from the strategy's projectors."""
+    game = test.game
+    system = game.system
+    s = strategy.state_matrix()
+    total = 0.0
+    for i, v in game.valid_pairs:
+        names = system.row_names(i)
+        pos = names.index(system.variables[v])
+        fam_a = strategy.alice_family(eq_label(i))
+        fam_b = strategy.bob_family(var_label(system.variables[v]))
+        for triple in satisfying_assignments(system, i):
+            idx = triple[0] * 4 + triple[1] * 2 + triple[2]
+            left = fam_a[idx] @ s
+            total += float(np.real(np.vdot(s, left @ fam_b[triple[pos]].T)))
+    return total / len(game.valid_pairs)
+
+
+def winning_probability(strategy, test):
+    return ls_winning_probability_from_correlation(generate_correlation(strategy, test), test)
+
+
 def test_ideal_wins_perfectly():
     _, _, test, strat = ideal_setup(3)
-    assert abs(ls_winning_probability(strat, test) - 1.0) <= 1e-10
+    assert abs(winning_probability(strat, test) - 1.0) <= 1e-10
 
 
 def test_mutated_strategy_wins_less():
     p, rep, test, _ = ideal_setup(3)
     rep.table["f0"] = -rep.table["f0"]
     broken = build_ideal_strategy(p, rep, test)
-    assert ls_winning_probability(broken, test) < 1.0 - 1e-3
+    assert winning_probability(broken, test) < 1.0 - 1e-3
 
 
 def test_orthogonal_product_state_loses_enough():
@@ -122,15 +146,16 @@ def test_orthogonal_product_state_loses_enough():
     assert abs(np.vdot(strat.state, product)) < 1e-12
     strat.state = product
     m = test.game.system.n_rows
-    assert ls_winning_probability(strat, test) <= 1 - 1 / (4 * m)
+    assert winning_probability(strat, test) <= 1 - 1 / (4 * m)
 
 
 def test_winning_probability_from_correlation_matches():
     _, _, test, strat = ideal_setup(3)
-    corr = generate_correlation(strat, test)
-    direct = ls_winning_probability(strat, test)
-    via_corr = ls_winning_probability_from_correlation(corr, test)
-    assert abs(direct - via_corr) <= 1e-12
+    noisy = perturb_strategy(strat, PerturbationSpec("both", 1e-2, 3))
+    for s in (strat, noisy):
+        direct = ls_winning_probability_reference(s, test)
+        via_corr = winning_probability(s, test)
+        assert abs(direct - via_corr) <= 1e-12
 
 
 def test_winning_probability_monotone_under_mixing():

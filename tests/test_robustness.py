@@ -150,11 +150,11 @@ def test_fit_bound_synthetic():
 
 
 def test_sweep_resource_guard(monkeypatch):
-    import lsgame.robustness as rb
+    import lsgame.isometry as iso
 
     _, test, strat, corr = ideal_setup(3)
-    monkeypatch.setattr(rb, "MAX_SWEEP_ELEMENTS", 100)
-    with pytest.raises(rb.ResourceError):
+    monkeypatch.setattr(iso, "MAX_SELFTEST_ELEMENTS", 100)
+    with pytest.raises(iso.ResourceError):
         run_sweep(strat, corr, [1e-3], 1, ("state",), base_seed=0)
 
 
