@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import DomainError, LsgameError, PreconditionError, ResourceError
@@ -67,11 +68,37 @@ def _setup(d: int, r: int | None) -> tuple:
 
 
 def _perturbed(strategy, args):
-    """The strategy perturbed by --kind/--delta/--seed, or itself at delta 0."""
-    if args.delta > 0:
-        spec = PerturbationSpec(kind=args.kind, magnitude=args.delta, seed=args.seed)
-        return perturb_strategy(strategy, spec)
-    return strategy
+    """The strategy perturbed by --kind/--delta/--seed, or itself at delta 0.
+
+    Any other delta goes through PerturbationSpec, which rejects negative
+    and NaN magnitudes with DomainError.
+    """
+    if args.delta == 0:
+        return strategy
+    spec = PerturbationSpec(kind=args.kind, magnitude=args.delta, seed=args.seed)
+    return perturb_strategy(strategy, spec)
+
+
+def _within(values, tol: float) -> bool:
+    """Gate: every value is finite and at most tol (NaN fails)."""
+    return all(math.isfinite(v) and v <= tol for v in values)
+
+
+def _read_correlation(path: str, params, test) -> Correlation:
+    """A correlation file, checked against the command's (d, r) and support."""
+    with open(path) as fh:
+        corr = Correlation.from_json(fh.read())
+    if (corr.d, corr.r) != (params.d, params.r):
+        raise DomainError(
+            f"correlation file is for d={corr.d}, r={corr.r}, not d={params.d}, r={params.r}"
+        )
+    want = set(test.support)
+    if set(corr.entries) != want:
+        diff = sorted(want.symmetric_difference(corr.entries))
+        raise DomainError(
+            f"correlation file support differs from the game's at {len(diff)} pairs, first {diff[0]}"
+        )
+    return corr
 
 
 def cmd_gen_game(args) -> int:
@@ -98,17 +125,17 @@ def cmd_verify_rep(args) -> int:
     gamma = build_presentation("Gamma", params.r)
     residual = verify_representation(rep, gamma)
     _, _, conj_residual = key_unitaries(rep)
-    worst = max(residual, conj_residual)
+    ok = _within((residual, conj_residual), args.tolerance)
     payload = {
         "d": params.d,
         "r": params.r,
         "relation_residual": residual,
         "conjugation_residual": conj_residual,
         "tolerance": args.tolerance,
-        "ok": bool(worst <= args.tolerance),
+        "ok": ok,
     }
     _write(args.out, _dump_json(payload))
-    return 0 if worst <= args.tolerance else 3
+    return 0 if ok else 3
 
 
 def cmd_gen_correlation(args) -> int:
@@ -120,8 +147,7 @@ def cmd_gen_correlation(args) -> int:
 def cmd_eval(args) -> int:
     params, _, test, strategy, ideal_corr = _setup(args.d, args.r)
     if args.infile:
-        with open(args.infile) as fh:
-            corr = Correlation.from_json(fh.read())
+        corr = _read_correlation(args.infile, params, test)
         payload = {
             "winning_probability": ls_winning_probability_from_correlation(corr, test),
             "epsilon": correlation_distance(corr, ideal_corr),
@@ -142,7 +168,7 @@ def cmd_self_test(args) -> int:
     payload["d"] = args.d
     payload["delta"] = args.delta
     _write(args.out, _dump_json(payload))
-    if args.delta == 0 and max(report.distances.values()) > args.tolerance:
+    if args.delta == 0 and not _within(report.distances.values(), args.tolerance):
         return 3
     return 0
 
@@ -169,7 +195,7 @@ def cmd_demo_family(args) -> int:
         residual = verify_representation(rep, build_presentation("Gamma", params.r))
         report = selftest_report(strategy, ideal_corr, test)
         worst = max(report.distances.values())
-        good = residual <= args.tolerance and worst <= 1e-8
+        good = _within((residual,), args.tolerance) and _within(report.distances.values(), 1e-8)
         ok = ok and good
         lines.append(
             {

@@ -10,6 +10,11 @@ f2, g0, g2.
 Register order of the final state: (H_A, H_B, ancillas a1 b1 a2 b2,
 controls A', B').  Ancilla pairs (a1, b1) and (a2, b2) carry the extracted
 EPR pairs; any other consistent ordering is isomorphic.
+
+phi1_with_operators and phi2_with_operators build that state densely, with
+16*d^2*dim_a*dim_b amplitudes.  selftest_report never does: it streams the
+contraction over control slices (see its docstring), and the dense stages
+serve as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, StructuralError
+from .errors import DomainError, ResourceError
 from .evaluation import correlation_distance
 from .linalg import StateVector, eye, qft
 from .numtheory import PrimeParams, discrete_log
@@ -54,7 +59,7 @@ LABELS = {
 
 REPORT_LABELS = tuple(LABELS)
 
-#: self-test guard: largest amplitude count one isometry output may hold
+#: self-test guard: largest amplitude count selftest_report may hold at once
 MAX_SELFTEST_ELEMENTS = 1 << 26
 
 
@@ -73,6 +78,12 @@ def _powers(m: np.ndarray, count: int) -> list[np.ndarray]:
     for _ in range(count - 1):
         out.append(out[-1] @ m)
     return out
+
+
+def _u_exponents(params: PrimeParams, sign: int) -> list[int]:
+    """Power of U on each control value j: 0 at j = 0, else log(sign*j) mod (d-1)."""
+    d = params.d
+    return [0] + [discrete_log(params, sign * j) % (d - 1) for j in range(1, d)]
 
 
 def _controlled(block: np.ndarray, ops: list[np.ndarray], axis: int, ctrl_axis: int, d: int) -> np.ndarray:
@@ -122,8 +133,8 @@ def phi1_with_operators(
     u_pow_a = _powers(ops["UA"], d - 1)
     u_pow_b = _powers(ops["UB"], d - 1)
     s_a, s_b = signs
-    ua = [u_pow_a[0]] + [u_pow_a[discrete_log(params, s_a * j) % (d - 1)] for j in range(1, d)]
-    ub = [u_pow_b[0]] + [u_pow_b[discrete_log(params, s_b * j) % (d - 1)] for j in range(1, d)]
+    ua = [u_pow_a[e] for e in _u_exponents(params, s_a)]
+    ub = [u_pow_b[e] for e in _u_exponents(params, s_b)]
     block = _controlled(block, ua, axis=0, ctrl_axis=2, d=d)
     block = _controlled(block, ub, axis=1, ctrl_axis=3, d=d)
 
@@ -213,21 +224,58 @@ class SelfTestReport:
         }
 
 
+def _ladders(ops: dict[str, np.ndarray], params: PrimeParams) -> dict[tuple[str, int], np.ndarray]:
+    """Stage one resolved per control value, for each (party, sign).
+
+    ladders[party, s][j] = U^e(j) P(j), where P(j) = (1/d) sum_k omega^(-jk) O^k
+    is the Fourier transform over the powers of O and e(j) = _u_exponents(s)[j],
+    so that stage one maps a state matrix S to the control slices
+    B[jA, jB] = L_A[jA] S L_B[jB]^T, as phi1_with_operators does.
+    """
+    d = params.d
+    fourier = qft(d).conj() / math.sqrt(d)
+    ladders = {}
+    for party in "AB":
+        fourier_o = np.tensordot(fourier, np.stack(_powers(ops["O" + party], d)), axes=1)
+        u_pow = _powers(ops["U" + party], d - 1)
+        for sign in (-1, 1):
+            ladders[party, sign] = np.stack([u_pow[e] for e in _u_exponents(params, sign)]) @ fourier_o
+    return ladders
+
+
+def _sq(x: np.ndarray) -> float:
+    return float(np.vdot(x, x).real)
+
+
 def selftest_report(strategy: Strategy, ideal: Correlation, test: FullTest | None = None) -> SelfTestReport:
     """Distances of the isometry outputs from junk (x) EPR^2 (x) target.
 
     junk is the unnormalized contraction of the output against the EPR and
     control targets; no optimization over junk states is performed.
+
+    The stage-two output is never built.  Stage one is factored into the
+    per-control-value ladders of _ladders, shared by all nine labels; stage
+    two enters through the four one-party maps M_l of _stage2_maps.  On the
+    d-1 control slices where the target is nonzero,
+    C = sum_j conj(t_j) B_j gives junk = 1/2 sum_l Ma_l C Mb_l^T, and each
+    slice adds its explicit residual sum_{l,m} ||Ma_l B_j Mb_m^T
+    - 1/2 delta_lm t_j junk||^2.  Every other slice adds
+    <B_j, G_A B_j G_B^T> with G = sum_l M_l^H M_l, evaluated as
+    ||K_A B_j K_B^T||^2 with K^H K = G and one control row at a time.  The
+    Gram form holds whether or not stage two is an isometry.  Every term is
+    the squared norm of an explicitly formed array, never a difference of
+    squared norms such as ||v||^2 - ||junk||^2, so near-ideal distances keep
+    their absolute accuracy.
     """
     test = test or strategy.test
     params = strategy.params
     da, db = strategy.dim_a, strategy.dim_b
     d = params.d
-    footprint = da * db * 16 * d * d
+    # held at once: eight ladders, then per label the support slices, the
+    # Gram-scaled rows, one row's slices and one slice's 16 stage-two blocks
+    footprint = 4 * d * (da * da + db * db) + (3 * d + 15) * da * db
     if footprint > MAX_SELFTEST_ELEMENTS:
-        raise ResourceError(
-            f"self-test would allocate {footprint} amplitudes per isometry output, above the cap"
-        )
+        raise ResourceError(f"self-test would hold {footprint} amplitudes at once, above the cap")
     ops = strategy_unitaries(strategy)
     pre_ops = {
         ("A", "O"): ops["OA"],
@@ -239,38 +287,43 @@ def selftest_report(strategy: Strategy, ideal: Correlation, test: FullTest | Non
         ("B", "a1"): bob_observable(strategy, "a1"),
         ("B", "a2"): bob_observable(strategy, "a2"),
     }
-    obs_a = {g: alice_observable(strategy, g) for g in COMM_GENS}
-    obs_b = {g: bob_observable(strategy, g) for g in COMM_GENS}
-    epr_part = _epr4()
+    maps_a = list(_stage2_maps({g: alice_observable(strategy, g) for g in COMM_GENS}).values())
+    maps_b = list(_stage2_maps({g: bob_observable(strategy, g) for g in COMM_GENS}).values())
+    stack_a = np.concatenate(maps_a)  # (4 da, da)
+    stack_b = np.concatenate(maps_b)  # (4 db, db)
+    ladders = _ladders(ops, params)
+    # K = R of a QR factorization: K^H K = stack^H stack = G, without forming G
+    roots = {"A": np.linalg.qr(stack_a, mode="r"), "B": np.linalg.qr(stack_b, mode="r")}
+    gram_ladders = {key: roots[key[0]] @ lad for key, lad in ladders.items()}
 
     distances: dict[str, float] = {}
     junk_norm = float("nan")
-    for label, (pre, signs, _, _) in LABELS.items():
-        vec = strategy.state
+    for label, (pre, (s_a, s_b), _, _) in LABELS.items():
+        psi = strategy.state_matrix()
         if pre is not None:
             op = pre_ops[pre]
-            mat = vec.reshape(da, db)
-            mat = op @ mat if pre[0] == "A" else mat @ op.T
-            vec = mat.reshape(-1)
-        staged = phi1_with_operators(vec, (da, db), ops, params, signs)
-        out = phi2_with_operators(staged, obs_a, obs_b)
-        target = np.kron(epr_part, control_target(label, params))
-        v = out.amps.reshape(da * db, -1)
-        if v.shape[1] != target.size:
-            raise StructuralError("register mismatch between output and target")
-        junk = v @ target.conj()
-        # junk (x) target is the orthogonal projection of the output, so
-        # ||residual||^2 = ||v||^2 - ||junk||^2; recompute explicitly when
-        # the difference is cancellation-dominated (near-ideal strategies).
-        vn = float(np.linalg.norm(v))
-        jn = float(np.linalg.norm(junk))
-        gap = vn * vn - jn * jn
-        if gap < 1e-10:
-            distances[label] = float(np.linalg.norm(v - np.outer(junk, target)))
-        else:
-            distances[label] = math.sqrt(gap)
+            psi = op @ psi if pre[0] == "A" else psi @ op.T
+        t = control_target(label, params).reshape(d, d)
+        rows, cols = np.nonzero(t)
+        t_support = t[rows, cols]
+        slices = ladders["A", s_a][rows] @ psi @ ladders["B", s_b][cols].transpose(0, 2, 1)
+        c = np.tensordot(t_support.conj(), slices, axes=1)
+        junk = 0.5 * sum(ma @ c @ mb.T for ma, mb in zip(maps_a, maps_b))
+
+        total = 0.0
+        for t_j, b_j in zip(t_support, slices):
+            out = (stack_a @ b_j @ stack_b.T).reshape(4, da, 4, db)
+            for l in range(4):
+                out[l, :, l, :] -= 0.5 * t_j * junk
+            total += _sq(out)
+        left = gram_ladders["A", s_a] @ psi  # (d, da, db)
+        right = gram_ladders["B", s_b].reshape(d * db, db)
+        for j_a in range(d):
+            row = (left[j_a] @ right.T).reshape(da, d, db)
+            total += _sq(row[:, t[j_a] == 0])
+        distances[label] = math.sqrt(total)
         if label == "psi":
-            junk_norm = jn
+            junk_norm = float(np.linalg.norm(junk))
 
     eps = correlation_distance(generate_correlation(strategy, test), ideal)
     return SelfTestReport(distances=distances, junk_norm=junk_norm, epsilon=eps)

@@ -215,7 +215,8 @@ def run_sweep(
     """One record per (kind, magnitude, trial); deterministic given base_seed.
 
     selftest_report's size guard raises ResourceError on the first record
-    when d is too large for its isometry outputs.
+    when the strategy is too large for its streamed contraction; no d up to
+    make_params' cap of 31 is.
     """
     records = []
     for ki, kind in enumerate(kinds):

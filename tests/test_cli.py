@@ -151,3 +151,59 @@ def test_ignored_flags_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_gates_fail_closed_on_nan(monkeypatch, capsys):
+    # a NaN after the first label used to vanish in max() and pass the gate
+    import lsgame.cli as cli
+
+    real_report = cli.selftest_report
+
+    def nan_report(*args):
+        report = real_report(*args)
+        report.distances["OA_psi"] = float("nan")
+        return report
+
+    monkeypatch.setattr(cli, "selftest_report", nan_report)
+    monkeypatch.setattr(cli, "DEMO_PRIMES", (3,))
+    assert run(["self-test", "--d", "3"], capsys)[0] == 3
+    code, out, _ = run(["demo-family"], capsys)
+    assert code == 3
+    assert json.loads(out)["ok"] is False
+
+    monkeypatch.setattr(cli, "key_unitaries", lambda rep: (None, None, float("nan")))
+    code, out, _ = run(["verify-rep", "--d", "3"], capsys)
+    assert code == 3
+    assert json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize("delta", ["-0.5", "nan"])
+def test_bad_delta_exits_2(delta, capsys):
+    # a negative delta used to skip both the perturbation and the gate
+    code, out, err = run(["self-test", "--d", "3", f"--delta={delta}", "--tolerance", "1e-30"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+def test_eval_rejects_mismatched_correlation_file(tmp_path, capsys):
+    d7r5 = tmp_path / "d7r5.json"
+    d3 = tmp_path / "d3.json"
+    short = tmp_path / "short.json"
+    assert run(["gen-correlation", "--d", "7", "--r", "5", "--out", str(d7r5)], capsys)[0] == 0
+    assert run(["gen-correlation", "--d", "3", "--out", str(d3)], capsys)[0] == 0
+    payload = json.loads(d3.read_text())
+    payload["entries"] = payload["entries"][1:]
+    short.write_text(json.dumps(payload))
+    cases = (
+        (["--d", "7"], d7r5, "r=5"),
+        (["--d", "5"], d3, "d=3"),
+        (["--d", "3"], short, "support"),
+    )
+    for flags, path, word in cases:
+        code, out, err = run(["eval", *flags, "--in", str(path)], capsys)
+        assert code == 2, (flags, path)
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert word in error["message"]

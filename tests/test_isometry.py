@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from lsgame import (
     selftest_report,
 )
 from lsgame.isometry import (
+    LABELS,
     REPORT_LABELS,
     _epr4,
     control_target,
@@ -21,7 +25,7 @@ from lsgame.isometry import (
 )
 from lsgame.linalg import StateVector, eye
 from lsgame.robustness import PerturbationSpec, perturb_strategy
-from lsgame.strategy import COMM_GENS, alice_observable, bob_observable
+from lsgame.strategy import COMM_GENS, alice_observable, bob_observable, var_label
 
 #: the three (s_A, s_B) exponent-sign pairs that the report labels use
 SIGN_PAIRS = ((-1, 1), (1, 1), (-1, -1))
@@ -45,6 +49,35 @@ def phi2(strat, state):
     obs_a = {g: alice_observable(strat, g) for g in COMM_GENS}
     obs_b = {g: bob_observable(strat, g) for g in COMM_GENS}
     return phi2_with_operators(state, obs_a, obs_b)
+
+
+def dense_report(strat):
+    """Per label (||v - junk (x) target||, ||junk||) from the full stage-two output v."""
+    ops = strategy_unitaries(strat)
+    out = {}
+    for label, (pre, signs, _, _) in LABELS.items():
+        state = strat.state_matrix()
+        if pre is not None:
+            party, name = pre
+            if name in ("O", "U"):
+                op = ops[name + party]
+            else:
+                op = (alice_observable if party == "A" else bob_observable)(strat, name)
+            state = op @ state if party == "A" else state @ op.T
+        staged = phi1_with_operators(state.reshape(-1), (strat.dim_a, strat.dim_b), ops, strat.params, signs)
+        v = phi2(strat, staged).amps.reshape(strat.dim_a * strat.dim_b, -1)
+        target = np.kron(_epr4(), control_target(label, strat.params))
+        junk = v @ target.conj()
+        out[label] = (np.linalg.norm(v - np.outer(junk, target)), np.linalg.norm(junk))
+    return out
+
+
+def assert_matches_dense(strat, corr, test, context):
+    report = selftest_report(strat, corr, test)
+    dense = dense_report(strat)
+    for label, (dist, junk_norm) in dense.items():
+        assert abs(report.distances[label] - dist) <= 1e-12, (context, label, report.distances[label], dist)
+    assert abs(report.junk_norm - dense["psi"][1]) <= 1e-12, context
 
 
 def ideal_psi1(strat, d):
@@ -129,6 +162,59 @@ def test_selftest_report_ideal():
             assert dist <= 1e-8, (d, r, label, dist)
         assert abs(report.junk_norm - 1) <= 1e-8
         assert report.epsilon <= 1e-12
+
+
+def test_selftest_report_matches_dense_reference():
+    # 1e-6 and 1e-5 straddle the threshold where an earlier version switched
+    # from the explicit residual to sqrt(||v||^2 - ||junk||^2)
+    for d, r in ((3, None), (5, None), (5, 3), (7, 5)):
+        p, rep, test, strat = ideal_setup(d, r)
+        corr = generate_correlation(strat, test)
+        for kind in ("state", "rotate", "both"):
+            for delta in (1e-6, 1e-5, 1e-4, 1e-2):
+                pert = perturb_strategy(strat, PerturbationSpec(kind, delta, 17))
+                assert_matches_dense(pert, corr, test, (d, r, kind, delta))
+
+
+def test_selftest_report_non_isometric_stage_two():
+    # f0 scaled by 0.9 on both sides: sum_l M_l^H M_l is no longer the
+    # identity, so off-support slices must be weighted by the Gram matrix
+    p, rep, test, strat = ideal_setup(5)
+    corr = generate_correlation(strat, test)
+    pert = perturb_strategy(strat, PerturbationSpec("both", 1e-2, 4))
+    key = var_label("f0")
+    scaled = dataclasses.replace(
+        pert,
+        alice={**pert.alice, key: tuple(0.9 * m for m in pert.alice[key])},
+        bob={**pert.bob, key: tuple(0.9 * m for m in pert.bob[key])},
+    )
+    assert abs(np.linalg.norm(phi2(scaled, scaled.state).amps) - 1) > 1e-3
+    assert_matches_dense(scaled, corr, test, "f0 scaled by 0.9")
+
+
+def test_selftest_report_streams(monkeypatch):
+    # neither stage-two output nor a dense stage-one call: the call's
+    # allocation peak stays below the bytes of one (da, db, 2,2,2,2, d, d) array
+    import lsgame.isometry as iso
+
+    p, rep, test, strat = ideal_setup(7)
+    corr = generate_correlation(strat, test)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("selftest_report called a dense isometry stage")
+
+    monkeypatch.setattr(iso, "phi1_with_operators", refuse)
+    monkeypatch.setattr(iso, "phi2_with_operators", refuse)
+    monkeypatch.setattr(iso, "generate_correlation", lambda strategy, test: corr)
+    stage_two_bytes = strat.dim_a * strat.dim_b * 16 * 7 * 7 * 16
+    tracemalloc.start()
+    try:
+        report = selftest_report(strat, corr, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(report.distances.values()) <= 1e-8
+    assert peak < stage_two_bytes / 4, (peak, stage_two_bytes)
 
 
 def test_selftest_report_resource_guard(monkeypatch):
