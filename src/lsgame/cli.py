@@ -85,7 +85,7 @@ def _within(values, tol: float) -> bool:
 
 
 def _read_correlation(path: str, params, test) -> Correlation:
-    """A correlation file, checked against the command's (d, r) and support."""
+    """A correlation file, checked against the command's (d, r), support and table shapes."""
     with open(path) as fh:
         corr = Correlation.from_json(fh.read())
     if (corr.d, corr.r) != (params.d, params.r):
@@ -98,6 +98,10 @@ def _read_correlation(path: str, params, test) -> Correlation:
         raise DomainError(
             f"correlation file support differs from the game's at {len(diff)} pairs, first {diff[0]}"
         )
+    for (x, y), table in corr.entries.items():
+        shape = (len(test.alice_answers[x]), len(test.bob_answers[y]))
+        if table.shape != shape:
+            raise DomainError(f"correlation table {(x, y)} has shape {table.shape}, not {shape}")
     return corr
 
 
@@ -176,7 +180,10 @@ def cmd_self_test(args) -> int:
 def cmd_sweep(args) -> int:
     _, _, _, strategy, ideal_corr = _setup(args.d, args.r)
     kinds = KINDS if args.kind == "all" else (args.kind,)
-    magnitudes = [float(x) for x in args.deltas.split(",") if x]
+    try:
+        magnitudes = [float(x) for x in args.deltas.split(",") if x]
+    except ValueError as exc:
+        raise DomainError(f"--deltas must be comma-separated numbers: {exc}") from None
     records = run_sweep(strategy, ideal_corr, magnitudes, args.trials, kinds, args.seed)
     _write(args.out, records_to_csv(records))
     try:
@@ -194,7 +201,7 @@ def cmd_demo_family(args) -> int:
         params, rep, test, strategy, ideal_corr = _setup(d, None)
         residual = verify_representation(rep, build_presentation("Gamma", params.r))
         report = selftest_report(strategy, ideal_corr, test)
-        worst = max(report.distances.values())
+        worst = max(report.distances.values(), key=lambda v: (math.isnan(v), v))  # a NaN wins
         good = _within((residual,), args.tolerance) and _within(report.distances.values(), 1e-8)
         ok = ok and good
         lines.append(

@@ -10,7 +10,8 @@ import numpy as np
 from .errors import DomainError, PreconditionError, StructuralError
 from .linalg import eye, involution_residual, kron, op_norm
 from .lsg import satisfying_assignments
-from .strategy import Correlation, FullTest, Strategy, eq_label, generate_correlation, var_label
+from .strategy import Correlation, FullTest, Strategy, eq_label, var_label
+from .strategy import bob_observable, family_observable, generate_correlation
 
 #: smallest |alpha| accepted: cot(pi/3), the d=3 end of the family
 MIN_ALPHA = 1 / math.sqrt(3)
@@ -183,16 +184,11 @@ def embedded_chsh_value(strategy: Strategy, test: FullTest | None = None) -> dic
     if norm == 0:
         raise StructuralError("conditioned state vanishes")
     state = (proj / norm).reshape(-1)
-    za = _family_observable(strategy.alice_family(test.ext_z))
-    xa = _family_observable(strategy.alice_family(test.ext_x))
-    n1 = _family_observable(strategy.bob_family(var_label("a1")))
-    n2 = _family_observable(strategy.bob_family(var_label("a2")))
+    za = family_observable(strategy.alice_family(test.ext_z))
+    xa = family_observable(strategy.alice_family(test.ext_x))
+    n1, n2 = bob_observable(strategy, "a1"), bob_observable(strategy, "a2")
     value = bell_value(state, za, xa, n1, n2, ctx)
     return {"alpha": alpha, "value": value, "imax": ctx.imax}
-
-
-def _family_observable(fam) -> np.ndarray:
-    return fam[0] - fam[1]
 
 
 def evaluation_report(

@@ -24,7 +24,7 @@ MAX_KRON_ELEMENTS = 1 << 26
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a size guard."""
-    size = a.shape[0] * b.shape[0] * a.shape[-1] * b.shape[-1]
+    size = a.size * b.size
     if size > MAX_KRON_ELEMENTS:
         raise ResourceError(f"kron result with {size} elements exceeds the cap")
     return np.kron(a, b)
@@ -72,33 +72,34 @@ def involution_residual(m: np.ndarray) -> float:
     return max(op_norm(m - dagger(m)), op_norm(m @ m - eye(m.shape[0])))
 
 
-def observable_to_projectors(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Split a binary observable into its (+1, -1) eigenprojectors."""
+def _halves(m: np.ndarray) -> np.ndarray:
+    one = eye(m.shape[0])
+    return np.stack(((one + m) / 2, (one - m) / 2))
+
+
+def observable_to_projectors(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Split a binary observable into its stacked (+1, -1) eigenprojectors."""
     res = involution_residual(m)
     if res > tol:
         raise PreconditionError("operator is not a binary observable", res)
-    one = eye(m.shape[0])
-    return (one + m) / 2, (one - m) / 2
+    return _halves(m)
 
 
-def joint_projector(
-    observables: list[np.ndarray] | tuple[np.ndarray, ...],
-    outcome: tuple[int, ...],
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Product of (1 +/- m)/2 for pairwise commuting binary observables."""
-    if len(observables) != len(outcome):
-        raise PreconditionError("outcome length does not match observable count")
+def joint_projector(observables: list[np.ndarray], *, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """All 2^k products of (1 +/- m)/2 for k pairwise commuting binary observables.
+
+    Outcomes are stacked in lexicographic order, the first observable's sign
+    slowest: stack[o] projects onto outcome o, bit 0 meaning +1 and 1 meaning -1.
+    """
     worst = 0.0
     for i, a in enumerate(observables):
         for b in observables[i + 1 :]:
             worst = max(worst, op_norm(a @ b - b @ a))
     if worst > tol:
         raise PreconditionError("observables do not commute", worst)
-    dim = observables[0].shape[0] if observables else 1
-    out = eye(dim)
-    for m, a in zip(observables, outcome):
-        out = out @ (eye(dim) + (-1) ** a * m) / 2
+    out = _halves(observables[0])
+    for m in observables[1:]:
+        out = (out[:, None] @ _halves(m)[None]).reshape(-1, *m.shape)
     return out
 
 

@@ -16,6 +16,7 @@ from .strategy import (
     Strategy,
     alice_observable,
     bob_observable,
+    family_observable,
 )
 
 KINDS = ("state", "rotate", "both")
@@ -50,22 +51,21 @@ class PerturbationSpec:
 
 
 def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
-    """Deterministic perturbed copy of a strategy."""
+    """Deterministic perturbed copy of a strategy: the state is copied, and
+    families left unrotated are the input's read-only arrays, not copies."""
     delta = spec.magnitude
     state = ideal.state.copy()
-    alice = {q: tuple(p.copy() for p in fam) for q, fam in ideal.alice.items()}
-    bob = {q: tuple(p.copy() for p in fam) for q, fam in ideal.bob.items()}
+    alice, bob = dict(ideal.alice), dict(ideal.bob)
     if delta > 0:
         rng = np.random.default_rng(spec.seed)
         if spec.kind in ("rotate", "both"):
-            for q in ideal.test.alice_questions:
-                h = random_hermitian(ideal.dim_a, rng)
-                u = hermitian_exponential(h, delta)
-                alice[q] = tuple(u @ p @ u.conj().T for p in alice[q])
-            for q in ideal.test.bob_questions:
-                h = random_hermitian(ideal.dim_b, rng)
-                u = hermitian_exponential(h, delta)
-                bob[q] = tuple(u @ p @ u.conj().T for p in bob[q])
+            for fams, questions, dim in (
+                (alice, ideal.test.alice_questions, ideal.dim_a),
+                (bob, ideal.test.bob_questions, ideal.dim_b),
+            ):
+                for q in questions:
+                    u = hermitian_exponential(random_hermitian(dim, rng), delta)
+                    fams[q] = u @ fams[q] @ u.conj().T
         if spec.kind in ("state", "both"):
             g = rng.standard_normal(state.size) + 1j * rng.standard_normal(state.size)
             g /= np.linalg.norm(g)
@@ -120,7 +120,7 @@ def relation_residuals(strategy: Strategy, test: FullTest | None = None) -> dict
     conjugacy = norm(o_a @ u_a.conj().T @ s - u_a.conj().T @ o_a_r @ s)
 
     p0, p1 = strategy.alice_family(test.ext_z)[:2]
-    x_obs = strategy.alice_family(test.ext_x)[0] - strategy.alice_family(test.ext_x)[1]
+    x_obs = family_observable(strategy.alice_family(test.ext_x))
     half = 0.5 * (p0 + 1j * (x_obs @ p1) - 1j * (x_obs @ p0) + p1)
     psi1 = half @ s
     w = params.d - 1
@@ -213,11 +213,14 @@ def run_sweep(
     base_seed: int = 0,
 ) -> list[SweepRecord]:
     """One record per (kind, magnitude, trial); deterministic given base_seed.
+    DomainError unless there is at least one magnitude and one trial.
 
     selftest_report's size guard raises ResourceError on the first record
     when the strategy is too large for its streamed contraction; no d up to
     make_params' cap of 31 is.
     """
+    if trials < 1 or not magnitudes:
+        raise DomainError(f"a sweep needs a magnitude and a trial, got {len(magnitudes)} and {trials}")
     records = []
     for ki, kind in enumerate(kinds):
         for mi, delta in enumerate(magnitudes):

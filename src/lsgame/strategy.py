@@ -12,7 +12,9 @@ The full test glues three blocks over one uniform question distribution:
 Question labels are strings: ``I7`` (equation), ``x(f0)`` (variable),
 ``ext:0`` / ``ext:<n+1>`` / ``ext:<n+2>`` (extension block, n = number of
 variables), ``comm:<n+1>,f0`` (Bob's paired question).  Answer orders are
-fixed by the tuples in FullTest and mirrored by every measurement family.
+fixed by the tuples in FullTest.  A measurement family is one read-only
+``(k, n, n)`` array whose first axis follows that answer order, so
+``family[a]`` is the projector for the a-th answer.
 """
 
 from __future__ import annotations
@@ -24,13 +26,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import DomainError, StructuralError
 from .linalg import basis_vector, eye, joint_projector, kron, observable_to_projectors
 from .lsg import GameLS, build_ls_game
 from .numtheory import PrimeParams
 from .representation import Rep, x_index
 
 COMM_GENS = ("f0", "f2", "g0", "g2")
+
+#: tolerance on the sum and on negative entries of a parsed correlation table
+#: (roundoff leaves entries of order -1e-15 where the ideal value is 0)
+TABLE_TOL = 1e-9
 
 _TRIPLES = tuple(
     (a0, a1, a2) for a0 in (0, 1) for a1 in (0, 1) for a2 in (0, 1)
@@ -87,10 +93,6 @@ class FullTest:
     def ext_questions(self) -> tuple[str, ...]:
         return (self.ext_sub, var_label("a1"), var_label("a2"), self.ext_z, self.ext_x)
 
-    @property
-    def comm_questions(self) -> tuple[str, ...]:
-        return tuple(self.comm_label(zx, g) for zx in ("z", "x") for g in COMM_GENS)
-
 
 def build_full_test(params: PrimeParams) -> FullTest:
     """Enumerate questions, answer alphabets, and the uniform support."""
@@ -116,26 +118,16 @@ def build_full_test(params: PrimeParams) -> FullTest:
         ext_z: (0, 1, 2),
         ext_x: (0, 1, 2),
     }
-    alice_answers: dict[str, tuple] = {}
-    for i in range(system.n_rows):
-        alice_answers[eq_label(i)] = _TRIPLES
+    alice_answers: dict[str, tuple] = {eq_label(i): _TRIPLES for i in range(system.n_rows)}
     alice_answers.update(ext_answers)
-    for g in COMM_GENS:
-        alice_answers[var_label(g)] = (0, 1)
+    alice_answers.update((var_label(g), (0, 1)) for g in COMM_GENS)
 
     bob_answers: dict[str, tuple] = {var_label(g): (0, 1) for g in system.variables}
-    bob_answers[ext_sub] = ext_answers[ext_sub]
-    bob_answers[ext_z] = ext_answers[ext_z]
-    bob_answers[ext_x] = ext_answers[ext_x]
-    for q in comm_qs:
-        bob_answers[q] = _COMM_ANSWERS
+    bob_answers.update((q, ext_answers[q]) for q in (ext_sub, ext_z, ext_x))
+    bob_answers.update((q, _COMM_ANSWERS) for q in comm_qs)
 
-    support: list[tuple[str, str]] = []
-    for i, v in game.valid_pairs:
-        support.append((eq_label(i), var_label(system.variables[v])))
-    for x in ext_questions:
-        for y in ext_questions:
-            support.append((x, y))
+    support = [(eq_label(i), var_label(system.variables[v])) for i, v in game.valid_pairs]
+    support += [(x, y) for x in ext_questions for y in ext_questions]
     for zx_num in (n + 1, n + 2):
         for g in COMM_GENS:
             y = f"comm:{zx_num},{g}"
@@ -156,26 +148,35 @@ def build_full_test(params: PrimeParams) -> FullTest:
 
 @dataclass
 class Strategy:
-    """Shared pure state plus one projector family per question per party."""
+    """Shared pure state plus one projector family per question per party.
+
+    Each family is a (k, n, n) stack of projectors in the test's answer
+    order.  Construction makes every family read-only, so strategies may
+    share family arrays.
+    """
 
     params: PrimeParams
     test: FullTest
     dim_a: int
     dim_b: int
     state: np.ndarray
-    alice: dict[str, tuple[np.ndarray, ...]]
-    bob: dict[str, tuple[np.ndarray, ...]]
+    alice: dict[str, np.ndarray]
+    bob: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        for fam in (*self.alice.values(), *self.bob.values()):
+            fam.setflags(write=False)
 
     def state_matrix(self) -> np.ndarray:
         return self.state.reshape(self.dim_a, self.dim_b)
 
-    def alice_family(self, question: str) -> tuple[np.ndarray, ...]:
+    def alice_family(self, question: str) -> np.ndarray:
         try:
             return self.alice[question]
         except KeyError:
             raise StructuralError(f"Alice has no measurement for {question!r}") from None
 
-    def bob_family(self, question: str) -> tuple[np.ndarray, ...]:
+    def bob_family(self, question: str) -> np.ndarray:
         try:
             return self.bob[question]
         except KeyError:
@@ -205,25 +206,17 @@ def v1_states(params: PrimeParams) -> dict[str, np.ndarray]:
     }
 
 
-def _ext_projectors_on_w(params: PrimeParams) -> dict[str, tuple[np.ndarray, ...]]:
-    w = params.d - 1
-    st = v1_states(params)
-    proj = {k: np.outer(v, v.conj()) for k, v in st.items()}
+def ext_projector_families(params: PrimeParams) -> dict[str, np.ndarray]:
+    """Extension-block families on W_{d-1}, lifted to the full 4(d-1) space."""
+    proj = {k: np.outer(v, v.conj()) for k, v in v1_states(params).items()}
     pi_v1 = proj["z0"] + proj["z1"]
-    pi_perp = eye(w) - pi_v1
-    return {
+    pi_perp = eye(params.d - 1) - pi_v1
+    on_w = {
         "sub": (pi_v1, pi_perp),
         "z": (proj["z0"], proj["z1"], pi_perp),
         "x": (proj["x0"], proj["x1"], pi_perp),
     }
-
-
-def ext_projector_families(params: PrimeParams) -> dict[str, tuple[np.ndarray, ...]]:
-    """Extension-block projectors lifted to the full 4(d-1) space."""
-    lifted = {}
-    for key, fam in _ext_projectors_on_w(params).items():
-        lifted[key] = tuple(kron(eye(4), p) for p in fam)
-    return lifted
+    return {key: kron(eye(4), np.stack(fam)) for key, fam in on_w.items()}
 
 
 def ideal_state(params: PrimeParams) -> np.ndarray:
@@ -248,34 +241,20 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest | None = 
     system = test.game.system
     dim = rep.dim
 
-    var_fams: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for gen in system.variables:
-        var_fams[gen] = observable_to_projectors(rep[gen])
-
-    alice: dict[str, tuple[np.ndarray, ...]] = {}
-    for i in range(system.n_rows):
-        obs = [rep[g] for g in system.row_names(i)]
-        alice[eq_label(i)] = tuple(
-            joint_projector(obs, outcome) for outcome in _TRIPLES
-        )
+    var_fams = {gen: observable_to_projectors(rep[gen]) for gen in system.variables}
     ext = ext_projector_families(params)
-    alice[test.ext_sub] = ext["sub"]
-    alice[test.ext_z] = ext["z"]
-    alice[test.ext_x] = ext["x"]
-    for g in ("a1", "a2") + COMM_GENS:
-        alice[var_label(g)] = var_fams[g]
+    ext_fams = {test.ext_sub: ext["sub"], test.ext_z: ext["z"], test.ext_x: ext["x"]}
 
-    bob: dict[str, tuple[np.ndarray, ...]] = {}
-    for gen in system.variables:
-        bob[var_label(gen)] = var_fams[gen]
-    bob[test.ext_sub] = ext["sub"]
-    bob[test.ext_z] = ext["z"]
-    bob[test.ext_x] = ext["x"]
-    for zx, zx_fam in (("z", ext["z"]), ("x", ext["x"])):
+    alice = {eq_label(i): joint_projector([rep[g] for g in system.row_names(i)]) for i in range(system.n_rows)}
+    alice.update(ext_fams)
+    alice.update((var_label(g), var_fams[g]) for g in ("a1", "a2") + COMM_GENS)
+
+    bob = {var_label(gen): var_fams[gen] for gen in system.variables}
+    bob.update(ext_fams)
+    for zx in ("z", "x"):
         for g in COMM_GENS:
-            pg = var_fams[g]
-            fam = tuple(zx_fam[b1] @ pg[b2] for (b1, b2) in _COMM_ANSWERS)
-            bob[test.comm_label(zx, g)] = fam
+            # (b1, b2) -> basis projector b1 times variable projector b2, b2 fastest
+            bob[test.comm_label(zx, g)] = (ext[zx][:, None] @ var_fams[g][None]).reshape(-1, dim, dim)
 
     return Strategy(
         params=params,
@@ -291,9 +270,13 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest | None = 
 # --- observables extracted from a (possibly perturbed) strategy -------------
 
 
+def family_observable(fam: np.ndarray) -> np.ndarray:
+    """P0 - P1: the binary observable of a family's first two outcomes."""
+    return fam[0] - fam[1]
+
+
 def bob_observable(strategy: Strategy, gen: str) -> np.ndarray:
-    p0, p1 = strategy.bob_family(var_label(gen))
-    return p0 - p1
+    return family_observable(strategy.bob_family(var_label(gen)))
 
 
 def alice_observable(strategy: Strategy, gen: str) -> np.ndarray:
@@ -305,18 +288,13 @@ def alice_observable(strategy: Strategy, gen: str) -> np.ndarray:
     """
     lbl = var_label(gen)
     if lbl in strategy.alice:
-        p0, p1 = strategy.alice[lbl]
-        return p0 - p1
+        return family_observable(strategy.alice[lbl])
     system = strategy.test.game.system
     for i in range(system.n_rows):
         names = system.row_names(i)
         if gen in names:
-            pos = names.index(gen)
-            fam = strategy.alice_family(eq_label(i))
-            out = np.zeros((strategy.dim_a, strategy.dim_a), dtype=complex)
-            for outcome, proj in zip(_TRIPLES, fam):
-                out = out + (-1) ** outcome[pos] * proj
-            return out
+            signs = [(-1.0) ** outcome[names.index(gen)] for outcome in _TRIPLES]
+            return np.tensordot(signs, strategy.alice_family(eq_label(i)), axes=1)
     raise StructuralError(f"no equation contains variable {gen!r}")
 
 
@@ -345,34 +323,41 @@ class Correlation:
 
     @classmethod
     def from_json(cls, text: str) -> "Correlation":
-        data = json.loads(text)
-        corr = cls(d=int(data["d"]), r=int(data["r"]))
-        for item in data["entries"]:
-            corr.entries[(item["x"], item["y"])] = np.array(item["p"], dtype=float)
+        """Parse to_json's format; DomainError unless every table is a 2-D,
+        finite distribution (sum and negative entries within TABLE_TOL)."""
+        try:
+            data = json.loads(text)
+            corr = cls(d=int(data["d"]), r=int(data["r"]))
+            for item in data["entries"]:
+                corr.entries[(item["x"], item["y"])] = np.array(item["p"], dtype=float)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DomainError(f"malformed correlation JSON ({type(exc).__name__}: {exc})") from None
+        for key, t in corr.entries.items():
+            if t.ndim != 2 or not np.isfinite(t).all() or abs(t.sum() - 1) > TABLE_TOL or t.min() < -TABLE_TOL:
+                raise DomainError(f"correlation table {key} is not a 2-D probability table: {t.tolist()}")
         return corr
 
 
 def generate_correlation(strategy: Strategy, test: FullTest | None = None) -> Correlation:
     """p(a, b | x, y) = <psi| M_x^a (x) N_y^b |psi> over the test's support.
 
-    Uses tr(S^+ M S N^T) = <M S, S N^T> with per-question caches, so each
-    projector is multiplied into the state matrix once.
+    With psi = vec(S), p = tr(M rho), where rho = S N^T S^+ is the operator
+    Bob's outcome steers Alice's side to; so p = sum_kl M[k, l] rho^T[k, l].
+    Per Bob question the stack of rho^T = conj(S) N S^T is cached flattened
+    to (k', n^2); Alice's family flattens to (k, n^2) as a view, so each
+    table is one product Re(L R^T).
     """
     test = test or strategy.test
     s = strategy.state_matrix()
+    s_conj = s.conj()
     corr = Correlation(d=strategy.params.d, r=strategy.params.r)
-    lefts: dict[str, list[np.ndarray]] = {}
-    rights: dict[str, list[np.ndarray]] = {}
+    rights: dict[str, np.ndarray] = {}
     for x, y in test.support:
-        if x not in lefts:
-            lefts[x] = [m @ s for m in strategy.alice_family(x)]
         if y not in rights:
-            rights[y] = [s @ n.T for n in strategy.bob_family(y)]
-        table = np.empty((len(lefts[x]), len(rights[y])))
-        for ia, la in enumerate(lefts[x]):
-            for ib, rb in enumerate(rights[y]):
-                table[ia, ib] = float(np.real(np.vdot(la, rb)))
-        corr.entries[(x, y)] = table
+            fam = strategy.bob_family(y)
+            rights[y] = (s_conj @ fam @ s.T).reshape(len(fam), -1)
+        left = strategy.alice_family(x)
+        corr.entries[(x, y)] = (left.reshape(len(left), -1) @ rights[y].T).real.copy()
     return corr
 
 

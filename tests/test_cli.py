@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -170,6 +171,7 @@ def test_gates_fail_closed_on_nan(monkeypatch, capsys):
     code, out, _ = run(["demo-family"], capsys)
     assert code == 3
     assert json.loads(out)["ok"] is False
+    assert math.isnan(json.loads(out)["family"][0]["max_selftest_distance"])
 
     monkeypatch.setattr(cli, "key_unitaries", lambda rep: (None, None, float("nan")))
     code, out, _ = run(["verify-rep", "--d", "3"], capsys)
@@ -207,3 +209,56 @@ def test_eval_rejects_mismatched_correlation_file(tmp_path, capsys):
         error = json.loads(err)["error"]
         assert error["type"] == "DomainError"
         assert word in error["message"]
+
+
+def _broken(case, text):
+    """The correlation file `text` broken in one way."""
+    if case == "truncated":
+        return text[: len(text) // 2]
+    payload = json.loads(text)
+    table = payload["entries"][1]["p"]
+    if case == "nan":
+        table[0][0] = float("nan")
+    elif case == "entry-5":
+        table[0][0] = 5.0
+    elif case == "mass-shift":  # 0.2 from the smallest entry to the largest: same sum
+        cells = sorted((v, i, j) for i, row in enumerate(table) for j, v in enumerate(row))
+        (_, i, j), (_, k, l) = cells[0], cells[-1]
+        table[i][j] -= 0.2
+        table[k][l] += 0.2
+    elif case == "sum-0.5":
+        payload["entries"][1]["p"] = [[0.5]]
+    elif case == "shape":
+        payload["entries"][1]["p"] = [[1.0]]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "case, word",
+    [
+        ("nan", "probability table"),
+        ("entry-5", "probability table"),
+        ("mass-shift", "probability table"),
+        ("sum-0.5", "probability table"),
+        ("shape", "shape"),
+        ("truncated", "malformed"),
+    ],
+)
+def test_eval_rejects_malformed_correlation_file(case, word, tmp_path, capsys):
+    path = tmp_path / "corr.json"
+    assert run(["gen-correlation", "--d", "3", "--out", str(path)], capsys)[0] == 0
+    path.write_text(_broken(case, path.read_text()))
+    code, out, err = run(["eval", "--d", "3", "--in", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainError"
+    assert word in error["message"]
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--deltas", "abc"], ["--deltas", ","]])
+def test_sweep_rejects_empty_or_unparsable(flags, capsys):
+    code, out, err = run(["sweep", "--d", "3", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "DomainError"

@@ -185,8 +185,8 @@ def test_selftest_report_non_isometric_stage_two():
     key = var_label("f0")
     scaled = dataclasses.replace(
         pert,
-        alice={**pert.alice, key: tuple(0.9 * m for m in pert.alice[key])},
-        bob={**pert.bob, key: tuple(0.9 * m for m in pert.bob[key])},
+        alice={**pert.alice, key: 0.9 * pert.alice[key]},
+        bob={**pert.bob, key: 0.9 * pert.bob[key]},
     )
     assert abs(np.linalg.norm(phi2(scaled, scaled.state).amps) - 1) > 1e-3
     assert_matches_dense(scaled, corr, test, "f0 scaled by 0.9")

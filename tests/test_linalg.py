@@ -74,8 +74,8 @@ def test_observable_rejects_non_involution():
 
 
 def test_joint_projector_basic():
-    np.testing.assert_allclose(la.joint_projector([SZ], (0,)), np.diag([1, 0]).astype(complex))
-    zz = la.joint_projector([la.kron(SZ, la.eye(2)), la.kron(la.eye(2), SZ)], (0, 1))
+    np.testing.assert_allclose(la.joint_projector([SZ])[0], np.diag([1, 0]).astype(complex))
+    zz = la.joint_projector([la.kron(SZ, la.eye(2)), la.kron(la.eye(2), SZ)])[1]  # outcome (0, 1)
     np.testing.assert_allclose(zz, la.kron(np.diag([1, 0]), np.diag([0, 1])), atol=1e-14)
 
 
@@ -83,10 +83,11 @@ def test_joint_projector_completeness_random():
     rng = np.random.default_rng(3)
     a = la.random_binary_observable(3, rng)
     obs = [la.kron(a, la.eye(2)), la.kron(la.eye(3), la.random_binary_observable(2, rng))]
+    stack = la.joint_projector(obs)
     total = np.zeros((6, 6), dtype=complex)
     for o1 in (0, 1):
         for o2 in (0, 1):
-            p = la.joint_projector(obs, (o1, o2))
+            p = stack[2 * o1 + o2]
             assert la.is_projector(p, 1e-10)
             total += p
     np.testing.assert_allclose(total, la.eye(6), atol=1e-12)
@@ -94,7 +95,7 @@ def test_joint_projector_completeness_random():
 
 def test_joint_projector_rejects_non_commuting():
     with pytest.raises(PE) as err:
-        la.joint_projector([SZ, SX], (0, 0))
+        la.joint_projector([SZ, SX])
     assert err.value.residual > 1
 
 

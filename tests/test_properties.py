@@ -1,0 +1,51 @@
+"""Property tests over (d, r), non-minimal primitive roots included."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lsgame import (
+    Correlation,
+    build_full_test,
+    build_ideal_strategy,
+    build_presentation,
+    build_representation,
+    generate_correlation,
+    ideal_table_values,
+    ls_winning_probability_from_correlation,
+    make_params,
+    table_deviation,
+    verify_representation,
+)
+from lsgame.numtheory import is_primitive_root
+
+PARAMS = [(d, r) for d in (3, 5, 7, 11) for r in range(2, d) if is_primitive_root(r, d)]
+
+
+@settings(derandomize=True, max_examples=len(PARAMS), deadline=None)
+@given(st.sampled_from(PARAMS))
+def test_ideal_strategy_properties(dr):
+    p = make_params(*dr)
+    test = build_full_test(p)
+    rep = build_representation(p)
+    assert verify_representation(rep, build_presentation("Gamma", p.r)) <= 1e-9
+    strat = build_ideal_strategy(p, rep, test)
+
+    # every family is a complete stack of orthogonal Hermitian projectors:
+    # sum_a P_a = 1, P_a^+ = P_a and P_a P_b = delta_ab P_a
+    families = {id(fam): fam for fams in (strat.alice, strat.bob) for fam in fams.values()}
+    for fam in families.values():
+        k, n, _ = fam.shape
+        assert np.abs(fam.sum(axis=0) - np.eye(n)).max() <= 1e-10
+        assert np.abs(fam - fam.conj().transpose(0, 2, 1)).max() <= 1e-10
+        products = fam[:, None] @ fam[None]
+        assert np.abs(products - np.eye(k)[:, :, None, None] * fam[:, None]).max() <= 1e-10
+
+    corr = generate_correlation(strat, test)
+    assert abs(ls_winning_probability_from_correlation(corr, test) - 1) <= 1e-10
+    assert table_deviation(corr, ideal_table_values(p, test)) <= 1e-10
+
+    back = Correlation.from_json(corr.to_json())
+    assert (back.d, back.r) == (p.d, p.r)
+    assert list(back.entries) == list(corr.entries)
+    assert all(np.array_equal(back.entries[key], table) for key, table in corr.entries.items())

@@ -48,6 +48,24 @@ def test_zero_magnitude_is_identity():
     assert correlation_distance(generate_correlation(copy, test), corr) == 0.0
 
 
+def test_families_read_only_and_shared_when_not_rotated():
+    _, test, strat, _ = ideal_setup(3)
+    for fams in (strat.alice, strat.bob):
+        for q, fam in fams.items():
+            assert isinstance(fam, np.ndarray) and fam.ndim == 3, q
+            assert not fam.flags.writeable, q
+    for spec in (PerturbationSpec("both", 0.0, 5), PerturbationSpec("state", 1e-3, 5)):
+        copy = perturb_strategy(strat, spec)
+        assert copy.state is not strat.state
+        for q in strat.alice:
+            assert copy.alice[q] is strat.alice[q], (spec, q)
+        for q in strat.bob:
+            assert copy.bob[q] is strat.bob[q], (spec, q)
+    rotated = perturb_strategy(strat, PerturbationSpec("rotate", 1e-3, 5))
+    for q, fam in rotated.alice.items():
+        assert fam is not strat.alice[q] and not fam.flags.writeable, q
+
+
 def test_same_seed_reproduces():
     _, test, strat, _ = ideal_setup(3)
     spec = PerturbationSpec("both", 1e-3, 77)

@@ -2,12 +2,14 @@ import numpy as np
 
 from lsgame import (
     Correlation,
+    PerturbationSpec,
     build_full_test,
     build_ideal_strategy,
     build_representation,
     generate_correlation,
     ideal_table_values,
     make_params,
+    perturb_strategy,
     table_deviation,
 )
 from lsgame.strategy import alice_observable, bob_observable, eq_label, var_label
@@ -109,6 +111,32 @@ def test_correlation_is_probability():
     for table in corr.entries.values():
         assert table.min() >= -1e-12
         assert abs(table.sum() - 1) <= 1e-10
+
+
+def correlation_reference(strategy, test):
+    """Per-cell p(a, b | x, y) = Re <M S, S N^T>, one vdot per table entry."""
+    s = strategy.state_matrix()
+    lefts = {x: [m @ s for m in strategy.alice_family(x)] for x, _ in test.support}
+    rights = {y: [s @ n.T for n in strategy.bob_family(y)] for _, y in test.support}
+    out = {}
+    for x, y in test.support:
+        table = np.empty((len(lefts[x]), len(rights[y])))
+        for ia, la in enumerate(lefts[x]):
+            for ib, rb in enumerate(rights[y]):
+                table[ia, ib] = np.real(np.vdot(la, rb))
+        out[(x, y)] = table
+    return out
+
+
+def test_generate_correlation_matches_per_cell_reference():
+    for d in (3, 7):
+        _, _, test, strat = ideal_setup(d)
+        for target in (strat, perturb_strategy(strat, PerturbationSpec("both", 1e-2, 8))):
+            corr = generate_correlation(target, test)
+            ref = correlation_reference(target, test)
+            assert list(corr.entries) == list(ref)
+            worst = max(float(np.abs(corr.entries[key] - table).max()) for key, table in ref.items())
+            assert worst <= 1e-14, (d, worst)
 
 
 def test_correlation_table_examples():
