@@ -20,7 +20,6 @@ from .groups import (
     build_conjugacy_triples,
     build_presentation,
     presentation_stats,
-    presentation_to_lines,
 )
 from .lsg import (
     GameLS,
@@ -29,14 +28,11 @@ from .lsg import (
     build_ls_game,
     satisfying_assignments,
     score_ls,
-    system_from_json,
-    system_from_text,
     system_to_json,
     system_to_text,
 )
 from .linalg import (
     DEFAULT_TOL,
-    StateVector,
     joint_projector,
     kron,
     observable_to_projectors,
@@ -62,7 +58,6 @@ from .evaluation import (
     evaluation_report,
     ls_winning_probability_from_correlation,
     sos_residuals,
-    weighted_chsh_value,
 )
 from .isometry import (
     SelfTestReport,

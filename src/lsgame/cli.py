@@ -3,8 +3,9 @@
 Subcommands: gen-game, verify-rep, gen-correlation, eval, self-test, sweep,
 demo-family.  Exit codes: 0 success, 2 bad input or a size cap exceeded
 (DomainError, PreconditionError, ResourceError), 3 verification failure;
-any other library error exits 1.  Errors go to stderr as JSON.  Identical
-flags and seeds produce byte-identical artifacts.
+any other library error exits 1.  Errors go to stderr as JSON.  JSON output
+is strict: a NaN or infinite value is written as null.  Identical flags and
+seeds produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -54,8 +55,19 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _setup(d: int, r: int | None) -> tuple:
@@ -158,17 +170,17 @@ def cmd_eval(args) -> int:
             "table_deviation": table_deviation(corr, ideal_table_values(params, test)),
         }
     else:
-        payload = evaluation_report(_perturbed(strategy, args), ideal_corr, test)
+        payload = evaluation_report(_perturbed(strategy, args), ideal_corr)
     _write(args.out, _dump_json(payload))
     return 0
 
 
 def cmd_self_test(args) -> int:
-    _, _, test, strategy, ideal_corr = _setup(args.d, args.r)
+    *_, strategy, ideal_corr = _setup(args.d, args.r)
     target = _perturbed(strategy, args)
-    report = selftest_report(target, ideal_corr, test)
+    report = selftest_report(target, ideal_corr)
     payload = report.to_dict()
-    payload["residuals"] = relation_residuals(target, test)
+    payload["residuals"] = relation_residuals(target)
     payload["d"] = args.d
     payload["delta"] = args.delta
     _write(args.out, _dump_json(payload))
@@ -198,9 +210,9 @@ def cmd_demo_family(args) -> int:
     lines = []
     ok = True
     for d in DEMO_PRIMES:
-        params, rep, test, strategy, ideal_corr = _setup(d, None)
+        params, rep, _, strategy, ideal_corr = _setup(d, None)
         residual = verify_representation(rep, build_presentation("Gamma", params.r))
-        report = selftest_report(strategy, ideal_corr, test)
+        report = selftest_report(strategy, ideal_corr)
         worst = max(report.distances.values(), key=lambda v: (math.isnan(v), v))  # a NaN wins
         good = _within((residual,), args.tolerance) and _within(report.distances.values(), 1e-8)
         ok = ok and good

@@ -75,15 +75,6 @@ def bell_value(
     )
 
 
-def weighted_chsh_value(state, m1, m2, n1, n2, ctx: WeightedChshContext) -> float:
-    """Bell value with the binary-observable precondition enforced."""
-    for m in (m1, m2, n1, n2):
-        res = involution_residual(m)
-        if res > 1e-9:
-            raise PreconditionError("weighted CHSH needs binary observables", res)
-    return bell_value(state, m1, m2, n1, n2, ctx)
-
-
 def sos_residuals(m1, m2, n1, n2, ctx: WeightedChshContext) -> tuple[float, float]:
     """Operator-norm residuals of the two sum-of-squares identities.
 
@@ -146,12 +137,11 @@ def ls_winning_probability_from_correlation(corr: Correlation, test: FullTest) -
 # --- correlation distance -----------------------------------------------------
 
 
-def correlation_distance(c1: Correlation, c2: Correlation, pi: float | None = None) -> float:
+def correlation_distance(c1: Correlation, c2: Correlation) -> float:
     """Expected L1 distance of the conditional tables under the uniform support."""
     if set(c1.entries) != set(c2.entries):
         raise StructuralError("correlations have different supports")
-    if pi is None:
-        pi = 1.0 / len(c1.entries)
+    pi = 1.0 / len(c1.entries)
     total = 0.0
     for key, t1 in c1.entries.items():
         t2 = c2.entries[key]
@@ -164,7 +154,7 @@ def correlation_distance(c1: Correlation, c2: Correlation, pi: float | None = No
 # --- embedded CHSH diagnostics and the combined report -------------------------
 
 
-def embedded_chsh_value(strategy: Strategy, test: FullTest | None = None) -> dict:
+def embedded_chsh_value(strategy: Strategy) -> dict:
     """Bell value of the extension block, on the subspace-conditioned state.
 
     Alice plays her two basis questions, Bob the two variable questions
@@ -173,7 +163,7 @@ def embedded_chsh_value(strategy: Strategy, test: FullTest | None = None) -> dic
     -cot(pi/d); the ideal strategy reaches the extremal value -Imax (the
     sign follows from sin(mu) < 0 at negative alpha).
     """
-    test = test or strategy.test
+    test = strategy.test
     d = strategy.params.d
     alpha = -1.0 / math.tan(math.pi / d)
     ctx = WeightedChshContext.from_alpha(alpha)
@@ -191,15 +181,11 @@ def embedded_chsh_value(strategy: Strategy, test: FullTest | None = None) -> dic
     return {"alpha": alpha, "value": value, "imax": ctx.imax}
 
 
-def evaluation_report(
-    strategy: Strategy,
-    ideal: Correlation,
-    test: FullTest | None = None,
-) -> dict:
+def evaluation_report(strategy: Strategy, ideal: Correlation) -> dict:
     """winning probability, embedded CHSH, SOS self-check, and epsilon."""
-    test = test or strategy.test
+    test = strategy.test
     corr = generate_correlation(strategy, test)
-    chsh = embedded_chsh_value(strategy, test)
+    chsh = embedded_chsh_value(strategy)
     alpha = abs(chsh["alpha"])
     epr, m1, m2, n1, n2 = chsh_ideal_instance(alpha)
     res1, res2 = sos_residuals(m1, m2, n1, n2, WeightedChshContext.from_alpha(alpha))

@@ -20,9 +20,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-LEVELS = ("P0", "P1", "Gamma")
-
-
 @dataclass(frozen=True)
 class Relation:
     """One relation of a presentation.
@@ -216,15 +213,3 @@ def presentation_stats(p: Presentation) -> dict[str, int]:
     counts["equations"] = counts["linear"] + counts["linearJ"]
     return counts
 
-
-_KIND_TAGS = {"linear": "lin", "linearJ": "linJ", "conjugacy": "conj", "order2": "ord2"}
-
-
-def presentation_to_lines(p: Presentation) -> list[str]:
-    """Line-oriented dump, one relation per line, e.g. ``lin f0 f1 f2 = e``."""
-    lines = []
-    for rel in p.relations:
-        if rel.kind == "order2":
-            continue
-        lines.append(f"{_KIND_TAGS[rel.kind]} {' '.join(rel.lhs)} = {rel.rhs}")
-    return lines

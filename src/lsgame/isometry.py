@@ -11,10 +11,10 @@ Register order of the final state: (H_A, H_B, ancillas a1 b1 a2 b2,
 controls A', B').  Ancilla pairs (a1, b1) and (a2, b2) carry the extracted
 EPR pairs; any other consistent ordering is isomorphic.
 
-phi1_with_operators and phi2_with_operators build that state densely, with
-16*d^2*dim_a*dim_b amplitudes.  selftest_report never does: it streams the
-contraction over control slices (see its docstring), and the dense stages
-serve as the reference it is tested against.
+The state has 16*d^2*dim_a*dim_b amplitudes, and selftest_report never
+builds it: it streams the contraction over control slices (see its
+docstring).  The dense stages live in the test suite, as the reference
+selftest_report is checked against.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .evaluation import correlation_distance
-from .linalg import StateVector, eye, qft
+from .linalg import eye, qft
 from .numtheory import PrimeParams, discrete_log
 from .strategy import (
     COMM_GENS,
     Correlation,
-    FullTest,
     Strategy,
     alice_observable,
     bob_observable,
@@ -86,69 +85,15 @@ def _u_exponents(params: PrimeParams, sign: int) -> list[int]:
     return [0] + [discrete_log(params, sign * j) % (d - 1) for j in range(1, d)]
 
 
-def _controlled(block: np.ndarray, ops: list[np.ndarray], axis: int, ctrl_axis: int, d: int) -> np.ndarray:
-    """Apply ops[k] on `axis` when the control register on `ctrl_axis` is k."""
-    moved = np.moveaxis(block, (ctrl_axis, axis), (0, 1))
-    shape = moved.shape
-    flat = moved.reshape(d, shape[1], -1)
-    out = np.matmul(np.stack(ops), flat)
-    return np.moveaxis(out.reshape(shape), (0, 1), (ctrl_axis, axis))
-
-
-def phi1_with_operators(
-    state: np.ndarray,
-    dims: tuple[int, int],
-    ops: dict[str, np.ndarray],
-    params: PrimeParams,
-    signs: tuple[int, int] = (-1, 1),
-) -> StateVector:
-    """First-stage isometry from explicit O/U operators.
-
-    Input is a vector on H_A (x) H_B; output carries two extra size-d control
-    registers (A', B') appended after H_B.  signs = (s_A, s_B) puts
-    U^log(s*j) on each party when its control register holds j != 0.
-    """
-    if any(s not in (1, -1) for s in signs):
-        raise DomainError(f"exponent signs must be +1 or -1, got {signs!r}")
-    d = params.d
-    da, db = dims
-    block = np.zeros((da, db, d, d), dtype=complex)
-    block[:, :, 0, 0] = np.asarray(state, dtype=complex).reshape(da, db)
-
-    f = qft(d)
-    block = np.tensordot(block, f.T, axes=([2], [0]))  # axis 2 -> last
-    block = np.moveaxis(block, 3, 2)
-    block = np.tensordot(block, f.T, axes=([3], [0]))
-
-    o_pow_a = _powers(ops["OA"], d)
-    o_pow_b = _powers(ops["OB"], d)
-    block = _controlled(block, o_pow_a, axis=0, ctrl_axis=2, d=d)
-    block = _controlled(block, o_pow_b, axis=1, ctrl_axis=3, d=d)
-
-    f_inv = f.conj().T
-    block = np.tensordot(block, f_inv.T, axes=([2], [0]))
-    block = np.moveaxis(block, 3, 2)
-    block = np.tensordot(block, f_inv.T, axes=([3], [0]))
-
-    u_pow_a = _powers(ops["UA"], d - 1)
-    u_pow_b = _powers(ops["UB"], d - 1)
-    s_a, s_b = signs
-    ua = [u_pow_a[e] for e in _u_exponents(params, s_a)]
-    ub = [u_pow_b[e] for e in _u_exponents(params, s_b)]
-    block = _controlled(block, ua, axis=0, ctrl_axis=2, d=d)
-    block = _controlled(block, ub, axis=1, ctrl_axis=3, d=d)
-
-    return StateVector(block.reshape(-1), (da, db, d, d))
-
-
-def _stage2_maps(obs: dict[str, np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
+def _stage2_maps(obs: dict[str, np.ndarray]) -> np.ndarray:
     """One-party action of the swap circuit, resolved per ancilla outcome.
 
     The H / controlled-g / H / controlled-f sandwich on ancillas (l1, l2)
-    collapses to F0^l2 F2^l1 (1+(-1)^l2 G0)/2 (1+(-1)^l1 G2)/2.
+    collapses to F0^l2 F2^l1 (1+(-1)^l2 G0)/2 (1+(-1)^l1 G2)/2; the maps are
+    stacked with (l1, l2) in lexicographic order, l2 fastest.
     """
     one = eye(obs["f0"].shape[0])
-    maps = {}
+    maps = []
     for l1 in (0, 1):
         for l2 in (0, 1):
             m = ((one + (-1) ** l2 * obs["g0"]) / 2) @ ((one + (-1) ** l1 * obs["g2"]) / 2)
@@ -156,44 +101,11 @@ def _stage2_maps(obs: dict[str, np.ndarray]) -> dict[tuple[int, int], np.ndarray
                 m = obs["f2"] @ m
             if l2:
                 m = obs["f0"] @ m
-            maps[(l1, l2)] = m
-    return maps
-
-
-def phi2_with_operators(state: StateVector, obs_a: dict[str, np.ndarray], obs_b: dict[str, np.ndarray]) -> StateVector:
-    """Second-stage swap circuit from explicit observables.
-
-    obs_a/obs_b map each of f0, f2, g0, g2 to the party's binary observable.
-    Four qubit ancillas are inserted after the (H_A, H_B) factors; trailing
-    factors of the input (e.g. stage-one controls) ride along untouched.
-    """
-    da, db = state.factor_shape[0], state.factor_shape[1]
-    rest = state.factor_shape[2:]
-    rest_dim = int(np.prod(rest)) if rest else 1
-
-    order = ((0, 0), (0, 1), (1, 0), (1, 1))
-    maps_a = _stage2_maps(obs_a)
-    maps_b = _stage2_maps(obs_b)
-    a_stack = np.concatenate([maps_a[k] for k in order], axis=0)  # (4 da, da)
-    b_stack = np.concatenate([maps_b[k] for k in order], axis=0)  # (4 db, db)
-
-    left = (a_stack @ state.amps.reshape(da, db * rest_dim)).reshape(2, 2, da, db, rest_dim)
-    moved = np.ascontiguousarray(left.transpose(0, 1, 2, 4, 3))
-    both = (moved.reshape(-1, db) @ b_stack.T).reshape(2, 2, da, rest_dim, 2, 2, db)
-    # (a1, a2, A, rest, b1, b2, B) -> (A, B, a1, b1, a2, b2, rest)
-    full = both.transpose(2, 6, 0, 4, 1, 5, 3)
-
-    shape = (da, db, 2, 2, 2, 2) + rest
-    return StateVector(np.ascontiguousarray(full).reshape(-1), shape)
+            maps.append(m)
+    return np.stack(maps)
 
 
 # --- targets and the report ---------------------------------------------------
-
-
-def _epr4() -> np.ndarray:
-    epr = np.zeros((2, 2), dtype=complex)
-    epr[0, 0] = epr[1, 1] = 1 / math.sqrt(2)
-    return np.einsum("ij,kl->ijkl", epr, epr).reshape(-1)  # order a1 b1 a2 b2
 
 
 def control_target(label: str, params: PrimeParams) -> np.ndarray:
@@ -230,7 +142,7 @@ def _ladders(ops: dict[str, np.ndarray], params: PrimeParams) -> dict[tuple[str,
     ladders[party, s][j] = U^e(j) P(j), where P(j) = (1/d) sum_k omega^(-jk) O^k
     is the Fourier transform over the powers of O and e(j) = _u_exponents(s)[j],
     so that stage one maps a state matrix S to the control slices
-    B[jA, jB] = L_A[jA] S L_B[jB]^T, as phi1_with_operators does.
+    B[jA, jB] = L_A[jA] S L_B[jB]^T.
     """
     d = params.d
     fourier = qft(d).conj() / math.sqrt(d)
@@ -247,7 +159,7 @@ def _sq(x: np.ndarray) -> float:
     return float(np.vdot(x, x).real)
 
 
-def selftest_report(strategy: Strategy, ideal: Correlation, test: FullTest | None = None) -> SelfTestReport:
+def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     """Distances of the isometry outputs from junk (x) EPR^2 (x) target.
 
     junk is the unnormalized contraction of the output against the EPR and
@@ -267,7 +179,6 @@ def selftest_report(strategy: Strategy, ideal: Correlation, test: FullTest | Non
     squared norms such as ||v||^2 - ||junk||^2, so near-ideal distances keep
     their absolute accuracy.
     """
-    test = test or strategy.test
     params = strategy.params
     da, db = strategy.dim_a, strategy.dim_b
     d = params.d
@@ -287,10 +198,10 @@ def selftest_report(strategy: Strategy, ideal: Correlation, test: FullTest | Non
         ("B", "a1"): bob_observable(strategy, "a1"),
         ("B", "a2"): bob_observable(strategy, "a2"),
     }
-    maps_a = list(_stage2_maps({g: alice_observable(strategy, g) for g in COMM_GENS}).values())
-    maps_b = list(_stage2_maps({g: bob_observable(strategy, g) for g in COMM_GENS}).values())
-    stack_a = np.concatenate(maps_a)  # (4 da, da)
-    stack_b = np.concatenate(maps_b)  # (4 db, db)
+    maps_a = _stage2_maps({g: alice_observable(strategy, g) for g in COMM_GENS})  # (4, da, da)
+    maps_b = _stage2_maps({g: bob_observable(strategy, g) for g in COMM_GENS})  # (4, db, db)
+    stack_a = maps_a.reshape(4 * da, da)
+    stack_b = maps_b.reshape(4 * db, db)
     ladders = _ladders(ops, params)
     # K = R of a QR factorization: K^H K = stack^H stack = G, without forming G
     roots = {"A": np.linalg.qr(stack_a, mode="r"), "B": np.linalg.qr(stack_b, mode="r")}
@@ -325,5 +236,5 @@ def selftest_report(strategy: Strategy, ideal: Correlation, test: FullTest | Non
         if label == "psi":
             junk_norm = float(np.linalg.norm(junk))
 
-    eps = correlation_distance(generate_correlation(strategy, test), ideal)
+    eps = correlation_distance(generate_correlation(strategy), ideal)
     return SelfTestReport(distances=distances, junk_norm=junk_norm, epsilon=eps)

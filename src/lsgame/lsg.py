@@ -9,7 +9,6 @@ Bob for the value of one variable of that equation.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 from .errors import DomainError, StructuralError
@@ -124,40 +123,20 @@ def score_ls(
     return 1 if triple[row.index(v)] == b else 0
 
 
-# --- serialization ---------------------------------------------------------
-
-_LINE_RE = re.compile(r"^x\((\S+)\) \+ x\((\S+)\) \+ x\((\S+)\) = ([01])$")
+# --- output formats ----------------------------------------------------------
 
 
 def system_to_text(system: LinearSystem) -> str:
     """One equation per line, ``x(f0) + x(f1) + x(f2) = 0`` style.
 
-    A header line carries r and the full variable order so parsing is exact.
+    A header line carries r and the full variable order, so the text
+    determines the system exactly.
     """
     lines = [f"# r={system.r} vars={','.join(system.variables)}"]
     for row, c in zip(system.rows, system.rhs):
         names = [system.variables[v] for v in row]
         lines.append(f"x({names[0]}) + x({names[1]}) + x({names[2]}) = {c}")
     return "\n".join(lines) + "\n"
-
-
-def system_from_text(text: str) -> LinearSystem:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    m = re.match(r"^# r=(\d+) vars=(\S+)$", header)
-    if not m:
-        raise StructuralError("missing system header line")
-    r = int(m.group(1))
-    variables = tuple(m.group(2).split(","))
-    index = {name: i for i, name in enumerate(variables)}
-    rows, rhs = [], []
-    for ln in lines[1:]:
-        mm = _LINE_RE.match(ln.strip())
-        if not mm:
-            raise StructuralError(f"unparseable equation line: {ln!r}")
-        rows.append(tuple(index[g] for g in mm.group(1, 2, 3)))
-        rhs.append(int(mm.group(4)))
-    return LinearSystem(r, variables, tuple(rows), tuple(rhs))
 
 
 def system_to_json_dict(system: LinearSystem) -> dict:
@@ -171,17 +150,6 @@ def system_to_json_dict(system: LinearSystem) -> dict:
     }
 
 
-def system_from_json_dict(data: dict) -> LinearSystem:
-    variables = tuple(data["variables"])
-    index = {name: i for i, name in enumerate(variables)}
-    rows = tuple(tuple(index[g] for g in row["vars"]) for row in data["rows"])
-    rhs = tuple(int(row["rhs"]) for row in data["rows"])
-    return LinearSystem(int(data["r"]), variables, rows, rhs)
-
-
 def system_to_json(system: LinearSystem) -> str:
     return json.dumps(system_to_json_dict(system), sort_keys=True, indent=2) + "\n"
 
-
-def system_from_json(text: str) -> LinearSystem:
-    return system_from_json_dict(json.loads(text))

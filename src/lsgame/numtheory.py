@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-#: Largest d accepted by default; matrix dimensions grow as 4(d-1) per side
-#: and the conjugacy chains as r^d, so the library targets desk-scale primes.
-DEFAULT_MAX_PRIME = 31
+#: Largest d accepted; matrix dimensions grow as 4(d-1) per side, so this cap
+#: is the size guard of every path that builds a strategy.
+MAX_PRIME = 31
 
 
 def is_odd_prime(d: int) -> bool:
@@ -84,16 +84,17 @@ class PrimeParams:
         return pow(self.r, self.d - 2, self.d)
 
 
-def make_params(d: int, r: int | None = None, max_d: int = DEFAULT_MAX_PRIME) -> PrimeParams:
+def make_params(d: int, r: int | None = None) -> PrimeParams:
     """Validate (d, r) and precompute the discrete-log table.
 
-    r defaults to the smallest primitive root of d.  Non-minimal primitive
-    roots are accepted; non-primitive ones are rejected.
+    d must be an odd prime no larger than MAX_PRIME.  r defaults to the
+    smallest primitive root of d.  Non-minimal primitive roots are accepted;
+    non-primitive ones are rejected.
     """
     if not is_odd_prime(d):
         raise DomainError(f"d must be an odd prime, got {d}")
-    if d > max_d:
-        raise DomainError(f"d={d} above the configured cap {max_d}")
+    if d > MAX_PRIME:
+        raise DomainError(f"d={d} above the cap {MAX_PRIME}")
     if r is None:
         r = smallest_primitive_root(d)
     else:

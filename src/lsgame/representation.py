@@ -217,16 +217,6 @@ def build_representation(params: PrimeParams) -> Rep:
     )
 
 
-def matrices_json_dict(rep: Rep, names: list[str] | None = None) -> dict:
-    """Debug dump: generator name -> matrix as nested [re, im] pairs."""
-    if names is None:
-        names = sorted(rep.table)
-    return {
-        name: [[[float(z.real), float(z.imag)] for z in row] for row in rep[name]]
-        for name in names
-    }
-
-
 def _relation_residual(rep: Rep, rel: Relation) -> float:
     if rel.kind == "order2":
         m = rep[rel.lhs[0]]

@@ -12,7 +12,6 @@ from .isometry import REPORT_LABELS, selftest_report
 from .linalg import hermitian_exponential, random_hermitian
 from .strategy import (
     Correlation,
-    FullTest,
     Strategy,
     alice_observable,
     bob_observable,
@@ -82,7 +81,7 @@ def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
     )
 
 
-def relation_residuals(strategy: Strategy, test: FullTest | None = None) -> dict[str, float]:
+def relation_residuals(strategy: Strategy) -> dict[str, float]:
     """State-dependent residuals of the key algebraic relations.
 
     sync       max_s || M(s) N(s) psi - psi ||
@@ -94,7 +93,7 @@ def relation_residuals(strategy: Strategy, test: FullTest | None = None) -> dict
     comm       max over s in {f0,f2,g0,g2} of the three commutator probes
                against the basis-question projectors and observable
     """
-    test = test or strategy.test
+    test = strategy.test
     params = strategy.params
     system = test.game.system
     s = strategy.state_matrix()

@@ -323,15 +323,24 @@ class Correlation:
 
     @classmethod
     def from_json(cls, text: str) -> "Correlation":
-        """Parse to_json's format; DomainError unless every table is a 2-D,
+        """Parse to_json's format; DomainError unless every (x, y) pair
+        appears once, n_support counts the entries, and every table is a 2-D,
         finite distribution (sum and negative entries within TABLE_TOL)."""
         try:
             data = json.loads(text)
             corr = cls(d=int(data["d"]), r=int(data["r"]))
+            n_support = int(data["n_support"])
             for item in data["entries"]:
-                corr.entries[(item["x"], item["y"])] = np.array(item["p"], dtype=float)
+                key = (item["x"], item["y"])
+                if key in corr.entries:
+                    raise DomainError(f"correlation file has a duplicate entry for {key}")
+                corr.entries[key] = np.array(item["p"], dtype=float)
+        except DomainError:
+            raise
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"malformed correlation JSON ({type(exc).__name__}: {exc})") from None
+        if n_support != corr.n_support:
+            raise DomainError(f"correlation file declares n_support={n_support} but has {corr.n_support} entries")
         for key, t in corr.entries.items():
             if t.ndim != 2 or not np.isfinite(t).all() or abs(t.sum() - 1) > TABLE_TOL or t.min() < -TABLE_TOL:
                 raise DomainError(f"correlation table {key} is not a 2-D probability table: {t.tolist()}")

@@ -30,10 +30,9 @@ from lsgame import (
     sos_residuals,
     table_deviation,
     verify_representation,
-    weighted_chsh_value,
 )
-from lsgame.evaluation import chsh_ideal_instance
-from lsgame.linalg import random_binary_observable
+from lsgame.evaluation import bell_value, chsh_ideal_instance
+from lsgame.numtheory import is_odd_prime, is_primitive_root
 from lsgame.robustness import RESIDUAL_LABELS
 
 DEMO = ((3, 2), (5, 2), (7, 3), (11, 2), (13, 2))
@@ -98,12 +97,12 @@ def test_criterion_4_correlation_tables(family):
         print(f"PASS criterion 4 (d={d}, r={r}): max table deviation {deviation:.2e}")
 
 
-def test_criterion_5_weighted_chsh_and_sos():
+def test_criterion_5_weighted_chsh_and_sos(random_binary_observable):
     alphas = (1.0, 1 / math.tan(math.pi / 5), 1 / math.tan(math.pi / 7))
     for alpha in alphas:
         ctx = WeightedChshContext.from_alpha(alpha)
         state, m1, m2, n1, n2 = chsh_ideal_instance(alpha)
-        value = weighted_chsh_value(state, m1, m2, n1, n2, ctx)
+        value = bell_value(state, m1, m2, n1, n2, ctx)
         assert abs(value - 2 * math.sqrt(1 + alpha**2)) <= 1e-10, alpha
     rng = np.random.default_rng(2024)
     ctx = WeightedChshContext.from_alpha(1.0)
@@ -127,7 +126,7 @@ def test_criterion_6_selftest_ideal(family):
         params, _, test, strategy = family[(d, 2)]
         corr = generate_correlation(strategy, test)
         t0 = time.time()
-        report = selftest_report(strategy, corr, test)
+        report = selftest_report(strategy, corr)
         elapsed = time.time() - t0
         worst = max(report.distances.values())
         assert worst <= 1e-8, (d, report.distances)
@@ -140,7 +139,7 @@ def test_criterion_6_selftest_ideal(family):
 def test_criterion_7_residual_probes(family):
     for d, r in DEMO:
         _, _, test, strategy = family[(d, r)]
-        residuals = relation_residuals(strategy, test)
+        residuals = relation_residuals(strategy)
         assert set(residuals) == set(RESIDUAL_LABELS)
         for label, value in residuals.items():
             assert value <= 1e-9, (d, label, value)
@@ -185,3 +184,26 @@ def test_criterion_9_determinism(family):
     csv_b = records_to_csv(run_sweep(strategy, ideal_corr, [1e-3], 3, ("both",), base_seed=7))
     assert csv_a.encode() == csv_b.encode()
     print("PASS criterion 9: correlation JSON and sweep CSV byte-identical across runs")
+
+
+def test_criterion_10_one_game_for_many_dimensions():
+    # LS(r) depends on r alone: one game, with one support of 42r + 227
+    # pairs, self-tests dimension 4(d-1) for every prime d <= 31 with
+    # generator r, whether or not r is the smallest root of d
+    for r in (2, 3, 5):
+        primes = [d for d in range(r + 1, 32) if is_odd_prime(d) and is_primitive_root(r, d)]
+        tests = [build_full_test(make_params(d, r)) for d in primes]
+        assert all(test == tests[0] for test in tests), (r, primes)
+        assert len(tests[0].support) == 42 * r + 227, r
+        t0 = time.time()
+        worst = 0.0
+        for d, test in zip(primes, tests):
+            if d > 23:  # the ~10 s self-tests at d = 29, 31 stay out of the suite
+                continue
+            params = make_params(d, r)
+            strategy = build_ideal_strategy(params, build_representation(params), test)
+            report = selftest_report(strategy, generate_correlation(strategy, test))
+            assert max(report.distances.values()) <= 1e-8, (d, r, report.distances)
+            worst = max(worst, *report.distances.values())
+        print(f"PASS criterion 10 (r={r}): one test of {len(tests[0].support)} pairs for d in {primes}; "
+              f"self-test distances <= {worst:.2e} up to d=23, {time.time() - t0:.1f}s")

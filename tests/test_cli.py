@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -154,6 +153,10 @@ def test_ignored_flags_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_gates_fail_closed_on_nan(monkeypatch, capsys):
     # a NaN after the first label used to vanish in max() and pass the gate
     import lsgame.cli as cli
@@ -170,8 +173,9 @@ def test_gates_fail_closed_on_nan(monkeypatch, capsys):
     assert run(["self-test", "--d", "3"], capsys)[0] == 3
     code, out, _ = run(["demo-family"], capsys)
     assert code == 3
-    assert json.loads(out)["ok"] is False
-    assert math.isnan(json.loads(out)["family"][0]["max_selftest_distance"])
+    payload = json.loads(out, parse_constant=reject_constant)  # strict JSON: NaN is written as null
+    assert payload["ok"] is False
+    assert payload["family"][0]["max_selftest_distance"] is None
 
     monkeypatch.setattr(cli, "key_unitaries", lambda rep: (None, None, float("nan")))
     code, out, _ = run(["verify-rep", "--d", "3"], capsys)
@@ -196,6 +200,7 @@ def test_eval_rejects_mismatched_correlation_file(tmp_path, capsys):
     assert run(["gen-correlation", "--d", "3", "--out", str(d3)], capsys)[0] == 0
     payload = json.loads(d3.read_text())
     payload["entries"] = payload["entries"][1:]
+    payload["n_support"] -= 1
     short.write_text(json.dumps(payload))
     cases = (
         (["--d", "7"], d7r5, "r=5"),
@@ -230,6 +235,12 @@ def _broken(case, text):
         payload["entries"][1]["p"] = [[0.5]]
     elif case == "shape":
         payload["entries"][1]["p"] = [[1.0]]
+    elif case == "duplicate":  # a valid table for a pair already present
+        first = payload["entries"][0]
+        payload["entries"].append({**first, "p": first["p"][::-1]})
+        payload["n_support"] = 999
+    elif case == "n_support":
+        payload["n_support"] += 1
     return json.dumps(payload)
 
 
@@ -242,6 +253,8 @@ def _broken(case, text):
         ("sum-0.5", "probability table"),
         ("shape", "shape"),
         ("truncated", "malformed"),
+        ("duplicate", "duplicate entry for ('I1', 'x(a1)')"),
+        ("n_support", "n_support"),
     ],
 )
 def test_eval_rejects_malformed_correlation_file(case, word, tmp_path, capsys):

@@ -17,10 +17,8 @@ from lsgame import (
     ls_winning_probability_from_correlation,
     make_params,
     sos_residuals,
-    weighted_chsh_value,
 )
-from lsgame.evaluation import chsh_ideal_instance, embedded_chsh_value, evaluation_report
-from lsgame.linalg import random_binary_observable
+from lsgame.evaluation import bell_value, chsh_ideal_instance, embedded_chsh_value, evaluation_report
 from lsgame.lsg import satisfying_assignments
 from lsgame.robustness import PerturbationSpec, perturb_strategy
 from lsgame.strategy import eq_label, var_label
@@ -44,14 +42,14 @@ def test_ideal_value_hits_quantum_maximum():
     for alpha in ALPHAS:
         ctx = WeightedChshContext.from_alpha(alpha)
         state, m1, m2, n1, n2 = chsh_ideal_instance(alpha)
-        value = weighted_chsh_value(state, m1, m2, n1, n2, ctx)
+        value = bell_value(state, m1, m2, n1, n2, ctx)
         assert abs(value - ctx.imax) <= 1e-10
 
 
 def test_alpha_one_reaches_two_root_two():
     ctx = WeightedChshContext.from_alpha(1.0)
     state, m1, m2, n1, n2 = chsh_ideal_instance(1.0)
-    assert abs(weighted_chsh_value(state, m1, m2, n1, n2, ctx) - 2 * math.sqrt(2)) <= 1e-12
+    assert abs(bell_value(state, m1, m2, n1, n2, ctx) - 2 * math.sqrt(2)) <= 1e-12
 
 
 def test_product_state_respects_classical_bound():
@@ -59,20 +57,20 @@ def test_product_state_respects_classical_bound():
     _, m1, m2, n1, n2 = chsh_ideal_instance(1.0)
     product = np.zeros(4, dtype=complex)
     product[0] = 1.0  # |00>
-    assert weighted_chsh_value(product, m1, m2, n1, n2, ctx) <= 2 * abs(ctx.alpha) + 1e-12
+    assert bell_value(product, m1, m2, n1, n2, ctx) <= 2 * abs(ctx.alpha) + 1e-12
 
 
 def test_all_sigma_z_gives_two():
     ctx = WeightedChshContext.from_alpha(1.0)
     state, *_ = chsh_ideal_instance(1.0)
-    assert abs(weighted_chsh_value(state, SZ, SZ, SZ, SZ, ctx) - 2.0) <= 1e-12
+    assert abs(bell_value(state, SZ, SZ, SZ, SZ, ctx) - 2.0) <= 1e-12
 
 
 def test_chsh_rejects_non_involution():
     ctx = WeightedChshContext.from_alpha(1.0)
-    state, m1, m2, n1, n2 = chsh_ideal_instance(1.0)
+    _, m1, m2, n1, n2 = chsh_ideal_instance(1.0)
     with pytest.raises(PreconditionError):
-        weighted_chsh_value(state, 0.5 * m1, m2, n1, n2, ctx)
+        sos_residuals(0.5 * m1, m2, n1, n2, ctx)
 
 
 def test_sos_residuals_vanish_on_ideal_grid():
@@ -83,7 +81,7 @@ def test_sos_residuals_vanish_on_ideal_grid():
         assert res1 <= 1e-9 and res2 <= 1e-9
 
 
-def test_sos_residuals_vanish_on_random_observables():
+def test_sos_residuals_vanish_on_random_observables(random_binary_observable):
     # Both decompositions are exact operator identities for arbitrary
     # binary observables, not just the ideal ones; res1's general status
     # is what this test documents.
@@ -213,7 +211,7 @@ def test_correlation_distance_support_mismatch():
 def test_embedded_chsh_extremal_at_ideal():
     for d in (3, 5):
         _, _, test, strat = ideal_setup(d)
-        out = embedded_chsh_value(strat, test)
+        out = embedded_chsh_value(strat)
         assert abs(out["alpha"] + 1 / math.tan(math.pi / d)) < 1e-12
         assert abs(abs(out["value"]) - out["imax"]) <= 1e-10
 
@@ -221,7 +219,7 @@ def test_embedded_chsh_extremal_at_ideal():
 def test_evaluation_report_shape():
     _, _, test, strat = ideal_setup(3)
     ideal_corr = generate_correlation(strat, test)
-    report = evaluation_report(strat, ideal_corr, test)
+    report = evaluation_report(strat, ideal_corr)
     assert abs(report["winning_probability"] - 1) <= 1e-10
     assert report["epsilon"] <= 1e-12
     assert report["sos"]["res1"] <= 1e-9

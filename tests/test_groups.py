@@ -2,10 +2,10 @@ import pytest
 
 from lsgame import (
     DomainError,
+    Relation,
     build_conjugacy_triples,
     build_presentation,
     presentation_stats,
-    presentation_to_lines,
 )
 
 
@@ -78,23 +78,21 @@ def test_p0_counts():
 
 
 def test_p1_has_commutation_helpers():
-    p1 = build_presentation("P1", 2)
-    lines = set(presentation_to_lines(p1))
+    relations = set(build_presentation("P1", 2).relations)
     for _, j, k in build_conjugacy_triples(2):
-        assert f"lin h{j}_{k} b{j} c{k} = e" in lines
+        assert Relation("linear", (f"h{j}_{k}", f"b{j}", f"c{k}"), "e") in relations
 
 
 def test_sign_relation_stored_once():
-    g = build_presentation("Gamma", 2)
-    lines = presentation_to_lines(g)
-    assert lines.count("lin f0 f1 f2 = e") == 1
-    assert lines.count("linJ f1 g1 m2 = J") == 1
+    relations = build_presentation("Gamma", 2).relations
+    assert relations.count(Relation("linear", ("f0", "f1", "f2"), "e")) == 1
+    assert relations.count(Relation("linearJ", ("f1", "g1", "m2"), "J")) == 1
 
 
 def test_conjugacy_line_format():
-    p0 = build_presentation("P0", 2)
-    lines = presentation_to_lines(p0)
-    assert "conj a4 a1 a4 = a5" in lines
+    # u3 = u2 o1 u2 under the relabeling: a4 a1 a4 = a5
+    relations = build_presentation("P0", 2).relations
+    assert Relation("conjugacy", ("a4", "a1", "a4"), "a5") in relations
 
 
 def test_unknown_level():

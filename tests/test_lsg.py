@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lsgame import (
@@ -6,8 +8,6 @@ from lsgame import (
     build_ls_game,
     satisfying_assignments,
     score_ls,
-    system_from_json,
-    system_from_text,
     system_to_json,
     system_to_text,
 )
@@ -86,13 +86,23 @@ def test_score_rejects_foreign_variable():
 
 
 def test_text_round_trip():
+    # the header carries r and the variable order, so each line names its row exactly
     system = build_linear_system(3)
-    assert system_from_text(system_to_text(system)) == system
+    header, *lines = system_to_text(system).splitlines()
+    assert header == f"# r=3 vars={','.join(system.variables)}"
+    assert len(lines) == system.n_rows
+    for line, row, c in zip(lines, system.rows, system.rhs):
+        lhs, rhs = line.split(" = ")
+        names = [term[2:-1] for term in lhs.split(" + ")]  # x(name) -> name
+        assert (tuple(map(system.var_index, names)), int(rhs)) == (row, c)
 
 
 def test_json_round_trip():
     system = build_linear_system(2)
-    assert system_from_json(system_to_json(system)) == system
+    data = json.loads(system_to_json(system))
+    assert (data["r"], tuple(data["variables"])) == (2, system.variables)
+    assert [tuple(map(system.var_index, row["vars"])) for row in data["rows"]] == list(system.rows)
+    assert [row["rhs"] for row in data["rows"]] == list(system.rhs)
 
 
 def test_text_format_shape():

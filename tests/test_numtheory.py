@@ -49,9 +49,10 @@ def test_make_params_rejects_non_primitive_r():
         make_params(7, r=2)  # order 3, not primitive
     with pytest.raises(DomainError):
         make_params(5, r=1)
+    # the cap d <= 31 is the size guard of every strategy build
+    assert make_params(31).d == 31
     with pytest.raises(DomainError):
-        make_params(37)  # above the default cap
-    assert make_params(37, max_d=37).d == 37
+        make_params(37)
 
 
 def test_discrete_log_examples():

@@ -117,19 +117,6 @@ def test_u_basis_unitary():
         assert op_norm(ub @ dagger(ub) - eye(d - 1)) <= 1e-12
 
 
-def test_matrix_dump():
-    import json
-
-    from lsgame.representation import matrices_json_dict
-
-    p = make_params(3, 2)
-    rep = build_representation(p)
-    dump = matrices_json_dict(rep, ["f0"])
-    parsed = json.loads(json.dumps(dump))
-    recovered = np.array([[complex(re, im) for re, im in row] for row in parsed["f0"]])
-    np.testing.assert_allclose(recovered, rep["f0"], atol=0)
-
-
 def test_demo_family_residuals():
     for d, r in DEMO:
         p = make_params(d, r)

@@ -104,7 +104,7 @@ def test_state_noise_epsilon_envelope():
 def test_residuals_ideal():
     for d in (3, 5):
         _, test, strat, _ = ideal_setup(d)
-        res = relation_residuals(strat, test)
+        res = relation_residuals(strat)
         assert set(res) == set(RESIDUAL_LABELS)
         for label, value in res.items():
             assert value <= 1e-9, (d, label, value)
@@ -112,7 +112,7 @@ def test_residuals_ideal():
 
 def test_psi1_norm_value_d5():
     _, test, strat, _ = ideal_setup(5)
-    res = relation_residuals(strat, test)
+    res = relation_residuals(strat)
     # ||psi_1||^2 = 1/(d-1) = 0.25 at d=5; the residual is the deviation
     assert res["psi1_norm"] <= 1e-9
 
@@ -120,7 +120,7 @@ def test_psi1_norm_value_d5():
 def test_residuals_positive_when_perturbed():
     _, test, strat, _ = ideal_setup(3)
     pert = perturb_strategy(strat, PerturbationSpec("rotate", 1e-2, 21))
-    res = relation_residuals(pert, test)
+    res = relation_residuals(pert)
     for label, value in res.items():
         assert np.isfinite(value)
         assert value > 0, label
