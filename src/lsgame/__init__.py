@@ -11,7 +11,6 @@ from .errors import (
     PreconditionError,
     ResourceError,
     StructuralError,
-    VerificationError,
 )
 from .numtheory import PrimeParams, discrete_log, make_params, smallest_primitive_root
 from .groups import (
@@ -26,9 +25,7 @@ from .lsg import (
     LinearSystem,
     build_linear_system,
     build_ls_game,
-    satisfying_assignments,
     score_ls,
-    system_to_json,
     system_to_text,
 )
 from .linalg import (

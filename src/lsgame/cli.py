@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Subcommands: gen-game, verify-rep, gen-correlation, eval, self-test, sweep,
-demo-family.  Exit codes: 0 success, 2 bad input or a size cap exceeded
-(DomainError, PreconditionError, ResourceError), 3 verification failure;
+demo-family.  Exit codes: 0 success, 2 bad input, an unreadable input file,
+an unwritable output file or a size cap exceeded (DomainError,
+PreconditionError, ResourceError), 3 verification failure;
 any other library error exits 1.  Errors go to stderr as JSON.  JSON output
 is strict: a NaN or infinite value is written as null.  Identical flags and
 seeds produce byte-identical artifacts.
@@ -23,7 +24,7 @@ from .evaluation import (
 )
 from .groups import build_presentation
 from .isometry import selftest_report
-from .lsg import system_to_json, system_to_text
+from .lsg import system_to_json_dict, system_to_text
 from .numtheory import make_params
 from .representation import build_representation, key_unitaries, verify_representation
 from .robustness import (
@@ -50,9 +51,12 @@ DEMO_PRIMES = (3, 5, 7, 11, 13)
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _strict(obj):
@@ -98,8 +102,14 @@ def _within(values, tol: float) -> bool:
 
 def _read_correlation(path: str, params, test) -> Correlation:
     """A correlation file, checked against the command's (d, r), support and table shapes."""
-    with open(path) as fh:
-        corr = Correlation.from_json(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    corr = Correlation.from_json(text)
     if (corr.d, corr.r) != (params.d, params.r):
         raise DomainError(
             f"correlation file is for d={corr.d}, r={corr.r}, not d={params.d}, r={params.r}"
@@ -124,7 +134,7 @@ def cmd_gen_game(args) -> int:
     if args.format == "text":
         _write(args.out, system_to_text(system))
     else:
-        payload = json.loads(system_to_json(system))
+        payload = system_to_json_dict(system)
         payload["game"] = {
             "valid_pairs": len(test.game.valid_pairs),
             "quoted_pairs": test.game.quoted_pairs,

@@ -1,9 +1,9 @@
 """Exception taxonomy shared by all modules.
 
-DomainError / PreconditionError signal bad inputs and ResourceError a size
-cap that would be exceeded (CLI exit code 2).  Any other LsgameError, such as
-StructuralError or VerificationError, exits 1.  A residual above tolerance is
-caught by the CLI's own gates, which exit 3.
+DomainError / PreconditionError signal bad inputs, including a file the CLI
+cannot read or write, and ResourceError a size cap that would be exceeded
+(CLI exit code 2).  Any other LsgameError, such as StructuralError, exits 1.
+A residual above tolerance is caught by the CLI's own gates, which exit 3.
 """
 
 
@@ -31,7 +31,3 @@ class StructuralError(LsgameError, RuntimeError):
 
 class ResourceError(LsgameError, RuntimeError):
     """A configured size cap would be exceeded."""
-
-
-class VerificationError(LsgameError, RuntimeError):
-    """A verification residual exceeded its tolerance."""

@@ -9,8 +9,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, StructuralError
 from .linalg import eye, involution_residual, kron, op_norm
-from .lsg import satisfying_assignments
-from .strategy import Correlation, FullTest, Strategy, eq_label, var_label
+from .strategy import Correlation, FullTest, Strategy, eq_label, ext_labels, var_label
 from .strategy import bob_observable, family_observable, generate_correlation
 
 #: smallest |alpha| accepted: cot(pi/3), the d=3 end of the family
@@ -117,20 +116,24 @@ def sos_residuals(m1, m2, n1, n2, ctx: WeightedChshContext) -> tuple[float, floa
 
 
 def ls_winning_probability_from_correlation(corr: Correlation, test: FullTest) -> float:
-    """Expected score on the linear system block, read off a correlation."""
+    """Expected score on the linear system block, read off a correlation.
+
+    A cell wins when Alice's triple has the equation's parity and agrees
+    with Bob's bit at his variable.
+    """
     game = test.game
     system = game.system
     total = 0.0
     for i, v in game.valid_pairs:
-        key = (eq_label(i), var_label(system.variables[v]))
+        x = eq_label(i)
+        key = (x, var_label(system.variables[v]))
         if key not in corr.entries:
             raise StructuralError(f"correlation lacks support pair {key}")
         table = corr.entries[key]
-        names = system.row_names(i)
-        pos = names.index(system.variables[v])
-        for triple in satisfying_assignments(system, i):
-            idx = triple[0] * 4 + triple[1] * 2 + triple[2]
-            total += float(table[idx, triple[pos]])
+        pos = system.rows[i].index(v)
+        for ia, triple in enumerate(test.alice_answers[x]):
+            if sum(triple) % 2 == system.rhs[i]:
+                total += float(table[ia, triple[pos]])
     return total / len(game.valid_pairs)
 
 
@@ -167,17 +170,15 @@ def embedded_chsh_value(strategy: Strategy) -> dict:
     d = strategy.params.d
     alpha = -1.0 / math.tan(math.pi / d)
     ctx = WeightedChshContext.from_alpha(alpha)
-    p_sub = strategy.alice_family(test.ext_sub)[0]
-    s = strategy.state_matrix()
-    proj = p_sub @ s
+    sub, z, x = ext_labels(test.n_vars)
+    proj = strategy.alice_family(sub)[0] @ strategy.state
     norm = float(np.linalg.norm(proj))
     if norm == 0:
         raise StructuralError("conditioned state vanishes")
-    state = (proj / norm).reshape(-1)
-    za = family_observable(strategy.alice_family(test.ext_z))
-    xa = family_observable(strategy.alice_family(test.ext_x))
+    za = family_observable(strategy.alice_family(z))
+    xa = family_observable(strategy.alice_family(x))
     n1, n2 = bob_observable(strategy, "a1"), bob_observable(strategy, "a2")
-    value = bell_value(state, za, xa, n1, n2, ctx)
+    value = bell_value(proj / norm, za, xa, n1, n2, ctx)
     return {"alpha": alpha, "value": value, "imax": ctx.imax}
 
 

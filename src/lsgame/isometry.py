@@ -180,7 +180,7 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     their absolute accuracy.
     """
     params = strategy.params
-    da, db = strategy.dim_a, strategy.dim_b
+    da, db = strategy.state.shape
     d = params.d
     # held at once: eight ladders, then per label the support slices, the
     # Gram-scaled rows, one row's slices and one slice's 16 stage-two blocks
@@ -210,7 +210,7 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     distances: dict[str, float] = {}
     junk_norm = float("nan")
     for label, (pre, (s_a, s_b), _, _) in LABELS.items():
-        psi = strategy.state_matrix()
+        psi = strategy.state
         if pre is not None:
             op = pre_ops[pre]
             psi = op @ psi if pre[0] == "A" else psi @ op.T

@@ -8,7 +8,6 @@ Bob for the value of one variable of that equation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import DomainError, StructuralError
@@ -66,39 +65,19 @@ def build_linear_system(r: int) -> LinearSystem:
     return LinearSystem(r, gamma.generators, tuple(rows), tuple(rhs))
 
 
-def satisfying_assignments(system: LinearSystem, i: int) -> tuple[tuple[int, int, int], ...]:
-    """The four assignments of row i's variables with the right parity."""
-    want = system.rhs[i]
-    return tuple(
-        (a0, a1, a2)
-        for a0 in (0, 1)
-        for a1 in (0, 1)
-        for a2 in (0, 1)
-        if (a0 + a1 + a2) % 2 == want
-    )
-
-
 @dataclass(frozen=True)
 class GameLS:
     """Nonlocal-game envelope: uniform distribution over (equation, member).
 
     valid_pairs lists (row index, column index) with the column belonging to
-    the row; pi is uniform over them.  quoted_pairs records the closed-form
-    count stated for this family, which differs from len(valid_pairs); the
-    enumerated count is the one the distribution uses.
+    the row; the distribution is uniform over them.  quoted_pairs records the
+    closed-form count stated for this family, which differs from
+    len(valid_pairs); the enumerated count is the one the distribution uses.
     """
 
     system: LinearSystem
     valid_pairs: tuple[tuple[int, int], ...]
     quoted_pairs: int
-
-    @property
-    def pi(self) -> float:
-        return 1.0 / len(self.valid_pairs)
-
-    @property
-    def r(self) -> int:
-        return self.system.r
 
 
 def build_ls_game(r: int) -> GameLS:
@@ -148,8 +127,3 @@ def system_to_json_dict(system: LinearSystem) -> dict:
             for row, c in zip(system.rows, system.rhs)
         ],
     }
-
-
-def system_to_json(system: LinearSystem) -> str:
-    return json.dumps(system_to_json_dict(system), sort_keys=True, indent=2) + "\n"
-

@@ -74,11 +74,6 @@ class PrimeParams:
     omega_d: complex
     omega_dm1: complex
 
-    @property
-    def dim(self) -> int:
-        """Local dimension 4(d-1) of the ideal strategy's Hilbert spaces."""
-        return 4 * (self.d - 1)
-
     def r_inverse(self) -> int:
         """Multiplicative inverse of r mod d."""
         return pow(self.r, self.d - 2, self.d)
@@ -87,14 +82,15 @@ class PrimeParams:
 def make_params(d: int, r: int | None = None) -> PrimeParams:
     """Validate (d, r) and precompute the discrete-log table.
 
-    d must be an odd prime no larger than MAX_PRIME.  r defaults to the
+    d must be an odd prime no larger than MAX_PRIME; the cap is checked
+    first, so a huge d costs no trial division.  r defaults to the
     smallest primitive root of d.  Non-minimal primitive roots are accepted;
     non-primitive ones are rejected.
     """
-    if not is_odd_prime(d):
-        raise DomainError(f"d must be an odd prime, got {d}")
     if d > MAX_PRIME:
         raise DomainError(f"d={d} above the cap {MAX_PRIME}")
+    if not is_odd_prime(d):
+        raise DomainError(f"d must be an odd prime, got {d}")
     if r is None:
         r = smallest_primitive_root(d)
     else:

@@ -34,8 +34,6 @@ class Rep:
     params: PrimeParams
     dim: int
     table: dict[str, np.ndarray]
-    o_tilde: np.ndarray
-    u_tilde: np.ndarray
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -208,13 +206,7 @@ def build_representation(params: PrimeParams) -> Rep:
         table[q_name(t, 6)] = _block_diag(bj, ck)
     table["J"] = -eye(4 * w)
 
-    return Rep(
-        params=params,
-        dim=4 * w,
-        table=table,
-        o_tilde=o_tilde_matrix(params),
-        u_tilde=u_tilde_matrix(params),
-    )
+    return Rep(params=params, dim=4 * w, table=table)
 
 
 def _relation_residual(rep: Rep, rel: Relation) -> float:
@@ -265,7 +257,7 @@ def key_unitaries(rep: Rep) -> tuple[np.ndarray, np.ndarray, float]:
     factor and satisfy the same conjugation on the full space.
     """
     r = rep.params.r
-    o, u = rep.o_tilde, rep.u_tilde
+    o, u = o_tilde_matrix(rep.params), u_tilde_matrix(rep.params)
     res = op_norm(u @ o @ dagger(u) - np.linalg.matrix_power(o, r))
 
     oo = rep["a1"] @ rep["a2"]

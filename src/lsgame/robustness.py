@@ -8,17 +8,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .isometry import REPORT_LABELS, selftest_report
+from .isometry import REPORT_LABELS, selftest_report, strategy_unitaries
 from .linalg import hermitian_exponential, random_hermitian
 from .strategy import (
+    COMM_GENS,
     Correlation,
     Strategy,
     alice_observable,
     bob_observable,
+    ext_labels,
     family_observable,
 )
 
 KINDS = ("state", "rotate", "both")
+
+#: largest trial and magnitude counts of one sweep.  Record seeds are
+#: base_seed*10^6 + kind*10^5 + magnitude*10^3 + trial, so within these caps
+#: no two records of a sweep share a seed.
+MAX_TRIALS = 1000
+MAX_MAGNITUDES = 100
 
 RESIDUAL_LABELS = (
     "sync",
@@ -36,7 +44,7 @@ class PerturbationSpec:
     """kind "state": noisy shared state; "rotate": conjugated measurement
     families (one seeded Hermitian generator per party per question);
     "both": rotations first, then state noise.  magnitude 0 reproduces the
-    input strategy bit-for-bit."""
+    input strategy bit-for-bit.  seed must be non-negative."""
 
     kind: str
     magnitude: float
@@ -47,6 +55,8 @@ class PerturbationSpec:
             raise DomainError(f"unknown perturbation kind {self.kind!r}")
         if not (0.0 <= self.magnitude <= 0.5):
             raise DomainError(f"magnitude must lie in [0, 0.5], got {self.magnitude}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
@@ -58,27 +68,20 @@ def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
     if delta > 0:
         rng = np.random.default_rng(spec.seed)
         if spec.kind in ("rotate", "both"):
-            for fams, questions, dim in (
-                (alice, ideal.test.alice_questions, ideal.dim_a),
-                (bob, ideal.test.bob_questions, ideal.dim_b),
+            # one generator per question, in each party's question order
+            for fams, answers, dim in (
+                (alice, ideal.test.alice_answers, state.shape[0]),
+                (bob, ideal.test.bob_answers, state.shape[1]),
             ):
-                for q in questions:
+                for q in answers:
                     u = hermitian_exponential(random_hermitian(dim, rng), delta)
                     fams[q] = u @ fams[q] @ u.conj().T
         if spec.kind in ("state", "both"):
             g = rng.standard_normal(state.size) + 1j * rng.standard_normal(state.size)
-            g /= np.linalg.norm(g)
+            g = g.reshape(state.shape) / np.linalg.norm(g)
             state = state + delta * g
             state /= np.linalg.norm(state)
-    return Strategy(
-        params=ideal.params,
-        test=ideal.test,
-        dim_a=ideal.dim_a,
-        dim_b=ideal.dim_b,
-        state=state,
-        alice=alice,
-        bob=bob,
-    )
+    return Strategy(params=ideal.params, test=ideal.test, state=state, alice=alice, bob=bob)
 
 
 def relation_residuals(strategy: Strategy) -> dict[str, float]:
@@ -96,7 +99,7 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     test = strategy.test
     params = strategy.params
     system = test.game.system
-    s = strategy.state_matrix()
+    s = strategy.state
     norm = lambda m: float(np.linalg.norm(m))  # noqa: E731
 
     m_obs = {g: alice_observable(strategy, g) for g in system.variables}
@@ -113,24 +116,24 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
             prod = m_obs[g] @ prod
         equation = max(equation, norm(prod - (-1) ** system.rhs[i] * s))
 
-    o_a = m_obs["a1"] @ m_obs["a2"]
-    u_a = m_obs["a3"] @ m_obs["a4"]
+    ops = strategy_unitaries(strategy)
+    o_a, u_a = ops["OA"], ops["UA"]
     o_a_r = np.linalg.matrix_power(o_a, params.r)
     conjugacy = norm(o_a @ u_a.conj().T @ s - u_a.conj().T @ o_a_r @ s)
 
-    p0, p1 = strategy.alice_family(test.ext_z)[:2]
-    x_obs = family_observable(strategy.alice_family(test.ext_x))
+    _, z, x = ext_labels(test.n_vars)
+    p0, p1 = strategy.alice_family(z)[:2]
+    x_obs = family_observable(strategy.alice_family(x))
     half = 0.5 * (p0 + 1j * (x_obs @ p1) - 1j * (x_obs @ p0) + p1)
     psi1 = half @ s
     w = params.d - 1
     psi1_norm = abs(norm(psi1) ** 2 - 1.0 / w)
 
-    o_b = n_obs["a1"] @ n_obs["a2"]
-    eig_bob = norm(psi1 @ o_b.T - params.omega_d * psi1)
+    eig_bob = norm(psi1 @ ops["OB"].T - params.omega_d * psi1)
     eig_alice = norm(o_a @ psi1 - psi1 / params.omega_d)
 
     comm = 0.0
-    for g in ("f0", "f2", "g0", "g2"):
+    for g in COMM_GENS:
         mg = m_obs[g]
         for probe in (p0, p1, x_obs):
             comm = max(comm, norm(probe @ mg @ s - mg @ probe @ s))
@@ -160,23 +163,11 @@ class SweepRecord:
 
 
 CSV_COLUMNS = (
-    "d",
-    "r",
-    "kind",
-    "delta",
-    "seed",
-    "epsilon",
-    "dist_psi",
-    "dist_OA",
-    "dist_OB",
-    "dist_UA",
-    "dist_UB",
-    "dist_M1",
-    "dist_M2",
-    "dist_N1",
-    "dist_N2",
-    "junk_norm",
-) + tuple(f"res_{label}" for label in RESIDUAL_LABELS)
+    ("d", "r", "kind", "delta", "seed", "epsilon")
+    + tuple("dist_" + label.removesuffix("_psi") for label in REPORT_LABELS)
+    + ("junk_norm",)
+    + tuple(f"res_{label}" for label in RESIDUAL_LABELS)
+)
 
 
 def record_row(rec: SweepRecord) -> list[str]:
@@ -212,7 +203,8 @@ def run_sweep(
     base_seed: int = 0,
 ) -> list[SweepRecord]:
     """One record per (kind, magnitude, trial); deterministic given base_seed.
-    DomainError unless there is at least one magnitude and one trial.
+    DomainError unless there are 1 to MAX_MAGNITUDES magnitudes and 1 to
+    MAX_TRIALS trials.
 
     selftest_report's size guard raises ResourceError on the first record
     when the strategy is too large for its streamed contraction; no d up to
@@ -220,6 +212,11 @@ def run_sweep(
     """
     if trials < 1 or not magnitudes:
         raise DomainError(f"a sweep needs a magnitude and a trial, got {len(magnitudes)} and {trials}")
+    if trials > MAX_TRIALS or len(magnitudes) > MAX_MAGNITUDES:
+        raise DomainError(
+            f"a sweep takes at most {MAX_MAGNITUDES} magnitudes and {MAX_TRIALS} trials,"
+            f" got {len(magnitudes)} and {trials}"
+        )
     records = []
     for ki, kind in enumerate(kinds):
         for mi, delta in enumerate(magnitudes):

@@ -52,14 +52,25 @@ def var_label(gen: str) -> str:
     return f"x({gen})"
 
 
+def ext_labels(n_vars: int) -> tuple[str, str, str]:
+    """The extension block's subspace, Z-basis and X-basis questions."""
+    return "ext:0", f"ext:{n_vars + 1}", f"ext:{n_vars + 2}"
+
+
+def comm_label(basis: str, gen: str) -> str:
+    """Bob's paired question of a basis question and a variable."""
+    return f"comm:{basis.removeprefix('ext:')},{gen}"
+
+
 @dataclass(frozen=True)
 class FullTest:
-    """Question/answer bookkeeping plus the uniform support of the test."""
+    """Answer orders and the uniform support of the test.
 
-    r: int
+    The key order of each party's answer table is that party's question
+    order.
+    """
+
     game: GameLS
-    alice_questions: tuple[str, ...]
-    bob_questions: tuple[str, ...]
     alice_answers: dict[str, tuple]
     bob_answers: dict[str, tuple]
     support: tuple[tuple[str, str], ...]
@@ -69,76 +80,32 @@ class FullTest:
     def n_vars(self) -> int:
         return self.game.system.n_vars
 
-    @property
-    def pi(self) -> float:
-        return 1.0 / len(self.support)
-
-    @property
-    def ext_sub(self) -> str:
-        return "ext:0"
-
-    @property
-    def ext_z(self) -> str:
-        return f"ext:{self.n_vars + 1}"
-
-    @property
-    def ext_x(self) -> str:
-        return f"ext:{self.n_vars + 2}"
-
-    def comm_label(self, zx: str, gen: str) -> str:
-        num = self.n_vars + (1 if zx == "z" else 2)
-        return f"comm:{num},{gen}"
-
-    @property
-    def ext_questions(self) -> tuple[str, ...]:
-        return (self.ext_sub, var_label("a1"), var_label("a2"), self.ext_z, self.ext_x)
-
 
 def build_full_test(params: PrimeParams) -> FullTest:
     """Enumerate questions, answer alphabets, and the uniform support."""
     game = build_ls_game(params.r)
     system = game.system
-    n = system.n_vars
-    ext_sub, ext_z, ext_x = "ext:0", f"ext:{n + 1}", f"ext:{n + 2}"
-    ext_questions = (ext_sub, var_label("a1"), var_label("a2"), ext_z, ext_x)
+    sub, z, x = ext_labels(system.n_vars)
+    # the five extension questions, in question order
+    ext_answers = {sub: (0, 2), var_label("a1"): (0, 1), var_label("a2"): (0, 1), z: (0, 1, 2), x: (0, 1, 2)}
 
-    alice_qs = [eq_label(i) for i in range(system.n_rows)]
-    alice_qs += list(ext_questions)
-    alice_qs += [var_label(g) for g in COMM_GENS]
-
-    bob_qs = [var_label(g) for g in system.variables]
-    bob_qs += [ext_sub, ext_z, ext_x]
-    comm_qs = [f"comm:{n + 1},{g}" for g in COMM_GENS] + [f"comm:{n + 2},{g}" for g in COMM_GENS]
-    bob_qs += comm_qs
-
-    ext_answers = {
-        ext_sub: (0, 2),
-        var_label("a1"): (0, 1),
-        var_label("a2"): (0, 1),
-        ext_z: (0, 1, 2),
-        ext_x: (0, 1, 2),
-    }
     alice_answers: dict[str, tuple] = {eq_label(i): _TRIPLES for i in range(system.n_rows)}
     alice_answers.update(ext_answers)
     alice_answers.update((var_label(g), (0, 1)) for g in COMM_GENS)
 
     bob_answers: dict[str, tuple] = {var_label(g): (0, 1) for g in system.variables}
-    bob_answers.update((q, ext_answers[q]) for q in (ext_sub, ext_z, ext_x))
-    bob_answers.update((q, _COMM_ANSWERS) for q in comm_qs)
+    bob_answers.update((q, ext_answers[q]) for q in (sub, z, x))
+    bob_answers.update((comm_label(basis, g), _COMM_ANSWERS) for basis in (z, x) for g in COMM_GENS)
 
     support = [(eq_label(i), var_label(system.variables[v])) for i, v in game.valid_pairs]
-    support += [(x, y) for x in ext_questions for y in ext_questions]
-    for zx_num in (n + 1, n + 2):
+    support += [(qa, qb) for qa in ext_answers for qb in ext_answers]
+    for basis in (z, x):
         for g in COMM_GENS:
-            y = f"comm:{zx_num},{g}"
-            support.append((f"ext:{zx_num}", y))
-            support.append((var_label(g), y))
+            y = comm_label(basis, g)
+            support += [(basis, y), (var_label(g), y)]
 
     return FullTest(
-        r=params.r,
         game=game,
-        alice_questions=tuple(alice_qs),
-        bob_questions=tuple(bob_qs),
         alice_answers=alice_answers,
         bob_answers=bob_answers,
         support=tuple(support),
@@ -150,15 +117,14 @@ def build_full_test(params: PrimeParams) -> FullTest:
 class Strategy:
     """Shared pure state plus one projector family per question per party.
 
-    Each family is a (k, n, n) stack of projectors in the test's answer
-    order.  Construction makes every family read-only, so strategies may
-    share family arrays.
+    state is the (dim_a, dim_b) matrix S of psi = vec(S), row-major, so
+    that (M (x) N) psi = vec(M S N^T).  Each family is a (k, n, n) stack of
+    projectors in the test's answer order.  Construction makes every family
+    read-only, so strategies may share family arrays.
     """
 
     params: PrimeParams
     test: FullTest
-    dim_a: int
-    dim_b: int
     state: np.ndarray
     alice: dict[str, np.ndarray]
     bob: dict[str, np.ndarray]
@@ -166,9 +132,6 @@ class Strategy:
     def __post_init__(self):
         for fam in (*self.alice.values(), *self.bob.values()):
             fam.setflags(write=False)
-
-    def state_matrix(self) -> np.ndarray:
-        return self.state.reshape(self.dim_a, self.dim_b)
 
     def alice_family(self, question: str) -> np.ndarray:
         try:
@@ -206,21 +169,23 @@ def v1_states(params: PrimeParams) -> dict[str, np.ndarray]:
     }
 
 
-def ext_projector_families(params: PrimeParams) -> dict[str, np.ndarray]:
-    """Extension-block families on W_{d-1}, lifted to the full 4(d-1) space."""
+def ext_projector_families(params: PrimeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extension-block families on W_{d-1}, lifted to the full 4(d-1) space,
+    for the subspace, Z-basis and X-basis questions in ext_labels order."""
     proj = {k: np.outer(v, v.conj()) for k, v in v1_states(params).items()}
     pi_v1 = proj["z0"] + proj["z1"]
     pi_perp = eye(params.d - 1) - pi_v1
-    on_w = {
-        "sub": (pi_v1, pi_perp),
-        "z": (proj["z0"], proj["z1"], pi_perp),
-        "x": (proj["x0"], proj["x1"], pi_perp),
-    }
-    return {key: kron(eye(4), np.stack(fam)) for key, fam in on_w.items()}
+    on_w = (
+        (pi_v1, pi_perp),
+        (proj["z0"], proj["z1"], pi_perp),
+        (proj["x0"], proj["x1"], pi_perp),
+    )
+    return tuple(kron(eye(4), np.stack(fam)) for fam in on_w)
 
 
 def ideal_state(params: PrimeParams) -> np.ndarray:
-    """Two EPR pairs tensored with the (d-1)-dim index-reversing entangled state."""
+    """Two EPR pairs tensored with the (d-1)-dim index-reversing entangled
+    state, as the matrix S of psi = vec(S)."""
     d = params.d
     w = d - 1
     epr = np.zeros((2, 2), dtype=complex)
@@ -229,21 +194,18 @@ def ideal_state(params: PrimeParams) -> np.ndarray:
     for j in range(1, d):
         ent[x_index(j, d), x_index(d - j, d)] = 1 / math.sqrt(w)
     full = np.einsum("ij,kl,mn->ikmjln", epr, epr, ent)
-    return full.reshape(4 * w * 4 * w)
+    return full.reshape(4 * w, 4 * w)
 
 
-def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest | None = None) -> Strategy:
+def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strategy:
     """Measurements from the representation; shared observables per variable."""
     if rep.params.d != params.d or rep.params.r != params.r:
         raise StructuralError("representation was built for different parameters")
-    if test is None:
-        test = build_full_test(params)
     system = test.game.system
     dim = rep.dim
 
     var_fams = {gen: observable_to_projectors(rep[gen]) for gen in system.variables}
-    ext = ext_projector_families(params)
-    ext_fams = {test.ext_sub: ext["sub"], test.ext_z: ext["z"], test.ext_x: ext["x"]}
+    ext_fams = dict(zip(ext_labels(test.n_vars), ext_projector_families(params)))
 
     alice = {eq_label(i): joint_projector([rep[g] for g in system.row_names(i)]) for i in range(system.n_rows)}
     alice.update(ext_fams)
@@ -251,20 +213,12 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest | None = 
 
     bob = {var_label(gen): var_fams[gen] for gen in system.variables}
     bob.update(ext_fams)
-    for zx in ("z", "x"):
+    for basis in ext_labels(test.n_vars)[1:]:
         for g in COMM_GENS:
             # (b1, b2) -> basis projector b1 times variable projector b2, b2 fastest
-            bob[test.comm_label(zx, g)] = (ext[zx][:, None] @ var_fams[g][None]).reshape(-1, dim, dim)
+            bob[comm_label(basis, g)] = (ext_fams[basis][:, None] @ var_fams[g][None]).reshape(-1, dim, dim)
 
-    return Strategy(
-        params=params,
-        test=test,
-        dim_a=dim,
-        dim_b=dim,
-        state=ideal_state(params),
-        alice=alice,
-        bob=bob,
-    )
+    return Strategy(params=params, test=test, state=ideal_state(params), alice=alice, bob=bob)
 
 
 # --- observables extracted from a (possibly perturbed) strategy -------------
@@ -357,7 +311,7 @@ def generate_correlation(strategy: Strategy, test: FullTest | None = None) -> Co
     table is one product Re(L R^T).
     """
     test = test or strategy.test
-    s = strategy.state_matrix()
+    s = strategy.state
     s_conj = s.conj()
     corr = Correlation(d=strategy.params.d, r=strategy.params.r)
     rights: dict[str, np.ndarray] = {}
@@ -390,7 +344,7 @@ def ideal_table_values(params: PrimeParams, test: FullTest) -> dict[tuple[str, s
 
     out: dict[tuple[str, str], dict[tuple[int, int], float]] = {}
 
-    za, xa = test.ext_z, test.ext_x
+    sub, za, xa = ext_labels(test.n_vars)
     a1, a2 = var_label("a1"), var_label("a2")
     # basis questions vs CHSH questions (and the role-flipped block)
     for y in (a1, a2):
@@ -412,7 +366,6 @@ def ideal_table_values(params: PrimeParams, test: FullTest) -> dict[tuple[str, s
     out[(xa, xa)] = sym3(1 / w, 0.0)
     out[(za, xa)] = sym3(1 / (2 * w), 1 / (2 * w))
     out[(xa, za)] = sym3(1 / (2 * w), 1 / (2 * w))
-    sub = test.ext_sub
     out[(sub, sub)] = {(0, 0): 2 / w, (0, 1): 0.0, (1, 0): 0.0, (1, 1): rest}
     for q in (za, xa):
         out[(q, sub)] = {
@@ -425,10 +378,9 @@ def ideal_table_values(params: PrimeParams, test: FullTest) -> dict[tuple[str, s
         }
 
     # commutation block: Bob's paired questions
-    n = test.n_vars
-    for zx_num, zx_q in ((n + 1, za), (n + 2, xa)):
+    for zx_q in (za, xa):
         for g in COMM_GENS:
-            y = f"comm:{zx_num},{g}"
+            y = comm_label(zx_q, g)
             tab_basis: dict[tuple[int, int], float] = {}
             for ia, a in enumerate((0, 1, 2)):
                 for ib, (b1, b2) in enumerate(_COMM_ANSWERS):

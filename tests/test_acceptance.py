@@ -34,6 +34,7 @@ from lsgame import (
 from lsgame.evaluation import bell_value, chsh_ideal_instance
 from lsgame.numtheory import is_odd_prime, is_primitive_root
 from lsgame.robustness import RESIDUAL_LABELS
+from lsgame.strategy import ext_labels
 
 DEMO = ((3, 2), (5, 2), (7, 3), (11, 2), (13, 2))
 
@@ -91,9 +92,10 @@ def test_criterion_4_correlation_tables(family):
         deviation = table_deviation(corr, reference)
         assert deviation <= 1e-10, (d, r, deviation)
         if d == 3:
-            degenerate = reference[(test.ext_z, test.ext_z)][(2, 2)]
+            _, ext_z, _ = ext_labels(test.n_vars)
+            degenerate = reference[(ext_z, ext_z)][(2, 2)]
             assert degenerate == 0.0
-            assert abs(corr.entries[(test.ext_z, test.ext_z)][2, 2]) <= 1e-10
+            assert abs(corr.entries[(ext_z, ext_z)][2, 2]) <= 1e-10
         print(f"PASS criterion 4 (d={d}, r={r}): max table deviation {deviation:.2e}")
 
 

@@ -275,3 +275,73 @@ def test_sweep_rejects_empty_or_unparsable(flags, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+def assert_domain_error(code, out, err, word):
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainError"
+    assert word in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--d", "3", "--delta", "1e-3", "--seed=-1"],
+        ["sweep", "--d", "3", "--deltas", "1e-3", "--trials", "1", "--seed=-1"],
+    ],
+)
+def test_negative_seed_exits_2(argv, capsys):
+    # numpy's default_rng used to end these in a ValueError traceback
+    assert_domain_error(*run(argv, capsys), "seed")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--deltas", "1e-4,1e-3", "--trials", "1001"],
+        ["--deltas", ",".join(["1e-3"] * 101), "--trials", "1"],
+    ],
+)
+def test_sweep_too_large_for_distinct_seeds_exits_2(flags, monkeypatch, capsys):
+    # at 1001 trials and 2 magnitudes, 6006 records had only 6003 distinct seeds
+    import lsgame.robustness as rob
+
+    def no_perturbation(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(rob, "perturb_strategy", no_perturbation)
+    assert_domain_error(*run(["sweep", "--d", "3", "--kind", "all", *flags], capsys), "at most")
+
+
+@pytest.mark.parametrize("case, word", [("missing", "missing.json"), ("directory", "cannot read"), ("latin-1", "UTF-8")])
+def test_unreadable_correlation_file_exits_2(case, word, tmp_path, capsys):
+    # each of these used to end in an OSError or UnicodeDecodeError traceback
+    path = tmp_path / "missing.json"
+    if case == "directory":
+        path = tmp_path
+    elif case == "latin-1":
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"d": 3, "r": 2, "label": "\xe9"}')
+    assert_domain_error(*run(["eval", "--d", "3", "--in", str(path)], capsys), word)
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # --out into a missing directory used to end in a FileNotFoundError traceback
+    out = tmp_path / "no-such-dir" / "game.json"
+    assert_domain_error(*run(["gen-game", "--d", "3", "--out", str(out)], capsys), "no-such-dir")
+
+
+def test_huge_d_rejected_before_primality_test(monkeypatch, capsys):
+    # trial division of this 19-digit prime used to run for minutes
+    import lsgame.numtheory as nt
+
+    real = nt.is_odd_prime
+
+    def guarded(d):
+        assert d <= nt.MAX_PRIME, f"primality test of d={d} above the cap"
+        return real(d)
+
+    monkeypatch.setattr(nt, "is_odd_prime", guarded)
+    assert_domain_error(*run(["gen-game", "--d", "1000000000000000003"], capsys), "above the cap")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from lsgame import (
     sos_residuals,
 )
 from lsgame.evaluation import bell_value, chsh_ideal_instance, embedded_chsh_value, evaluation_report
-from lsgame.lsg import satisfying_assignments
 from lsgame.robustness import PerturbationSpec, perturb_strategy
 from lsgame.strategy import eq_label, var_label
 
@@ -107,14 +107,16 @@ def ls_winning_probability_reference(strategy, test):
     """Expected LS-block score straight from the strategy's projectors."""
     game = test.game
     system = game.system
-    s = strategy.state_matrix()
+    s = strategy.state
     total = 0.0
     for i, v in game.valid_pairs:
         names = system.row_names(i)
         pos = names.index(system.variables[v])
         fam_a = strategy.alice_family(eq_label(i))
         fam_b = strategy.bob_family(var_label(system.variables[v]))
-        for triple in satisfying_assignments(system, i):
+        for triple in itertools.product((0, 1), repeat=3):
+            if sum(triple) % 2 != system.rhs[i]:
+                continue
             idx = triple[0] * 4 + triple[1] * 2 + triple[2]
             left = fam_a[idx] @ s
             total += float(np.real(np.vdot(s, left @ fam_b[triple[pos]].T)))
@@ -140,7 +142,7 @@ def test_mutated_strategy_wins_less():
 def test_orthogonal_product_state_loses_enough():
     p, rep, test, strat = ideal_setup(3)
     product = np.zeros_like(strat.state)
-    product[0] = 1.0  # basis state orthogonal to the ideal state
+    product[0, 0] = 1.0  # basis state orthogonal to the ideal state
     assert abs(np.vdot(strat.state, product)) < 1e-12
     strat.state = product
     m = test.game.system.n_rows
@@ -161,7 +163,7 @@ def test_winning_probability_monotone_under_mixing():
     p, rep, test, strat = ideal_setup(3)
     good = generate_correlation(strat, test)
     bad_state = np.zeros_like(strat.state)
-    bad_state[0] = 1.0
+    bad_state[0, 0] = 1.0
     strat.state = bad_state
     bad = generate_correlation(strat, test)
     values = []

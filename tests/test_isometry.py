@@ -78,7 +78,7 @@ def ideal_setup(d, r=None):
 
 
 def phi1(strat, signs=(-1, 1)):
-    return phi1_dense(strat.state_matrix(), strategy_unitaries(strat), strat.params, signs)
+    return phi1_dense(strat.state, strategy_unitaries(strat), strat.params, signs)
 
 
 def phi2(strat, state):
@@ -92,7 +92,7 @@ def dense_report(strat):
     ops = strategy_unitaries(strat)
     out = {}
     for label, (pre, signs, _, _) in LABELS.items():
-        state = strat.state_matrix()
+        state = strat.state
         if pre is not None:
             party, name = pre
             if name in ("O", "U"):
@@ -100,7 +100,7 @@ def dense_report(strat):
             else:
                 op = (alice_observable if party == "A" else bob_observable)(strat, name)
             state = op @ state if party == "A" else state @ op.T
-        v = phi2(strat, phi1_dense(state, ops, strat.params, signs)).reshape(strat.dim_a * strat.dim_b, -1)
+        v = phi2(strat, phi1_dense(state, ops, strat.params, signs)).reshape(strat.state.size, -1)
         target = np.kron(EPR4, control_target(label, strat.params))
         junk = v @ target.conj()
         out[label] = (np.linalg.norm(v - np.outer(junk, target)), np.linalg.norm(junk))
@@ -138,11 +138,11 @@ def test_phi1_ideal_hits_target():
 
 def test_phi1_identity_operators_do_nothing():
     p, rep, test, strat = ideal_setup(3)
-    da = strat.dim_a
+    da = strat.state.shape[0]
     ident = {k: eye(da) for k in ("OA", "OB", "UA", "UB")}
-    out = phi1_dense(strat.state_matrix(), ident, p)
+    out = phi1_dense(strat.state, ident, p)
     want = np.zeros((da, da, 3, 3), dtype=complex)
-    want[:, :, 0, 0] = strat.state_matrix()
+    want[:, :, 0, 0] = strat.state
     assert np.linalg.norm(out - want) <= 1e-12
 
 
@@ -156,8 +156,8 @@ def test_phi1_norm_preserved_for_perturbed_strategy():
 def test_phi2_ideal_extracts_epr_pairs():
     for d in (3, 5):
         p, rep, test, strat = ideal_setup(d)
-        scaled = np.sqrt(d - 1) * ideal_psi1(strat, d).reshape(strat.dim_a, strat.dim_b)
-        v = phi2(strat, scaled).reshape(strat.dim_a * strat.dim_b, 16)
+        scaled = np.sqrt(d - 1) * ideal_psi1(strat, d).reshape(strat.state.shape)
+        v = phi2(strat, scaled).reshape(strat.state.size, 16)
         junk = v @ EPR4.conj()
         assert np.linalg.norm(v - np.outer(junk, EPR4)) <= 1e-8
         assert abs(np.linalg.norm(junk) - 1) <= 1e-8
@@ -165,11 +165,11 @@ def test_phi2_ideal_extracts_epr_pairs():
 
 def test_phi2_identity_observables_deterministic_product():
     _, _, _, strat = ideal_setup(3)
-    da = strat.dim_a
+    da = strat.state.shape[0]
     ident = {g: eye(da) for g in COMM_GENS}
-    out = phi2_dense(strat.state_matrix(), ident, ident)
+    out = phi2_dense(strat.state, ident, ident)
     want = np.zeros((da * da, 16), dtype=complex)
-    want[:, 0] = strat.state  # ancillas all |0>
+    want[:, 0] = strat.state.reshape(-1)  # ancillas all |0>
     assert np.linalg.norm(out.reshape(da * da, 16) - want) <= 1e-12
 
 
@@ -218,7 +218,7 @@ def test_selftest_report_non_isometric_stage_two():
         alice={**pert.alice, key: 0.9 * pert.alice[key]},
         bob={**pert.bob, key: 0.9 * pert.bob[key]},
     )
-    assert abs(np.linalg.norm(phi2(scaled, scaled.state_matrix())) - 1) > 1e-3
+    assert abs(np.linalg.norm(phi2(scaled, scaled.state)) - 1) > 1e-3
     assert_matches_dense(scaled, corr, "f0 scaled by 0.9")
 
 
@@ -230,7 +230,7 @@ def test_selftest_report_streams(monkeypatch):
     p, rep, test, strat = ideal_setup(7)
     corr = generate_correlation(strat, test)
     monkeypatch.setattr(iso, "generate_correlation", lambda strategy: corr)
-    stage_two_bytes = strat.dim_a * strat.dim_b * 16 * 7 * 7 * 16
+    stage_two_bytes = strat.state.size * 16 * 7 * 7 * 16
     tracemalloc.start()
     try:
         report = selftest_report(strat, corr)
@@ -267,7 +267,7 @@ def test_variant_outputs_share_ancilla_marginal():
     p, rep, test, strat = ideal_setup(3)
     want = np.outer(EPR4, EPR4.conj())
     for signs in SIGN_PAIRS:
-        v = phi2(strat, phi1(strat, signs)).reshape(strat.dim_a * strat.dim_b, 16, 9)
+        v = phi2(strat, phi1(strat, signs)).reshape(strat.state.size, 16, 9)
         rho = np.einsum("iaj,ibj->ab", v, v.conj())
         assert np.linalg.norm(rho - want) <= 1e-8
 

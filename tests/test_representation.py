@@ -76,8 +76,9 @@ def test_eigenspaces_all_one_dimensional():
     for d, r in ((3, 2), (7, 3)):
         p = make_params(d, r)
         rep = build_representation(p)
+        o, _, _ = key_unitaries(rep)
         for k in range(1, d):
-            gap = rep.o_tilde - p.omega_d**k * eye(d - 1)
+            gap = o - p.omega_d**k * eye(d - 1)
             assert np.linalg.matrix_rank(gap, tol=1e-8) == d - 2
 
 
@@ -85,7 +86,8 @@ def test_u_cyclic():
     for d, r in ((5, 2), (7, 3)):
         p = make_params(d, r)
         rep = build_representation(p)
-        assert op_norm(np.linalg.matrix_power(rep.u_tilde, d - 1) - eye(d - 1)) <= 1e-12
+        _, u, _ = key_unitaries(rep)
+        assert op_norm(np.linalg.matrix_power(u, d - 1) - eye(d - 1)) <= 1e-12
 
 
 def test_sign_relation():

@@ -18,7 +18,14 @@ from lsgame import (
     relation_residuals,
     run_sweep,
 )
-from lsgame.robustness import CSV_COLUMNS, RESIDUAL_LABELS, SweepRecord
+from lsgame.robustness import RESIDUAL_LABELS, SweepRecord
+
+#: the sweep CSV header exactly as README.md documents it
+README_SWEEP_HEADER = (
+    "d,r,kind,delta,seed,epsilon,dist_psi,dist_OA,dist_OB,dist_UA,dist_UB,"
+    "dist_M1,dist_M2,dist_N1,dist_N2,junk_norm,res_sync,res_equation,"
+    "res_conjugacy,res_psi1_norm,res_eig_bob,res_eig_alice,res_comm"
+)
 
 
 def ideal_setup(d):
@@ -36,6 +43,8 @@ def test_spec_validation():
         PerturbationSpec("state", 0.9, 0)
     with pytest.raises(DomainError):
         PerturbationSpec("state", -0.1, 0)
+    with pytest.raises(DomainError, match="seed"):
+        PerturbationSpec("state", 0.1, -1)
 
 
 def test_zero_magnitude_is_identity():
@@ -150,7 +159,7 @@ def test_sweep_deterministic_csv():
     one = records_to_csv(run_sweep(strat, corr, [1e-3], 2, ("state",), base_seed=2))
     two = records_to_csv(run_sweep(strat, corr, [1e-3], 2, ("state",), base_seed=2))
     assert one == two
-    assert one.splitlines()[0] == ",".join(CSV_COLUMNS)
+    assert one.splitlines()[0] == README_SWEEP_HEADER
 
 
 def _fake_record(eps, dist):

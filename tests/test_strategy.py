@@ -12,7 +12,7 @@ from lsgame import (
     perturb_strategy,
     table_deviation,
 )
-from lsgame.strategy import alice_observable, bob_observable, eq_label, var_label
+from lsgame.strategy import alice_observable, bob_observable, eq_label, ext_labels, var_label
 
 
 def ideal_setup(d, r=None):
@@ -25,15 +25,15 @@ def ideal_setup(d, r=None):
 def test_support_structure():
     p = make_params(3)
     test = build_full_test(p)
+    ext_questions = {*ext_labels(test.n_vars), var_label("a1"), var_label("a2")}
     ls_pairs = [xy for xy in test.support if xy[0].startswith("I")]
-    ext_pairs = [xy for xy in test.support if xy[0] in test.ext_questions and xy[1] in test.ext_questions]
+    ext_pairs = [xy for xy in test.support if xy[0] in ext_questions and xy[1] in ext_questions]
     comm_pairs = [xy for xy in test.support if xy[1].startswith("comm:")]
     assert len(ls_pairs) == 3 * 90
     assert len(ext_pairs) == 25
     assert len(comm_pairs) == 16
     assert len(test.support) == len(ls_pairs) + 25 + 16
     assert len(set(test.support)) == len(test.support)
-    assert abs(test.pi * len(test.support) - 1) < 1e-15
     assert test.quoted_support == 157 * 2 + 726
 
 
@@ -65,7 +65,26 @@ def test_answer_alphabets():
 def test_state_normalized():
     for d in (3, 5, 7):
         _, _, _, strat = ideal_setup(d)
+        assert strat.state.shape == (4 * (d - 1), 4 * (d - 1))
         assert abs(np.linalg.norm(strat.state) - 1) < 1e-12
+
+
+def test_question_order():
+    # the answer tables' key order is the question order perturbations follow
+    test = build_full_test(make_params(3))
+    system = test.game.system
+    n = system.n_vars
+    comm = ("f0", "f2", "g0", "g2")
+    assert list(test.alice_answers) == (
+        [f"I{i + 1}" for i in range(system.n_rows)]
+        + ["ext:0", "x(a1)", "x(a2)", f"ext:{n + 1}", f"ext:{n + 2}"]
+        + [f"x({g})" for g in comm]
+    )
+    assert list(test.bob_answers) == (
+        [f"x({g})" for g in system.variables]
+        + ["ext:0", f"ext:{n + 1}", f"ext:{n + 2}"]
+        + [f"comm:{k},{g}" for k in (n + 1, n + 2) for g in comm]
+    )
 
 
 def test_measurement_families_complete():
@@ -83,7 +102,7 @@ def test_measurement_families_complete():
 def test_observable_agreement_on_state():
     # M(s) N(s) |psi> = |psi> for every variable
     _, _, test, strat = ideal_setup(5)
-    s = strat.state_matrix()
+    s = strat.state
     for gen in test.game.system.variables:
         m = alice_observable(strat, gen)
         n = bob_observable(strat, gen)
@@ -99,7 +118,7 @@ def test_equation_observable_matches_representation():
 
 def test_outcome2_projectors_vanish_at_d3():
     _, _, test, strat = ideal_setup(3)
-    for q in (test.ext_z, test.ext_x, test.ext_sub):
+    for q in ext_labels(test.n_vars):
         fam = strat.alice[q]
         assert np.linalg.norm(fam[-1]) <= 1e-12
 
@@ -115,7 +134,7 @@ def test_correlation_is_probability():
 
 def correlation_reference(strategy, test):
     """Per-cell p(a, b | x, y) = Re <M S, S N^T>, one vdot per table entry."""
-    s = strategy.state_matrix()
+    s = strategy.state
     lefts = {x: [m @ s for m in strategy.alice_family(x)] for x, _ in test.support}
     rights = {y: [s @ n.T for n in strategy.bob_family(y)] for _, y in test.support}
     out = {}
@@ -144,11 +163,12 @@ def test_correlation_table_examples():
     corr = generate_correlation(strat, test)
     d = 3
     # cos^2(pi/2d)/(d-1) = cos^2(pi/6)/2 = 0.375
-    t1 = corr.entries[(test.ext_z, var_label("a1"))]
+    sub, z, _ = ext_labels(test.n_vars)
+    t1 = corr.entries[(z, var_label("a1"))]
     assert abs(t1[0, 0] - 0.375) < 1e-12
-    t2 = corr.entries[(test.ext_sub, test.ext_sub)]
+    t2 = corr.entries[(sub, sub)]
     assert abs(t2[0, 0] - 2 / (d - 1)) < 1e-12
-    t3 = corr.entries[(test.ext_z, f"comm:{test.n_vars + 1},f0")]
+    t3 = corr.entries[(z, f"comm:{test.n_vars + 1},f0")]
     assert abs(t3[0, 0] - 1 / (2 * d - 2)) < 1e-12
 
 
@@ -162,15 +182,16 @@ def test_tables_match_reference():
 def test_degenerate_entries_at_d3():
     p, _, test, strat = ideal_setup(3)
     ref = ideal_table_values(p, test)
-    assert ref[(test.ext_z, test.ext_z)][(2, 2)] == 0.0
+    _, z, _ = ext_labels(test.n_vars)
+    assert ref[(z, z)][(2, 2)] == 0.0
     corr = generate_correlation(strat, test)
-    assert abs(corr.entries[(test.ext_z, test.ext_z)][2, 2]) <= 1e-12
+    assert abs(corr.entries[(z, z)][2, 2]) <= 1e-12
 
 
 def test_ext_role_flip_symmetry():
     _, _, test, strat = ideal_setup(5)
     corr = generate_correlation(strat, test)
-    for q in (test.ext_z, test.ext_x):
+    for q in ext_labels(test.n_vars)[1:]:
         for v in (var_label("a1"), var_label("a2")):
             left = corr.entries[(q, v)]
             right = corr.entries[(v, q)]
@@ -196,7 +217,7 @@ def test_rep_params_mismatch_rejected():
     p5 = make_params(5)
     rep5 = build_representation(p5)
     with pytest.raises(StructuralError):
-        build_ideal_strategy(p3, rep5)
+        build_ideal_strategy(p3, rep5, build_full_test(p3))
 
 
 def test_json_deterministic():
