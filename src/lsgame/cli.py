@@ -2,8 +2,8 @@
 
 Subcommands: gen-game, verify-rep, gen-correlation, eval, self-test, sweep,
 demo-family.  Exit codes: 0 success, 2 bad input, an unreadable input file,
-an unwritable output file or a size cap exceeded (DomainError,
-PreconditionError, ResourceError), 3 verification failure;
+an unwritable output file (checked before any work) or a size cap exceeded
+(DomainError, PreconditionError, ResourceError), 3 verification failure;
 any other library error exits 1.  Errors go to stderr as JSON.  JSON output
 is strict: a NaN or infinite value is written as null.  Identical flags and
 seeds produce byte-identical artifacts.
@@ -12,8 +12,10 @@ seeds produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 
 from .errors import DomainError, LsgameError, PreconditionError, ResourceError
@@ -59,6 +61,26 @@ def _write(path: str | None, text: str) -> None:
         raise DomainError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
+def _check_writable(path: str | None) -> None:
+    """DomainError now, before any long work, when _write could not open path.
+
+    Checks that path is not a directory and that its directory exists and is
+    writable; the file itself is neither created nor truncated here.
+    """
+    if path is None or path == "-":
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise DomainError(f"cannot write {path!r}: {os.strerror(code)}")
+
+
 def _strict(obj):
     """obj with every non-finite float replaced by None, which JSON writes as null."""
     if isinstance(obj, float):
@@ -74,13 +96,19 @@ def _dump_json(obj) -> str:
     return json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _ideal(params, test) -> tuple:
+    """representation, ideal strategy and its correlation."""
+    rep = build_representation(params)
+    strategy = build_ideal_strategy(params, rep, test)
+    return rep, strategy, generate_correlation(strategy, test)
+
+
 def _setup(d: int, r: int | None) -> tuple:
     """params, representation, full test, ideal strategy and its correlation."""
     params = make_params(d, r)
-    rep = build_representation(params)
     test = build_full_test(params)
-    strategy = build_ideal_strategy(params, rep, test)
-    return params, rep, test, strategy, generate_correlation(strategy, test)
+    rep, strategy, ideal_corr = _ideal(params, test)
+    return params, rep, test, strategy, ideal_corr
 
 
 def _perturbed(strategy, args):
@@ -171,9 +199,12 @@ def cmd_gen_correlation(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, _, test, strategy, ideal_corr = _setup(args.d, args.r)
-    if args.infile:
-        corr = _read_correlation(args.infile, params, test)
+    params = make_params(args.d, args.r)
+    test = build_full_test(params)
+    # a bad file fails before the representation and strategy are built
+    corr = _read_correlation(args.infile, params, test) if args.infile else None
+    _, strategy, ideal_corr = _ideal(params, test)
+    if corr is not None:
         payload = {
             "winning_probability": ls_winning_probability_from_correlation(corr, test),
             "epsilon": correlation_distance(corr, ideal_corr),
@@ -303,6 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_writable(args.out)
         return args.func(args)
     except LsgameError as exc:
         sys.stderr.write(_dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))

@@ -12,7 +12,9 @@ controls A', B').  Ancilla pairs (a1, b1) and (a2, b2) carry the extracted
 EPR pairs; any other consistent ordering is isomorphic.
 
 The state has 16*d^2*dim_a*dim_b amplitudes, and selftest_report never
-builds it: it streams the contraction over control slices (see its
+builds it: it works on each party's stage-two QR factors, so a control
+slice costs two dim x dim products, and it weights the off-support slices
+of a control row with R factors that leave one block out (see its
 docstring).  The dense stages live in the test suite, as the reference
 selftest_report is checked against.
 """
@@ -159,6 +161,26 @@ def _sq(x: np.ndarray) -> float:
     return float(np.vdot(x, x).real)
 
 
+def _left_out_roots(blocks: np.ndarray) -> np.ndarray:
+    """R factors of n stacked (m, m) blocks with one block left out.
+
+    Entry k >= 1 satisfies R^H R = sum over k' != k of blocks[k']^H blocks[k'];
+    entry 0 stacks all n blocks.  Every factor comes from a QR of two
+    stacked (m, m) factors: the running prefix and suffix factors, then one
+    batched QR pairing prefix[k] with the suffix after block k.
+    """
+    n, m = blocks.shape[0], blocks.shape[-1]
+    zero = np.zeros((m, m), dtype=complex)
+    prefix = [zero]  # prefix[k]: blocks[:k]
+    for block in blocks:
+        prefix.append(np.linalg.qr(np.concatenate((prefix[-1], block)), mode="r"))
+    suffix = [zero]  # suffix[i]: blocks[n - i:]
+    for block in blocks[:1:-1]:
+        suffix.append(np.linalg.qr(np.concatenate((block, suffix[-1])), mode="r"))
+    pairs = np.stack([np.concatenate((prefix[k], suffix[n - 1 - k])) for k in range(1, n)])
+    return np.concatenate((prefix[n][None], np.linalg.qr(pairs, mode="r")))
+
+
 def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     """Distances of the isometry outputs from junk (x) EPR^2 (x) target.
 
@@ -167,24 +189,33 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
 
     The stage-two output is never built.  Stage one is factored into the
     per-control-value ladders of _ladders, shared by all nine labels; stage
-    two enters through the four one-party maps M_l of _stage2_maps.  On the
-    d-1 control slices where the target is nonzero,
-    C = sum_j conj(t_j) B_j gives junk = 1/2 sum_l Ma_l C Mb_l^T, and each
-    slice adds its explicit residual sum_{l,m} ||Ma_l B_j Mb_m^T
-    - 1/2 delta_lm t_j junk||^2.  Every other slice adds
-    <B_j, G_A B_j G_B^T> with G = sum_l M_l^H M_l, evaluated as
-    ||K_A B_j K_B^T||^2 with K^H K = G and one control row at a time.  The
-    Gram form holds whether or not stage two is an isometry.  Every term is
-    the squared norm of an explicitly formed array, never a difference of
-    squared norms such as ||v||^2 - ||junk||^2, so near-ideal distances keep
-    their absolute accuracy.
+    two enters through one reduced QR per party of the four stacked
+    one-party maps of _stage2_maps, stack = Q R.  Every stage-two block of
+    a control slice B is then Q_A (R_A B R_B^T) Q_B^T, so only the small
+    factor X = R_A B R_B^T is formed.  On the d-1 slices where the target
+    is nonzero, junk = 1/2 sum_l Q_A,l X_C Q_B,l^T with X_C = sum_j
+    conj(t_j) X_j, and the explicit residual of the slice against
+    t_j (1/2 I_4 (x) junk) splits orthogonally along the range of Q_A . Q_B^T:
+    ||X_j - t_j J||^2 with J = 1/2 sum_l Q_A,l^H junk conj(Q_B,l), plus
+    |t_j|^2 ||Q_A J Q_B^T - 1/2 I_4 (x) junk||^2, formed once per label.
+    Every other slice adds ||X||^2 = <B, G_A B G_B^T> with
+    G = sum_l M_l^H M_l = R^H R, which holds whether or not stage two is an
+    isometry.  A control row j_A meets the support in at most one column
+    k, so its off-support slices add ||R_A L_A[j_A] psi R_k^T||^2, where
+    R_k is the R factor of Bob's Gram-scaled ladder with block k left out
+    (all blocks for row 0; see _left_out_roots), shared by all labels.
+    Every term is the squared norm of an explicitly formed array, never a
+    difference of squared norms such as ||v||^2 - ||junk||^2, so
+    near-ideal distances keep their absolute accuracy.
     """
     params = strategy.params
     da, db = strategy.state.shape
     d = params.d
-    # held at once: eight ladders, then per label the support slices, the
-    # Gram-scaled rows, one row's slices and one slice's 16 stage-two blocks
-    footprint = 4 * d * (da * da + db * db) + (3 * d + 15) * da * db
+    # held at once: eight ladders (four plain, four Gram-scaled), six
+    # ladders' worth of Bob's left-out factors while they are built, and
+    # per label the rows, the support factors and their residuals, the row
+    # products and one (4 da, 4 db) stage-two block
+    footprint = 4 * d * (da * da + db * db) + 6 * d * db * db + (4 * d + 16) * da * db
     if footprint > MAX_SELFTEST_ELEMENTS:
         raise ResourceError(f"self-test would hold {footprint} amplitudes at once, above the cap")
     ops = strategy_unitaries(strategy)
@@ -200,12 +231,14 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     }
     maps_a = _stage2_maps({g: alice_observable(strategy, g) for g in COMM_GENS})  # (4, da, da)
     maps_b = _stage2_maps({g: bob_observable(strategy, g) for g in COMM_GENS})  # (4, db, db)
-    stack_a = maps_a.reshape(4 * da, da)
-    stack_b = maps_b.reshape(4 * db, db)
-    ladders = _ladders(ops, params)
-    # K = R of a QR factorization: K^H K = stack^H stack = G, without forming G
-    roots = {"A": np.linalg.qr(stack_a, mode="r"), "B": np.linalg.qr(stack_b, mode="r")}
-    gram_ladders = {key: roots[key[0]] @ lad for key, lad in ladders.items()}
+    q_a, r_a = np.linalg.qr(maps_a.reshape(4 * da, da))
+    q_b, r_b = np.linalg.qr(maps_b.reshape(4 * db, db))
+    q_pairs = list(zip(q_a.reshape(4, da, da), q_b.reshape(4, db, db)))  # (Q_A,l, Q_B,l)
+    roots = {"A": r_a, "B": r_b}
+    # gram_ladders[party, s][j] = R L[j]: the ladders as seen through stage two
+    gram_ladders = {key: roots[key[0]] @ lad for key, lad in _ladders(ops, params).items()}
+    # left_out_t[s][k] = R_k^T for Bob's sign s
+    left_out_t = {s: _left_out_roots(gram_ladders["B", s]).transpose(0, 2, 1) for s in (-1, 1)}
 
     distances: dict[str, float] = {}
     junk_norm = float("nan")
@@ -215,23 +248,22 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
             op = pre_ops[pre]
             psi = op @ psi if pre[0] == "A" else psi @ op.T
         t = control_target(label, params).reshape(d, d)
-        rows, cols = np.nonzero(t)
+        rows, cols = np.nonzero(t)  # rows distinct and nonzero: one support column per row
         t_support = t[rows, cols]
-        slices = ladders["A", s_a][rows] @ psi @ ladders["B", s_b][cols].transpose(0, 2, 1)
-        c = np.tensordot(t_support.conj(), slices, axes=1)
-        junk = 0.5 * sum(ma @ c @ mb.T for ma, mb in zip(maps_a, maps_b))
-
-        total = 0.0
-        for t_j, b_j in zip(t_support, slices):
-            out = (stack_a @ b_j @ stack_b.T).reshape(4, da, 4, db)
-            for l in range(4):
-                out[l, :, l, :] -= 0.5 * t_j * junk
-            total += _sq(out)
         left = gram_ladders["A", s_a] @ psi  # (d, da, db)
-        right = gram_ladders["B", s_b].reshape(d * db, db)
-        for j_a in range(d):
-            row = (left[j_a] @ right.T).reshape(da, d, db)
-            total += _sq(row[:, t[j_a] == 0])
+        x = left[rows] @ gram_ladders["B", s_b][cols].transpose(0, 2, 1)  # R_A B_j R_B^T
+        x_c = np.tensordot(t_support.conj(), x, axes=1)
+        junk = 0.5 * sum(qa @ x_c @ qb.T for qa, qb in q_pairs)
+        proj = 0.5 * sum(qa.conj().T @ junk @ qb.conj() for qa, qb in q_pairs)
+
+        total = _sq(x - t_support[:, None, None] * proj)
+        out = (q_a @ proj @ q_b.T).reshape(4, da, 4, db)
+        for l in range(4):
+            out[l, :, l, :] -= 0.5 * junk
+        total += _sq(t_support) * _sq(out)
+        col_of_row = np.zeros(d, dtype=int)
+        col_of_row[rows] = cols  # row 0 picks entry 0, the all-blocks factor
+        total += _sq(left @ left_out_t[s_b][col_of_row])
         distances[label] = math.sqrt(total)
         if label == "psi":
             junk_norm = float(np.linalg.norm(junk))

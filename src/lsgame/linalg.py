@@ -40,7 +40,8 @@ def basis_vector(n: int, k: int) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def op_norm(a: np.ndarray) -> float:
@@ -59,6 +60,17 @@ def involution_residual(m: np.ndarray) -> float:
     return max(op_norm(m - dagger(m)), op_norm(m @ m - eye(m.shape[0])))
 
 
+def _gate_norm(a: np.ndarray) -> float:
+    """op_norm(a) for a pass/fail gate at DEFAULT_TOL.
+
+    The Frobenius norm bounds the operator norm from above, so when it is
+    at most DEFAULT_TOL the gate passes and it stands in for the SVD.  Any
+    value above the tolerance, NaN included, is the operator norm itself.
+    """
+    fro = float(np.linalg.norm(a))
+    return fro if fro <= DEFAULT_TOL else op_norm(a)
+
+
 def _halves(m: np.ndarray) -> np.ndarray:
     one = eye(m.shape[0])
     return np.stack(((one + m) / 2, (one - m) / 2))
@@ -66,7 +78,7 @@ def _halves(m: np.ndarray) -> np.ndarray:
 
 def observable_to_projectors(m: np.ndarray) -> np.ndarray:
     """Split a binary observable into its stacked (+1, -1) eigenprojectors."""
-    res = involution_residual(m)
+    res = max(_gate_norm(m - dagger(m)), _gate_norm(m @ m - eye(m.shape[0])))
     if res > DEFAULT_TOL:
         raise PreconditionError("operator is not a binary observable", res)
     return _halves(m)
@@ -81,7 +93,7 @@ def joint_projector(observables: list[np.ndarray]) -> np.ndarray:
     worst = 0.0
     for i, a in enumerate(observables):
         for b in observables[i + 1 :]:
-            worst = max(worst, op_norm(a @ b - b @ a))
+            worst = max(worst, _gate_norm(a @ b - b @ a))
     if worst > DEFAULT_TOL:
         raise PreconditionError("observables do not commute", worst)
     out = _halves(observables[0])
@@ -90,15 +102,16 @@ def joint_projector(observables: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian matrix scaled to unit operator norm."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + dagger(g)) / 2
-    return h / op_norm(h)
+def random_unitaries(rng: np.random.Generator, count: int, dim: int, t: float) -> np.ndarray:
+    """(count, dim, dim) stack of exp(i*t*h), each h a random Hermitian matrix
+    of unit operator norm.
 
-
-def hermitian_exponential(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(i*t*h) for Hermitian h, via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * t * vals)) @ dagger(vecs)
-
+    rng is consumed as count successive pairs of (dim, dim) standard-normal
+    draws, real part then imaginary part.  One batched eigendecomposition
+    gives both the scale max|lambda| and the exponential.
+    """
+    g = rng.standard_normal((count, 2, dim, dim))
+    g = g[:, 0] + 1j * g[:, 1]
+    vals, vecs = np.linalg.eigh((g + dagger(g)) / 2)
+    scale = np.abs(vals).max(axis=1, keepdims=True)
+    return (vecs * np.exp(1j * t * vals / scale)[:, None, :]) @ dagger(vecs)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError
 from .isometry import REPORT_LABELS, selftest_report, strategy_unitaries
-from .linalg import hermitian_exponential, random_hermitian
+from .linalg import random_unitaries
 from .strategy import (
     COMM_GENS,
     Correlation,
@@ -27,6 +27,10 @@ KINDS = ("state", "rotate", "both")
 #: no two records of a sweep share a seed.
 MAX_TRIALS = 1000
 MAX_MAGNITUDES = 100
+
+#: rotation generators drawn and decomposed together: the block bounds the
+#: memory of one batched eigendecomposition
+GENERATOR_BLOCK = 16
 
 RESIDUAL_LABELS = (
     "sync",
@@ -73,9 +77,11 @@ def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
                 (alice, ideal.test.alice_answers, state.shape[0]),
                 (bob, ideal.test.bob_answers, state.shape[1]),
             ):
-                for q in answers:
-                    u = hermitian_exponential(random_hermitian(dim, rng), delta)
-                    fams[q] = u @ fams[q] @ u.conj().T
+                questions = list(answers)
+                for start in range(0, len(questions), GENERATOR_BLOCK):
+                    block = questions[start : start + GENERATOR_BLOCK]
+                    for q, u in zip(block, random_unitaries(rng, len(block), dim, delta)):
+                        fams[q] = u @ fams[q] @ u.conj().T
         if spec.kind in ("state", "both"):
             g = rng.standard_normal(state.size) + 1j * rng.standard_normal(state.size)
             g = g.reshape(state.shape) / np.linalg.norm(g)

@@ -345,3 +345,47 @@ def test_huge_d_rejected_before_primality_test(monkeypatch, capsys):
 
     monkeypatch.setattr(nt, "is_odd_prime", guarded)
     assert_domain_error(*run(["gen-game", "--d", "1000000000000000003"], capsys), "above the cap")
+
+
+def test_eval_in_checks_file_before_building(monkeypatch, tmp_path, capsys):
+    # a bad --in file used to be reported only after the whole ideal build
+    import lsgame.cli as cli
+
+    d7r5 = tmp_path / "d7r5.json"
+    assert run(["gen-correlation", "--d", "7", "--r", "5", "--out", str(d7r5)], capsys)[0] == 0
+
+    def no_build(*args):
+        raise AssertionError("the representation was built")
+
+    monkeypatch.setattr(cli, "build_representation", no_build)
+    assert_domain_error(*run(["eval", "--d", "7", "--in", str(tmp_path / "missing.json")], capsys), "cannot read")
+    assert_domain_error(*run(["eval", "--d", "7", "--in", str(d7r5)], capsys), "r=5")
+
+
+@pytest.mark.parametrize("command", [["sweep", "--d", "3"], ["demo-family"]])
+def test_out_checked_before_long_work(command, monkeypatch, tmp_path, capsys):
+    # an unwritable --out used to be found only after the sweep had run
+    import lsgame.cli as cli
+
+    def no_work(*args):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    monkeypatch.setattr(cli, "build_representation", no_work)
+    for out in (tmp_path / "no-such-dir" / "x.csv", tmp_path):
+        assert_domain_error(*run([*command, "--out", str(out)], capsys), "cannot write")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_not_truncated_before_writing(monkeypatch, tmp_path, capsys):
+    import lsgame.cli as cli
+    from lsgame import DomainError
+
+    def failing_sweep(*args):
+        raise DomainError("sweep failed")
+
+    out = tmp_path / "sweep.csv"
+    out.write_text("earlier contents\n")
+    monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+    assert_domain_error(*run(["sweep", "--d", "3", "--out", str(out)], capsys), "sweep failed")
+    assert out.read_text() == "earlier contents\n"

@@ -222,6 +222,26 @@ def test_selftest_report_non_isometric_stage_two():
     assert_matches_dense(scaled, corr, "f0 scaled by 0.9")
 
 
+def test_selftest_report_rank_deficient_stage_two():
+    # f0 and f2 zeroed on both sides: only the (0, 0) ancilla map survives,
+    # so each party's stacked stage-two maps lose rank and R is singular.
+    # (f0 alone is not enough: the ideal Gram matrix is then 1/2.)
+    p, rep, test, strat = ideal_setup(5)
+    corr = generate_correlation(strat, test)
+    keys = (var_label("f0"), var_label("f2"))
+    for base in (strat, perturb_strategy(strat, PerturbationSpec("both", 1e-2, 4))):
+        zeroed = dataclasses.replace(
+            base,
+            alice={**base.alice, **{k: np.zeros_like(base.alice[k]) for k in keys}},
+            bob={**base.bob, **{k: np.zeros_like(base.bob[k]) for k in keys}},
+        )
+        da = zeroed.state.shape[0]
+        for observable in (alice_observable, bob_observable):
+            stack = swap_maps({g: observable(zeroed, g) for g in COMM_GENS}).reshape(4 * da, da)
+            assert np.linalg.matrix_rank(stack) < da
+        assert_matches_dense(zeroed, corr, "f0 and f2 zeroed")
+
+
 def test_selftest_report_streams(monkeypatch):
     # no stage-two output is built: the call's allocation peak stays below
     # the bytes of one (da, db, 2,2,2,2, d, d) array

@@ -104,8 +104,21 @@ def test_joint_projector_rejects_non_commuting():
 
 
 def test_hermitian_exponential_unitary():
+    # each unitary is exp(0.3i h) for the unit-norm Hermitian h built from
+    # the same draws (real part, then imaginary part, matrix by matrix),
+    # checked against the Taylor series of the exponential
+    t = 0.3
+    stack = la.random_unitaries(np.random.default_rng(11), 3, 5, t)
     rng = np.random.default_rng(11)
-    h = la.random_hermitian(5, rng)
-    assert abs(la.op_norm(h) - 1) < 1e-12
-    u = la.hermitian_exponential(h, 0.3)
-    assert la.op_norm(u @ la.dagger(u) - la.eye(5)) <= 1e-12
+    for u in stack:
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        h = (g + la.dagger(g)) / 2
+        h /= la.op_norm(h)
+        angles = np.angle(np.linalg.eigvals(u))
+        assert abs(np.max(np.abs(angles)) / t - 1) < 1e-12  # max|lambda(h)| = 1
+        assert la.op_norm(u @ la.dagger(u) - la.eye(5)) <= 1e-12
+        series, term = la.eye(5), la.eye(5)
+        for k in range(1, 30):
+            term = term @ (1j * t * h) / k
+            series = series + term
+        assert la.op_norm(u - series) <= 1e-12

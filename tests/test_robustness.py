@@ -101,6 +101,49 @@ def test_rotations_preserve_families_exactly():
                     np.testing.assert_allclose(pi @ pj, np.zeros_like(pi), atol=1e-12)
 
 
+def reference_perturbation(ideal, spec):
+    """perturb_strategy as one generator at a time: per question, draw a
+    random Hermitian matrix, scale it to unit operator norm with an SVD and
+    exponentiate it with its own eigendecomposition."""
+    rng = np.random.default_rng(spec.seed)
+    state = ideal.state.copy()
+    alice, bob = dict(ideal.alice), dict(ideal.bob)
+    if spec.kind in ("rotate", "both"):
+        for fams, answers, dim in (
+            (alice, ideal.test.alice_answers, state.shape[0]),
+            (bob, ideal.test.bob_answers, state.shape[1]),
+        ):
+            for q in answers:
+                g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                h = (g + g.conj().T) / 2
+                h = h / np.linalg.norm(h, 2)
+                vals, vecs = np.linalg.eigh(h)
+                u = (vecs * np.exp(1j * spec.magnitude * vals)) @ vecs.conj().T
+                fams[q] = u @ fams[q] @ u.conj().T
+    if spec.kind in ("state", "both"):
+        g = rng.standard_normal(state.size) + 1j * rng.standard_normal(state.size)
+        state = state + spec.magnitude * g.reshape(state.shape) / np.linalg.norm(g)
+        state /= np.linalg.norm(state)
+    return state, alice, bob
+
+
+@pytest.mark.parametrize("d", [3, 7])
+@pytest.mark.parametrize("kind", ["rotate", "both"])
+@pytest.mark.parametrize("delta", [1e-4, 1e-2, 0.5])
+def test_perturbation_matches_per_question_reference(d, kind, delta):
+    # the batched draws consume the same rng stream: the state noise drawn
+    # after the rotations agrees to the last bits
+    _, test, strat, _ = ideal_setup(d)
+    spec = PerturbationSpec(kind, delta, 29)
+    pert = perturb_strategy(strat, spec)
+    state, alice, bob = reference_perturbation(strat, spec)
+    assert np.max(np.abs(pert.state - state)) <= 1e-15
+    for got, want in ((pert.alice, alice), (pert.bob, bob)):
+        assert list(got) == list(want)
+        for q in want:
+            assert np.max(np.abs(got[q] - want[q])) <= 1e-13, q
+
+
 def test_state_noise_epsilon_envelope():
     # expected L1 distance is bounded by 4*delta up to second order
     _, test, strat, corr = ideal_setup(3)
