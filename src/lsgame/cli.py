@@ -112,13 +112,11 @@ def _setup(d: int, r: int | None) -> tuple:
 
 
 def _perturbed(strategy, args):
-    """The strategy perturbed by --kind/--delta/--seed, or itself at delta 0.
+    """The strategy perturbed by --kind/--delta/--seed; at delta 0 an exact copy.
 
-    Any other delta goes through PerturbationSpec, which rejects negative
-    and NaN magnitudes with DomainError.
+    PerturbationSpec rejects a negative or NaN magnitude and a negative seed
+    with DomainError, at delta 0 too.
     """
-    if args.delta == 0:
-        return strategy
     spec = PerturbationSpec(kind=args.kind, magnitude=args.delta, seed=args.seed)
     return perturb_strategy(strategy, spec)
 

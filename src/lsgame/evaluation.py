@@ -9,8 +9,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, StructuralError
 from .linalg import eye, involution_residual, kron, op_norm
-from .strategy import Correlation, FullTest, Strategy, eq_label, ext_labels, var_label
-from .strategy import bob_observable, family_observable, generate_correlation
+from .strategy import Correlation, FullTest, Strategy, eq_label, ext_labels, generate_correlation, var_label
 
 #: smallest |alpha| accepted: cot(pi/3), the d=3 end of the family
 MIN_ALPHA = 1 / math.sqrt(3)
@@ -171,13 +170,12 @@ def embedded_chsh_value(strategy: Strategy) -> dict:
     alpha = -1.0 / math.tan(math.pi / d)
     ctx = WeightedChshContext.from_alpha(alpha)
     sub, z, x = ext_labels(test.n_vars)
-    proj = strategy.alice_family(sub)[0] @ strategy.state
+    proj = strategy.family("A", sub)[0] @ strategy.state
     norm = float(np.linalg.norm(proj))
     if norm == 0:
         raise StructuralError("conditioned state vanishes")
-    za = family_observable(strategy.alice_family(z))
-    xa = family_observable(strategy.alice_family(x))
-    n1, n2 = bob_observable(strategy, "a1"), bob_observable(strategy, "a2")
+    za, xa = strategy.observable("A", z), strategy.observable("A", x)
+    n1, n2 = strategy.observable("B", "a1"), strategy.observable("B", "a2")
     value = bell_value(proj / norm, za, xa, n1, n2, ctx)
     return {"alpha": alpha, "value": value, "imax": ctx.imax}
 

@@ -30,17 +30,10 @@ from .errors import DomainError, ResourceError
 from .evaluation import correlation_distance
 from .linalg import eye, qft
 from .numtheory import PrimeParams, discrete_log
-from .strategy import (
-    COMM_GENS,
-    Correlation,
-    Strategy,
-    alice_observable,
-    bob_observable,
-    generate_correlation,
-)
+from .strategy import COMM_GENS, Correlation, Strategy, generate_correlation
 
 #: One row per report label, in report order:
-#:   (pre-applied (party, operator) or None,
+#:   (pre-applied (party, name), read as strategy.observable(party, name), or None,
 #:    (s_A, s_B): control value j drives U^log(s*j) on that party,
 #:    (a, b): target indices t[a*j, b*j], each (sign, k) meaning sign * r^-k mod d,
 #:    c: target phase omega^(c*j)).
@@ -64,16 +57,6 @@ REPORT_LABELS = tuple(LABELS)
 MAX_SELFTEST_ELEMENTS = 1 << 26
 
 
-def strategy_unitaries(strategy: Strategy) -> dict[str, np.ndarray]:
-    """O and U for both parties, extracted from the strategy's observables."""
-    return {
-        "OA": alice_observable(strategy, "a1") @ alice_observable(strategy, "a2"),
-        "UA": alice_observable(strategy, "a3") @ alice_observable(strategy, "a4"),
-        "OB": bob_observable(strategy, "a1") @ bob_observable(strategy, "a2"),
-        "UB": bob_observable(strategy, "a3") @ bob_observable(strategy, "a4"),
-    }
-
-
 def _powers(m: np.ndarray, count: int) -> list[np.ndarray]:
     out = [np.eye(m.shape[0], dtype=complex)]
     for _ in range(count - 1):
@@ -87,22 +70,23 @@ def _u_exponents(params: PrimeParams, sign: int) -> list[int]:
     return [0] + [discrete_log(params, sign * j) % (d - 1) for j in range(1, d)]
 
 
-def _stage2_maps(obs: dict[str, np.ndarray]) -> np.ndarray:
-    """One-party action of the swap circuit, resolved per ancilla outcome.
+def _stage2_maps(strategy: Strategy, party: str) -> np.ndarray:
+    """One party's action of the swap circuit, resolved per ancilla outcome.
 
     The H / controlled-g / H / controlled-f sandwich on ancillas (l1, l2)
     collapses to F0^l2 F2^l1 (1+(-1)^l2 G0)/2 (1+(-1)^l1 G2)/2; the maps are
     stacked with (l1, l2) in lexicographic order, l2 fastest.
     """
-    one = eye(obs["f0"].shape[0])
+    f0, f2, g0, g2 = (strategy.observable(party, g) for g in COMM_GENS)
+    one = eye(f0.shape[0])
     maps = []
     for l1 in (0, 1):
         for l2 in (0, 1):
-            m = ((one + (-1) ** l2 * obs["g0"]) / 2) @ ((one + (-1) ** l1 * obs["g2"]) / 2)
+            m = ((one + (-1) ** l2 * g0) / 2) @ ((one + (-1) ** l1 * g2) / 2)
             if l1:
-                m = obs["f2"] @ m
+                m = f2 @ m
             if l2:
-                m = obs["f0"] @ m
+                m = f0 @ m
             maps.append(m)
     return np.stack(maps)
 
@@ -138,7 +122,7 @@ class SelfTestReport:
         }
 
 
-def _ladders(ops: dict[str, np.ndarray], params: PrimeParams) -> dict[tuple[str, int], np.ndarray]:
+def _ladders(strategy: Strategy) -> dict[tuple[str, int], np.ndarray]:
     """Stage one resolved per control value, for each (party, sign).
 
     ladders[party, s][j] = U^e(j) P(j), where P(j) = (1/d) sum_k omega^(-jk) O^k
@@ -146,12 +130,13 @@ def _ladders(ops: dict[str, np.ndarray], params: PrimeParams) -> dict[tuple[str,
     so that stage one maps a state matrix S to the control slices
     B[jA, jB] = L_A[jA] S L_B[jB]^T.
     """
+    params = strategy.params
     d = params.d
     fourier = qft(d).conj() / math.sqrt(d)
     ladders = {}
     for party in "AB":
-        fourier_o = np.tensordot(fourier, np.stack(_powers(ops["O" + party], d)), axes=1)
-        u_pow = _powers(ops["U" + party], d - 1)
+        fourier_o = np.tensordot(fourier, np.stack(_powers(strategy.observable(party, "O"), d)), axes=1)
+        u_pow = _powers(strategy.observable(party, "U"), d - 1)
         for sign in (-1, 1):
             ladders[party, sign] = np.stack([u_pow[e] for e in _u_exponents(params, sign)]) @ fourier_o
     return ladders
@@ -218,25 +203,12 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     footprint = 4 * d * (da * da + db * db) + 6 * d * db * db + (4 * d + 16) * da * db
     if footprint > MAX_SELFTEST_ELEMENTS:
         raise ResourceError(f"self-test would hold {footprint} amplitudes at once, above the cap")
-    ops = strategy_unitaries(strategy)
-    pre_ops = {
-        ("A", "O"): ops["OA"],
-        ("A", "U"): ops["UA"],
-        ("B", "O"): ops["OB"],
-        ("B", "U"): ops["UB"],
-        ("A", "a1"): alice_observable(strategy, "a1"),
-        ("A", "a2"): alice_observable(strategy, "a2"),
-        ("B", "a1"): bob_observable(strategy, "a1"),
-        ("B", "a2"): bob_observable(strategy, "a2"),
-    }
-    maps_a = _stage2_maps({g: alice_observable(strategy, g) for g in COMM_GENS})  # (4, da, da)
-    maps_b = _stage2_maps({g: bob_observable(strategy, g) for g in COMM_GENS})  # (4, db, db)
-    q_a, r_a = np.linalg.qr(maps_a.reshape(4 * da, da))
-    q_b, r_b = np.linalg.qr(maps_b.reshape(4 * db, db))
+    q_a, r_a = np.linalg.qr(_stage2_maps(strategy, "A").reshape(4 * da, da))
+    q_b, r_b = np.linalg.qr(_stage2_maps(strategy, "B").reshape(4 * db, db))
     q_pairs = list(zip(q_a.reshape(4, da, da), q_b.reshape(4, db, db)))  # (Q_A,l, Q_B,l)
     roots = {"A": r_a, "B": r_b}
     # gram_ladders[party, s][j] = R L[j]: the ladders as seen through stage two
-    gram_ladders = {key: roots[key[0]] @ lad for key, lad in _ladders(ops, params).items()}
+    gram_ladders = {key: roots[key[0]] @ lad for key, lad in _ladders(strategy).items()}
     # left_out_t[s][k] = R_k^T for Bob's sign s
     left_out_t = {s: _left_out_roots(gram_ladders["B", s]).transpose(0, 2, 1) for s in (-1, 1)}
 
@@ -245,7 +217,7 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     for label, (pre, (s_a, s_b), _, _) in LABELS.items():
         psi = strategy.state
         if pre is not None:
-            op = pre_ops[pre]
+            op = strategy.observable(*pre)
             psi = op @ psi if pre[0] == "A" else psi @ op.T
         t = control_target(label, params).reshape(d, d)
         rows, cols = np.nonzero(t)  # rows distinct and nonzero: one support column per row

@@ -26,6 +26,9 @@ _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 _Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
+#: the generator pairs whose products are the key unitaries O = a1 a2 and U = a3 a4
+KEY_FACTORS = {"O": ("a1", "a2"), "U": ("a3", "a4")}
+
 
 @dataclass
 class Rep:
@@ -253,15 +256,14 @@ def verify_representation(rep: Rep, presentation: Presentation) -> float:
 def key_unitaries(rep: Rep) -> tuple[np.ndarray, np.ndarray, float]:
     """(O, U) on W_{d-1} plus the conjugation residual ||U O U^+ - O^r||.
 
-    Also cross-checks that the a1..a4 images reproduce O and U on the last
-    factor and satisfy the same conjugation on the full space.
+    Also cross-checks that the KEY_FACTORS products of the images reproduce
+    O and U on the last factor and satisfy the same conjugation on the full space.
     """
     r = rep.params.r
     o, u = o_tilde_matrix(rep.params), u_tilde_matrix(rep.params)
     res = op_norm(u @ o @ dagger(u) - np.linalg.matrix_power(o, r))
 
-    oo = rep["a1"] @ rep["a2"]
-    uu = rep["a3"] @ rep["a4"]
+    oo, uu = (rep[a] @ rep[b] for a, b in KEY_FACTORS.values())
     res = max(res, op_norm(oo - kron(eye(4), o)))
     res = max(res, op_norm(uu - kron(eye(4), u)))
     res = max(res, op_norm(uu @ oo @ dagger(uu) - np.linalg.matrix_power(oo, r)))

@@ -8,17 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .isometry import REPORT_LABELS, selftest_report, strategy_unitaries
+from .isometry import REPORT_LABELS, selftest_report
 from .linalg import random_unitaries
-from .strategy import (
-    COMM_GENS,
-    Correlation,
-    Strategy,
-    alice_observable,
-    bob_observable,
-    ext_labels,
-    family_observable,
-)
+from .strategy import COMM_GENS, Correlation, Strategy, ext_labels
 
 KINDS = ("state", "rotate", "both")
 
@@ -107,40 +99,37 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     system = test.game.system
     s = strategy.state
     norm = lambda m: float(np.linalg.norm(m))  # noqa: E731
-
-    m_obs = {g: alice_observable(strategy, g) for g in system.variables}
-    n_obs = {g: bob_observable(strategy, g) for g in system.variables}
+    obs = strategy.observable
 
     sync = 0.0
     for g in system.variables:
-        sync = max(sync, norm(m_obs[g] @ s @ n_obs[g].T - s))
+        sync = max(sync, norm(obs("A", g) @ s @ obs("B", g).T - s))
 
     equation = 0.0
     for i in range(system.n_rows):
         prod = s
         for g in reversed(system.row_names(i)):
-            prod = m_obs[g] @ prod
+            prod = obs("A", g) @ prod
         equation = max(equation, norm(prod - (-1) ** system.rhs[i] * s))
 
-    ops = strategy_unitaries(strategy)
-    o_a, u_a = ops["OA"], ops["UA"]
+    o_a, u_a = obs("A", "O"), obs("A", "U")
     o_a_r = np.linalg.matrix_power(o_a, params.r)
     conjugacy = norm(o_a @ u_a.conj().T @ s - u_a.conj().T @ o_a_r @ s)
 
     _, z, x = ext_labels(test.n_vars)
-    p0, p1 = strategy.alice_family(z)[:2]
-    x_obs = family_observable(strategy.alice_family(x))
+    p0, p1 = strategy.family("A", z)[:2]
+    x_obs = obs("A", x)
     half = 0.5 * (p0 + 1j * (x_obs @ p1) - 1j * (x_obs @ p0) + p1)
     psi1 = half @ s
     w = params.d - 1
     psi1_norm = abs(norm(psi1) ** 2 - 1.0 / w)
 
-    eig_bob = norm(psi1 @ ops["OB"].T - params.omega_d * psi1)
+    eig_bob = norm(psi1 @ obs("B", "O").T - params.omega_d * psi1)
     eig_alice = norm(o_a @ psi1 - psi1 / params.omega_d)
 
     comm = 0.0
     for g in COMM_GENS:
-        mg = m_obs[g]
+        mg = obs("A", g)
         for probe in (p0, p1, x_obs):
             comm = max(comm, norm(probe @ mg @ s - mg @ probe @ s))
 
@@ -244,6 +233,7 @@ def run_sweep(
                         residuals=relation_residuals(pert),
                     )
                 )
+                del pert  # its observable table must not outlive the record
     records.sort(key=lambda rec: (rec.kind, rec.delta, rec.seed))
     return records
 

@@ -15,6 +15,10 @@ variables), ``comm:<n+1>,f0`` (Bob's paired question).  Answer orders are
 fixed by the tuples in FullTest.  A measurement family is one read-only
 ``(k, n, n)`` array whose first axis follows that answer order, so
 ``family[a]`` is the projector for the a-th answer.
+
+:meth:`Strategy.observable` is the one source of binary observables: every
+variable's observable, O and U, each derived once per strategy and read by
+the self-test, the residual probes and the embedded CHSH value.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import DomainError, StructuralError
 from .linalg import basis_vector, eye, joint_projector, kron, observable_to_projectors
 from .lsg import GameLS, build_ls_game
 from .numtheory import PrimeParams
-from .representation import Rep, x_index
+from .representation import KEY_FACTORS, Rep, x_index
 
 COMM_GENS = ("f0", "f2", "g0", "g2")
 
@@ -120,7 +124,8 @@ class Strategy:
     state is the (dim_a, dim_b) matrix S of psi = vec(S), row-major, so
     that (M (x) N) psi = vec(M S N^T).  Each family is a (k, n, n) stack of
     projectors in the test's answer order.  Construction makes every family
-    read-only, so strategies may share family arrays.
+    read-only, so strategies may share family arrays; no family is replaced
+    after construction, so each strategy memoizes its own observables.
     """
 
     params: PrimeParams
@@ -128,22 +133,50 @@ class Strategy:
     state: np.ndarray
     alice: dict[str, np.ndarray]
     bob: dict[str, np.ndarray]
+    #: observable()'s memo, keyed by (party, name) and owned by this object alone
+    _observables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for fam in (*self.alice.values(), *self.bob.values()):
             fam.setflags(write=False)
 
-    def alice_family(self, question: str) -> np.ndarray:
-        try:
-            return self.alice[question]
-        except KeyError:
-            raise StructuralError(f"Alice has no measurement for {question!r}") from None
+    def family(self, party: str, question: str) -> np.ndarray:
+        """Party "A" or "B"'s measurement family for a question."""
+        fams = self.alice if party == "A" else self.bob
+        if question not in fams:
+            raise StructuralError(f"{party} has no measurement for {question!r}")
+        return fams[question]
 
-    def bob_family(self, question: str) -> np.ndarray:
-        try:
-            return self.bob[question]
-        except KeyError:
-            raise StructuralError(f"Bob has no measurement for {question!r}") from None
+    def observable(self, party: str, name: str) -> np.ndarray:
+        """Party "A" or "B"'s binary observable for name, derived once, read-only.
+
+        For a variable or a question label it is P0 - P1 of the party's
+        family; Alice, where she has no family for a variable, marginalizes
+        the joint family of the first equation containing it.  For "O" or
+        "U" it is the product of its KEY_FACTORS' observables.
+        """
+        key = (party, name)
+        if key not in self._observables:
+            self._observables[key] = self._derive_observable(party, name)
+            self._observables[key].setflags(write=False)  # shared by every reader
+        return self._observables[key]
+
+    def _derive_observable(self, party: str, name: str) -> np.ndarray:
+        if name in KEY_FACTORS:
+            first, second = KEY_FACTORS[name]
+            return self.observable(party, first) @ self.observable(party, second)
+        fams = self.alice if party == "A" else self.bob
+        question = name if name in fams else var_label(name)
+        if question in fams:
+            return fams[question][0] - fams[question][1]
+        if party == "A":
+            system = self.test.game.system
+            for i in range(system.n_rows):
+                names = system.row_names(i)
+                if name in names:
+                    signs = [(-1.0) ** outcome[names.index(name)] for outcome in _TRIPLES]
+                    return np.tensordot(signs, self.family("A", eq_label(i)), axes=1)
+        raise StructuralError(f"{party} has no measurement for {name!r}")
 
 
 # --- extension-block geometry on W_{d-1} ------------------------------------
@@ -221,37 +254,6 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     return Strategy(params=params, test=test, state=ideal_state(params), alice=alice, bob=bob)
 
 
-# --- observables extracted from a (possibly perturbed) strategy -------------
-
-
-def family_observable(fam: np.ndarray) -> np.ndarray:
-    """P0 - P1: the binary observable of a family's first two outcomes."""
-    return fam[0] - fam[1]
-
-
-def bob_observable(strategy: Strategy, gen: str) -> np.ndarray:
-    return family_observable(strategy.bob_family(var_label(gen)))
-
-
-def alice_observable(strategy: Strategy, gen: str) -> np.ndarray:
-    """Alice's binary observable for one variable.
-
-    Uses her standalone variable family when the full test gives her one;
-    otherwise marginalizes the joint family of the first equation containing
-    the variable.
-    """
-    lbl = var_label(gen)
-    if lbl in strategy.alice:
-        return family_observable(strategy.alice[lbl])
-    system = strategy.test.game.system
-    for i in range(system.n_rows):
-        names = system.row_names(i)
-        if gen in names:
-            signs = [(-1.0) ** outcome[names.index(gen)] for outcome in _TRIPLES]
-            return np.tensordot(signs, strategy.alice_family(eq_label(i)), axes=1)
-    raise StructuralError(f"no equation contains variable {gen!r}")
-
-
 # --- correlations ------------------------------------------------------------
 
 
@@ -277,13 +279,17 @@ class Correlation:
 
     @classmethod
     def from_json(cls, text: str) -> "Correlation":
-        """Parse to_json's format; DomainError unless every (x, y) pair
-        appears once, n_support counts the entries, and every table is a 2-D,
-        finite distribution (sum and negative entries within TABLE_TOL)."""
+        """Parse to_json's format; DomainError unless d, r and n_support are
+        JSON integers, every (x, y) pair appears once, n_support counts the
+        entries, and every table is a 2-D, finite distribution (sum and
+        negative entries within TABLE_TOL)."""
         try:
             data = json.loads(text)
-            corr = cls(d=int(data["d"]), r=int(data["r"]))
-            n_support = int(data["n_support"])
+            for key in ("d", "r", "n_support"):
+                if type(data[key]) is not int:  # a float, a string or a bool
+                    raise DomainError(f"correlation file field {key!r} is not an integer: {json.dumps(data[key])}")
+            corr = cls(d=data["d"], r=data["r"])
+            n_support = data["n_support"]
             for item in data["entries"]:
                 key = (item["x"], item["y"])
                 if key in corr.entries:
@@ -317,9 +323,9 @@ def generate_correlation(strategy: Strategy, test: FullTest | None = None) -> Co
     rights: dict[str, np.ndarray] = {}
     for x, y in test.support:
         if y not in rights:
-            fam = strategy.bob_family(y)
+            fam = strategy.family("B", y)
             rights[y] = (s_conj @ fam @ s.T).reshape(len(fam), -1)
-        left = strategy.alice_family(x)
+        left = strategy.family("A", x)
         corr.entries[(x, y)] = (left.reshape(len(left), -1) @ rights[y].T).real.copy()
     return corr
 

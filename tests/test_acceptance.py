@@ -172,8 +172,16 @@ def test_criterion_8_robustness_sweep(family):
     assert fit["violations"] == 0
     for rec in records:
         assert rec.distances["psi"] <= fit["C_fit"] * rec.epsilon**0.125 * (1 + 1e-9)
-    print(f"PASS criterion 8: medians {['%.2e' % m for m in medians]}, "
-          f"C_fit {fit['C_fit']:.3f}, exponent {fit['exponent_fit']:.3f}, {elapsed:.1f}s")
+    # a check that can fail: the bootstrap 5th percentile of the log-log slope
+    # of dist_psi against epsilon stays at or above the theorem's 1/8, so a
+    # regression in which distances stop shrinking with epsilon fails
+    logs = np.log([(rec.epsilon, rec.distances["psi"]) for rec in records])
+    rng = np.random.default_rng(0)
+    slopes = [np.polyfit(*logs[rng.integers(0, len(logs), len(logs))].T, 1)[0] for _ in range(2000)]
+    low = float(np.percentile(slopes, 5))
+    assert low >= 0.125, low
+    print(f"PASS criterion 8: medians {['%.2e' % m for m in medians]}, C_fit {fit['C_fit']:.3f}, "
+          f"exponent {fit['exponent_fit']:.3f} (bootstrap 5th percentile {low:.3f}), {elapsed:.1f}s")
 
 
 def test_criterion_9_determinism(family):

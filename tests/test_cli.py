@@ -241,6 +241,12 @@ def _broken(case, text):
         payload["n_support"] = 999
     elif case == "n_support":
         payload["n_support"] += 1
+    elif case == "d-float":  # int() used to truncate it to the right d
+        payload["d"] += 0.9
+    elif case == "d-string":
+        payload["d"] = str(payload["d"])
+    elif case == "r-bool":
+        payload["r"] = True
     return json.dumps(payload)
 
 
@@ -255,6 +261,9 @@ def _broken(case, text):
         ("truncated", "malformed"),
         ("duplicate", "duplicate entry for ('I1', 'x(a1)')"),
         ("n_support", "n_support"),
+        ("d-float", "'d' is not an integer"),
+        ("d-string", "'d' is not an integer"),
+        ("r-bool", "'r' is not an integer"),
     ],
 )
 def test_eval_rejects_malformed_correlation_file(case, word, tmp_path, capsys):
@@ -290,6 +299,8 @@ def assert_domain_error(code, out, err, word):
     [
         ["eval", "--d", "3", "--delta", "1e-3", "--seed=-1"],
         ["sweep", "--d", "3", "--deltas", "1e-3", "--trials", "1", "--seed=-1"],
+        ["eval", "--d", "3", "--seed=-1"],  # delta 0 used to skip the seed check
+        ["self-test", "--d", "3", "--seed=-1"],
     ],
 )
 def test_negative_seed_exits_2(argv, capsys):

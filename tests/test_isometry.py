@@ -14,11 +14,11 @@ from lsgame import (
     make_params,
     selftest_report,
 )
-from lsgame.isometry import LABELS, REPORT_LABELS, control_target, strategy_unitaries
+from lsgame.isometry import LABELS, REPORT_LABELS, control_target
 from lsgame.linalg import eye, qft
 from lsgame.numtheory import discrete_log
 from lsgame.robustness import PerturbationSpec, perturb_strategy
-from lsgame.strategy import COMM_GENS, alice_observable, bob_observable, var_label
+from lsgame.strategy import COMM_GENS, var_label
 
 #: the three (s_A, s_B) exponent-sign pairs that the report labels use
 SIGN_PAIRS = ((-1, 1), (1, 1), (-1, -1))
@@ -40,34 +40,37 @@ def _controlled(stack_a, stack_b, block):
     return np.einsum("jxa,kyb,abjk->xyjk", stack_a, stack_b, block, optimize=True)
 
 
-def phi1_dense(state, ops, params, signs=(-1, 1)):
+def phi1_dense(state, observable, params, signs=(-1, 1)):
     """Stage one on a (da, db) state matrix: the (da, db, d, d) output with controls A', B'.
 
     Fourier transform both controls (from |0, 0>), apply O^k on control value
-    k, undo the transform, then apply U^log(s*j) on control value j != 0.
+    k, undo the transform, then apply U^log(s*j) on control value j != 0;
+    observable(party, name) gives O and U, as Strategy.observable does.
     """
     d = params.d
     f = qft(d)
     block = np.einsum("ab,j,k->abjk", state, f[:, 0], f[:, 0])
-    block = _controlled(_powers(ops["OA"], range(d)), _powers(ops["OB"], range(d)), block)
+    block = _controlled(_powers(observable("A", "O"), range(d)), _powers(observable("B", "O"), range(d)), block)
     block = np.einsum("abjk,xj,yk->abxy", block, f.conj(), f.conj(), optimize=True)  # F^-1 = conj(F)
     u_exps = [[0] + [discrete_log(params, s * j) % (d - 1) for j in range(1, d)] for s in signs]
-    return _controlled(_powers(ops["UA"], u_exps[0]), _powers(ops["UB"], u_exps[1]), block)
+    return _controlled(_powers(observable("A", "U"), u_exps[0]), _powers(observable("B", "U"), u_exps[1]), block)
 
 
-def swap_maps(obs):
+def swap_maps(observable, party):
     """(2, 2, n, n): one party's swap circuit resolved per ancilla outcome
     (l1, l2), which is F0^l2 F2^l1 (1+(-1)^l2 G0)/2 (1+(-1)^l1 G2)/2."""
+    obs = {g: observable(party, g) for g in COMM_GENS}
     one = eye(obs["f0"].shape[0])
     f0, f2 = (np.stack([one, obs[g]]) for g in ("f0", "f2"))  # f^0, f^1
     g0, g2 = (np.stack([one + obs[g], one - obs[g]]) / 2 for g in ("g0", "g2"))  # outcome projectors
     return np.array([[f0[l2] @ f2[l1] @ g0[l2] @ g2[l1] for l2 in (0, 1)] for l1 in (0, 1)])
 
 
-def phi2_dense(state, obs_a, obs_b):
+def phi2_dense(state, observable):
     """Stage two on a (da, db, ...) state: (da, db, a1, b1, a2, b2, ...), the
     trailing factors (e.g. stage-one controls) untouched."""
-    return np.einsum("ijxa,klyb,ab...->xyikjl...", swap_maps(obs_a), swap_maps(obs_b), state, optimize=True)
+    maps = (swap_maps(observable, party) for party in "AB")
+    return np.einsum("ijxa,klyb,ab...->xyikjl...", *maps, state, optimize=True)
 
 
 def ideal_setup(d, r=None):
@@ -78,29 +81,19 @@ def ideal_setup(d, r=None):
 
 
 def phi1(strat, signs=(-1, 1)):
-    return phi1_dense(strat.state, strategy_unitaries(strat), strat.params, signs)
-
-
-def phi2(strat, state):
-    obs_a = {g: alice_observable(strat, g) for g in COMM_GENS}
-    obs_b = {g: bob_observable(strat, g) for g in COMM_GENS}
-    return phi2_dense(state, obs_a, obs_b)
+    return phi1_dense(strat.state, strat.observable, strat.params, signs)
 
 
 def dense_report(strat):
     """Per label (||v - junk (x) target||, ||junk||) from the full stage-two output v."""
-    ops = strategy_unitaries(strat)
     out = {}
     for label, (pre, signs, _, _) in LABELS.items():
         state = strat.state
         if pre is not None:
-            party, name = pre
-            if name in ("O", "U"):
-                op = ops[name + party]
-            else:
-                op = (alice_observable if party == "A" else bob_observable)(strat, name)
-            state = op @ state if party == "A" else state @ op.T
-        v = phi2(strat, phi1_dense(state, ops, strat.params, signs)).reshape(strat.state.size, -1)
+            op = strat.observable(*pre)
+            state = op @ state if pre[0] == "A" else state @ op.T
+        stage_one = phi1_dense(state, strat.observable, strat.params, signs)
+        v = phi2_dense(stage_one, strat.observable).reshape(strat.state.size, -1)
         target = np.kron(EPR4, control_target(label, strat.params))
         junk = v @ target.conj()
         out[label] = (np.linalg.norm(v - np.outer(junk, target)), np.linalg.norm(junk))
@@ -139,8 +132,7 @@ def test_phi1_ideal_hits_target():
 def test_phi1_identity_operators_do_nothing():
     p, rep, test, strat = ideal_setup(3)
     da = strat.state.shape[0]
-    ident = {k: eye(da) for k in ("OA", "OB", "UA", "UB")}
-    out = phi1_dense(strat.state, ident, p)
+    out = phi1_dense(strat.state, lambda party, name: eye(da), p)
     want = np.zeros((da, da, 3, 3), dtype=complex)
     want[:, :, 0, 0] = strat.state
     assert np.linalg.norm(out - want) <= 1e-12
@@ -157,7 +149,7 @@ def test_phi2_ideal_extracts_epr_pairs():
     for d in (3, 5):
         p, rep, test, strat = ideal_setup(d)
         scaled = np.sqrt(d - 1) * ideal_psi1(strat, d).reshape(strat.state.shape)
-        v = phi2(strat, scaled).reshape(strat.state.size, 16)
+        v = phi2_dense(scaled, strat.observable).reshape(strat.state.size, 16)
         junk = v @ EPR4.conj()
         assert np.linalg.norm(v - np.outer(junk, EPR4)) <= 1e-8
         assert abs(np.linalg.norm(junk) - 1) <= 1e-8
@@ -166,8 +158,7 @@ def test_phi2_ideal_extracts_epr_pairs():
 def test_phi2_identity_observables_deterministic_product():
     _, _, _, strat = ideal_setup(3)
     da = strat.state.shape[0]
-    ident = {g: eye(da) for g in COMM_GENS}
-    out = phi2_dense(strat.state, ident, ident)
+    out = phi2_dense(strat.state, lambda party, name: eye(da))
     want = np.zeros((da * da, 16), dtype=complex)
     want[:, 0] = strat.state.reshape(-1)  # ancillas all |0>
     assert np.linalg.norm(out.reshape(da * da, 16) - want) <= 1e-12
@@ -175,7 +166,7 @@ def test_phi2_identity_observables_deterministic_product():
 
 def test_phi2_keeps_trailing_registers():
     _, _, _, strat = ideal_setup(3)
-    out = phi2(strat, phi1(strat))
+    out = phi2_dense(phi1(strat), strat.observable)
     assert out.shape == (8, 8, 2, 2, 2, 2, 3, 3)
     assert abs(np.linalg.norm(out) - 1) <= 1e-10
 
@@ -218,7 +209,7 @@ def test_selftest_report_non_isometric_stage_two():
         alice={**pert.alice, key: 0.9 * pert.alice[key]},
         bob={**pert.bob, key: 0.9 * pert.bob[key]},
     )
-    assert abs(np.linalg.norm(phi2(scaled, scaled.state)) - 1) > 1e-3
+    assert abs(np.linalg.norm(phi2_dense(scaled.state, scaled.observable)) - 1) > 1e-3
     assert_matches_dense(scaled, corr, "f0 scaled by 0.9")
 
 
@@ -236,8 +227,8 @@ def test_selftest_report_rank_deficient_stage_two():
             bob={**base.bob, **{k: np.zeros_like(base.bob[k]) for k in keys}},
         )
         da = zeroed.state.shape[0]
-        for observable in (alice_observable, bob_observable):
-            stack = swap_maps({g: observable(zeroed, g) for g in COMM_GENS}).reshape(4 * da, da)
+        for party in "AB":
+            stack = swap_maps(zeroed.observable, party).reshape(4 * da, da)
             assert np.linalg.matrix_rank(stack) < da
         assert_matches_dense(zeroed, corr, "f0 and f2 zeroed")
 
@@ -287,7 +278,7 @@ def test_variant_outputs_share_ancilla_marginal():
     p, rep, test, strat = ideal_setup(3)
     want = np.outer(EPR4, EPR4.conj())
     for signs in SIGN_PAIRS:
-        v = phi2(strat, phi1(strat, signs)).reshape(strat.state.size, 16, 9)
+        v = phi2_dense(phi1(strat, signs), strat.observable).reshape(strat.state.size, 16, 9)
         rho = np.einsum("iaj,ibj->ab", v, v.conj())
         assert np.linalg.norm(rho - want) <= 1e-8
 
@@ -298,11 +289,11 @@ def test_control_target_rejects_unknown_label():
         control_target("bogus", p)
 
 
-def test_strategy_unitaries_are_unitary():
+def test_strategy_o_and_u_are_unitary():
     _, _, _, strat = ideal_setup(5)
-    ops = strategy_unitaries(strat)
-    for name, op in ops.items():
-        assert np.linalg.norm(op @ op.conj().T - np.eye(op.shape[0])) <= 1e-10, name
+    for key in (("A", "O"), ("A", "U"), ("B", "O"), ("B", "U")):
+        op = strat.observable(*key)
+        assert np.linalg.norm(op @ op.conj().T - np.eye(op.shape[0])) <= 1e-10, key
 
 
 def test_prime_variant_targets():

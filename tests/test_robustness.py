@@ -17,8 +17,10 @@ from lsgame import (
     records_to_csv,
     relation_residuals,
     run_sweep,
+    selftest_report,
 )
 from lsgame.robustness import RESIDUAL_LABELS, SweepRecord
+from lsgame.strategy import Strategy
 
 #: the sweep CSV header exactly as README.md documents it
 README_SWEEP_HEADER = (
@@ -233,3 +235,25 @@ def test_fit_bound_needs_spread():
         fit_bound([_fake_record(0.0, 0.0)] * 5)
     with pytest.raises(DomainError):
         fit_bound([_fake_record(1e-3, 0.1)] * 5)
+
+
+def test_each_observable_derived_once(monkeypatch):
+    # selftest_report and relation_residuals read one table per strategy, so
+    # no (party, name) entry, Alice's equation marginals included, is derived twice
+    p, test, strat, corr = ideal_setup(3)
+    ideal_a3 = strat.observable("A", "a3")  # a marginal: Alice has no x(a3)
+    pert = perturb_strategy(strat, PerturbationSpec("rotate", 1e-3, 2))
+    derived = []
+    derive = Strategy._derive_observable
+
+    def spy(self, party, name):
+        derived.append((party, name))
+        return derive(self, party, name)
+
+    monkeypatch.setattr(Strategy, "_derive_observable", spy)
+    selftest_report(pert, corr)
+    relation_residuals(pert)
+    assert ("A", "a3") in derived
+    assert len(derived) == len(set(derived)), sorted(k for k in set(derived) if derived.count(k) > 1)
+    # the rotated copy has its own table, not the ideal's entries
+    assert np.linalg.norm(pert.observable("A", "a3") - ideal_a3) > 1e-6

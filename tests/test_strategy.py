@@ -12,7 +12,7 @@ from lsgame import (
     perturb_strategy,
     table_deviation,
 )
-from lsgame.strategy import alice_observable, bob_observable, eq_label, ext_labels, var_label
+from lsgame.strategy import eq_label, ext_labels, var_label
 
 
 def ideal_setup(d, r=None):
@@ -104,8 +104,8 @@ def test_observable_agreement_on_state():
     _, _, test, strat = ideal_setup(5)
     s = strat.state
     for gen in test.game.system.variables:
-        m = alice_observable(strat, gen)
-        n = bob_observable(strat, gen)
+        m = strat.observable("A", gen)
+        n = strat.observable("B", gen)
         assert np.linalg.norm(m @ s @ n.T - s) <= 1e-10, gen
 
 
@@ -113,7 +113,7 @@ def test_equation_observable_matches_representation():
     p, rep, test, strat = ideal_setup(3)
     # a3 has no standalone question for Alice; the equation-derived
     # observable must reproduce the representation image
-    np.testing.assert_allclose(alice_observable(strat, "a3"), rep["a3"], atol=1e-12)
+    np.testing.assert_allclose(strat.observable("A", "a3"), rep["a3"], atol=1e-12)
 
 
 def test_outcome2_projectors_vanish_at_d3():
@@ -135,8 +135,8 @@ def test_correlation_is_probability():
 def correlation_reference(strategy, test):
     """Per-cell p(a, b | x, y) = Re <M S, S N^T>, one vdot per table entry."""
     s = strategy.state
-    lefts = {x: [m @ s for m in strategy.alice_family(x)] for x, _ in test.support}
-    rights = {y: [s @ n.T for n in strategy.bob_family(y)] for _, y in test.support}
+    lefts = {x: [m @ s for m in strategy.family("A", x)] for x, _ in test.support}
+    rights = {y: [s @ n.T for n in strategy.family("B", y)] for _, y in test.support}
     out = {}
     for x, y in test.support:
         table = np.empty((len(lefts[x]), len(rights[y])))
