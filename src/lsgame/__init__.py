@@ -13,21 +13,8 @@ from .errors import (
     StructuralError,
 )
 from .numtheory import PrimeParams, discrete_log, make_params, smallest_primitive_root
-from .groups import (
-    Presentation,
-    Relation,
-    build_conjugacy_triples,
-    build_presentation,
-    presentation_stats,
-)
-from .lsg import (
-    GameLS,
-    LinearSystem,
-    build_linear_system,
-    build_ls_game,
-    score_ls,
-    system_to_text,
-)
+from .groups import build_conjugacy_triples
+from .lsg import LinearSystem, build_linear_system, system_to_text
 from .linalg import (
     DEFAULT_TOL,
     joint_projector,

@@ -24,9 +24,8 @@ from .evaluation import (
     evaluation_report,
     ls_winning_probability_from_correlation,
 )
-from .groups import build_presentation
 from .isometry import selftest_report
-from .lsg import system_to_json_dict, system_to_text
+from .lsg import QUOTED_PAIR_COUNT, build_linear_system, system_to_json_dict, system_to_text
 from .numtheory import make_params
 from .representation import build_representation, key_unitaries, verify_representation
 from .robustness import (
@@ -114,10 +113,15 @@ def _setup(d: int, r: int | None) -> tuple:
 def _perturbed(strategy, args):
     """The strategy perturbed by --kind/--delta/--seed; at delta 0 an exact copy.
 
+    An unset flag (eval leaves them unset) means both, 0 and 0.
     PerturbationSpec rejects a negative or NaN magnitude and a negative seed
     with DomainError, at delta 0 too.
     """
-    spec = PerturbationSpec(kind=args.kind, magnitude=args.delta, seed=args.seed)
+    spec = PerturbationSpec(
+        kind=args.kind or "both",
+        magnitude=0.0 if args.delta is None else args.delta,
+        seed=args.seed or 0,
+    )
     return perturb_strategy(strategy, spec)
 
 
@@ -156,14 +160,14 @@ def _read_correlation(path: str, params, test) -> Correlation:
 def cmd_gen_game(args) -> int:
     params = make_params(args.d, args.r)
     test = build_full_test(params)
-    system = test.game.system
+    system = test.system
     if args.format == "text":
         _write(args.out, system_to_text(system))
     else:
         payload = system_to_json_dict(system)
         payload["game"] = {
-            "valid_pairs": len(test.game.valid_pairs),
-            "quoted_pairs": test.game.quoted_pairs,
+            "valid_pairs": len(system.valid_pairs),
+            "quoted_pairs": QUOTED_PAIR_COUNT(system.r),
             "support": len(test.support),
             "quoted_support": test.quoted_support,
         }
@@ -174,8 +178,7 @@ def cmd_gen_game(args) -> int:
 def cmd_verify_rep(args) -> int:
     params = make_params(args.d, args.r)
     rep = build_representation(params)
-    gamma = build_presentation("Gamma", params.r)
-    residual = verify_representation(rep, gamma)
+    residual = verify_representation(rep, build_linear_system(params.r))
     _, _, conj_residual = key_unitaries(rep)
     ok = _within((residual, conj_residual), args.tolerance)
     payload = {
@@ -197,6 +200,10 @@ def cmd_gen_correlation(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.infile:
+        given = [f"--{name}" for name in ("delta", "kind", "seed") if getattr(args, name) is not None]
+        if given:
+            raise DomainError(f"--in scores the file as written and takes no {', '.join(given)}")
     params = make_params(args.d, args.r)
     test = build_full_test(params)
     # a bad file fails before the representation and strategy are built
@@ -239,9 +246,9 @@ def cmd_sweep(args) -> int:
     _write(args.out, records_to_csv(records))
     try:
         fit = fit_bound(records)
-        sys.stderr.write(_dump_json(fit))
-    except DomainError:
-        pass
+    except DomainError as exc:  # too few distinct epsilon values: say so, and still exit 0
+        fit = {"fit": None, "reason": str(exc)}
+    sys.stderr.write(_dump_json(fit))
     return 0
 
 
@@ -249,8 +256,8 @@ def cmd_demo_family(args) -> int:
     lines = []
     ok = True
     for d in DEMO_PRIMES:
-        params, rep, _, strategy, ideal_corr = _setup(d, None)
-        residual = verify_representation(rep, build_presentation("Gamma", params.r))
+        params, rep, test, strategy, ideal_corr = _setup(d, None)
+        residual = verify_representation(rep, test.system)
         report = selftest_report(strategy, ideal_corr)
         worst = max(report.distances.values(), key=lambda v: (math.isnan(v), v))  # a NaN wins
         good = _within((residual,), args.tolerance) and _within(report.distances.values(), 1e-8)
@@ -297,10 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("gen-correlation", cmd_gen_correlation, "emit the ideal correlation")
 
-    p = command("eval", cmd_eval, "score a correlation file or a (perturbed) strategy", seed=True)
+    p = command("eval", cmd_eval, "score a correlation file or a (perturbed) strategy")
     p.add_argument("--in", dest="infile", default=None, help="correlation JSON to score")
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--kind", choices=KINDS, default="both")
+    # left unset, not defaulted, so that cmd_eval can refuse them next to --in
+    p.add_argument("--delta", type=float, default=None, help="default 0")
+    p.add_argument("--kind", choices=KINDS, default=None, help="default both")
+    p.add_argument("--seed", type=int, default=None, help="default 0")
 
     # distances at delta=0 are gated at 1e-8 by default
     p = command(

@@ -120,10 +120,10 @@ def ls_winning_probability_from_correlation(corr: Correlation, test: FullTest) -
     A cell wins when Alice's triple has the equation's parity and agrees
     with Bob's bit at his variable.
     """
-    game = test.game
-    system = game.system
+    system = test.system
+    pairs = system.valid_pairs
     total = 0.0
-    for i, v in game.valid_pairs:
+    for i, v in pairs:
         x = eq_label(i)
         key = (x, var_label(system.variables[v]))
         if key not in corr.entries:
@@ -133,7 +133,7 @@ def ls_winning_probability_from_correlation(corr: Correlation, test: FullTest) -
         for ia, triple in enumerate(test.alice_answers[x]):
             if sum(triple) % 2 == system.rhs[i]:
                 total += float(table[ia, triple[pos]])
-    return total / len(game.valid_pairs)
+    return total / len(pairs)
 
 
 # --- correlation distance -----------------------------------------------------

@@ -1,17 +1,17 @@
-"""The binary linear system Hx=c and its nonlocal-game envelope.
+"""The solution group Gamma as the binary linear system Hx=c of the game LS(r).
 
-Each 3-term relation of the level-"Gamma" presentation becomes one parity
-equation; the single sign relation contributes the only inhomogeneous row.
-The game asks Alice for an assignment of one equation's three variables and
-Bob for the value of one variable of that equation.
+Gamma has only order-2 generators, 3-term relations and a central sign J.
+Each generator is one variable and each relation one parity equation; the
+single sign relation f1 g1 m2 = J is the only inhomogeneous row.  The game
+asks Alice for an assignment of one equation's three variables and Bob for
+the value of one variable of that equation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, StructuralError
-from .groups import build_presentation
+from .groups import build_conjugacy_triples, h_name, q_name
 
 #: quoted closed form for the number of valid question pairs; kept for
 #: reporting because it disagrees with the enumerated count 3*(14r+62)
@@ -22,8 +22,8 @@ QUOTED_PAIR_COUNT = lambda r: 157 * r + 685  # noqa: E731
 class LinearSystem:
     """m x n system over Z2; every row has exactly three ones.
 
-    rows[i] holds the column indices of the ones of equation i, in the
-    normalized order inherited from the presentation; rhs[i] is c(i).
+    rows[i] holds the column indices of the ones of equation i, in the order
+    of the equation's generator product; rhs[i] is c(i).
     """
 
     r: int
@@ -39,11 +39,11 @@ class LinearSystem:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def var_index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise StructuralError(f"unknown variable {name!r}") from None
+    @property
+    def valid_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The game's (row, column) questions, each equation with each of its
+        variables; the question distribution is uniform over them."""
+        return tuple((i, v) for i, row in enumerate(self.rows) for v in row)
 
     def row_names(self, i: int) -> tuple[str, str, str]:
         a, b, c = self.rows[i]
@@ -51,55 +51,57 @@ class LinearSystem:
 
 
 def build_linear_system(r: int) -> LinearSystem:
-    gamma = build_presentation("Gamma", r)
-    index = {name: i for i, name in enumerate(gamma.generators)}
-    rows = []
-    rhs = []
-    for rel in gamma.relations:
-        if rel.kind == "linear":
-            rows.append(tuple(index[s] for s in rel.lhs))
-            rhs.append(0)
-        elif rel.kind == "linearJ":
-            rows.append(tuple(index[s] for s in rel.lhs))
-            rhs.append(1)
-    return LinearSystem(r, gamma.generators, tuple(rows), tuple(rhs))
+    """Gamma's 16r+75 generators and 14r+62 equations, the sign row last."""
+    n0 = r + 5
+    triples = build_conjugacy_triples(r)
+    variables: list[str] = []
+    for letter in "abcd":
+        variables += [f"{letter}{i}" for i in range(1, n0 + 1)]
+    for i in range(1, n0 + 1):
+        variables += [f"p{i}_{m}" for m in range(1, 6)]
+    variables += [f"{letter}{i}" for letter in "fgm" for i in range(3)]
+    variables += [h_name(t) for t in triples]
+    for t in triples:
+        variables += [q_name(t, m) for m in range(1, 7)]
 
-
-@dataclass(frozen=True)
-class GameLS:
-    """Nonlocal-game envelope: uniform distribution over (equation, member).
-
-    valid_pairs lists (row index, column index) with the column belonging to
-    the row; the distribution is uniform over them.  quoted_pairs records the
-    closed-form count stated for this family, which differs from
-    len(valid_pairs); the enumerated count is the one the distribution uses.
-    """
-
-    system: LinearSystem
-    valid_pairs: tuple[tuple[int, int], ...]
-    quoted_pairs: int
-
-
-def build_ls_game(r: int) -> GameLS:
-    system = build_linear_system(r)
-    pairs = tuple((i, v) for i, row in enumerate(system.rows) for v in row)
-    return GameLS(system, pairs, QUOTED_PAIR_COUNT(r))
-
-
-def score_ls(
-    game: GameLS,
-    question: tuple[int, int],
-    answer: tuple[tuple[int, int, int], int],
-) -> int:
-    """1 iff Alice's triple satisfies the row and matches Bob at his variable."""
-    i, v = question
-    row = game.system.rows[i]
-    if v not in row:
-        raise DomainError(f"variable {v} is not in equation {i}")
-    triple, b = answer
-    if sum(triple) % 2 != game.system.rhs[i]:
-        return 0
-    return 1 if triple[row.index(v)] == b else 0
+    equations: list[tuple[str, str, str]] = []
+    for i in range(1, n0 + 1):
+        a, b, c, d = f"a{i}", f"b{i}", f"c{i}", f"d{i}"
+        p = [f"p{i}_{m}" for m in range(1, 6)]
+        # Canonical per-generator block; the shared relation f0 f1 f2 = e is
+        # stored once, with the sign block below.
+        equations += [
+            (a, b, c),
+            (a, "f0", d),
+            (b, "f2", p[0]),
+            (p[0], p[1], p[2]),
+            ("f0", p[2], p[3]),
+            (c, p[3], p[4]),
+            ("f1", p[1], p[4]),
+        ]
+    for t in triples:
+        i, j, k = t
+        q = [q_name(t, m) for m in range(1, 7)]
+        equations += [
+            (h_name(t), f"b{j}", f"c{k}"),
+            (f"d{i}", q[0], "f2"),
+            (f"b{j}", "f2", q[1]),
+            (q[1], q[2], q[3]),
+            (f"d{i}", q[3], q[4]),
+            (f"c{k}", q[4], q[5]),
+            (q[0], q[2], q[5]),
+        ]
+    equations += [
+        ("f0", "f1", "f2"),
+        ("g0", "g1", "g2"),
+        ("m0", "m1", "m2"),
+        ("f0", "g2", "m0"),
+        ("f2", "g0", "m1"),
+        ("f1", "g1", "m2"),  # = J
+    ]
+    index = {name: v for v, name in enumerate(variables)}
+    rows = tuple(tuple(index[s] for s in eq) for eq in equations)
+    return LinearSystem(r, tuple(variables), rows, (0,) * (len(rows) - 1) + (1,))
 
 
 # --- output formats ----------------------------------------------------------

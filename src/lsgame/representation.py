@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .groups import Presentation, Relation, build_conjugacy_triples, h_name, q_name
+from .groups import build_conjugacy_triples, h_name, q_name
 from .linalg import dagger, eye, kron, op_norm
+from .lsg import LinearSystem
 from .numtheory import PrimeParams
 
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -212,44 +213,23 @@ def build_representation(params: PrimeParams) -> Rep:
     return Rep(params=params, dim=4 * w, table=table)
 
 
-def _relation_residual(rep: Rep, rel: Relation) -> float:
-    if rel.kind == "order2":
-        m = rep[rel.lhs[0]]
-        return op_norm(m @ m - eye(rep.dim))
-    prod = eye(rep.dim)
-    for name in rel.lhs:
-        prod = prod @ rep[name]
-    if rel.kind == "linear":
-        return op_norm(prod - eye(rep.dim))
-    if rel.kind == "linearJ":
-        return op_norm(prod + eye(rep.dim))
-    if rel.kind == "conjugacy":
-        return op_norm(prod - rep[rel.rhs])
-    raise StructuralError(f"unknown relation kind {rel.kind!r}")
+def verify_representation(rep: Rep, system: LinearSystem) -> float:
+    """Max operator-norm residual of Gamma's relations, read off the system.
 
-
-def verify_representation(rep: Rep, presentation: Presentation) -> float:
-    """Max operator-norm residual over all relations of the presentation.
-
-    Hermiticity of every used generator and commutation with the central
-    sign are checked on top of the listed relations.
+    Every variable and the central sign J must be a Hermitian involution
+    that commutes with J, and each row's product must be (-1)^c.
     """
+    identity = eye(rep.dim)
+    jm = rep["J"]
     worst = 0.0
-    used = set()
-    for rel in presentation.relations:
-        used.update(rel.lhs)
-        if rel.kind == "conjugacy":
-            used.add(rel.rhs)
-        worst = max(worst, _relation_residual(rep, rel))
-    for name in sorted(used):
+    for name in (*system.variables, "J"):
         m = rep[name]
-        worst = max(worst, op_norm(m - dagger(m)))
-    if presentation.central is not None:
-        jm = rep[presentation.central]
-        worst = max(worst, op_norm(jm @ jm - eye(rep.dim)))
-        for name in sorted(used):
-            m = rep[name]
-            worst = max(worst, op_norm(jm @ m - m @ jm))
+        worst = max(worst, op_norm(m - dagger(m)), op_norm(m @ m - identity), op_norm(jm @ m - m @ jm))
+    for row, c in zip(system.rows, system.rhs):
+        prod = identity
+        for v in row:
+            prod = prod @ rep[system.variables[v]]
+        worst = max(worst, op_norm(prod - (-1) ** c * identity))
     return worst
 
 

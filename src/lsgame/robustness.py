@@ -96,7 +96,7 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     """
     test = strategy.test
     params = strategy.params
-    system = test.game.system
+    system = test.system
     s = strategy.state
     norm = lambda m: float(np.linalg.norm(m))  # noqa: E731
     obs = strategy.observable

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .linalg import basis_vector, eye, joint_projector, kron, observable_to_projectors
-from .lsg import GameLS, build_ls_game
+from .lsg import QUOTED_PAIR_COUNT, LinearSystem, build_linear_system
 from .numtheory import PrimeParams
 from .representation import KEY_FACTORS, Rep, x_index
 
@@ -68,13 +68,13 @@ def comm_label(basis: str, gen: str) -> str:
 
 @dataclass(frozen=True)
 class FullTest:
-    """Answer orders and the uniform support of the test.
+    """The linear system, answer orders and the uniform support of the test.
 
     The key order of each party's answer table is that party's question
     order.
     """
 
-    game: GameLS
+    system: LinearSystem
     alice_answers: dict[str, tuple]
     bob_answers: dict[str, tuple]
     support: tuple[tuple[str, str], ...]
@@ -82,13 +82,12 @@ class FullTest:
 
     @property
     def n_vars(self) -> int:
-        return self.game.system.n_vars
+        return self.system.n_vars
 
 
 def build_full_test(params: PrimeParams) -> FullTest:
     """Enumerate questions, answer alphabets, and the uniform support."""
-    game = build_ls_game(params.r)
-    system = game.system
+    system = build_linear_system(params.r)
     sub, z, x = ext_labels(system.n_vars)
     # the five extension questions, in question order
     ext_answers = {sub: (0, 2), var_label("a1"): (0, 1), var_label("a2"): (0, 1), z: (0, 1, 2), x: (0, 1, 2)}
@@ -101,7 +100,7 @@ def build_full_test(params: PrimeParams) -> FullTest:
     bob_answers.update((q, ext_answers[q]) for q in (sub, z, x))
     bob_answers.update((comm_label(basis, g), _COMM_ANSWERS) for basis in (z, x) for g in COMM_GENS)
 
-    support = [(eq_label(i), var_label(system.variables[v])) for i, v in game.valid_pairs]
+    support = [(eq_label(i), var_label(system.variables[v])) for i, v in system.valid_pairs]
     support += [(qa, qb) for qa in ext_answers for qb in ext_answers]
     for basis in (z, x):
         for g in COMM_GENS:
@@ -109,11 +108,11 @@ def build_full_test(params: PrimeParams) -> FullTest:
             support += [(basis, y), (var_label(g), y)]
 
     return FullTest(
-        game=game,
+        system=system,
         alice_answers=alice_answers,
         bob_answers=bob_answers,
         support=tuple(support),
-        quoted_support=game.quoted_pairs + 25 + 16,
+        quoted_support=QUOTED_PAIR_COUNT(params.r) + 25 + 16,
     )
 
 
@@ -170,7 +169,7 @@ class Strategy:
         if question in fams:
             return fams[question][0] - fams[question][1]
         if party == "A":
-            system = self.test.game.system
+            system = self.test.system
             for i in range(system.n_rows):
                 names = system.row_names(i)
                 if name in names:
@@ -234,7 +233,7 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     """Measurements from the representation; shared observables per variable."""
     if rep.params.d != params.d or rep.params.r != params.r:
         raise StructuralError("representation was built for different parameters")
-    system = test.game.system
+    system = test.system
     dim = rep.dim
 
     var_fams = {gen: observable_to_projectors(rep[gen]) for gen in system.variables}
@@ -281,8 +280,8 @@ class Correlation:
     def from_json(cls, text: str) -> "Correlation":
         """Parse to_json's format; DomainError unless d, r and n_support are
         JSON integers, every (x, y) pair appears once, n_support counts the
-        entries, and every table is a 2-D, finite distribution (sum and
-        negative entries within TABLE_TOL)."""
+        entries, and every table is a 2-D, finite distribution of JSON
+        numbers (sum and negative entries within TABLE_TOL)."""
         try:
             data = json.loads(text)
             for key in ("d", "r", "n_support"):
@@ -294,10 +293,13 @@ class Correlation:
                 key = (item["x"], item["y"])
                 if key in corr.entries:
                     raise DomainError(f"correlation file has a duplicate entry for {key}")
-                corr.entries[key] = np.array(item["p"], dtype=float)
+                table = np.array(item["p"], dtype=object)
+                if not all(type(v) in (int, float) for v in table.flat):  # a string, a bool or a ragged row
+                    raise DomainError(f"correlation table {key} has an entry that is not a JSON number")
+                corr.entries[key] = table.astype(float)
         except DomainError:
             raise
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise DomainError(f"malformed correlation JSON ({type(exc).__name__}: {exc})") from None
         if n_support != corr.n_support:
             raise DomainError(f"correlation file declares n_support={n_support} but has {corr.n_support} entries")

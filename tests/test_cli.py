@@ -153,6 +153,23 @@ def test_ignored_flags_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, word",
+    [
+        (["--delta", "0.3", "--kind", "rotate", "--seed", "-4"], "--delta, --kind, --seed"),
+        (["--delta", "0"], "--delta"),
+        (["--kind", "both"], "--kind"),
+        (["--seed", "0"], "--seed"),
+    ],
+)
+def test_eval_in_rejects_perturbation_flags(flags, word, monkeypatch, capsys):
+    # --in scores the file as written; these flags used to be ignored next to it
+    import lsgame.cli as cli
+
+    monkeypatch.setattr(cli, "make_params", lambda *a: pytest.fail("the game was built"))
+    assert_domain_error(*run(["eval", "--d", "3", "--in", "corr.json", *flags], capsys), word)
+
+
 def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -220,6 +237,8 @@ def _broken(case, text):
     """The correlation file `text` broken in one way."""
     if case == "truncated":
         return text[: len(text) // 2]
+    if case == "deep-nesting":  # used to escape as a RecursionError
+        return "[" * 100_000
     payload = json.loads(text)
     table = payload["entries"][1]["p"]
     if case == "nan":
@@ -247,6 +266,12 @@ def _broken(case, text):
         payload["d"] = str(payload["d"])
     elif case == "r-bool":
         payload["r"] = True
+    elif case == "entry-string":  # numpy used to parse it as the number
+        table[0][0] = str(table[0][0])
+    elif case == "entry-bool":
+        table[0][0] = True
+    elif case == "entry-huge":  # used to escape as an OverflowError
+        table[0][0] = 10**400
     return json.dumps(payload)
 
 
@@ -264,6 +289,10 @@ def _broken(case, text):
         ("d-float", "'d' is not an integer"),
         ("d-string", "'d' is not an integer"),
         ("r-bool", "'r' is not an integer"),
+        ("entry-string", "not a JSON number"),
+        ("entry-bool", "not a JSON number"),
+        ("entry-huge", "OverflowError"),
+        ("deep-nesting", "RecursionError"),
     ],
 )
 def test_eval_rejects_malformed_correlation_file(case, word, tmp_path, capsys):
@@ -276,6 +305,14 @@ def test_eval_rejects_malformed_correlation_file(case, word, tmp_path, capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "DomainError"
     assert word in error["message"]
+
+
+def test_sweep_says_why_it_has_no_fit(capsys):
+    # two records give at most two distinct epsilon values: too few to fit
+    code, out, err = run(["sweep", "--d", "3", "--deltas", "1e-3", "--trials", "2"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 3  # header and two records
+    assert json.loads(err) == {"fit": None, "reason": "need at least 3 distinct positive epsilon values"}
 
 
 @pytest.mark.parametrize("flags", [["--trials", "0"], ["--deltas", "abc"], ["--deltas", ","]])

@@ -105,11 +105,10 @@ def ideal_setup(d):
 
 def ls_winning_probability_reference(strategy, test):
     """Expected LS-block score straight from the strategy's projectors."""
-    game = test.game
-    system = game.system
+    system = test.system
     s = strategy.state
     total = 0.0
-    for i, v in game.valid_pairs:
+    for i, v in system.valid_pairs:
         names = system.row_names(i)
         pos = names.index(system.variables[v])
         fam_a = strategy.family("A", eq_label(i))
@@ -120,7 +119,7 @@ def ls_winning_probability_reference(strategy, test):
             idx = triple[0] * 4 + triple[1] * 2 + triple[2]
             left = fam_a[idx] @ s
             total += float(np.real(np.vdot(s, left @ fam_b[triple[pos]].T)))
-    return total / len(game.valid_pairs)
+    return total / len(system.valid_pairs)
 
 
 def winning_probability(strategy, test):
@@ -145,7 +144,7 @@ def test_orthogonal_product_state_loses_enough():
     product[0, 0] = 1.0  # basis state orthogonal to the ideal state
     assert abs(np.vdot(strat.state, product)) < 1e-12
     strat.state = product
-    m = test.game.system.n_rows
+    m = test.system.n_rows
     assert winning_probability(strat, test) <= 1 - 1 / (4 * m)
 
 

@@ -1,12 +1,6 @@
 import pytest
 
-from lsgame import (
-    DomainError,
-    Relation,
-    build_conjugacy_triples,
-    build_presentation,
-    presentation_stats,
-)
+from lsgame import DomainError, build_conjugacy_triples, build_linear_system
 
 
 def test_triple_counts():
@@ -45,62 +39,54 @@ def test_triples_rejects_small_r():
     with pytest.raises(DomainError):
         build_conjugacy_triples(1)
     with pytest.raises(DomainError):
-        build_presentation("Gamma", 0)
+        build_linear_system(0)
 
 
 def test_gamma_counts_r2():
-    g = build_presentation("Gamma", 2)
-    stats = presentation_stats(g)
-    assert stats["generators"] == 107  # 16*2 + 75
-    assert stats["equations"] == 90  # 14*2 + 62
-    assert stats["linearJ"] == 1
-    assert g.central == "J"
+    system = build_linear_system(2)
+    assert system.n_vars == 107  # 16*2 + 75
+    assert system.n_rows == 90  # 14*2 + 62
+    assert sum(system.rhs) == 1
 
 
 def test_gamma_counts_r3():
-    stats = presentation_stats(build_presentation("Gamma", 3))
-    assert stats["generators"] == 123
-    assert stats["equations"] == 104
+    system = build_linear_system(3)
+    assert (system.n_vars, system.n_rows) == (123, 104)
 
 
 def test_census_identities():
     for r in range(2, 9):
-        stats = presentation_stats(build_presentation("Gamma", r))
-        assert stats["generators"] == 9 * (r + 5) + 9 + (r + 3) + 6 * (r + 3) == 16 * r + 75
-        assert stats["equations"] == 7 * (r + 5) + 7 * (r + 3) + 6 == 14 * r + 62
-        assert stats["order2"] == stats["generators"] + 1  # J included
+        system = build_linear_system(r)
+        assert system.n_vars == 9 * (r + 5) + 9 + (r + 3) + 6 * (r + 3) == 16 * r + 75
+        assert system.n_rows == 7 * (r + 5) + 7 * (r + 3) + 6 == 14 * r + 62
+        assert sum(system.rhs) == 1
+        # every generator of Gamma is a variable of some equation
+        assert {v for row in system.rows for v in row} == set(range(system.n_vars))
 
 
 def test_p0_counts():
-    stats = presentation_stats(build_presentation("P0", 2))
-    assert stats["generators"] == 7
-    assert stats["conjugacy"] == 5
+    # P0: r+5 generators a1..a{r+5}, each in some of its r+3 conjugacy relations
+    for r in (2, 3, 6):
+        triples = build_conjugacy_triples(r)
+        assert {n for t in triples for n in t} == set(range(1, r + 6))
 
 
 def test_p1_has_commutation_helpers():
-    relations = set(build_presentation("P1", 2).relations)
+    # P1's helper relation h b_j c_k = e for each triple survives into Gamma
+    system = build_linear_system(2)
+    rows = {system.row_names(i) for i in range(system.n_rows)}
     for _, j, k in build_conjugacy_triples(2):
-        assert Relation("linear", (f"h{j}_{k}", f"b{j}", f"c{k}"), "e") in relations
+        assert (f"h{j}_{k}", f"b{j}", f"c{k}") in rows
 
 
 def test_sign_relation_stored_once():
-    relations = build_presentation("Gamma", 2).relations
-    assert relations.count(Relation("linear", ("f0", "f1", "f2"), "e")) == 1
-    assert relations.count(Relation("linearJ", ("f1", "g1", "m2"), "J")) == 1
-
-
-def test_conjugacy_line_format():
-    # u3 = u2 o1 u2 under the relabeling: a4 a1 a4 = a5
-    relations = build_presentation("P0", 2).relations
-    assert Relation("conjugacy", ("a4", "a1", "a4"), "a5") in relations
-
-
-def test_unknown_level():
-    with pytest.raises(DomainError):
-        build_presentation("P2", 2)
+    system = build_linear_system(2)
+    rows = [system.row_names(i) for i in range(system.n_rows)]
+    assert rows.count(("f0", "f1", "f2")) == 1
+    assert rows.count(("f1", "g1", "m2")) == 1
+    assert system.rhs[rows.index(("f1", "g1", "m2"))] == 1
 
 
 def test_generators_unique():
-    for level in ("P0", "P1", "Gamma"):
-        p = build_presentation(level, 5)
-        assert len(set(p.generators)) == len(p.generators)
+    system = build_linear_system(5)
+    assert len(set(system.variables)) == system.n_vars

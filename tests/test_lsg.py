@@ -1,18 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
 from lsgame import (
-    DomainError,
+    Correlation,
     build_full_test,
     build_linear_system,
-    build_ls_game,
+    ls_winning_probability_from_correlation,
     make_params,
-    score_ls,
     system_to_text,
 )
-from lsgame.lsg import system_to_json_dict
-from lsgame.strategy import eq_label
+from lsgame.lsg import QUOTED_PAIR_COUNT, system_to_json_dict
+from lsgame.strategy import eq_label, var_label
 
 
 def test_dimensions_r2():
@@ -37,7 +37,7 @@ def test_single_inhomogeneous_row():
 def test_satisfying_sets_have_size_four():
     # Alice's winning answers to an equation: the triples with its parity
     test = build_full_test(make_params(3))
-    system = test.game.system
+    system = test.system
     for i in range(system.n_rows):
         wins = [t for t in test.alice_answers[eq_label(i)] if sum(t) % 2 == system.rhs[i]]
         assert len(wins) == 4
@@ -47,64 +47,61 @@ def test_satisfying_sets_have_size_four():
 
 def test_valid_pair_count():
     for r in (2, 3):
-        game = build_ls_game(r)
-        assert len(game.valid_pairs) == 3 * (14 * r + 62)
-        assert game.quoted_pairs == 157 * r + 685
+        system = build_linear_system(r)
+        assert len(system.valid_pairs) == 3 * (14 * r + 62)
+        assert QUOTED_PAIR_COUNT(r) == 157 * r + 685
+
+
+def deterministic_value(answer):
+    """The linear system block's winning probability when, at equation i and
+    Bob's variable in position pos, Alice answers the triple and Bob the bit
+    of answer(i, pos) = (triple, bit)."""
+    test = build_full_test(make_params(3))
+    system = test.system
+    corr = Correlation(d=3, r=2)
+    for i, v in system.valid_pairs:
+        triple, bit = answer(i, system.rows[i].index(v))
+        table = np.zeros((8, 2))
+        table[test.alice_answers[eq_label(i)].index(triple), bit] = 1.0
+        corr.entries[(eq_label(i), var_label(system.variables[v]))] = table
+    return ls_winning_probability_from_correlation(corr, test), len(system.valid_pairs)
 
 
 def test_score_homogeneous_row():
-    game = build_ls_game(2)
-    system = game.system
-    # the row f0 + f1 + f2 = 0
-    target = next(
-        i for i in range(system.n_rows)
-        if set(system.row_names(i)) == {"f0", "f1", "f2"}
-    )
-    f0 = system.var_index("f0")
-    pos = system.rows[target].index(f0)
-    assert system.row_names(target)[pos] == "f0"
-    assert score_ls(game, (target, f0), ((0, 0, 0), 0)) == 1
-    assert score_ls(game, (target, f0), ((1, 0, 0), 1)) == 0  # parity violated
+    # all zeros has every row's parity but the sign row's
+    value, n = deterministic_value(lambda i, pos: ((0, 0, 0), 0))
+    assert value == pytest.approx(1 - 3 / n, abs=1e-12)
+    # Bob's bit must equal Alice's at his variable
+    assert deterministic_value(lambda i, pos: ((0, 0, 0), 1))[0] == 0.0
 
 
 def test_score_sign_row():
-    game = build_ls_game(2)
-    system = game.system
-    target = system.rhs.index(1)
-    names = system.row_names(target)
-    f1_col = system.var_index("f1")
-    answer = tuple(1 if g == "f1" else 0 for g in names)
-    assert score_ls(game, (target, f1_col), (answer, 1)) == 1
-    assert score_ls(game, (target, f1_col), (answer, 0)) == 0
-
-
-def test_score_rejects_foreign_variable():
-    game = build_ls_game(2)
-    system = game.system
-    outside = next(
-        v for v in range(system.n_vars) if v not in system.rows[0]
-    )
-    with pytest.raises(DomainError):
-        score_ls(game, (0, outside), ((0, 0, 0), 0))
+    # an odd triple has only the sign row's parity, and wins there when Bob
+    # repeats the triple's bit at his own position
+    value, n = deterministic_value(lambda i, pos: ((1, 0, 0), int(pos == 0)))
+    assert value == pytest.approx(3 / n, abs=1e-12)
+    assert deterministic_value(lambda i, pos: ((1, 0, 0), int(pos != 0)))[0] == 0.0
 
 
 def test_text_round_trip():
     # the header carries r and the variable order, so each line names its row exactly
     system = build_linear_system(3)
+    index = {name: v for v, name in enumerate(system.variables)}
     header, *lines = system_to_text(system).splitlines()
     assert header == f"# r=3 vars={','.join(system.variables)}"
     assert len(lines) == system.n_rows
     for line, row, c in zip(lines, system.rows, system.rhs):
         lhs, rhs = line.split(" = ")
         names = [term[2:-1] for term in lhs.split(" + ")]  # x(name) -> name
-        assert (tuple(map(system.var_index, names)), int(rhs)) == (row, c)
+        assert (tuple(index[name] for name in names), int(rhs)) == (row, c)
 
 
 def test_json_round_trip():
     system = build_linear_system(2)
+    index = {name: v for v, name in enumerate(system.variables)}
     data = json.loads(json.dumps(system_to_json_dict(system)))
     assert (data["r"], tuple(data["variables"])) == (2, system.variables)
-    assert [tuple(map(system.var_index, row["vars"])) for row in data["rows"]] == list(system.rows)
+    assert [tuple(index[name] for name in row["vars"]) for row in data["rows"]] == list(system.rows)
     assert [row["rhs"] for row in data["rows"]] == list(system.rhs)
 
 

@@ -8,7 +8,6 @@ from lsgame import (
     Correlation,
     build_full_test,
     build_ideal_strategy,
-    build_presentation,
     build_representation,
     generate_correlation,
     ideal_table_values,
@@ -28,7 +27,7 @@ def test_ideal_strategy_properties(dr):
     p = make_params(*dr)
     test = build_full_test(p)
     rep = build_representation(p)
-    assert verify_representation(rep, build_presentation("Gamma", p.r)) <= 1e-9
+    assert verify_representation(rep, test.system) <= 1e-9
     strat = build_ideal_strategy(p, rep, test)
 
     # every family is a complete stack of orthogonal Hermitian projectors:

@@ -1,48 +1,91 @@
+import functools
+
 import numpy as np
 import pytest
 
 from lsgame import (
+    LinearSystem,
     StructuralError,
-    build_presentation,
+    build_conjugacy_triples,
+    build_linear_system,
     build_representation,
     key_unitaries,
     make_params,
     op_norm,
     verify_representation,
 )
-from lsgame.groups import Presentation
+from lsgame.groups import h_name
 from lsgame.linalg import dagger, eye
 from lsgame.representation import u_basis
 
 DEMO = ((3, 2), (5, 2), (7, 3), (11, 2), (13, 2))
 
 
+def p0_relations(r):
+    """P0's conjugacy chain a_i a_j a_i = a_k, as (word, right-hand side)."""
+    return [((f"a{i}", f"a{j}", f"a{i}"), f"a{k}") for i, j, k in build_conjugacy_triples(r)]
+
+
+def p1_relations(r):
+    """P1's helper relations, as (word, right-hand side); None is the identity."""
+    rels = []
+    for i in range(1, r + 6):
+        rels += [((f"a{i}", f"b{i}", f"c{i}"), None), ((f"a{i}", "f0", f"d{i}"), None)]
+        rels.append((("f0", f"b{i}", "f0"), f"c{i}"))
+    for t in build_conjugacy_triples(r):
+        i, j, k = t
+        rels += [((h_name(t), f"b{j}", f"c{k}"), None), ((f"d{i}", f"b{j}", f"d{i}"), f"c{k}")]
+    return rels
+
+
 def test_small_case_verifies():
     p = make_params(3, 2)
     rep = build_representation(p)
-    assert verify_representation(rep, build_presentation("Gamma", 2)) <= 1e-10
+    assert verify_representation(rep, build_linear_system(2)) <= 1e-10
 
 
 def test_all_levels_verify():
     p = make_params(7, 3)
     rep = build_representation(p)
-    for level in ("P0", "P1", "Gamma"):
-        assert verify_representation(rep, build_presentation(level, 3)) <= 1e-10
+    assert verify_representation(rep, build_linear_system(3)) <= 1e-10
+    for word, rhs in p0_relations(3) + p1_relations(3):
+        target = eye(rep.dim) if rhs is None else rep[rhs]
+        assert op_norm(functools.reduce(np.matmul, map(rep.__getitem__, word)) - target) <= 1e-10, word
 
 
 def test_empty_presentation_gives_zero():
     p = make_params(3, 2)
     rep = build_representation(p)
-    empty = Presentation("P0", 2, (), ())
-    assert verify_representation(rep, empty) == 0.0
+    assert verify_representation(rep, LinearSystem(2, (), (), ())) == 0.0
 
 
 def test_mutated_representation_fails():
     p = make_params(3, 2)
     rep = build_representation(p)
     rep.table["f0"] = -rep.table["f0"]
-    residual = verify_representation(rep, build_presentation("Gamma", 2))
+    residual = verify_representation(rep, build_linear_system(2))
     assert residual >= 1.0
+
+
+@pytest.mark.parametrize("fault", ["product", "hermitian", "involution", "central"])
+def test_each_relation_class_caught(fault):
+    # each fault breaks one relation class of Gamma and keeps the others
+    rep = build_representation(make_params(3, 2))
+    table = rep.table
+    system = build_linear_system(2)
+    if fault == "product":  # two Hermitian involutions commuting with J, exchanged
+        table["a1"], table["a2"] = table["a2"], table["a1"]
+    elif fault == "hermitian":  # a non-unitary similarity keeps every product and square
+        s = eye(rep.dim) + 0.5 * np.eye(rep.dim, k=1)
+        s_inv = np.linalg.inv(s)
+        for name in table:
+            table[name] = s @ table[name] @ s_inv
+    elif fault == "involution":  # 2 f0 breaks f0's rows too, so f0 is checked alone
+        table["f0"] = 2 * table["f0"]
+        system = LinearSystem(2, ("f0",), (), ())
+    else:  # a Hermitian involution that anticommutes with f0 but enters no row
+        table["J"] = table["g0"]
+    assert verify_representation(rep, system) >= 1e-3
 
 
 def test_missing_generator_named():
@@ -50,7 +93,7 @@ def test_missing_generator_named():
     rep = build_representation(p)
     del rep.table["m2"]
     with pytest.raises(StructuralError, match="m2"):
-        verify_representation(rep, build_presentation("Gamma", 2))
+        verify_representation(rep, build_linear_system(2))
 
 
 def test_key_unitaries_d3():
@@ -123,7 +166,6 @@ def test_demo_family_residuals():
     for d, r in DEMO:
         p = make_params(d, r)
         rep = build_representation(p)
-        gamma = build_presentation("Gamma", r)
-        assert verify_representation(rep, gamma) <= 1e-9, (d, r)
+        assert verify_representation(rep, build_linear_system(r)) <= 1e-9, (d, r)
         _, _, conj = key_unitaries(rep)
         assert conj <= 1e-10, (d, r)

@@ -72,7 +72,7 @@ def test_state_normalized():
 def test_question_order():
     # the answer tables' key order is the question order perturbations follow
     test = build_full_test(make_params(3))
-    system = test.game.system
+    system = test.system
     n = system.n_vars
     comm = ("f0", "f2", "g0", "g2")
     assert list(test.alice_answers) == (
@@ -103,7 +103,7 @@ def test_observable_agreement_on_state():
     # M(s) N(s) |psi> = |psi> for every variable
     _, _, test, strat = ideal_setup(5)
     s = strat.state
-    for gen in test.game.system.variables:
+    for gen in test.system.variables:
         m = strat.observable("A", gen)
         n = strat.observable("B", gen)
         assert np.linalg.norm(m @ s @ n.T - s) <= 1e-10, gen
