@@ -170,7 +170,7 @@ def embedded_chsh_value(strategy: Strategy) -> dict:
     alpha = -1.0 / math.tan(math.pi / d)
     ctx = WeightedChshContext.from_alpha(alpha)
     sub, z, x = ext_labels(test.n_vars)
-    proj = strategy.family("A", sub)[0] @ strategy.state
+    proj = strategy.basis("A", sub).operator((1, 0)) @ strategy.state
     norm = float(np.linalg.norm(proj))
     if norm == 0:
         raise StructuralError("conditioned state vanishes")

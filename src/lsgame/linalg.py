@@ -1,23 +1,25 @@
 """Dense complex linear algebra substrate.
 
 Plain complex128 numpy arrays serve as matrices and state vectors; this
-module adds the projector algebra and Fourier matrices the rest of the
-library leans on.
+module adds measurement bases, Fourier matrices and random unitaries, the
+algebra the rest of the library leans on.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, ResourceError
 
-#: Global verification tolerance; dimensions stay below ~50 per side, so
-#: roundoff sits far beneath this.
+#: Global verification tolerance; dimensions stay at most 120 per side
+#: (4(d-1) at the cap d = 31), so roundoff sits far beneath this.
 DEFAULT_TOL = 1e-9
 
 #: Cap on the element count of any matrix produced by kron.  It cannot fire
-#: below make_params' cap of d <= 31: the largest kron is eye(4) (x) the
-#: (3, d-1, d-1) extension family, 43200 elements at d = 31.
+#: below make_params' cap of d <= 31: the largest kron is a full-space
+#: image, 4(d-1) x 4(d-1) = 14400 elements at d = 31.
 MAX_KRON_ELEMENTS = 1 << 26
 
 
@@ -44,8 +46,16 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def require_finite(a: np.ndarray, name: str = "matrix") -> None:
+    """PreconditionError naming the first non-finite entry of a, if any."""
+    if not np.isfinite(a).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+        raise PreconditionError(f"{name} has a non-finite entry {a[index]} at {index}")
+
+
 def op_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
+    """Largest singular value; PreconditionError on a non-finite entry."""
+    require_finite(a)
     return float(np.linalg.norm(a, 2))
 
 
@@ -60,46 +70,67 @@ def involution_residual(m: np.ndarray) -> float:
     return max(op_norm(m - dagger(m)), op_norm(m @ m - eye(m.shape[0])))
 
 
-def _gate_norm(a: np.ndarray) -> float:
-    """op_norm(a) for a pass/fail gate at DEFAULT_TOL.
+@dataclass(frozen=True, eq=False)  # identity equality: vectors are arrays
+class Basis:
+    """A complete projective measurement stored as one orthonormal basis.
 
-    The Frobenius norm bounds the operator norm from above, so when it is
-    at most DEFAULT_TOL the gate passes and it stands in for the SVD.  Any
-    value above the tolerance, NaN included, is the operator norm itself.
+    Outcome a owns the columns vectors[:, bounds[a]:bounds[a + 1]], so its
+    projector is V_a V_a^H; an outcome without columns is the zero
+    projector.  The vectors are read-only, so bases may be shared.
     """
-    fro = float(np.linalg.norm(a))
-    return fro if fro <= DEFAULT_TOL else op_norm(a)
+
+    vectors: np.ndarray
+    bounds: tuple[int, ...]
+
+    def __post_init__(self):
+        self.vectors.setflags(write=False)
+
+    def operator(self, weights) -> np.ndarray:
+        """sum_a weights[a] P_a, one product V diag(w) V^H."""
+        v = self.vectors
+        return (v * np.repeat(np.asarray(weights, dtype=float), np.diff(self.bounds))) @ dagger(v)
+
+    def merged(self, outcome_of) -> "Basis":
+        """The coarser measurement in which outcome a reads as outcome_of[a];
+        columns are regrouped stably, so no arithmetic touches them."""
+        labels = np.repeat(outcome_of, np.diff(self.bounds))
+        counts = np.bincount(labels, minlength=max(outcome_of) + 1)
+        return Basis(self.vectors[:, np.argsort(labels, kind="stable")], tuple(np.cumsum([0, *counts]).tolist()))
 
 
-def _halves(m: np.ndarray) -> np.ndarray:
-    one = eye(m.shape[0])
-    return np.stack(((one + m) / 2, (one - m) / 2))
-
-
-def observable_to_projectors(m: np.ndarray) -> np.ndarray:
-    """Split a binary observable into its stacked (+1, -1) eigenprojectors."""
-    res = max(_gate_norm(m - dagger(m)), _gate_norm(m @ m - eye(m.shape[0])))
-    if res > DEFAULT_TOL:
-        raise PreconditionError("operator is not a binary observable", res)
-    return _halves(m)
-
-
-def joint_projector(observables: list[np.ndarray]) -> np.ndarray:
-    """All 2^k products of (1 +/- m)/2 for k pairwise commuting binary observables.
-
-    Outcomes are stacked in lexicographic order, the first observable's sign
-    slowest: stack[o] projects onto outcome o, bit 0 meaning +1 and 1 meaning -1.
-    """
-    worst = 0.0
-    for i, a in enumerate(observables):
-        for b in observables[i + 1 :]:
-            worst = max(worst, _gate_norm(a @ b - b @ a))
-    if worst > DEFAULT_TOL:
-        raise PreconditionError("observables do not commute", worst)
-    out = _halves(observables[0])
-    for m in observables[1:]:
-        out = (out[:, None] @ _halves(m)[None]).reshape(-1, *m.shape)
+def outcome_indicator(bounds: tuple[int, ...]) -> np.ndarray:
+    """(k, n) 0/1 matrix: entry (a, c) is 1 when column c belongs to outcome a."""
+    out = np.zeros((len(bounds) - 1, bounds[-1]))
+    for a, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        out[a, lo:hi] = 1.0
     return out
+
+
+def joint_eigenbasis(ops: dict[str, np.ndarray], radices: tuple[int, ...]) -> Basis:
+    """Common eigenbasis of commuting Hermitian operators with integer spectra.
+
+    Operator j has eigenvalues 0..radices[j]-1, and a column's outcome reads
+    them as one mixed-radix number, the first slowest: one eigh of the
+    weighted sum, whose eigenvalues are the outcomes, sorts the columns.
+    PreconditionError on a non-finite entry, an eigenvalue not within
+    DEFAULT_TOL of an outcome, or an operator left off-diagonal by more than
+    DEFAULT_TOL (Frobenius norm), as when the operators do not commute.
+    """
+    weights = np.cumprod((1, *radices[:0:-1]))[::-1]
+    for name, op in ops.items():
+        require_finite(op, name)
+    stack = np.stack(list(ops.values()))
+    vals, vecs = np.linalg.eigh(np.tensordot(weights, stack, axes=1))
+    outcomes = np.rint(vals)
+    bad = ~(np.abs(vals - outcomes) <= DEFAULT_TOL) | (outcomes < 0) | (outcomes >= np.prod(radices))
+    if bad.any():
+        raise PreconditionError(f"eigenvalue {vals[bad][0]} of {', '.join(ops)} is not an outcome label")
+    outcomes = outcomes.astype(int)
+    labels = outcomes // weights[:, None] % np.array(radices)[:, None]  # (operator, column)
+    worst = np.linalg.norm(stack @ vecs - vecs * labels[:, None, :], axis=(1, 2)).max()
+    if not worst <= DEFAULT_TOL:
+        raise PreconditionError(f"{', '.join(ops)} have no common eigenbasis", worst)
+    return Basis(vecs, tuple(np.cumsum([0, *np.bincount(outcomes, minlength=np.prod(radices))]).tolist()))
 
 
 def random_unitaries(rng: np.random.Generator, count: int, dim: int, t: float) -> np.ndarray:

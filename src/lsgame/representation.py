@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .groups import build_conjugacy_triples, h_name, q_name
-from .linalg import dagger, eye, kron, op_norm
+from .linalg import dagger, eye, kron, op_norm, require_finite
 from .lsg import LinearSystem
 from .numtheory import PrimeParams
 
@@ -218,9 +218,12 @@ def verify_representation(rep: Rep, system: LinearSystem) -> float:
 
     Every variable and the central sign J must be a Hermitian involution
     that commutes with J, and each row's product must be (-1)^c.
+    PreconditionError naming the generator of a non-finite image.
     """
     identity = eye(rep.dim)
     jm = rep["J"]
+    for name in (*system.variables, "J"):
+        require_finite(rep[name], name)
     worst = 0.0
     for name in (*system.variables, "J"):
         m = rep[name]

@@ -9,14 +9,15 @@ import numpy as np
 
 from .errors import DomainError
 from .isometry import REPORT_LABELS, selftest_report
-from .linalg import random_unitaries
+from .linalg import Basis, random_unitaries
 from .strategy import COMM_GENS, Correlation, Strategy, ext_labels
 
 KINDS = ("state", "rotate", "both")
 
 #: largest trial and magnitude counts of one sweep.  Record seeds are
 #: base_seed*10^6 + kind*10^5 + magnitude*10^3 + trial, so within these caps
-#: no two records of a sweep share a seed.
+#: no two records of a sweep share a seed, and, every other term being a
+#: multiple of 1000, a seed's parity is its trial's: fit_bound splits on it.
 MAX_TRIALS = 1000
 MAX_MAGNITUDES = 100
 
@@ -56,8 +57,9 @@ class PerturbationSpec:
 
 
 def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
-    """Deterministic perturbed copy of a strategy: the state is copied, and
-    families left unrotated are the input's read-only arrays, not copies."""
+    """Deterministic perturbed copy of a strategy: the state is copied, a
+    rotation u takes a basis V to u V, and bases left unrotated are the
+    input's read-only objects, not copies."""
     delta = spec.magnitude
     state = ideal.state.copy()
     alice, bob = dict(ideal.alice), dict(ideal.bob)
@@ -73,7 +75,7 @@ def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
                 for start in range(0, len(questions), GENERATOR_BLOCK):
                     block = questions[start : start + GENERATOR_BLOCK]
                     for q, u in zip(block, random_unitaries(rng, len(block), dim, delta)):
-                        fams[q] = u @ fams[q] @ u.conj().T
+                        fams[q] = Basis(u @ fams[q].vectors, fams[q].bounds)
         if spec.kind in ("state", "both"):
             g = rng.standard_normal(state.size) + 1j * rng.standard_normal(state.size)
             g = g.reshape(state.shape) / np.linalg.norm(g)
@@ -117,7 +119,8 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     conjugacy = norm(o_a @ u_a.conj().T @ s - u_a.conj().T @ o_a_r @ s)
 
     _, z, x = ext_labels(test.n_vars)
-    p0, p1 = strategy.family("A", z)[:2]
+    z_basis = strategy.basis("A", z)
+    p0, p1 = z_basis.operator((1, 0, 0)), z_basis.operator((0, 1, 0))
     x_obs = obs("A", x)
     half = 0.5 * (p0 + 1j * (x_obs @ p1) - 1j * (x_obs @ p0) + p1)
     psi1 = half @ s
@@ -239,24 +242,28 @@ def run_sweep(
 
 
 def fit_bound(records: list[SweepRecord], tol_fit: float = 1e-9) -> dict:
-    """Log-log fit of the state distance against epsilon, plus the envelope.
+    """Log-log fit of the state distance against epsilon, and its envelope.
 
-    C_fit is the smallest constant with distance <= C_fit * epsilon^(1/8)
-    over all records; violations counts records above C_fit * (1 + tol_fit),
-    zero by construction.
+    The fit and C_fit, the smallest constant with distance <= C_fit *
+    epsilon^(1/8), use the n_fit even-seed records; violations counts the
+    n_held_out odd-seed records above C_fit * (1 + tol_fit), which the fit
+    has not seen, and is None when there are none (a one-trial sweep).
+    Records with epsilon 0 are left out.
     """
-    pts = [(rec.epsilon, rec.distances["psi"]) for rec in records if rec.epsilon > 0]
-    if len({e for e, _ in pts}) < 3:
-        raise DomainError("need at least 3 distinct positive epsilon values")
-    logs = np.array([(math.log(e), math.log(max(dist, 1e-300))) for e, dist in pts])
+    pts = [(rec.seed % 2, rec.epsilon, rec.distances["psi"]) for rec in records if rec.epsilon > 0]
+    fit = [(e, dist) for odd, e, dist in pts if not odd]
+    if len({e for e, _ in fit}) < 3:
+        raise DomainError("need at least 3 distinct positive epsilon values among the even-seed records")
+    logs = np.array([(math.log(e), math.log(max(dist, 1e-300))) for e, dist in fit])
     slope, intercept = np.polyfit(logs[:, 0], logs[:, 1], 1)
-    ratios = [dist / e ** 0.125 for e, dist in pts]
-    c_fit = max(ratios)
-    violations = sum(1 for rho in ratios if rho > c_fit * (1 + tol_fit))
+    c_fit = max(dist / e ** 0.125 for e, dist in fit)
+    held_out = [dist / e ** 0.125 for odd, e, dist in pts if odd]
     return {
         "exponent_fit": float(slope),
         "log_intercept": float(intercept),
         "C_fit": float(c_fit),
-        "violations": int(violations),
+        "violations": sum(1 for rho in held_out if rho > c_fit * (1 + tol_fit)) if held_out else None,
+        "n_fit": len(fit),
+        "n_held_out": len(held_out),
         "n_points": len(pts),
     }

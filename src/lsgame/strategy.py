@@ -12,9 +12,9 @@ The full test glues three blocks over one uniform question distribution:
 Question labels are strings: ``I7`` (equation), ``x(f0)`` (variable),
 ``ext:0`` / ``ext:<n+1>`` / ``ext:<n+2>`` (extension block, n = number of
 variables), ``comm:<n+1>,f0`` (Bob's paired question).  Answer orders are
-fixed by the tuples in FullTest.  A measurement family is one read-only
-``(k, n, n)`` array whose first axis follows that answer order, so
-``family[a]`` is the projector for the a-th answer.
+fixed by the tuples in FullTest.  A measurement is one read-only
+:class:`~lsgame.linalg.Basis`: an ``n x n`` unitary whose columns are grouped
+by answer in that order, so the a-th answer's projector is ``V_a V_a^H``.
 
 :meth:`Strategy.observable` is the one source of binary observables: every
 variable's observable, O and U, each derived once per strategy and read by
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .linalg import basis_vector, eye, joint_projector, kron, observable_to_projectors
+from .linalg import Basis, basis_vector, eye, joint_eigenbasis, kron, outcome_indicator
 from .lsg import QUOTED_PAIR_COUNT, LinearSystem, build_linear_system
 from .numtheory import PrimeParams
 from .representation import KEY_FACTORS, Rep, x_index
@@ -39,7 +39,8 @@ from .representation import KEY_FACTORS, Rep, x_index
 COMM_GENS = ("f0", "f2", "g0", "g2")
 
 #: tolerance on the sum and on negative entries of a parsed correlation table
-#: (roundoff leaves entries of order -1e-15 where the ideal value is 0)
+#: (generated entries are sums of squares, never negative, but a file may
+#: come from elsewhere)
 TABLE_TOL = 1e-9
 
 _TRIPLES = tuple(
@@ -118,41 +119,36 @@ def build_full_test(params: PrimeParams) -> FullTest:
 
 @dataclass
 class Strategy:
-    """Shared pure state plus one projector family per question per party.
+    """Shared pure state plus one measurement basis per question per party.
 
     state is the (dim_a, dim_b) matrix S of psi = vec(S), row-major, so
-    that (M (x) N) psi = vec(M S N^T).  Each family is a (k, n, n) stack of
-    projectors in the test's answer order.  Construction makes every family
-    read-only, so strategies may share family arrays; no family is replaced
-    after construction, so each strategy memoizes its own observables.
+    that (M (x) N) psi = vec(M S N^T).  Bases are read-only, so strategies
+    may share them; none is replaced after construction, so each strategy
+    memoizes its own observables.
     """
 
     params: PrimeParams
     test: FullTest
     state: np.ndarray
-    alice: dict[str, np.ndarray]
-    bob: dict[str, np.ndarray]
+    alice: dict[str, Basis]
+    bob: dict[str, Basis]
     #: observable()'s memo, keyed by (party, name) and owned by this object alone
     _observables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        for fam in (*self.alice.values(), *self.bob.values()):
-            fam.setflags(write=False)
-
-    def family(self, party: str, question: str) -> np.ndarray:
-        """Party "A" or "B"'s measurement family for a question."""
-        fams = self.alice if party == "A" else self.bob
-        if question not in fams:
+    def basis(self, party: str, question: str) -> Basis:
+        """Party "A" or "B"'s measurement basis for a question."""
+        bases = self.alice if party == "A" else self.bob
+        if question not in bases:
             raise StructuralError(f"{party} has no measurement for {question!r}")
-        return fams[question]
+        return bases[question]
 
     def observable(self, party: str, name: str) -> np.ndarray:
         """Party "A" or "B"'s binary observable for name, derived once, read-only.
 
         For a variable or a question label it is P0 - P1 of the party's
-        family; Alice, where she has no family for a variable, marginalizes
-        the joint family of the first equation containing it.  For "O" or
-        "U" it is the product of its KEY_FACTORS' observables.
+        basis; Alice, where she has no basis for a variable, marginalizes
+        the basis of the first equation containing it.  For "O" or "U" it is
+        the product of its KEY_FACTORS' observables.
         """
         key = (party, name)
         if key not in self._observables:
@@ -164,17 +160,18 @@ class Strategy:
         if name in KEY_FACTORS:
             first, second = KEY_FACTORS[name]
             return self.observable(party, first) @ self.observable(party, second)
-        fams = self.alice if party == "A" else self.bob
-        question = name if name in fams else var_label(name)
-        if question in fams:
-            return fams[question][0] - fams[question][1]
+        bases = self.alice if party == "A" else self.bob
+        question = name if name in bases else var_label(name)
+        if question in bases:
+            basis = bases[question]
+            return basis.operator([1.0, -1.0] + [0.0] * (len(basis.bounds) - 3))
         if party == "A":
             system = self.test.system
             for i in range(system.n_rows):
                 names = system.row_names(i)
                 if name in names:
-                    signs = [(-1.0) ** outcome[names.index(name)] for outcome in _TRIPLES]
-                    return np.tensordot(signs, self.family("A", eq_label(i)), axes=1)
+                    pos = names.index(name)
+                    return bases[eq_label(i)].operator([(-1.0) ** outcome[pos] for outcome in _TRIPLES])
         raise StructuralError(f"{party} has no measurement for {name!r}")
 
 
@@ -201,18 +198,25 @@ def v1_states(params: PrimeParams) -> dict[str, np.ndarray]:
     }
 
 
-def ext_projector_families(params: PrimeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extension-block families on W_{d-1}, lifted to the full 4(d-1) space,
-    for the subspace, Z-basis and X-basis questions in ext_labels order."""
-    proj = {k: np.outer(v, v.conj()) for k, v in v1_states(params).items()}
-    pi_v1 = proj["z0"] + proj["z1"]
-    pi_perp = eye(params.d - 1) - pi_v1
+def ext_bases(params: PrimeParams) -> tuple[Basis, Basis, Basis]:
+    """Extension-block bases on W_{d-1}, lifted to the full 4(d-1) space,
+    for the subspace, Z-basis and X-basis questions in ext_labels order; the
+    last answer owns the complement of span(x_1, x_{d-1}), empty at d = 3."""
+    d = params.d
+    z0, z1, x0, x1 = (v[:, None] for v in v1_states(params).values())
+    span = (x_index(1, d), x_index(d - 1, d))
+    perp = eye(d - 1)[:, [k for k in range(d - 1) if k not in span]]
     on_w = (
-        (pi_v1, pi_perp),
-        (proj["z0"], proj["z1"], pi_perp),
-        (proj["x0"], proj["x1"], pi_perp),
+        (np.hstack((z0, z1)), perp),
+        (z0, z1, perp),
+        (x0, x1, perp),
     )
-    return tuple(kron(eye(4), np.stack(fam)) for fam in on_w)
+    out = []
+    for fam in on_w:
+        blocks = [kron(eye(4), cols) for cols in fam]  # I_4 (x) each answer's columns, kept together
+        bounds = np.cumsum([0] + [block.shape[1] for block in blocks])
+        out.append(Basis(np.hstack(blocks), tuple(bounds.tolist())))
+    return tuple(out)
 
 
 def ideal_state(params: PrimeParams) -> np.ndarray:
@@ -230,25 +234,39 @@ def ideal_state(params: PrimeParams) -> np.ndarray:
 
 
 def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strategy:
-    """Measurements from the representation; shared observables per variable."""
+    """Measurement bases from the representation, with no projector formed.
+
+    An equation's basis is its variables' joint eigenbasis; a variable's,
+    shared by both parties, regroups the columns of the first equation
+    containing it by its bit; a commutation question's is the joint
+    eigenbasis of its two questions.  PreconditionError (see
+    joint_eigenbasis) on a non-finite image or a non-commuting row.
+    """
     if rep.params.d != params.d or rep.params.r != params.r:
         raise StructuralError("representation was built for different parameters")
     system = test.system
-    dim = rep.dim
+    one = eye(rep.dim)
 
-    var_fams = {gen: observable_to_projectors(rep[gen]) for gen in system.variables}
-    ext_fams = dict(zip(ext_labels(test.n_vars), ext_projector_families(params)))
+    alice: dict[str, Basis] = {}
+    var_bases: dict[str, Basis] = {}
+    for i in range(system.n_rows):
+        names = system.row_names(i)
+        basis = joint_eigenbasis({g: (one - rep[g]) / 2 for g in names}, (2, 2, 2))
+        alice[eq_label(i)] = basis
+        for pos, g in enumerate(names):
+            if g not in var_bases:
+                var_bases[g] = basis.merged([outcome[pos] for outcome in _TRIPLES])
+    ext = dict(zip(ext_labels(test.n_vars), ext_bases(params)))
+    alice.update(ext)
+    alice.update((var_label(g), var_bases[g]) for g in ("a1", "a2") + COMM_GENS)
 
-    alice = {eq_label(i): joint_projector([rep[g] for g in system.row_names(i)]) for i in range(system.n_rows)}
-    alice.update(ext_fams)
-    alice.update((var_label(g), var_fams[g]) for g in ("a1", "a2") + COMM_GENS)
-
-    bob = {var_label(gen): var_fams[gen] for gen in system.variables}
-    bob.update(ext_fams)
-    for basis in ext_labels(test.n_vars)[1:]:
+    bob = {var_label(gen): var_bases[gen] for gen in system.variables}
+    bob.update(ext)
+    for q in ext_labels(test.n_vars)[1:]:
         for g in COMM_GENS:
-            # (b1, b2) -> basis projector b1 times variable projector b2, b2 fastest
-            bob[comm_label(basis, g)] = (ext_fams[basis][:, None] @ var_fams[g][None]).reshape(-1, dim, dim)
+            # answer (b1, b2): basis answer b1 and variable bit b2, b2 fastest
+            ops = {q: ext[q].operator((0, 1, 2)), var_label(g): var_bases[g].operator((0, 1))}
+            bob[comm_label(q, g)] = joint_eigenbasis(ops, (3, 2))
 
     return Strategy(params=params, test=test, state=ideal_state(params), alice=alice, bob=bob)
 
@@ -312,23 +330,27 @@ class Correlation:
 def generate_correlation(strategy: Strategy, test: FullTest | None = None) -> Correlation:
     """p(a, b | x, y) = <psi| M_x^a (x) N_y^b |psi> over the test's support.
 
-    With psi = vec(S), p = tr(M rho), where rho = S N^T S^+ is the operator
-    Bob's outcome steers Alice's side to; so p = sum_kl M[k, l] rho^T[k, l].
-    Per Bob question the stack of rho^T = conj(S) N S^T is cached flattened
-    to (k', n^2); Alice's family flattens to (k, n^2) as a view, so each
-    table is one product Re(L R^T).
+    With psi = vec(S), M^a = V_a V_a^H and N^b = W_b W_b^H, p is the squared
+    Frobenius norm of V_a^H S conj(W_b), a block of one product per pair.
+    Every entry is a sum of squares, so none is negative.
     """
     test = test or strategy.test
     s = strategy.state
-    s_conj = s.conj()
-    corr = Correlation(d=strategy.params.d, r=strategy.params.r)
-    rights: dict[str, np.ndarray] = {}
+    bases = (*strategy.alice.values(), *strategy.bob.values())
+    indicators = {bounds: outcome_indicator(bounds) for bounds in {basis.bounds for basis in bases}}
+    bob_questions: dict[str, list[str]] = {}
     for x, y in test.support:
-        if y not in rights:
-            fam = strategy.family("B", y)
-            rights[y] = (s_conj @ fam @ s.T).reshape(len(fam), -1)
-        left = strategy.family("A", x)
-        corr.entries[(x, y)] = (left.reshape(len(left), -1) @ rights[y].T).real.copy()
+        bob_questions.setdefault(x, []).append(y)
+    tables = {}
+    for x, ys in bob_questions.items():  # V_x^H S once per Alice question
+        alice = strategy.basis("A", x)
+        left = alice.vectors.conj().T @ s
+        for y in ys:
+            bob = strategy.basis("B", y)
+            cells = np.abs(left @ bob.vectors.conj()) ** 2
+            tables[(x, y)] = indicators[alice.bounds] @ cells @ indicators[bob.bounds].T
+    corr = Correlation(d=strategy.params.d, r=strategy.params.r)
+    corr.entries.update((pair, tables[pair]) for pair in test.support)
     return corr
 
 

@@ -1,0 +1,53 @@
+"""Dense projector algebra, the reference the stored measurement bases are held to.
+
+A binary observable splits into its two eigenprojectors (1 +/- m)/2, and k
+commuting observables into the 2^k products of theirs, stacked as a
+(2^k, n, n) array; a stored basis expands into the same kind of stack.
+"""
+
+import numpy as np
+
+from lsgame.errors import PreconditionError
+from lsgame.linalg import DEFAULT_TOL, dagger, eye, op_norm
+
+
+def projectors(basis):
+    """The dense (k, n, n) stack of a basis's outcome projectors V_a V_a^H."""
+    v, b = basis.vectors, basis.bounds
+    return np.stack([v[:, lo:hi] @ dagger(v[:, lo:hi]) for lo, hi in zip(b, b[1:])])
+
+
+def family(strategy, party, question):
+    """A strategy's measurement for a question as a dense projector stack."""
+    return projectors(strategy.basis(party, question))
+
+
+def _halves(m):
+    one = eye(m.shape[0])
+    return np.stack(((one + m) / 2, (one - m) / 2))
+
+
+def observable_to_projectors(m):
+    """Split a binary observable into its stacked (+1, -1) eigenprojectors."""
+    res = max(op_norm(m - dagger(m)), op_norm(m @ m - eye(m.shape[0])))
+    if res > DEFAULT_TOL:
+        raise PreconditionError("operator is not a binary observable", res)
+    return _halves(m)
+
+
+def joint_projector(observables):
+    """All 2^k products of (1 +/- m)/2 for k pairwise commuting binary observables.
+
+    Outcomes are stacked in lexicographic order, the first observable's sign
+    slowest: stack[o] projects onto outcome o, bit 0 meaning +1 and 1 meaning -1.
+    """
+    worst = 0.0
+    for i, a in enumerate(observables):
+        for b in observables[i + 1 :]:
+            worst = max(worst, op_norm(a @ b - b @ a))
+    if worst > DEFAULT_TOL:
+        raise PreconditionError("observables do not commute", worst)
+    out = _halves(observables[0])
+    for m in observables[1:]:
+        out = (out[:, None] @ _halves(m)[None]).reshape(-1, *m.shape)
+    return out

@@ -169,6 +169,8 @@ def test_criterion_8_robustness_sweep(family):
     from lsgame import fit_bound
 
     fit = fit_bound(records)
+    # C_fit is fitted on the even seeds; violations counts the odd seeds above it
+    assert (fit["n_fit"], fit["n_held_out"]) == (12, 12)
     assert fit["violations"] == 0
     for rec in records:
         assert rec.distances["psi"] <= fit["C_fit"] * rec.epsilon**0.125 * (1 + 1e-9)
@@ -180,7 +182,8 @@ def test_criterion_8_robustness_sweep(family):
     slopes = [np.polyfit(*logs[rng.integers(0, len(logs), len(logs))].T, 1)[0] for _ in range(2000)]
     low = float(np.percentile(slopes, 5))
     assert low >= 0.125, low
-    print(f"PASS criterion 8: medians {['%.2e' % m for m in medians]}, C_fit {fit['C_fit']:.3f}, "
+    print(f"PASS criterion 8: medians {['%.2e' % m for m in medians]}, C_fit {fit['C_fit']:.3f} "
+          f"(held-out violations {fit['violations']} of {fit['n_held_out']}), "
           f"exponent {fit['exponent_fit']:.3f} (bootstrap 5th percentile {low:.3f}), {elapsed:.1f}s")
 
 

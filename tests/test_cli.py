@@ -312,7 +312,7 @@ def test_sweep_says_why_it_has_no_fit(capsys):
     code, out, err = run(["sweep", "--d", "3", "--deltas", "1e-3", "--trials", "2"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 3  # header and two records
-    assert json.loads(err) == {"fit": None, "reason": "need at least 3 distinct positive epsilon values"}
+    assert json.loads(err) == {"fit": None, "reason": "need at least 3 distinct positive epsilon values among the even-seed records"}
 
 
 @pytest.mark.parametrize("flags", [["--trials", "0"], ["--deltas", "abc"], ["--deltas", ","]])

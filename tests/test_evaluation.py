@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import family
 from lsgame import (
     Correlation,
     DomainError,
@@ -111,8 +112,8 @@ def ls_winning_probability_reference(strategy, test):
     for i, v in system.valid_pairs:
         names = system.row_names(i)
         pos = names.index(system.variables[v])
-        fam_a = strategy.family("A", eq_label(i))
-        fam_b = strategy.family("B", var_label(system.variables[v]))
+        fam_a = family(strategy, "A", eq_label(i))
+        fam_b = family(strategy, "B", var_label(system.variables[v]))
         for triple in itertools.product((0, 1), repeat=3):
             if sum(triple) % 2 != system.rhs[i]:
                 continue

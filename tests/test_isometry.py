@@ -15,7 +15,7 @@ from lsgame import (
     selftest_report,
 )
 from lsgame.isometry import LABELS, REPORT_LABELS, control_target
-from lsgame.linalg import eye, qft
+from lsgame.linalg import Basis, eye, qft
 from lsgame.numtheory import discrete_log
 from lsgame.robustness import PerturbationSpec, perturb_strategy
 from lsgame.strategy import COMM_GENS, var_label
@@ -198,34 +198,46 @@ def test_selftest_report_matches_dense_reference():
 
 
 def test_selftest_report_non_isometric_stage_two():
-    # f0 scaled by 0.9 on both sides: sum_l M_l^H M_l is no longer the
+    # f0's basis vectors scaled by sqrt(0.9) on both sides, so its
+    # observable is 0.9 times a unitary: sum_l M_l^H M_l is no longer the
     # identity, so off-support slices must be weighted by the Gram matrix
     p, rep, test, strat = ideal_setup(5)
     corr = generate_correlation(strat, test)
     pert = perturb_strategy(strat, PerturbationSpec("both", 1e-2, 4))
     key = var_label("f0")
+
+    def scale(basis):
+        return Basis(np.sqrt(0.9) * basis.vectors, basis.bounds)
+
     scaled = dataclasses.replace(
         pert,
-        alice={**pert.alice, key: 0.9 * pert.alice[key]},
-        bob={**pert.bob, key: 0.9 * pert.bob[key]},
+        alice={**pert.alice, key: scale(pert.alice[key])},
+        bob={**pert.bob, key: scale(pert.bob[key])},
     )
+    np.testing.assert_allclose(scaled.observable("A", "f0"), 0.9 * pert.observable("A", "f0"), atol=1e-14)
     assert abs(np.linalg.norm(phi2_dense(scaled.state, scaled.observable)) - 1) > 1e-3
     assert_matches_dense(scaled, corr, "f0 scaled by 0.9")
 
 
 def test_selftest_report_rank_deficient_stage_two():
-    # f0 and f2 zeroed on both sides: only the (0, 0) ancilla map survives,
-    # so each party's stacked stage-two maps lose rank and R is singular.
+    # f0's and f2's basis vectors zeroed on both sides, so both observables
+    # vanish: only the (0, 0) ancilla map survives, so each party's stacked
+    # stage-two maps lose rank and R is singular.
     # (f0 alone is not enough: the ideal Gram matrix is then 1/2.)
     p, rep, test, strat = ideal_setup(5)
     corr = generate_correlation(strat, test)
     keys = (var_label("f0"), var_label("f2"))
+
+    def zero(basis):
+        return Basis(np.zeros_like(basis.vectors), basis.bounds)
+
     for base in (strat, perturb_strategy(strat, PerturbationSpec("both", 1e-2, 4))):
         zeroed = dataclasses.replace(
             base,
-            alice={**base.alice, **{k: np.zeros_like(base.alice[k]) for k in keys}},
-            bob={**base.bob, **{k: np.zeros_like(base.bob[k]) for k in keys}},
+            alice={**base.alice, **{k: zero(base.alice[k]) for k in keys}},
+            bob={**base.bob, **{k: zero(base.bob[k]) for k in keys}},
         )
+        assert np.abs(zeroed.observable("B", "f2")).max() == 0.0
         da = zeroed.state.shape[0]
         for party in "AB":
             stack = swap_maps(zeroed.observable, party).reshape(4 * da, da)

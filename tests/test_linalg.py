@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lsgame.linalg as la
+from dense_reference import joint_projector, observable_to_projectors, projectors
 from lsgame import PreconditionError, ResourceError
 from lsgame.errors import PreconditionError as PE
 
@@ -47,10 +48,10 @@ def test_qft_column_zero_uniform():
 
 
 def test_observable_to_projectors_pauli():
-    p0, p1 = la.observable_to_projectors(SZ)
+    p0, p1 = observable_to_projectors(SZ)
     np.testing.assert_allclose(p0, np.diag([1, 0]).astype(complex))
     np.testing.assert_allclose(p1, np.diag([0, 1]).astype(complex))
-    p0, p1 = la.observable_to_projectors(la.eye(2))
+    p0, p1 = observable_to_projectors(la.eye(2))
     np.testing.assert_allclose(p0, la.eye(2))
     np.testing.assert_allclose(p1, np.zeros((2, 2)))
 
@@ -64,7 +65,7 @@ def test_observable_round_trip_random(random_binary_observable):
     for dim in (2, 3, 4, 6):
         for _ in range(10):
             m = random_binary_observable(dim, rng)
-            p0, p1 = la.observable_to_projectors(m)
+            p0, p1 = observable_to_projectors(m)
             np.testing.assert_allclose(p0 - p1, m, atol=1e-12)
             np.testing.assert_allclose(p0 + p1, la.eye(dim), atol=1e-12)
             assert projector_residual(p0) <= 1e-9 and projector_residual(p1) <= 1e-9
@@ -73,13 +74,13 @@ def test_observable_round_trip_random(random_binary_observable):
 
 def test_observable_rejects_non_involution():
     with pytest.raises(PreconditionError) as err:
-        la.observable_to_projectors(np.diag([1.0, 0.5]).astype(complex))
+        observable_to_projectors(np.diag([1.0, 0.5]).astype(complex))
     assert err.value.residual is not None
 
 
 def test_joint_projector_basic():
-    np.testing.assert_allclose(la.joint_projector([SZ])[0], np.diag([1, 0]).astype(complex))
-    zz = la.joint_projector([la.kron(SZ, la.eye(2)), la.kron(la.eye(2), SZ)])[1]  # outcome (0, 1)
+    np.testing.assert_allclose(joint_projector([SZ])[0], np.diag([1, 0]).astype(complex))
+    zz = joint_projector([la.kron(SZ, la.eye(2)), la.kron(la.eye(2), SZ)])[1]  # outcome (0, 1)
     np.testing.assert_allclose(zz, la.kron(np.diag([1, 0]), np.diag([0, 1])), atol=1e-14)
 
 
@@ -87,7 +88,7 @@ def test_joint_projector_completeness_random(random_binary_observable):
     rng = np.random.default_rng(3)
     a = random_binary_observable(3, rng)
     obs = [la.kron(a, la.eye(2)), la.kron(la.eye(3), random_binary_observable(2, rng))]
-    stack = la.joint_projector(obs)
+    stack = joint_projector(obs)
     total = np.zeros((6, 6), dtype=complex)
     for o1 in (0, 1):
         for o2 in (0, 1):
@@ -99,8 +100,57 @@ def test_joint_projector_completeness_random(random_binary_observable):
 
 def test_joint_projector_rejects_non_commuting():
     with pytest.raises(PE) as err:
-        la.joint_projector([SZ, SX])
+        joint_projector([SZ, SX])
     assert err.value.residual > 1
+
+
+def test_op_norm_names_first_non_finite_entry():
+    a = la.eye(3)
+    a[1, 2] = np.nan
+    a[2, 0] = np.inf
+    with pytest.raises(PreconditionError, match=r"matrix has a non-finite entry \(nan\+0j\) at \(1, 2\)"):
+        la.op_norm(a)
+
+
+def test_joint_eigenbasis_matches_joint_projector(random_binary_observable):
+    rng = np.random.default_rng(5)
+    obs = [
+        la.kron(random_binary_observable(3, rng), la.eye(4)),
+        la.kron(la.eye(3), la.kron(random_binary_observable(2, rng), la.eye(2))),
+        la.kron(la.eye(6), SX),
+    ]
+    basis = la.joint_eigenbasis({f"m{j}": (la.eye(12) - m) / 2 for j, m in enumerate(obs)}, (2, 2, 2))
+    v = basis.vectors
+    assert v.shape == (12, 12) and not v.flags.writeable
+    assert la.op_norm(la.dagger(v) @ v - la.eye(12)) <= 1e-13
+    assert np.abs(projectors(basis) - joint_projector(obs)).max() <= 1e-13
+    # regrouping by the second bit gives the second observable's projectors
+    second = basis.merged([(o >> 1) & 1 for o in range(8)])
+    assert np.abs(projectors(second) - observable_to_projectors(obs[1])).max() <= 1e-13
+    np.testing.assert_allclose(second.operator((1, -1)), obs[1], atol=1e-13)
+
+
+def test_joint_eigenbasis_empty_outcome():
+    # Z (x) Z has no (0, 1) or (1, 0) outcome when both factors are the same Z
+    zz = la.kron(SZ, la.eye(2))
+    basis = la.joint_eigenbasis({"a": (la.eye(4) - zz) / 2, "b": (la.eye(4) - zz) / 2}, (2, 2))
+    assert basis.bounds == (0, 2, 2, 2, 4)
+    assert np.abs(projectors(basis)[1:3]).max() == 0.0
+
+
+def test_joint_eigenbasis_rejects_bad_inputs():
+    half = lambda m: (la.eye(2) - m) / 2  # noqa: E731
+    with pytest.raises(PreconditionError, match="not an outcome label"):  # they do not commute
+        la.joint_eigenbasis({"z": half(SZ), "x": half(SX)}, (2, 2))
+    # integer eigenvalues 2a + b = 1, 1, but b's spectrum is not {0, 1}
+    with pytest.raises(PreconditionError, match="no common eigenbasis"):
+        la.joint_eigenbasis({"a": np.diag([1.0, 0.0]), "b": np.diag([-1.0, 1.0])}, (2, 2))
+    with pytest.raises(PreconditionError, match="not an outcome label"):
+        la.joint_eigenbasis({"z": half(SZ) / 2}, (2,))
+    bad = half(SZ)
+    bad[0, 1] = np.nan
+    with pytest.raises(PreconditionError, match=r"bad has a non-finite entry \(nan\+0j\) at \(0, 1\)"):
+        la.joint_eigenbasis({"z": half(SZ), "bad": bad}, (2, 2))
 
 
 def test_hermitian_exponential_unitary():

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import projectors
 from lsgame import (
     Correlation,
     build_full_test,
@@ -32,8 +33,8 @@ def test_ideal_strategy_properties(dr):
 
     # every family is a complete stack of orthogonal Hermitian projectors:
     # sum_a P_a = 1, P_a^+ = P_a and P_a P_b = delta_ab P_a
-    families = {id(fam): fam for fams in (strat.alice, strat.bob) for fam in fams.values()}
-    for fam in families.values():
+    bases = {id(basis): basis for bases in (strat.alice, strat.bob) for basis in bases.values()}
+    for fam in (projectors(basis) for basis in bases.values()):
         k, n, _ = fam.shape
         assert np.abs(fam.sum(axis=0) - np.eye(n)).max() <= 1e-10
         assert np.abs(fam - fam.conj().transpose(0, 2, 1)).max() <= 1e-10

@@ -1,8 +1,10 @@
+import dataclasses
 import statistics
 
 import numpy as np
 import pytest
 
+from dense_reference import family
 from lsgame import (
     DomainError,
     PerturbationSpec,
@@ -19,6 +21,7 @@ from lsgame import (
     run_sweep,
     selftest_report,
 )
+from lsgame.linalg import Basis
 from lsgame.robustness import RESIDUAL_LABELS, SweepRecord
 from lsgame.strategy import Strategy
 
@@ -54,17 +57,17 @@ def test_zero_magnitude_is_identity():
     copy = perturb_strategy(strat, PerturbationSpec("both", 0.0, 5))
     assert np.array_equal(copy.state, strat.state)
     for q in strat.alice:
-        for a, b in zip(copy.alice[q], strat.alice[q]):
-            assert np.array_equal(a, b)
+        assert np.array_equal(copy.alice[q].vectors, strat.alice[q].vectors)
+        assert copy.alice[q].bounds == strat.alice[q].bounds
     assert correlation_distance(generate_correlation(copy, test), corr) == 0.0
 
 
 def test_families_read_only_and_shared_when_not_rotated():
     _, test, strat, _ = ideal_setup(3)
-    for fams in (strat.alice, strat.bob):
-        for q, fam in fams.items():
-            assert isinstance(fam, np.ndarray) and fam.ndim == 3, q
-            assert not fam.flags.writeable, q
+    for bases in (strat.alice, strat.bob):
+        for q, basis in bases.items():
+            assert isinstance(basis, Basis) and basis.vectors.ndim == 2, q
+            assert not basis.vectors.flags.writeable, q
     for spec in (PerturbationSpec("both", 0.0, 5), PerturbationSpec("state", 1e-3, 5)):
         copy = perturb_strategy(strat, spec)
         assert copy.state is not strat.state
@@ -73,8 +76,9 @@ def test_families_read_only_and_shared_when_not_rotated():
         for q in strat.bob:
             assert copy.bob[q] is strat.bob[q], (spec, q)
     rotated = perturb_strategy(strat, PerturbationSpec("rotate", 1e-3, 5))
-    for q, fam in rotated.alice.items():
-        assert fam is not strat.alice[q] and not fam.flags.writeable, q
+    for q, basis in rotated.alice.items():
+        assert basis is not strat.alice[q] and not basis.vectors.flags.writeable, q
+        assert basis.bounds == strat.alice[q].bounds, q
 
 
 def test_same_seed_reproduces():
@@ -84,8 +88,7 @@ def test_same_seed_reproduces():
     two = perturb_strategy(strat, spec)
     assert np.array_equal(one.state, two.state)
     for q in one.alice:
-        for a, b in zip(one.alice[q], two.alice[q]):
-            assert np.array_equal(a, b)
+        assert np.array_equal(one.alice[q].vectors, two.alice[q].vectors)
     other = perturb_strategy(strat, PerturbationSpec("both", 1e-3, 78))
     assert not np.array_equal(other.state, one.state)
 
@@ -93,8 +96,9 @@ def test_same_seed_reproduces():
 def test_rotations_preserve_families_exactly():
     _, test, strat, _ = ideal_setup(3)
     pert = perturb_strategy(strat, PerturbationSpec("rotate", 0.05, 3))
-    for fams in (pert.alice, pert.bob):
-        for q, fam in fams.items():
+    for party, answers in (("A", test.alice_answers), ("B", test.bob_answers)):
+        for q in answers:
+            fam = family(pert, party, q)
             total = sum(fam)
             np.testing.assert_allclose(total, np.eye(total.shape[0]), atol=1e-12)
             for i, pi in enumerate(fam):
@@ -104,12 +108,14 @@ def test_rotations_preserve_families_exactly():
 
 
 def reference_perturbation(ideal, spec):
-    """perturb_strategy as one generator at a time: per question, draw a
-    random Hermitian matrix, scale it to unit operator norm with an SVD and
-    exponentiate it with its own eigendecomposition."""
+    """perturb_strategy as one generator at a time, on dense projector
+    stacks: per question, draw a random Hermitian matrix, scale it to unit
+    operator norm with an SVD, exponentiate it with its own
+    eigendecomposition and conjugate each projector, u P u^H."""
     rng = np.random.default_rng(spec.seed)
     state = ideal.state.copy()
-    alice, bob = dict(ideal.alice), dict(ideal.bob)
+    alice = {q: family(ideal, "A", q) for q in ideal.alice}
+    bob = {q: family(ideal, "B", q) for q in ideal.bob}
     if spec.kind in ("rotate", "both"):
         for fams, answers, dim in (
             (alice, ideal.test.alice_answers, state.shape[0]),
@@ -140,10 +146,10 @@ def test_perturbation_matches_per_question_reference(d, kind, delta):
     pert = perturb_strategy(strat, spec)
     state, alice, bob = reference_perturbation(strat, spec)
     assert np.max(np.abs(pert.state - state)) <= 1e-15
-    for got, want in ((pert.alice, alice), (pert.bob, bob)):
+    for party, got, want in (("A", pert.alice, alice), ("B", pert.bob, bob)):
         assert list(got) == list(want)
         for q in want:
-            assert np.max(np.abs(got[q] - want[q])) <= 1e-13, q
+            assert np.max(np.abs(family(pert, party, q) - want[q])) <= 1e-13, q
 
 
 def test_state_noise_epsilon_envelope():
@@ -215,10 +221,26 @@ def _fake_record(eps, dist):
 
 def test_fit_bound_synthetic():
     records = [_fake_record(eps, 2 * eps**0.125) for eps in (1e-6, 1e-4, 1e-2)]
+    records += [dataclasses.replace(rec, seed=1) for rec in records]
     fit = fit_bound(records)
     assert abs(fit["exponent_fit"] - 0.125) <= 1e-6
     assert abs(fit["C_fit"] - 2.0) <= 1e-9
     assert fit["violations"] == 0
+    assert (fit["n_fit"], fit["n_held_out"]) == (3, 3)
+
+
+def test_fit_bound_checks_held_out_seeds():
+    # C_fit comes from the even seeds alone; an odd-seed record above the
+    # envelope is a violation, one below it is not
+    records = [_fake_record(eps, 2 * eps**0.125) for eps in (1e-6, 1e-4, 1e-2)]
+    above = dataclasses.replace(_fake_record(1e-3, 3 * 1e-3**0.125), seed=1)
+    below = dataclasses.replace(_fake_record(1e-5, 1 * 1e-5**0.125), seed=3)
+    fit = fit_bound(records + [above, below])
+    assert abs(fit["C_fit"] - 2.0) <= 1e-9
+    assert (fit["violations"], fit["n_fit"], fit["n_held_out"], fit["n_points"]) == (1, 3, 2, 5)
+    assert fit_bound(records + [below])["violations"] == 0
+    # without odd-seed records nothing is held out, and nothing is counted
+    assert (fit_bound(records)["violations"], fit_bound(records)["n_held_out"]) == (None, 0)
 
 
 def test_sweep_resource_guard(monkeypatch):

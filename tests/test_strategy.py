@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
+from dense_reference import family, joint_projector, observable_to_projectors
 
 from lsgame import (
     Correlation,
+    PreconditionError,
     PerturbationSpec,
     build_full_test,
     build_ideal_strategy,
@@ -11,8 +14,10 @@ from lsgame import (
     make_params,
     perturb_strategy,
     table_deviation,
+    verify_representation,
 )
-from lsgame.strategy import eq_label, ext_labels, var_label
+from lsgame.linalg import Basis
+from lsgame.strategy import COMM_GENS, comm_label, eq_label, ext_labels, var_label
 
 
 def ideal_setup(d, r=None):
@@ -89,8 +94,9 @@ def test_question_order():
 
 def test_measurement_families_complete():
     _, _, test, strat = ideal_setup(3)
-    for party, fams in (("alice", strat.alice), ("bob", strat.bob)):
-        for q, fam in fams.items():
+    for party, answers in (("A", test.alice_answers), ("B", test.bob_answers)):
+        for q in answers:
+            fam = family(strat, party, q)
             total = sum(fam)
             np.testing.assert_allclose(total, np.eye(total.shape[0]), atol=1e-10, err_msg=f"{party} {q}")
             for i, pi in enumerate(fam):
@@ -119,8 +125,94 @@ def test_equation_observable_matches_representation():
 def test_outcome2_projectors_vanish_at_d3():
     _, _, test, strat = ideal_setup(3)
     for q in ext_labels(test.n_vars):
-        fam = strat.alice[q]
-        assert np.linalg.norm(fam[-1]) <= 1e-12
+        assert strat.alice[q].bounds[-2] == strat.alice[q].bounds[-1]  # no columns
+        assert np.linalg.norm(family(strat, "A", q)[-1]) == 0.0
+
+
+def test_one_basis_per_question():
+    # a family is one n x n unitary with its answer bounds, never a (k, n, n) stack
+    _, _, test, strat = ideal_setup(5)
+    n = strat.state.shape[0]
+    rotated = perturb_strategy(strat, PerturbationSpec("rotate", 1e-2, 3))
+    for target in (strat, rotated):
+        for bases, answers in ((target.alice, test.alice_answers), (target.bob, test.bob_answers)):
+            assert set(bases) == set(answers)
+            for q, basis in bases.items():
+                assert type(basis) is Basis and set(vars(basis)) == {"vectors", "bounds"}, q
+                v = basis.vectors
+                assert v.shape == (n, n) and v.dtype == complex and not v.flags.writeable, q
+                assert len(basis.bounds) == len(answers[q]) + 1 and basis.bounds[-1] == n, q
+                assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-13, q
+
+
+def dense_families(test, rep, params):
+    """Every ideal family as a dense projector stack, built from the images
+    by the dense reference: equations jointly, variables alone, and the
+    commutation questions as products of basis and variable projectors."""
+    from lsgame.linalg import eye, kron
+    from lsgame.strategy import v1_states
+
+    d, system = params.d, test.system
+    proj = {k: np.outer(v, v.conj()) for k, v in v1_states(params).items()}
+    perp = eye(d - 1) - proj["z0"] - proj["z1"]
+    on_w = ((proj["z0"] + proj["z1"], perp), (proj["z0"], proj["z1"], perp), (proj["x0"], proj["x1"], perp))
+    ext = {q: kron(eye(4), np.stack(fam)) for q, fam in zip(ext_labels(test.n_vars), on_w)}
+    var = {g: observable_to_projectors(rep[g]) for g in system.variables}
+    rows = range(system.n_rows)
+    out = {("A", eq_label(i)): joint_projector([rep[g] for g in system.row_names(i)]) for i in rows}
+    for q, fam in ext.items():
+        out["A", q] = out["B", q] = fam
+    for g in ("a1", "a2") + COMM_GENS:
+        out["A", var_label(g)] = var[g]
+    for g, fam in var.items():
+        out["B", var_label(g)] = fam
+    for q in ext_labels(test.n_vars)[1:]:
+        for g in COMM_GENS:
+            out["B", comm_label(q, g)] = (ext[q][:, None] @ var[g][None]).reshape(-1, *ext[q].shape[1:])
+    return out
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 13])
+def test_projectors_match_dense_reference(d):
+    p, rep, test, strat = ideal_setup(d)
+    dense = dense_families(test, rep, p)
+    assert len(dense) == len(test.alice_answers) + len(test.bob_answers)
+    worst = max(float(np.abs(family(strat, party, q) - fam).max()) for (party, q), fam in dense.items())
+    assert worst <= 1e-13, (d, worst)
+
+
+def test_correlation_entries_non_negative():
+    # every entry is a sum of squared moduli: >= 0 exactly, for any strategy
+    for d in (3, 7):
+        _, _, test, strat = ideal_setup(d)
+        for kind in (None, "rotate", "state"):
+            target = strat if kind is None else perturb_strategy(strat, PerturbationSpec(kind, 1e-2, 6))
+            for key, table in generate_correlation(target, test).entries.items():
+                assert table.min() >= 0.0, (d, kind, key)
+                assert abs(table.sum() - 1) <= 1e-12, (d, kind, key)
+
+
+def test_non_finite_image_fails_closed():
+    # the verifier and the basis build both raise PreconditionError (exit 2
+    # through the CLI), naming the generator and entry, in place of numpy's
+    # LinAlgError
+    p, rep, test, _ = ideal_setup(3)
+    rep.table["p1_3"] = rep.table["p1_3"].copy()
+    rep.table["p1_3"][2, 5] = np.nan
+    for check in (lambda: verify_representation(rep, test.system), lambda: build_ideal_strategy(p, rep, test)):
+        with pytest.raises(PreconditionError, match=r"p1_3 has a non-finite entry \(nan.*\) at \(2, 5\)"):
+            check()
+
+
+def test_build_rejects_non_commuting_row():
+    # a row whose first image is exchanged for one that does not commute with the others
+    p, rep, test, _ = ideal_setup(3)
+    names = test.system.row_names(0)
+    second = rep[names[1]]
+    other = next(g for g in test.system.variables if np.abs(rep[g] @ second - second @ rep[g]).max() > 0.1)
+    rep.table[names[0]] = rep[other]
+    with pytest.raises(PreconditionError, match="not an outcome label|no common eigenbasis"):
+        build_ideal_strategy(p, rep, test)
 
 
 def test_correlation_is_probability():
@@ -135,8 +227,8 @@ def test_correlation_is_probability():
 def correlation_reference(strategy, test):
     """Per-cell p(a, b | x, y) = Re <M S, S N^T>, one vdot per table entry."""
     s = strategy.state
-    lefts = {x: [m @ s for m in strategy.family("A", x)] for x, _ in test.support}
-    rights = {y: [s @ n.T for n in strategy.family("B", y)] for _, y in test.support}
+    lefts = {x: [m @ s for m in family(strategy, "A", x)] for x, _ in test.support}
+    rights = {y: [s @ n.T for n in family(strategy, "B", y)] for _, y in test.support}
     out = {}
     for x, y in test.support:
         table = np.empty((len(lefts[x]), len(rights[y])))
