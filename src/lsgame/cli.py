@@ -41,7 +41,6 @@ from .strategy import (
     Correlation,
     build_full_test,
     build_ideal_strategy,
-    generate_correlation,
     ideal_table_values,
     table_deviation,
 )
@@ -99,7 +98,7 @@ def _ideal(params, test) -> tuple:
     """representation, ideal strategy and its correlation."""
     rep = build_representation(params)
     strategy = build_ideal_strategy(params, rep, test)
-    return rep, strategy, generate_correlation(strategy, test)
+    return rep, strategy, strategy.correlation()
 
 
 def _setup(d: int, r: int | None) -> tuple:

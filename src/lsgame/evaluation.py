@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, StructuralError
 from .linalg import eye, involution_residual, kron, op_norm
-from .strategy import Correlation, FullTest, Strategy, eq_label, ext_labels, generate_correlation, var_label
+from .strategy import Correlation, FullTest, Strategy, eq_label, ext_labels, var_label
 
 #: smallest |alpha| accepted: cot(pi/3), the d=3 end of the family
 MIN_ALPHA = 1 / math.sqrt(3)
@@ -183,7 +183,7 @@ def embedded_chsh_value(strategy: Strategy) -> dict:
 def evaluation_report(strategy: Strategy, ideal: Correlation) -> dict:
     """winning probability, embedded CHSH, SOS self-check, and epsilon."""
     test = strategy.test
-    corr = generate_correlation(strategy, test)
+    corr = strategy.correlation()
     chsh = embedded_chsh_value(strategy)
     alpha = abs(chsh["alpha"])
     epr, m1, m2, n1, n2 = chsh_ideal_instance(alpha)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import DomainError, ResourceError
 from .evaluation import correlation_distance
 from .linalg import eye, qft
 from .numtheory import PrimeParams, discrete_log
-from .strategy import COMM_GENS, Correlation, Strategy, generate_correlation
+from .strategy import COMM_GENS, Correlation, Strategy
 
 #: One row per report label, in report order:
 #:   (pre-applied (party, name), read as strategy.observable(party, name), or None,
@@ -57,10 +58,12 @@ REPORT_LABELS = tuple(LABELS)
 MAX_SELFTEST_ELEMENTS = 1 << 26
 
 
-def _powers(m: np.ndarray, count: int) -> list[np.ndarray]:
-    out = [np.eye(m.shape[0], dtype=complex)]
-    for _ in range(count - 1):
-        out.append(out[-1] @ m)
+def _powers(m: np.ndarray, count: int) -> np.ndarray:
+    """(count, n, n) stack of m^0 .. m^(count-1), each filled in place."""
+    out = np.empty((count, *m.shape), dtype=complex)
+    out[0] = np.eye(m.shape[0])
+    for k in range(1, count):
+        np.matmul(out[k - 1], m, out=out[k])
     return out
 
 
@@ -70,12 +73,13 @@ def _u_exponents(params: PrimeParams, sign: int) -> list[int]:
     return [0] + [discrete_log(params, sign * j) % (d - 1) for j in range(1, d)]
 
 
-def _stage2_maps(strategy: Strategy, party: str) -> np.ndarray:
-    """One party's action of the swap circuit, resolved per ancilla outcome.
+def _stage2_factors(strategy: Strategy, party: str) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR factors of one party's swap circuit, resolved per ancilla outcome.
 
     The H / controlled-g / H / controlled-f sandwich on ancillas (l1, l2)
-    collapses to F0^l2 F2^l1 (1+(-1)^l2 G0)/2 (1+(-1)^l1 G2)/2; the maps are
-    stacked with (l1, l2) in lexicographic order, l2 fastest.
+    collapses to F0^l2 F2^l1 (1+(-1)^l2 G0)/2 (1+(-1)^l1 G2)/2; the four
+    maps are stacked with (l1, l2) in lexicographic order, l2 fastest, into
+    one (4n, n) array, factored as Q R.
     """
     f0, f2, g0, g2 = (strategy.observable(party, g) for g in COMM_GENS)
     one = eye(f0.shape[0])
@@ -88,7 +92,7 @@ def _stage2_maps(strategy: Strategy, party: str) -> np.ndarray:
             if l2:
                 m = f0 @ m
             maps.append(m)
-    return np.stack(maps)
+    return np.linalg.qr(np.concatenate(maps))
 
 
 # --- targets and the report ---------------------------------------------------
@@ -122,23 +126,26 @@ class SelfTestReport:
         }
 
 
-def _ladders(strategy: Strategy) -> dict[tuple[str, int], np.ndarray]:
-    """Stage one resolved per control value, for each (party, sign).
+def _gram_ladders(strategy: Strategy, roots: dict[str, np.ndarray]) -> dict[tuple[str, int], np.ndarray]:
+    """Stage one resolved per control value and seen through stage two, for
+    each (party, sign).
 
-    ladders[party, s][j] = U^e(j) P(j), where P(j) = (1/d) sum_k omega^(-jk) O^k
-    is the Fourier transform over the powers of O and e(j) = _u_exponents(s)[j],
-    so that stage one maps a state matrix S to the control slices
-    B[jA, jB] = L_A[jA] S L_B[jB]^T.
+    ladders[party, s][j] = R L[j], where R is the party's stage-two R factor
+    and L[j] = U^e(j) P(j) is stage one on control value j:
+    P(j) = (1/d) sum_k omega^(-jk) O^k is the Fourier transform over the
+    powers of O and e(j) = _u_exponents(s)[j], so that stage one maps a
+    state matrix S to the control slices B[jA, jB] = L_A[jA] S L_B[jB]^T.
+    Each plain ladder L lives only while its Gram-scaled one is formed.
     """
     params = strategy.params
     d = params.d
     fourier = qft(d).conj() / math.sqrt(d)
     ladders = {}
     for party in "AB":
-        fourier_o = np.tensordot(fourier, np.stack(_powers(strategy.observable(party, "O"), d)), axes=1)
+        fourier_o = np.tensordot(fourier, _powers(strategy.observable(party, "O"), d), axes=1)
         u_pow = _powers(strategy.observable(party, "U"), d - 1)
         for sign in (-1, 1):
-            ladders[party, sign] = np.stack([u_pow[e] for e in _u_exponents(params, sign)]) @ fourier_o
+            ladders[party, sign] = roots[party] @ (u_pow[_u_exponents(params, sign)] @ fourier_o)
     return ladders
 
 
@@ -173,9 +180,9 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     control targets; no optimization over junk states is performed.
 
     The stage-two output is never built.  Stage one is factored into the
-    per-control-value ladders of _ladders, shared by all nine labels; stage
-    two enters through one reduced QR per party of the four stacked
-    one-party maps of _stage2_maps, stack = Q R.  Every stage-two block of
+    per-control-value ladders of _gram_ladders, shared by all nine labels;
+    stage two enters through one reduced QR per party of the four stacked
+    one-party maps of _stage2_factors, stack = Q R.  Every stage-two block of
     a control slice B is then Q_A (R_A B R_B^T) Q_B^T, so only the small
     factor X = R_A B R_B^T is formed.  On the d-1 slices where the target
     is nonzero, junk = 1/2 sum_l Q_A,l X_C Q_B,l^T with X_C = sum_j
@@ -196,21 +203,25 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     params = strategy.params
     da, db = strategy.state.shape
     d = params.d
-    # held at once: eight ladders (four plain, four Gram-scaled), six
-    # ladders' worth of Bob's left-out factors while they are built, and
-    # per label the rows, the support factors and their residuals, the row
-    # products and one (4 da, 4 db) stage-two block
+    # held at once: eight ladders' worth (the four Gram-scaled ones, and the
+    # powers and products behind the one being built), six ladders' worth
+    # of Bob's left-out factors while they are built, and per label the
+    # rows, the support factors and their residuals, the row products and
+    # one (4 da, 4 db) stage-two block
     footprint = 4 * d * (da * da + db * db) + 6 * d * db * db + (4 * d + 16) * da * db
     if footprint > MAX_SELFTEST_ELEMENTS:
         raise ResourceError(f"self-test would hold {footprint} amplitudes at once, above the cap")
-    q_a, r_a = np.linalg.qr(_stage2_maps(strategy, "A").reshape(4 * da, da))
-    q_b, r_b = np.linalg.qr(_stage2_maps(strategy, "B").reshape(4 * db, db))
+    # the QR factors and Bob's left-out factors depend on the bases alone
+    (q_a, r_a), (q_b, r_b) = (
+        strategy.derived(("stage-two QR", party), partial(_stage2_factors, strategy, party)) for party in "AB"
+    )
     q_pairs = list(zip(q_a.reshape(4, da, da), q_b.reshape(4, db, db)))  # (Q_A,l, Q_B,l)
-    roots = {"A": r_a, "B": r_b}
-    # gram_ladders[party, s][j] = R L[j]: the ladders as seen through stage two
-    gram_ladders = {key: roots[key[0]] @ lad for key, lad in _ladders(strategy).items()}
+    gram_ladders = _gram_ladders(strategy, {"A": r_a, "B": r_b})
     # left_out_t[s][k] = R_k^T for Bob's sign s
-    left_out_t = {s: _left_out_roots(gram_ladders["B", s]).transpose(0, 2, 1) for s in (-1, 1)}
+    left_out_t = {}
+    for s in (-1, 1):
+        roots = strategy.derived(("left-out roots", s), partial(_left_out_roots, gram_ladders["B", s]))
+        left_out_t[s] = roots.transpose(0, 2, 1)
 
     distances: dict[str, float] = {}
     junk_norm = float("nan")
@@ -240,5 +251,5 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
         if label == "psi":
             junk_norm = float(np.linalg.norm(junk))
 
-    eps = correlation_distance(generate_correlation(strategy), ideal)
+    eps = correlation_distance(strategy.correlation(), ideal)
     return SelfTestReport(distances=distances, junk_norm=junk_norm, epsilon=eps)

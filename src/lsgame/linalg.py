@@ -8,6 +8,7 @@ algebra the rest of the library leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,6 +91,13 @@ class Basis:
         v = self.vectors
         return (v * np.repeat(np.asarray(weights, dtype=float), np.diff(self.bounds))) @ dagger(v)
 
+    def reflect(self, signs, x: np.ndarray) -> np.ndarray:
+        """operator(signs) @ x for signs of +1 and -1, as x - 2 V_- (V_-^H x),
+        V_- the columns of the answers signed -1: no n x n operator is formed,
+        and only those columns enter the products."""
+        minus = self.vectors[:, np.repeat(np.asarray(signs) < 0, np.diff(self.bounds))]
+        return x - 2 * (minus @ (dagger(minus) @ x))
+
     def merged(self, outcome_of) -> "Basis":
         """The coarser measurement in which outcome a reads as outcome_of[a];
         columns are regrouped stably, so no arithmetic touches them."""
@@ -98,11 +106,14 @@ class Basis:
         return Basis(self.vectors[:, np.argsort(labels, kind="stable")], tuple(np.cumsum([0, *counts]).tolist()))
 
 
+@lru_cache(maxsize=None)
 def outcome_indicator(bounds: tuple[int, ...]) -> np.ndarray:
-    """(k, n) 0/1 matrix: entry (a, c) is 1 when column c belongs to outcome a."""
+    """(k, n) 0/1 matrix, read-only and built once per bounds: entry (a, c)
+    is 1 when column c belongs to outcome a."""
     out = np.zeros((len(bounds) - 1, bounds[-1]))
     for a, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         out[a, lo:hi] = 1.0
+    out.setflags(write=False)
     return out
 
 

@@ -10,6 +10,7 @@ the value of one variable of that equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groups import build_conjugacy_triples, h_name, q_name
 
@@ -48,6 +49,15 @@ class LinearSystem:
     def row_names(self, i: int) -> tuple[str, str, str]:
         a, b, c = self.rows[i]
         return (self.variables[a], self.variables[b], self.variables[c])
+
+    @cached_property
+    def first_position(self) -> dict[str, tuple[int, int]]:
+        """Each variable's (row, position) in the first equation containing it."""
+        out: dict[str, tuple[int, int]] = {}
+        for i, row in enumerate(self.rows):
+            for pos, v in enumerate(row):
+                out.setdefault(self.variables[v], (i, pos))
+        return out
 
 
 def build_linear_system(r: int) -> LinearSystem:

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DomainError
 from .isometry import REPORT_LABELS, selftest_report
 from .linalg import Basis, random_unitaries
-from .strategy import COMM_GENS, Correlation, Strategy, ext_labels
+from .strategy import COMM_GENS, Correlation, Strategy, answer_table, ext_labels
 
 KINDS = ("state", "rotate", "both")
 
@@ -59,13 +59,16 @@ class PerturbationSpec:
 def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
     """Deterministic perturbed copy of a strategy: the state is copied, a
     rotation u takes a basis V to u V, and bases left unrotated are the
-    input's read-only objects, not copies."""
+    input's read-only objects, not copies.  Without a rotation (kind
+    "state", or magnitude 0) the copy is ideal.with_state, which shares what
+    the bases determine."""
     delta = spec.magnitude
     state = ideal.state.copy()
+    rotated = delta > 0 and spec.kind in ("rotate", "both")
     alice, bob = dict(ideal.alice), dict(ideal.bob)
     if delta > 0:
         rng = np.random.default_rng(spec.seed)
-        if spec.kind in ("rotate", "both"):
+        if rotated:
             # one generator per question, in each party's question order
             for fams, answers, dim in (
                 (alice, ideal.test.alice_answers, state.shape[0]),
@@ -81,6 +84,8 @@ def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
             g = g.reshape(state.shape) / np.linalg.norm(g)
             state = state + delta * g
             state /= np.linalg.norm(state)
+    if not rotated:
+        return ideal.with_state(state)
     return Strategy(params=ideal.params, test=ideal.test, state=state, alice=alice, bob=bob)
 
 
@@ -95,6 +100,14 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     eig_alice  || M1 M2 psi_1 - omega_d^{-1} psi_1 ||
     comm       max over s in {f0,f2,g0,g2} of the three commutator probes
                against the basis-question projectors and observable
+
+    M(s) and N(s) are the observables of Strategy.signed_question.  Built
+    from orthonormal bases they square to 1, so for a unit psi
+    ||M N psi - psi||^2 = 2 - 2 <M N> = 4 P(a != b) on the pair of their
+    questions: sync reads 2 sqrt(P(a != b)) off the strategy's correlation,
+    and contracts alone the pairs (x(s), x(s)), s in COMM_GENS, that lie
+    outside the support.  equation applies each factor in its basis
+    (Basis.reflect), so no per-variable observable is formed.
     """
     test = strategy.test
     params = strategy.params
@@ -103,15 +116,22 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     norm = lambda m: float(np.linalg.norm(m))  # noqa: E731
     obs = strategy.observable
 
+    tables = strategy.correlation().entries
     sync = 0.0
     for g in system.variables:
-        sync = max(sync, norm(obs("A", g) @ s @ obs("B", g).T - s))
+        (qa, signs_a), (qb, signs_b) = strategy.signed_question("A", g), strategy.signed_question("B", g)
+        table = tables.get((qa, qb))
+        if table is None:  # (x(s), x(s)) for s in COMM_GENS
+            alice = strategy.basis("A", qa)
+            table = answer_table(alice.vectors.conj().T @ s, alice, strategy.basis("B", qb))
+        sync = max(sync, 2 * math.sqrt(table[np.not_equal.outer(signs_a, signs_b)].sum()))
 
     equation = 0.0
     for i in range(system.n_rows):
         prod = s
         for g in reversed(system.row_names(i)):
-            prod = obs("A", g) @ prod
+            qa, signs = strategy.signed_question("A", g)
+            prod = strategy.basis("A", qa).reflect(signs, prod)
         equation = max(equation, norm(prod - (-1) ** system.rhs[i] * s))
 
     o_a, u_a = obs("A", "O"), obs("A", "U")
@@ -236,7 +256,9 @@ def run_sweep(
                         residuals=relation_residuals(pert),
                     )
                 )
-                del pert  # its observable table must not outlive the record
+                # its correlation, and a rotated copy's basis memo, must not
+                # outlive the record; an unrotated copy's memo is the ideal's
+                del pert
     records.sort(key=lambda rec: (rec.kind, rec.delta, rec.seed))
     return records
 

@@ -17,8 +17,8 @@ fixed by the tuples in FullTest.  A measurement is one read-only
 by answer in that order, so the a-th answer's projector is ``V_a V_a^H``.
 
 :meth:`Strategy.observable` is the one source of binary observables: every
-variable's observable, O and U, each derived once per strategy and read by
-the self-test, the residual probes and the embedded CHSH value.
+variable's observable, O and U, each derived once per set of bases and read
+by the self-test, the residual probes and the embedded CHSH value.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -46,6 +47,8 @@ TABLE_TOL = 1e-9
 _TRIPLES = tuple(
     (a0, a1, a2) for a0 in (0, 1) for a1 in (0, 1) for a2 in (0, 1)
 )
+#: an equation observable's eigenvalue on each answer, per position of its variable
+_TRIPLE_SIGNS = tuple(tuple((-1.0) ** outcome[pos] for outcome in _TRIPLES) for pos in range(3))
 _COMM_ANSWERS = tuple((b1, b2) for b1 in (0, 1, 2) for b2 in (0, 1))
 
 
@@ -123,8 +126,15 @@ class Strategy:
 
     state is the (dim_a, dim_b) matrix S of psi = vec(S), row-major, so
     that (M (x) N) psi = vec(M S N^T).  Bases are read-only, so strategies
-    may share them; none is replaced after construction, so each strategy
-    memoizes its own observables.
+    may share them; neither the state nor a basis is replaced after
+    construction.
+
+    What the bases alone determine (observables, the self-test's stage-two
+    factors) is memoized in a table that belongs to the bases: with_state
+    makes a strategy with another state and the same bases, and shares that
+    table.  Every other construction, dataclasses.replace included, starts
+    with an empty one.  The correlation depends on the state, so each
+    strategy memoizes its own and shares it with none.
     """
 
     params: PrimeParams
@@ -132,8 +142,35 @@ class Strategy:
     state: np.ndarray
     alice: dict[str, Basis]
     bob: dict[str, Basis]
-    #: observable()'s memo, keyed by (party, name) and owned by this object alone
-    _observables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: derived()'s memo of what the bases determine, shared by with_state
+    _by_bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: correlation()'s memo, owned by this object alone
+    _correlation: Correlation | None = field(default=None, init=False, repr=False, compare=False)
+
+    def with_state(self, state: np.ndarray) -> Strategy:
+        """The same bases, and their memo, with another shared state."""
+        out = Strategy(params=self.params, test=self.test, state=state, alice=dict(self.alice), bob=dict(self.bob))
+        out._by_bases = self._by_bases
+        return out
+
+    def derived(self, key: tuple, derive: Callable[[], Any]) -> Any:
+        """derive(), memoized under key for every strategy with these bases.
+
+        derive must read nothing but the bases; the arrays it returns (one,
+        or a tuple of them) are made read-only, since every reader shares them.
+        """
+        if key not in self._by_bases:
+            value = derive()
+            for array in value if isinstance(value, tuple) else (value,):
+                array.setflags(write=False)
+            self._by_bases[key] = value
+        return self._by_bases[key]
+
+    def correlation(self) -> Correlation:
+        """generate_correlation(self), formed once per strategy."""
+        if self._correlation is None:
+            self._correlation = generate_correlation(self)
+        return self._correlation
 
     def basis(self, party: str, question: str) -> Basis:
         """Party "A" or "B"'s measurement basis for a question."""
@@ -142,37 +179,39 @@ class Strategy:
             raise StructuralError(f"{party} has no measurement for {question!r}")
         return bases[question]
 
+    def signed_question(self, party: str, name: str) -> tuple[str, tuple[float, ...]]:
+        """The question whose basis carries party's observable for a variable
+        or question label, and the observable's eigenvalue on each answer.
+
+        It is the party's own question for name when there is one (+1 on
+        answer 0, -1 on answer 1, 0 on any other); Alice, where she has none
+        for a variable, reads the bit of the first equation containing it.
+        """
+        bases = self.alice if party == "A" else self.bob
+        question = name if name in bases else var_label(name)
+        if question in bases:
+            return question, (1.0, -1.0) + (0.0,) * (len(bases[question].bounds) - 3)
+        first = self.test.system.first_position.get(name)
+        if party == "A" and first is not None:
+            row, pos = first
+            return eq_label(row), _TRIPLE_SIGNS[pos]
+        raise StructuralError(f"{party} has no measurement for {name!r}")
+
     def observable(self, party: str, name: str) -> np.ndarray:
         """Party "A" or "B"'s binary observable for name, derived once, read-only.
 
-        For a variable or a question label it is P0 - P1 of the party's
-        basis; Alice, where she has no basis for a variable, marginalizes
-        the basis of the first equation containing it.  For "O" or "U" it is
-        the product of its KEY_FACTORS' observables.
+        For a variable or a question label it is sum_a w_a P_a over the
+        basis and eigenvalues of signed_question.  For "O" or "U" it is the
+        product of its KEY_FACTORS' observables.
         """
-        key = (party, name)
-        if key not in self._observables:
-            self._observables[key] = self._derive_observable(party, name)
-            self._observables[key].setflags(write=False)  # shared by every reader
-        return self._observables[key]
+        return self.derived(("observable", party, name), lambda: self._derive_observable(party, name))
 
     def _derive_observable(self, party: str, name: str) -> np.ndarray:
         if name in KEY_FACTORS:
             first, second = KEY_FACTORS[name]
             return self.observable(party, first) @ self.observable(party, second)
-        bases = self.alice if party == "A" else self.bob
-        question = name if name in bases else var_label(name)
-        if question in bases:
-            basis = bases[question]
-            return basis.operator([1.0, -1.0] + [0.0] * (len(basis.bounds) - 3))
-        if party == "A":
-            system = self.test.system
-            for i in range(system.n_rows):
-                names = system.row_names(i)
-                if name in names:
-                    pos = names.index(name)
-                    return bases[eq_label(i)].operator([(-1.0) ** outcome[pos] for outcome in _TRIPLES])
-        raise StructuralError(f"{party} has no measurement for {name!r}")
+        question, signs = self.signed_question(party, name)
+        return self.basis(party, question).operator(signs)
 
 
 # --- extension-block geometry on W_{d-1} ------------------------------------
@@ -247,15 +286,14 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     system = test.system
     one = eye(rep.dim)
 
-    alice: dict[str, Basis] = {}
-    var_bases: dict[str, Basis] = {}
-    for i in range(system.n_rows):
-        names = system.row_names(i)
-        basis = joint_eigenbasis({g: (one - rep[g]) / 2 for g in names}, (2, 2, 2))
-        alice[eq_label(i)] = basis
-        for pos, g in enumerate(names):
-            if g not in var_bases:
-                var_bases[g] = basis.merged([outcome[pos] for outcome in _TRIPLES])
+    alice = {
+        eq_label(i): joint_eigenbasis({g: (one - rep[g]) / 2 for g in system.row_names(i)}, (2, 2, 2))
+        for i in range(system.n_rows)
+    }
+    var_bases = {
+        g: alice[eq_label(row)].merged([outcome[pos] for outcome in _TRIPLES])
+        for g, (row, pos) in system.first_position.items()
+    }
     ext = dict(zip(ext_labels(test.n_vars), ext_bases(params)))
     alice.update(ext)
     alice.update((var_label(g), var_bases[g]) for g in ("a1", "a2") + COMM_GENS)
@@ -327,6 +365,13 @@ class Correlation:
         return corr
 
 
+def answer_table(left: np.ndarray, alice: Basis, bob: Basis) -> np.ndarray:
+    """p(a, b) = ||V_a^H S conj(W_b)||^2 from left = V^H S: the squared
+    entries of left conj(W), summed over each answer pair's block."""
+    cells = np.abs(left @ bob.vectors.conj()) ** 2
+    return outcome_indicator(alice.bounds) @ cells @ outcome_indicator(bob.bounds).T
+
+
 def generate_correlation(strategy: Strategy, test: FullTest | None = None) -> Correlation:
     """p(a, b | x, y) = <psi| M_x^a (x) N_y^b |psi> over the test's support.
 
@@ -336,8 +381,6 @@ def generate_correlation(strategy: Strategy, test: FullTest | None = None) -> Co
     """
     test = test or strategy.test
     s = strategy.state
-    bases = (*strategy.alice.values(), *strategy.bob.values())
-    indicators = {bounds: outcome_indicator(bounds) for bounds in {basis.bounds for basis in bases}}
     bob_questions: dict[str, list[str]] = {}
     for x, y in test.support:
         bob_questions.setdefault(x, []).append(y)
@@ -346,9 +389,7 @@ def generate_correlation(strategy: Strategy, test: FullTest | None = None) -> Co
         alice = strategy.basis("A", x)
         left = alice.vectors.conj().T @ s
         for y in ys:
-            bob = strategy.basis("B", y)
-            cells = np.abs(left @ bob.vectors.conj()) ** 2
-            tables[(x, y)] = indicators[alice.bounds] @ cells @ indicators[bob.bounds].T
+            tables[(x, y)] = answer_table(left, alice, strategy.basis("B", y))
     corr = Correlation(d=strategy.params.d, r=strategy.params.r)
     corr.entries.update((pair, tables[pair]) for pair in test.support)
     return corr

@@ -3,12 +3,17 @@
 A binary observable splits into its two eigenprojectors (1 +/- m)/2, and k
 commuting observables into the 2^k products of theirs, stacked as a
 (2^k, n, n) array; a stored basis expands into the same kind of stack.
+The sync and equation probes are rebuilt here from those stacks, with every
+variable's observable formed and multiplied out.
 """
+
+import itertools
 
 import numpy as np
 
 from lsgame.errors import PreconditionError
 from lsgame.linalg import DEFAULT_TOL, dagger, eye, op_norm
+from lsgame.strategy import eq_label, var_label
 
 
 def projectors(basis):
@@ -51,3 +56,36 @@ def joint_projector(observables):
     for m in observables[1:]:
         out = (out[:, None] @ _halves(m)[None]).reshape(-1, *m.shape)
     return out
+
+
+def variable_observable(strategy, party, gen):
+    """P0 - P1 of the party's x(gen) projectors; where Alice has no x(gen),
+    the signed sum over the triples of the first equation containing gen."""
+    bases = strategy.alice if party == "A" else strategy.bob
+    if var_label(gen) in bases:
+        p = family(strategy, party, var_label(gen))
+        return p[0] - p[1]
+    system = strategy.test.system
+    row = next(i for i in range(system.n_rows) if gen in system.row_names(i))
+    pos = system.row_names(row).index(gen)
+    p = family(strategy, party, eq_label(row))
+    return sum((-1) ** bits[pos] * p[k] for k, bits in enumerate(itertools.product((0, 1), repeat=3)))
+
+
+def sync_by_variable(strategy):
+    """{gen: ||M(gen) S N(gen)^T - S||} over every variable."""
+    s = strategy.state
+    return {
+        g: np.linalg.norm(variable_observable(strategy, "A", g) @ s @ variable_observable(strategy, "B", g).T - s)
+        for g in strategy.test.system.variables
+    }
+
+
+def equation_residual(strategy):
+    """max over equations of ||M(g1) M(g2) M(g3) S - (-1)^c S||, each M formed."""
+    system, s = strategy.test.system, strategy.state
+    obs = {g: variable_observable(strategy, "A", g) for g in system.variables}
+    return max(
+        np.linalg.norm(obs[g1] @ (obs[g2] @ (obs[g3] @ s)) - (-1) ** c * s)
+        for (g1, g2, g3), c in ((system.row_names(i), system.rhs[i]) for i in range(system.n_rows))
+    )

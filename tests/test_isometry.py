@@ -245,14 +245,11 @@ def test_selftest_report_rank_deficient_stage_two():
         assert_matches_dense(zeroed, corr, "f0 and f2 zeroed")
 
 
-def test_selftest_report_streams(monkeypatch):
+def test_selftest_report_streams():
     # no stage-two output is built: the call's allocation peak stays below
     # the bytes of one (da, db, 2,2,2,2, d, d) array
-    import lsgame.isometry as iso
-
     p, rep, test, strat = ideal_setup(7)
-    corr = generate_correlation(strat, test)
-    monkeypatch.setattr(iso, "generate_correlation", lambda strategy: corr)
+    corr = strat.correlation()  # memoized, so formed outside the traced call
     stage_two_bytes = strat.state.size * 16 * 7 * 7 * 16
     tracemalloc.start()
     try:

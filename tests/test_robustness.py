@@ -4,7 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
-from dense_reference import family
+from dense_reference import equation_residual, family, sync_by_variable
 from lsgame import (
     DomainError,
     PerturbationSpec,
@@ -21,9 +21,9 @@ from lsgame import (
     run_sweep,
     selftest_report,
 )
-from lsgame.linalg import Basis
-from lsgame.robustness import RESIDUAL_LABELS, SweepRecord
-from lsgame.strategy import Strategy
+from lsgame.linalg import Basis, random_unitaries
+from lsgame.robustness import KINDS, RESIDUAL_LABELS, SweepRecord
+from lsgame.strategy import COMM_GENS, Strategy, var_label
 
 #: the sweep CSV header exactly as README.md documents it
 README_SWEEP_HEADER = (
@@ -260,22 +260,92 @@ def test_fit_bound_needs_spread():
 
 
 def test_each_observable_derived_once(monkeypatch):
-    # selftest_report and relation_residuals read one table per strategy, so
-    # no (party, name) entry, Alice's equation marginals included, is derived twice
+    # selftest_report and relation_residuals read one table per set of bases,
+    # so no (party, name) entry, Alice's equation marginals included, is
+    # derived twice, and a state record derives nothing the ideal holds
     p, test, strat, corr = ideal_setup(3)
     ideal_a3 = strat.observable("A", "a3")  # a marginal: Alice has no x(a3)
     pert = perturb_strategy(strat, PerturbationSpec("rotate", 1e-3, 2))
     derived = []
-    derive = Strategy._derive_observable
+    real = Strategy.derived
 
-    def spy(self, party, name):
-        derived.append((party, name))
-        return derive(self, party, name)
+    def spy(self, key, derive):
+        def recorded():
+            derived.append(key)
+            return derive()
 
-    monkeypatch.setattr(Strategy, "_derive_observable", spy)
+        return real(self, key, recorded)
+
+    monkeypatch.setattr(Strategy, "derived", spy)
     selftest_report(pert, corr)
     relation_residuals(pert)
-    assert ("A", "a3") in derived
+    assert ("observable", "A", "a3") in derived and ("stage-two QR", "B") in derived
+    assert ("left-out roots", 1) in derived
     assert len(derived) == len(set(derived)), sorted(k for k in set(derived) if derived.count(k) > 1)
     # the rotated copy has its own table, not the ideal's entries
     assert np.linalg.norm(pert.observable("A", "a3") - ideal_a3) > 1e-6
+
+    selftest_report(strat, corr)
+    relation_residuals(strat)
+    derived.clear()
+    noisy = perturb_strategy(strat, PerturbationSpec("state", 1e-3, 2))
+    selftest_report(noisy, corr)
+    relation_residuals(noisy)
+    assert derived == []
+
+
+def test_basis_memo_shared_only_by_unrotated_copies():
+    # what the bases determine belongs to the bases: a copy that keeps them
+    # (state noise, or no perturbation) reads the ideal's table, any other
+    # copy starts its own; no copy shares the ideal's correlation
+    _, test, strat, _ = ideal_setup(3)
+    ideal_o = strat.observable("A", "O")
+    for spec in [PerturbationSpec("state", 1e-3, 5)] + [PerturbationSpec(kind, 0.0, 5) for kind in KINDS]:
+        copy = perturb_strategy(strat, spec)
+        assert copy.observable("A", "O") is ideal_o, spec
+        assert copy.correlation() is not strat.correlation(), spec
+    fresh = [perturb_strategy(strat, PerturbationSpec(kind, 1e-3, 5)) for kind in ("rotate", "both")]
+    fresh += [dataclasses.replace(strat, alice=dict(strat.alice)), dataclasses.replace(strat)]
+    for copy in fresh:
+        assert copy.observable("A", "O") is not ideal_o
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_shared_memo_gives_bit_identical_outputs(kind):
+    # a record read through the ideal's filled table and a copy that derives
+    # everything anew agree to the last bit
+    _, test, strat, corr = ideal_setup(5)
+    selftest_report(strat, corr)
+    relation_residuals(strat)
+    for delta in (0.0, 1e-3):
+        pert = perturb_strategy(strat, PerturbationSpec(kind, delta, 8))
+        fresh = dataclasses.replace(pert)
+        assert selftest_report(pert, corr) == selftest_report(fresh, corr), delta
+        assert relation_residuals(pert) == relation_residuals(fresh), delta
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_sync_and_equation_match_dense_reference(d):
+    # sync read off the correlation as 2 sqrt(P(a != b)) and equation applied
+    # factor by factor in each basis, against formed observables
+    _, test, strat, _ = ideal_setup(d)
+    for kind in KINDS:
+        for delta in (0.0, 1e-4, 1e-2):
+            pert = perturb_strategy(strat, PerturbationSpec(kind, delta, 31))
+            res = relation_residuals(pert)
+            assert abs(res["sync"] - max(sync_by_variable(pert).values())) <= 1e-15, (kind, delta)
+            assert abs(res["equation"] - equation_residual(pert)) <= 1e-15, (kind, delta)
+
+
+@pytest.mark.parametrize("gen", COMM_GENS)
+def test_sync_outside_the_support(gen):
+    # (x(gen), x(gen)) is not a support pair: rotating Bob's x(gen) alone
+    # puts sync's maximum on the pair that relation_residuals contracts itself
+    _, test, strat, _ = ideal_setup(5)
+    q = var_label(gen)
+    assert (q, q) not in test.support
+    u = random_unitaries(np.random.default_rng(3), 1, strat.state.shape[1], 1e-2)[0]
+    moved = dataclasses.replace(strat, bob={**strat.bob, q: Basis(u @ strat.bob[q].vectors, strat.bob[q].bounds)})
+    by_var = sync_by_variable(moved)
+    assert max(by_var, key=by_var.get) == gen
+    assert abs(relation_residuals(moved)["sync"] - by_var[gen]) <= 1e-15
