@@ -110,7 +110,7 @@ def _setup(d: int, r: int | None) -> tuple:
 
 
 def _perturbed(strategy, args):
-    """The strategy perturbed by --kind/--delta/--seed; at delta 0 an exact copy.
+    """The strategy perturbed by --kind/--delta/--seed; at delta 0 the strategy itself.
 
     An unset flag (eval leaves them unset) means both, 0 and 0.
     PerturbationSpec rejects a negative or NaN magnitude and a negative seed

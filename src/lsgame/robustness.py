@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError
 from .isometry import REPORT_LABELS, selftest_report
-from .linalg import Basis, random_unitaries
+from .linalg import Basis, rotate_bases
 from .strategy import COMM_GENS, Correlation, Strategy, answer_table, ext_labels
 
 KINDS = ("state", "rotate", "both")
@@ -21,8 +21,8 @@ KINDS = ("state", "rotate", "both")
 MAX_TRIALS = 1000
 MAX_MAGNITUDES = 100
 
-#: rotation generators drawn and decomposed together: the block bounds the
-#: memory of one batched eigendecomposition
+#: rotation generators drawn and applied together: the block bounds the
+#: memory of one batched eigvalsh and one Horner pass (rotate_bases)
 GENERATOR_BLOCK = 16
 
 RESIDUAL_LABELS = (
@@ -38,10 +38,12 @@ RESIDUAL_LABELS = (
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """kind "state": noisy shared state; "rotate": conjugated measurement
-    families (one seeded Hermitian generator per party per question);
-    "both": rotations first, then state noise.  magnitude 0 reproduces the
-    input strategy bit-for-bit.  seed must be non-negative."""
+    """kind "state": noisy shared state; "rotate": rotated measurement bases,
+    V -> exp(i magnitude h) V for one seeded Hermitian generator h of unit
+    operator norm per party per question, applied as a Taylor polynomial
+    (linalg.rotate_bases); "both": rotations first, then state noise.
+    magnitude 0 leaves the strategy as it is: perturb_strategy returns its
+    input.  seed must be non-negative."""
 
     kind: str
     magnitude: float
@@ -57,34 +59,32 @@ class PerturbationSpec:
 
 
 def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
-    """Deterministic perturbed copy of a strategy: the state is copied, a
-    rotation u takes a basis V to u V, and bases left unrotated are the
-    input's read-only objects, not copies.  Without a rotation (kind
-    "state", or magnitude 0) the copy is ideal.with_state, which shares what
-    the bases determine."""
+    """Deterministic perturbed copy of a strategy: a rotation takes a basis V
+    to exp(i delta h) V (linalg.rotate_bases), and bases left unrotated are
+    the input's read-only objects, not copies.  At magnitude 0 it returns
+    the input itself; for kind "state" the copy is ideal.with_state, which
+    shares what the bases determine."""
     delta = spec.magnitude
-    state = ideal.state.copy()
-    rotated = delta > 0 and spec.kind in ("rotate", "both")
+    if delta == 0:
+        return ideal
+    rng = np.random.default_rng(spec.seed)
+    state = ideal.state
     alice, bob = dict(ideal.alice), dict(ideal.bob)
-    if delta > 0:
-        rng = np.random.default_rng(spec.seed)
-        if rotated:
-            # one generator per question, in each party's question order
-            for fams, answers, dim in (
-                (alice, ideal.test.alice_answers, state.shape[0]),
-                (bob, ideal.test.bob_answers, state.shape[1]),
-            ):
-                questions = list(answers)
-                for start in range(0, len(questions), GENERATOR_BLOCK):
-                    block = questions[start : start + GENERATOR_BLOCK]
-                    for q, u in zip(block, random_unitaries(rng, len(block), dim, delta)):
-                        fams[q] = Basis(u @ fams[q].vectors, fams[q].bounds)
-        if spec.kind in ("state", "both"):
-            g = rng.standard_normal(state.size) + 1j * rng.standard_normal(state.size)
-            g = g.reshape(state.shape) / np.linalg.norm(g)
-            state = state + delta * g
-            state /= np.linalg.norm(state)
-    if not rotated:
+    if spec.kind in ("rotate", "both"):
+        # one generator per question, in each party's question order
+        for fams, answers in ((alice, ideal.test.alice_answers), (bob, ideal.test.bob_answers)):
+            questions = list(answers)
+            for start in range(0, len(questions), GENERATOR_BLOCK):
+                block = questions[start : start + GENERATOR_BLOCK]
+                moved = rotate_bases(rng, np.stack([fams[q].vectors for q in block]), delta)
+                for q, vectors in zip(block, moved):
+                    fams[q] = Basis(vectors, fams[q].bounds)
+    if spec.kind in ("state", "both"):
+        g = rng.standard_normal(state.size) + 1j * rng.standard_normal(state.size)
+        g = g.reshape(state.shape) / np.linalg.norm(g)
+        state = state + delta * g
+        state /= np.linalg.norm(state)
+    if spec.kind == "state":
         return ideal.with_state(state)
     return Strategy(params=ideal.params, test=ideal.test, state=state, alice=alice, bob=bob)
 
@@ -257,7 +257,8 @@ def run_sweep(
                     )
                 )
                 # its correlation, and a rotated copy's basis memo, must not
-                # outlive the record; an unrotated copy's memo is the ideal's
+                # outlive the record; an unrotated copy's memo is the ideal's,
+                # and at magnitude 0 pert is the ideal itself
                 del pert
     records.sort(key=lambda rec: (rec.kind, rec.delta, rec.seed))
     return records

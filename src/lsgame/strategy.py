@@ -27,7 +27,8 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -120,14 +121,15 @@ def build_full_test(params: PrimeParams) -> FullTest:
     )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # identity equality: the state is an array
 class Strategy:
     """Shared pure state plus one measurement basis per question per party.
 
     state is the (dim_a, dim_b) matrix S of psi = vec(S), row-major, so
-    that (M (x) N) psi = vec(M S N^T).  Bases are read-only, so strategies
-    may share them; neither the state nor a basis is replaced after
-    construction.
+    that (M (x) N) psi = vec(M S N^T).  Nothing is rebound after
+    construction: the fields are frozen, the state is made read-only and
+    alice and bob are read-only mappings of read-only bases, so strategies
+    may share the state and the bases.
 
     What the bases alone determine (observables, the self-test's stage-two
     factors) is memoized in a table that belongs to the bases: with_state
@@ -140,17 +142,22 @@ class Strategy:
     params: PrimeParams
     test: FullTest
     state: np.ndarray
-    alice: dict[str, Basis]
-    bob: dict[str, Basis]
+    alice: Mapping[str, Basis]
+    bob: Mapping[str, Basis]
     #: derived()'s memo of what the bases determine, shared by with_state
-    _by_bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    #: correlation()'s memo, owned by this object alone
-    _correlation: Correlation | None = field(default=None, init=False, repr=False, compare=False)
+    _by_bases: dict = field(default_factory=dict, init=False, repr=False)
+    #: correlation()'s memo, at most one entry, owned by this object alone
+    _correlation: list = field(default_factory=list, init=False, repr=False)
+
+    def __post_init__(self):
+        self.state.setflags(write=False)
+        object.__setattr__(self, "alice", MappingProxyType(dict(self.alice)))
+        object.__setattr__(self, "bob", MappingProxyType(dict(self.bob)))
 
     def with_state(self, state: np.ndarray) -> Strategy:
         """The same bases, and their memo, with another shared state."""
-        out = Strategy(params=self.params, test=self.test, state=state, alice=dict(self.alice), bob=dict(self.bob))
-        out._by_bases = self._by_bases
+        out = Strategy(params=self.params, test=self.test, state=state, alice=self.alice, bob=self.bob)
+        object.__setattr__(out, "_by_bases", self._by_bases)
         return out
 
     def derived(self, key: tuple, derive: Callable[[], Any]) -> Any:
@@ -168,9 +175,9 @@ class Strategy:
 
     def correlation(self) -> Correlation:
         """generate_correlation(self), formed once per strategy."""
-        if self._correlation is None:
-            self._correlation = generate_correlation(self)
-        return self._correlation
+        if not self._correlation:
+            self._correlation.append(generate_correlation(self))
+        return self._correlation[0]
 
     def basis(self, party: str, question: str) -> Basis:
         """Party "A" or "B"'s measurement basis for a question."""

@@ -4,7 +4,8 @@ A binary observable splits into its two eigenprojectors (1 +/- m)/2, and k
 commuting observables into the 2^k products of theirs, stacked as a
 (2^k, n, n) array; a stored basis expands into the same kind of stack.
 The sync and equation probes are rebuilt here from those stacks, with every
-variable's observable formed and multiplied out.
+variable's observable formed and multiplied out.  random_unitaries forms the
+rotations that lsgame.linalg.rotate_bases applies without forming them.
 """
 
 import itertools
@@ -20,6 +21,20 @@ def projectors(basis):
     """The dense (k, n, n) stack of a basis's outcome projectors V_a V_a^H."""
     v, b = basis.vectors, basis.bounds
     return np.stack([v[:, lo:hi] @ dagger(v[:, lo:hi]) for lo, hi in zip(b, b[1:])])
+
+
+def random_unitaries(rng, count, dim, t):
+    """(count, dim, dim) stack of exp(i*t*h), each h a random Hermitian matrix
+    of unit operator norm, from one batched eigendecomposition.
+
+    rng is consumed as rotate_bases consumes it: count successive pairs of
+    (dim, dim) standard-normal draws, real part then imaginary part.
+    """
+    g = rng.standard_normal((count, 2, dim, dim))
+    g = g[:, 0] + 1j * g[:, 1]
+    vals, vecs = np.linalg.eigh((g + dagger(g)) / 2)
+    scale = np.abs(vals).max(axis=1, keepdims=True)
+    return (vecs * np.exp(1j * t * vals / scale)[:, None, :]) @ dagger(vecs)
 
 
 def family(strategy, party, question):

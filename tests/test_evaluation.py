@@ -144,9 +144,8 @@ def test_orthogonal_product_state_loses_enough():
     product = np.zeros_like(strat.state)
     product[0, 0] = 1.0  # basis state orthogonal to the ideal state
     assert abs(np.vdot(strat.state, product)) < 1e-12
-    strat.state = product
     m = test.system.n_rows
-    assert winning_probability(strat, test) <= 1 - 1 / (4 * m)
+    assert winning_probability(strat.with_state(product), test) <= 1 - 1 / (4 * m)
 
 
 def test_winning_probability_from_correlation_matches():
@@ -164,8 +163,7 @@ def test_winning_probability_monotone_under_mixing():
     good = generate_correlation(strat, test)
     bad_state = np.zeros_like(strat.state)
     bad_state[0, 0] = 1.0
-    strat.state = bad_state
-    bad = generate_correlation(strat, test)
+    bad = generate_correlation(strat.with_state(bad_state), test)
     values = []
     for t in np.linspace(0, 1, 7):
         mixed = Correlation(good.d, good.r)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lsgame.linalg as la
-from dense_reference import joint_projector, observable_to_projectors, projectors
+from dense_reference import joint_projector, observable_to_projectors, projectors, random_unitaries
 from lsgame import PreconditionError, ResourceError
 from lsgame.errors import PreconditionError as PE
 
@@ -158,7 +158,7 @@ def test_hermitian_exponential_unitary():
     # the same draws (real part, then imaginary part, matrix by matrix),
     # checked against the Taylor series of the exponential
     t = 0.3
-    stack = la.random_unitaries(np.random.default_rng(11), 3, 5, t)
+    stack = la.rotate_bases(np.random.default_rng(11), np.stack([la.eye(5)] * 3), t)
     rng = np.random.default_rng(11)
     for u in stack:
         g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -172,3 +172,25 @@ def test_hermitian_exponential_unitary():
             term = term @ (1j * t * h) / k
             series = series + term
         assert la.op_norm(u - series) <= 1e-12
+
+
+def _random_bases(rng, count, n):
+    q, _ = np.linalg.qr(rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    return q
+
+
+def test_taylor_degree():
+    assert [la.taylor_degree(t) for t in (1e-4, 1e-3, 1e-2, 0.1, 0.5)] == [3, 4, 6, 9, 14]
+
+
+@pytest.mark.parametrize("n", [5, 24, 48])
+@pytest.mark.parametrize("t", [1e-4, 1e-2, 0.5])
+def test_rotate_bases_matches_formed_unitaries(n, t):
+    # the Horner pass against exp(i t h) formed from h's eigenvectors and
+    # multiplied onto V, on the same draws; the rotated bases stay unitary
+    bases = _random_bases(np.random.default_rng(n), 4, n)
+    got = la.rotate_bases(np.random.default_rng(7), bases, t)
+    want = random_unitaries(np.random.default_rng(7), 4, n, t) @ bases
+    assert np.max(np.abs(got - want)) <= 1e-13
+    for v in got:
+        assert la.op_norm(la.dagger(v) @ v - la.eye(n)) <= 1e-13

@@ -21,8 +21,8 @@ from lsgame import (
     run_sweep,
     selftest_report,
 )
-from lsgame.linalg import Basis, random_unitaries
-from lsgame.robustness import KINDS, RESIDUAL_LABELS, SweepRecord
+from lsgame.linalg import Basis, eye, rotate_bases
+from lsgame.robustness import GENERATOR_BLOCK, KINDS, RESIDUAL_LABELS, SweepRecord
 from lsgame.strategy import COMM_GENS, Strategy, var_label
 
 #: the sweep CSV header exactly as README.md documents it
@@ -68,13 +68,14 @@ def test_families_read_only_and_shared_when_not_rotated():
         for q, basis in bases.items():
             assert isinstance(basis, Basis) and basis.vectors.ndim == 2, q
             assert not basis.vectors.flags.writeable, q
-    for spec in (PerturbationSpec("both", 0.0, 5), PerturbationSpec("state", 1e-3, 5)):
-        copy = perturb_strategy(strat, spec)
-        assert copy.state is not strat.state
-        for q in strat.alice:
-            assert copy.alice[q] is strat.alice[q], (spec, q)
-        for q in strat.bob:
-            assert copy.bob[q] is strat.bob[q], (spec, q)
+    # at magnitude 0 the input itself comes back, bases, state and memos
+    assert perturb_strategy(strat, PerturbationSpec("both", 0.0, 5)) is strat
+    copy = perturb_strategy(strat, PerturbationSpec("state", 1e-3, 5))
+    assert copy.state is not strat.state
+    for q in strat.alice:
+        assert copy.alice[q] is strat.alice[q], q
+    for q in strat.bob:
+        assert copy.bob[q] is strat.bob[q], q
     rotated = perturb_strategy(strat, PerturbationSpec("rotate", 1e-3, 5))
     for q, basis in rotated.alice.items():
         assert basis is not strat.alice[q] and not basis.vectors.flags.writeable, q
@@ -150,6 +151,37 @@ def test_perturbation_matches_per_question_reference(d, kind, delta):
         assert list(got) == list(want)
         for q in want:
             assert np.max(np.abs(family(pert, party, q) - want[q])) <= 1e-13, q
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_rotation_rng_stream(d):
+    # a "both" record draws 2 n^2 normals per rotated question, Alice's
+    # questions then Bob's, and then the state noise: replaying the stream
+    # with those draws skipped gives its state exactly
+    _, test, strat, _ = ideal_setup(d)
+    spec = PerturbationSpec("both", 1e-3, 41)
+    pert = perturb_strategy(strat, spec)
+    rng = np.random.default_rng(spec.seed)
+    n_a, n_b = strat.state.shape
+    rng.standard_normal(2 * n_a**2 * len(test.alice_answers))
+    rng.standard_normal(2 * n_b**2 * len(test.bob_answers))
+    g = rng.standard_normal(strat.state.size) + 1j * rng.standard_normal(strat.state.size)
+    state = strat.state + spec.magnitude * (g.reshape(strat.state.shape) / np.linalg.norm(g))
+    state /= np.linalg.norm(state)
+    assert np.array_equal(pert.state, state)
+
+
+def test_rotation_forms_no_eigenvectors(monkeypatch):
+    # the rotation needs each generator's scale, not its eigenvectors: one
+    # eigvalsh per block of GENERATOR_BLOCK questions and no eigh
+    _, test, strat, _ = ideal_setup(3)
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh was called"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(len(h)) or real(h))
+    perturb_strategy(strat, PerturbationSpec("rotate", 1e-3, 5))
+    assert sum(calls) == len(test.alice_answers) + len(test.bob_answers)
+    assert max(calls) <= GENERATOR_BLOCK
 
 
 def test_state_noise_epsilon_envelope():
@@ -297,13 +329,15 @@ def test_each_observable_derived_once(monkeypatch):
 def test_basis_memo_shared_only_by_unrotated_copies():
     # what the bases determine belongs to the bases: a copy that keeps them
     # (state noise, or no perturbation) reads the ideal's table, any other
-    # copy starts its own; no copy shares the ideal's correlation
+    # copy starts its own; a state-noise copy does not share the ideal's
+    # correlation, and at magnitude 0 the ideal itself, correlation and
+    # all, comes back
     _, test, strat, _ = ideal_setup(3)
     ideal_o = strat.observable("A", "O")
     for spec in [PerturbationSpec("state", 1e-3, 5)] + [PerturbationSpec(kind, 0.0, 5) for kind in KINDS]:
         copy = perturb_strategy(strat, spec)
         assert copy.observable("A", "O") is ideal_o, spec
-        assert copy.correlation() is not strat.correlation(), spec
+        assert (copy.correlation() is strat.correlation()) == (spec.magnitude == 0), spec
     fresh = [perturb_strategy(strat, PerturbationSpec(kind, 1e-3, 5)) for kind in ("rotate", "both")]
     fresh += [dataclasses.replace(strat, alice=dict(strat.alice)), dataclasses.replace(strat)]
     for copy in fresh:
@@ -344,7 +378,7 @@ def test_sync_outside_the_support(gen):
     _, test, strat, _ = ideal_setup(5)
     q = var_label(gen)
     assert (q, q) not in test.support
-    u = random_unitaries(np.random.default_rng(3), 1, strat.state.shape[1], 1e-2)[0]
+    u = rotate_bases(np.random.default_rng(3), eye(strat.state.shape[1])[None], 1e-2)[0]
     moved = dataclasses.replace(strat, bob={**strat.bob, q: Basis(u @ strat.bob[q].vectors, strat.bob[q].bounds)})
     by_var = sync_by_variable(moved)
     assert max(by_var, key=by_var.get) == gen

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from dense_reference import family, joint_projector, observable_to_projectors
@@ -317,3 +319,19 @@ def test_json_deterministic():
     a = generate_correlation(strat, test).to_json()
     b = generate_correlation(strat, test).to_json()
     assert a == b
+
+
+def test_strategy_cannot_be_rebound():
+    # a memo (correlation, observables) can only go stale if the strategy it
+    # was formed from changes: no field can be rebound, no basis replaced
+    # and no state entry written
+    _, _, test, strat = ideal_setup(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        strat.state = np.zeros_like(strat.state)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        strat.alice = {}
+    with pytest.raises(ValueError):
+        strat.state[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        strat.bob[next(iter(strat.bob))] = None
+    assert not strat.with_state(strat.state.copy()).state.flags.writeable
