@@ -8,7 +8,6 @@ algebra the rest of the library leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,46 +74,36 @@ def involution_residual(m: np.ndarray) -> float:
 class Basis:
     """A complete projective measurement stored as one orthonormal basis.
 
-    Outcome a owns the columns vectors[:, bounds[a]:bounds[a + 1]], so its
-    projector is V_a V_a^H; an outcome without columns is the zero
-    projector.  The vectors are read-only, so bases may be shared.
+    outcomes is a (k, n) 0/1 matrix whose entry (a, c) is 1 when column c of
+    vectors belongs to outcome a, so outcome a's projector is
+    V diag(outcomes[a]) V^H; an outcome without columns is a zero row, the
+    zero projector.  Both arrays are read-only, so bases may share them.
     """
 
     vectors: np.ndarray
-    bounds: tuple[int, ...]
+    outcomes: np.ndarray
 
     def __post_init__(self):
         self.vectors.setflags(write=False)
+        self.outcomes.setflags(write=False)
 
     def operator(self, weights) -> np.ndarray:
         """sum_a weights[a] P_a, one product V diag(w) V^H."""
         v = self.vectors
-        return (v * np.repeat(np.asarray(weights, dtype=float), np.diff(self.bounds))) @ dagger(v)
+        return (v * (np.asarray(weights, dtype=float) @ self.outcomes)) @ dagger(v)
 
     def reflect(self, signs, x: np.ndarray) -> np.ndarray:
         """operator(signs) @ x for signs of +1 and -1, as x - 2 V_- (V_-^H x),
         V_- the columns of the answers signed -1: no n x n operator is formed,
         and only those columns enter the products."""
-        minus = self.vectors[:, np.repeat(np.asarray(signs) < 0, np.diff(self.bounds))]
+        minus = self.vectors[:, np.asarray(signs, dtype=float) @ self.outcomes < 0]
         return x - 2 * (minus @ (dagger(minus) @ x))
 
     def merged(self, outcome_of) -> "Basis":
-        """The coarser measurement in which outcome a reads as outcome_of[a];
-        columns are regrouped stably, so no arithmetic touches them."""
-        labels = np.repeat(outcome_of, np.diff(self.bounds))
-        counts = np.bincount(labels, minlength=max(outcome_of) + 1)
-        return Basis(self.vectors[:, np.argsort(labels, kind="stable")], tuple(np.cumsum([0, *counts]).tolist()))
-
-
-@lru_cache(maxsize=None)
-def outcome_indicator(bounds: tuple[int, ...]) -> np.ndarray:
-    """(k, n) 0/1 matrix, read-only and built once per bounds: entry (a, c)
-    is 1 when column c belongs to outcome a."""
-    out = np.zeros((len(bounds) - 1, bounds[-1]))
-    for a, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        out[a, lo:hi] = 1.0
-    out.setflags(write=False)
-    return out
+        """The coarser measurement in which outcome a reads as outcome_of[a]:
+        the same vectors object, with outcome a's row of outcomes added to
+        row outcome_of[a]."""
+        return Basis(self.vectors, np.eye(max(outcome_of) + 1)[:, outcome_of] @ self.outcomes)
 
 
 def joint_eigenbasis(ops: dict[str, np.ndarray], radices: tuple[int, ...]) -> Basis:
@@ -122,7 +111,8 @@ def joint_eigenbasis(ops: dict[str, np.ndarray], radices: tuple[int, ...]) -> Ba
 
     Operator j has eigenvalues 0..radices[j]-1, and a column's outcome reads
     them as one mixed-radix number, the first slowest: one eigh of the
-    weighted sum, whose eigenvalues are the outcomes, sorts the columns.
+    weighted sum gives the columns, and each column's eigenvalue, rounded,
+    is its outcome, the row that holds the column's 1 in the outcome matrix.
     PreconditionError on a non-finite entry, an eigenvalue not within
     DEFAULT_TOL of an outcome, or an operator left off-diagonal by more than
     DEFAULT_TOL (Frobenius norm), as when the operators do not commute.
@@ -141,7 +131,7 @@ def joint_eigenbasis(ops: dict[str, np.ndarray], radices: tuple[int, ...]) -> Ba
     worst = np.linalg.norm(stack @ vecs - vecs * labels[:, None, :], axis=(1, 2)).max()
     if not worst <= DEFAULT_TOL:
         raise PreconditionError(f"{', '.join(ops)} have no common eigenbasis", worst)
-    return Basis(vecs, tuple(np.cumsum([0, *np.bincount(outcomes, minlength=np.prod(radices))]).tolist()))
+    return Basis(vecs, np.eye(np.prod(radices))[:, outcomes])
 
 
 def taylor_degree(t: float) -> int:

@@ -78,7 +78,7 @@ def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
                 block = questions[start : start + GENERATOR_BLOCK]
                 moved = rotate_bases(rng, np.stack([fams[q].vectors for q in block]), delta)
                 for q, vectors in zip(block, moved):
-                    fams[q] = Basis(vectors, fams[q].bounds)
+                    fams[q] = Basis(vectors, fams[q].outcomes)
     if spec.kind in ("state", "both"):
         g = rng.standard_normal(state.size) + 1j * rng.standard_normal(state.size)
         g = g.reshape(state.shape) / np.linalg.norm(g)

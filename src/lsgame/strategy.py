@@ -13,8 +13,8 @@ Question labels are strings: ``I7`` (equation), ``x(f0)`` (variable),
 ``ext:0`` / ``ext:<n+1>`` / ``ext:<n+2>`` (extension block, n = number of
 variables), ``comm:<n+1>,f0`` (Bob's paired question).  Answer orders are
 fixed by the tuples in FullTest.  A measurement is one read-only
-:class:`~lsgame.linalg.Basis`: an ``n x n`` unitary whose columns are grouped
-by answer in that order, so the a-th answer's projector is ``V_a V_a^H``.
+:class:`~lsgame.linalg.Basis`: an ``n x n`` unitary and a 0/1 matrix whose
+row a, in that answer order, marks the columns of the a-th answer.
 
 :meth:`Strategy.observable` is the one source of binary observables: every
 variable's observable, O and U, each derived once per set of bases and read
@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .linalg import Basis, basis_vector, eye, joint_eigenbasis, kron, outcome_indicator
+from .linalg import Basis, basis_vector, eye, joint_eigenbasis, kron
 from .lsg import QUOTED_PAIR_COUNT, LinearSystem, build_linear_system
 from .numtheory import PrimeParams
 from .representation import KEY_FACTORS, Rep, x_index
@@ -197,7 +197,7 @@ class Strategy:
         bases = self.alice if party == "A" else self.bob
         question = name if name in bases else var_label(name)
         if question in bases:
-            return question, (1.0, -1.0) + (0.0,) * (len(bases[question].bounds) - 3)
+            return question, (1.0, -1.0) + (0.0,) * (len(bases[question].outcomes) - 2)
         first = self.test.system.first_position.get(name)
         if party == "A" and first is not None:
             row, pos = first
@@ -259,9 +259,9 @@ def ext_bases(params: PrimeParams) -> tuple[Basis, Basis, Basis]:
     )
     out = []
     for fam in on_w:
-        blocks = [kron(eye(4), cols) for cols in fam]  # I_4 (x) each answer's columns, kept together
-        bounds = np.cumsum([0] + [block.shape[1] for block in blocks])
-        out.append(Basis(np.hstack(blocks), tuple(bounds.tolist())))
+        blocks = [kron(eye(4), cols) for cols in fam]  # I_4 (x) each answer's columns
+        outcomes = np.repeat(np.eye(len(blocks)), [block.shape[1] for block in blocks], axis=1)
+        out.append(Basis(np.hstack(blocks), outcomes))
     return tuple(out)
 
 
@@ -283,10 +283,11 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     """Measurement bases from the representation, with no projector formed.
 
     An equation's basis is its variables' joint eigenbasis; a variable's,
-    shared by both parties, regroups the columns of the first equation
-    containing it by its bit; a commutation question's is the joint
-    eigenbasis of its two questions.  PreconditionError (see
-    joint_eigenbasis) on a non-finite image or a non-commuting row.
+    shared by both parties, is the first equation containing it read
+    through its bit (Basis.merged), so it holds that equation's very
+    vectors; a commutation question's is the joint eigenbasis of its two
+    questions.  PreconditionError (see joint_eigenbasis) on a non-finite
+    image or a non-commuting row.
     """
     if rep.params.d != params.d or rep.params.r != params.r:
         raise StructuralError("representation was built for different parameters")
@@ -374,17 +375,21 @@ class Correlation:
 
 def answer_table(left: np.ndarray, alice: Basis, bob: Basis) -> np.ndarray:
     """p(a, b) = ||V_a^H S conj(W_b)||^2 from left = V^H S: the squared
-    entries of left conj(W), summed over each answer pair's block."""
+    entries of left conj(W), summed over the rows and columns that the two
+    outcome matrices give to each answer pair."""
     cells = np.abs(left @ bob.vectors.conj()) ** 2
-    return outcome_indicator(alice.bounds) @ cells @ outcome_indicator(bob.bounds).T
+    return alice.outcomes @ cells @ bob.outcomes.T
 
 
 def generate_correlation(strategy: Strategy, test: FullTest | None = None) -> Correlation:
     """p(a, b | x, y) = <psi| M_x^a (x) N_y^b |psi> over the test's support.
 
     With psi = vec(S), M^a = V_a V_a^H and N^b = W_b W_b^H, p is the squared
-    Frobenius norm of V_a^H S conj(W_b), a block of one product per pair.
-    Every entry is a sum of squares, so none is negative.
+    Frobenius norm of V_a^H S conj(W_b), V_a and W_b the columns of answers
+    a and b: cells of one product per pair.
+    Every entry is a sum of squares, so none is negative.  The tables are
+    read-only: a memoized correlation (Strategy.correlation) is shared by
+    every reader of its strategy.
     """
     test = test or strategy.test
     s = strategy.state
@@ -396,7 +401,8 @@ def generate_correlation(strategy: Strategy, test: FullTest | None = None) -> Co
         alice = strategy.basis("A", x)
         left = alice.vectors.conj().T @ s
         for y in ys:
-            tables[(x, y)] = answer_table(left, alice, strategy.basis("B", y))
+            tables[(x, y)] = table = answer_table(left, alice, strategy.basis("B", y))
+            table.setflags(write=False)
     corr = Correlation(d=strategy.params.d, r=strategy.params.r)
     corr.entries.update((pair, tables[pair]) for pair in test.support)
     return corr

@@ -18,9 +18,10 @@ from lsgame.strategy import eq_label, var_label
 
 
 def projectors(basis):
-    """The dense (k, n, n) stack of a basis's outcome projectors V_a V_a^H."""
-    v, b = basis.vectors, basis.bounds
-    return np.stack([v[:, lo:hi] @ dagger(v[:, lo:hi]) for lo, hi in zip(b, b[1:])])
+    """The dense (k, n, n) stack of a basis's outcome projectors V_a V_a^H,
+    V_a the columns that row a of the outcome matrix marks."""
+    v = basis.vectors
+    return np.stack([v[:, row == 1] @ dagger(v[:, row == 1]) for row in basis.outcomes])
 
 
 def random_unitaries(rng, count, dim, t):

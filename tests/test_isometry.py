@@ -207,7 +207,7 @@ def test_selftest_report_non_isometric_stage_two():
     key = var_label("f0")
 
     def scale(basis):
-        return Basis(np.sqrt(0.9) * basis.vectors, basis.bounds)
+        return Basis(np.sqrt(0.9) * basis.vectors, basis.outcomes)
 
     scaled = dataclasses.replace(
         pert,
@@ -229,7 +229,7 @@ def test_selftest_report_rank_deficient_stage_two():
     keys = (var_label("f0"), var_label("f2"))
 
     def zero(basis):
-        return Basis(np.zeros_like(basis.vectors), basis.bounds)
+        return Basis(np.zeros_like(basis.vectors), basis.outcomes)
 
     for base in (strat, perturb_strategy(strat, PerturbationSpec("both", 1e-2, 4))):
         zeroed = dataclasses.replace(

@@ -124,8 +124,9 @@ def test_joint_eigenbasis_matches_joint_projector(random_binary_observable):
     assert v.shape == (12, 12) and not v.flags.writeable
     assert la.op_norm(la.dagger(v) @ v - la.eye(12)) <= 1e-13
     assert np.abs(projectors(basis) - joint_projector(obs)).max() <= 1e-13
-    # regrouping by the second bit gives the second observable's projectors
+    # merging by the second bit gives the second observable's projectors
     second = basis.merged([(o >> 1) & 1 for o in range(8)])
+    assert second.vectors is basis.vectors  # merged relabels; it copies no vector
     assert np.abs(projectors(second) - observable_to_projectors(obs[1])).max() <= 1e-13
     np.testing.assert_allclose(second.operator((1, -1)), obs[1], atol=1e-13)
 
@@ -134,7 +135,7 @@ def test_joint_eigenbasis_empty_outcome():
     # Z (x) Z has no (0, 1) or (1, 0) outcome when both factors are the same Z
     zz = la.kron(SZ, la.eye(2))
     basis = la.joint_eigenbasis({"a": (la.eye(4) - zz) / 2, "b": (la.eye(4) - zz) / 2}, (2, 2))
-    assert basis.bounds == (0, 2, 2, 2, 4)
+    assert basis.outcomes.sum(axis=1).tolist() == [2, 0, 0, 2]
     assert np.abs(projectors(basis)[1:3]).max() == 0.0
 
 

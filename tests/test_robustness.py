@@ -58,7 +58,7 @@ def test_zero_magnitude_is_identity():
     assert np.array_equal(copy.state, strat.state)
     for q in strat.alice:
         assert np.array_equal(copy.alice[q].vectors, strat.alice[q].vectors)
-        assert copy.alice[q].bounds == strat.alice[q].bounds
+        assert np.array_equal(copy.alice[q].outcomes, strat.alice[q].outcomes)
     assert correlation_distance(generate_correlation(copy, test), corr) == 0.0
 
 
@@ -79,7 +79,32 @@ def test_families_read_only_and_shared_when_not_rotated():
     rotated = perturb_strategy(strat, PerturbationSpec("rotate", 1e-3, 5))
     for q, basis in rotated.alice.items():
         assert basis is not strat.alice[q] and not basis.vectors.flags.writeable, q
-        assert basis.bounds == strat.alice[q].bounds, q
+        assert np.array_equal(basis.outcomes, strat.alice[q].outcomes), q
+
+
+@pytest.mark.parametrize("kind", ["rotate", "both"])
+def test_rotated_bases_keep_the_outcome_matrices(kind):
+    # a rotation moves the vectors only: each rotated basis carries the
+    # input's outcome matrix object, not a copy
+    _, test, strat, _ = ideal_setup(3)
+    moved = perturb_strategy(strat, PerturbationSpec(kind, 1e-2, 5))
+    for party, answers in (("A", test.alice_answers), ("B", test.bob_answers)):
+        for q in answers:
+            basis, before = moved.basis(party, q), strat.basis(party, q)
+            assert basis.vectors is not before.vectors, (party, q)
+            assert basis.outcomes is before.outcomes, (party, q)
+
+
+def test_generated_tables_read_only():
+    # a memoized correlation is read by every record that shares its strategy,
+    # delta-0 records included: a write into one of its tables must fail
+    _, test, strat, _ = ideal_setup(3)
+    memo = strat.correlation()
+    assert not any(table.flags.writeable for table in memo.entries.values())
+    with pytest.raises(ValueError, match="read-only"):
+        memo.entries[test.support[0]][0, 0] += 0.5
+    record = selftest_report(perturb_strategy(strat, PerturbationSpec("both", 0.0, 1)), generate_correlation(strat, test))
+    assert record.epsilon == 0.0
 
 
 def test_same_seed_reproduces():
@@ -379,7 +404,7 @@ def test_sync_outside_the_support(gen):
     q = var_label(gen)
     assert (q, q) not in test.support
     u = rotate_bases(np.random.default_rng(3), eye(strat.state.shape[1])[None], 1e-2)[0]
-    moved = dataclasses.replace(strat, bob={**strat.bob, q: Basis(u @ strat.bob[q].vectors, strat.bob[q].bounds)})
+    moved = dataclasses.replace(strat, bob={**strat.bob, q: Basis(u @ strat.bob[q].vectors, strat.bob[q].outcomes)})
     by_var = sync_by_variable(moved)
     assert max(by_var, key=by_var.get) == gen
     assert abs(relation_residuals(moved)["sync"] - by_var[gen]) <= 1e-15

@@ -127,12 +127,12 @@ def test_equation_observable_matches_representation():
 def test_outcome2_projectors_vanish_at_d3():
     _, _, test, strat = ideal_setup(3)
     for q in ext_labels(test.n_vars):
-        assert strat.alice[q].bounds[-2] == strat.alice[q].bounds[-1]  # no columns
+        assert not strat.alice[q].outcomes[-1].any()  # no columns
         assert np.linalg.norm(family(strat, "A", q)[-1]) == 0.0
 
 
 def test_one_basis_per_question():
-    # a family is one n x n unitary with its answer bounds, never a (k, n, n) stack
+    # a family is one n x n unitary with its outcome matrix, never a (k, n, n) stack
     _, _, test, strat = ideal_setup(5)
     n = strat.state.shape[0]
     rotated = perturb_strategy(strat, PerturbationSpec("rotate", 1e-2, 3))
@@ -140,11 +140,35 @@ def test_one_basis_per_question():
         for bases, answers in ((target.alice, test.alice_answers), (target.bob, test.bob_answers)):
             assert set(bases) == set(answers)
             for q, basis in bases.items():
-                assert type(basis) is Basis and set(vars(basis)) == {"vectors", "bounds"}, q
+                assert type(basis) is Basis and set(vars(basis)) == {"vectors", "outcomes"}, q
                 v = basis.vectors
                 assert v.shape == (n, n) and v.dtype == complex and not v.flags.writeable, q
-                assert len(basis.bounds) == len(answers[q]) + 1 and basis.bounds[-1] == n, q
+                m = basis.outcomes
+                assert m.shape == (len(answers[q]), n) and not m.flags.writeable, q
+                assert set(np.unique(m)) <= {0.0, 1.0} and (m.sum(axis=0) == 1).all(), q  # one answer per column
                 assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-13, q
+
+
+@pytest.mark.parametrize("d", [3, 7, 13])
+def test_variable_bases_share_their_equation_vectors(d):
+    # a variable's basis is the first equation containing it read through one
+    # bit (Basis.merged): the very vectors object, for Bob's every variable
+    # and for Alice's variable questions alike
+    _, _, test, strat = ideal_setup(d)
+    system = test.system
+    for party, gens in (("B", system.variables), ("A", ("a1", "a2") + COMM_GENS)):
+        for g in gens:
+            row, _ = system.first_position[g]
+            assert strat.basis(party, var_label(g)).vectors is strat.alice[eq_label(row)].vectors, (party, g)
+
+
+@pytest.mark.parametrize("d", [3, 7, 13])
+def test_ideal_distinct_vector_arrays(d):
+    # one array per equation, per extension question and per commutation
+    # question: 101 at d=13, 115 at d=7
+    _, _, test, strat = ideal_setup(d)
+    distinct = {id(basis.vectors) for bases in (strat.alice, strat.bob) for basis in bases.values()}
+    assert len(distinct) == test.system.n_rows + 3 + 8
 
 
 def dense_families(test, rep, params):
