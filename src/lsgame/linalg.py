@@ -18,8 +18,9 @@ from .errors import PreconditionError, ResourceError
 DEFAULT_TOL = 1e-9
 
 #: Cap on the element count of any matrix produced by kron.  It cannot fire
-#: below make_params' cap of d <= 31: the largest kron is a full-space
-#: image, 4(d-1) x 4(d-1) = 14400 elements at d = 31.
+#: below make_params' cap of d <= 31: the largest kron lifts an extension
+#: question's columns to the full space, 4(d-1) x 4(d-3) = 13440 elements
+#: at d = 31 (the representation's images are exact, not dense krons).
 MAX_KRON_ELEMENTS = 1 << 26
 
 

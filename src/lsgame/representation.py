@@ -1,45 +1,87 @@
-"""Explicit matrix representation of the solution group and its verifier.
+"""Exact representation of the solution group and its verifier.
 
-The carrier space is W2 (x) W2 (x) W_{d-1}, dimension 4(d-1).  The images of
-a1..a4 on W_{d-1} are written down explicitly; every other a-generator is a
-conjugate of earlier ones, and the helper generators are assembled from
-fixed block forms.  Nothing here is trusted: :func:`verify_representation`
-recomputes every relation residual mechanically.
+The carrier space is W2 (x) W2 (x) W_{d-1}, dimension 4(d-1).  Every image
+is monomial, one entry per row and column, each a 2d-th root of unity, so
+each is held exactly as a :class:`Monomial`: a permutation and an integer
+phase array.  The images of a1..a4 on W_{d-1} are written in closed form;
+every other a-generator is a conjugate of earlier ones, and the helper
+generators are assembled from fixed block forms, all in integer arithmetic.
+Nothing here is trusted: :func:`verify_representation` rechecks every
+relation by integer equality.
 
-Basis conventions: W_k uses basis x_1..x_k stored at indices 0..k-1.  On
-W_{d-1} the second basis u_0..u_{d-2} is the Fourier transform of the
-x-basis reordered along powers of r.
+Basis conventions: W_k uses basis x_1..x_k stored at indices 0..k-1; on
+W_{d-1} the subscript of x_k is read mod d.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StructuralError
 from .groups import build_conjugacy_triples, h_name, q_name
-from .linalg import dagger, eye, kron, op_norm, require_finite
+from .linalg import op_norm
 from .lsg import LinearSystem
 from .numtheory import PrimeParams
-
-_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-_Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: the generator pairs whose products are the key unitaries O = a1 a2 and U = a3 a4
 KEY_FACTORS = {"O": ("a1", "a2"), "U": ("a3", "a4")}
 
 
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """The unitary M e_c = exp(2 pi i phase[c] / order) e_perm[c].
+
+    @, kron, negation and == act on the integer arrays, so they are exact;
+    phases are compared mod order.  dense() gives the complex matrix.
+    """
+
+    perm: np.ndarray
+    phase: np.ndarray
+    order: int
+
+    @classmethod
+    def identity(cls, n: int, order: int) -> "Monomial":
+        return cls(np.arange(n), np.zeros(n, dtype=int), order)
+
+    def __matmul__(self, other: "Monomial") -> "Monomial":
+        return Monomial(self.perm[other.perm], (other.phase + self.phase[other.perm]) % self.order, self.order)
+
+    def __neg__(self) -> "Monomial":
+        return Monomial(self.perm, (self.phase + self.order // 2) % self.order, self.order)
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, Monomial) and self.order == other.order and np.array_equal(self.perm, other.perm)
+        return same and not ((self.phase - other.phase) % self.order).any()
+
+    def kron(self, other: "Monomial") -> "Monomial":
+        n = len(other.perm)
+        perm = self.perm[:, None] * n + other.perm
+        return Monomial(perm.ravel(), ((self.phase[:, None] + other.phase) % self.order).ravel(), self.order)
+
+    def dense(self) -> np.ndarray:
+        n = len(self.perm)
+        out = np.zeros((n, n), dtype=complex)
+        # phase/order = q/4 + m/(4 order) with integer q and |m| <= order/2: exact
+        # quarter turns i^q times a rotation by an angle of at most pi/4
+        q = np.rint(4 * self.phase / self.order).astype(int)
+        turn = np.array([1, 1j, -1, -1j])[q % 4]
+        out[self.perm, np.arange(n)] = turn * np.exp(0.5j * np.pi * (4 * self.phase - q * self.order) / self.order)
+        return out
+
+
 @dataclass
 class Rep:
-    """Generator name -> Hermitian unitary on the 4(d-1)-dimensional space."""
+    """Generator name -> its exact image, a Hermitian unitary on the 4(d-1)-dimensional space."""
 
     params: PrimeParams
     dim: int
-    table: dict[str, np.ndarray]
+    table: dict[str, Monomial]
 
-    def __getitem__(self, name: str) -> np.ndarray:
+    def __getitem__(self, name: str) -> Monomial:
         try:
             return self.table[name]
         except KeyError:
@@ -54,73 +96,30 @@ def x_index(j: int, d: int) -> int:
     return j - 1
 
 
-def u_basis(params: PrimeParams) -> np.ndarray:
-    """Columns are u_0..u_{d-2} expressed in the x-basis of W_{d-1}."""
-    d, r = params.d, params.r
-    w = d - 1
-    cols = np.zeros((w, w), dtype=complex)
-    power = 1
-    for t in range(w):
-        for k in range(w):
-            cols[x_index(power, d), k] += params.omega_dm1 ** (t * k)
-        power = (power * r) % d
-    return cols / np.sqrt(w)
-
-
-def o_tilde_matrix(params: PrimeParams) -> np.ndarray:
+def _on_w(params: PrimeParams, image, phase=None) -> Monomial:
+    """x_k -> exp(2 pi i phase(k) / 2d) x_{image(k)} on W_{d-1}; phase 0 when None."""
     d = params.d
-    diag = [params.omega_d ** j for j in range(1, d)]
-    return np.diag(np.array(diag, dtype=complex))
+    perm = np.array([x_index(image(k), d) for k in range(1, d)])
+    return Monomial(perm, np.zeros(d - 1, dtype=int) if phase is None else phase(np.arange(1, d)) % (2 * d), 2 * d)
 
 
-def u_tilde_matrix(params: PrimeParams) -> np.ndarray:
-    """Permutation sending x_{r^t} to x_{r^{t-1}}, i.e. x_k -> x_{k/r}."""
+def _base_generators_on_w(params: PrimeParams) -> dict[int, Monomial]:
+    """Images of a1..a4 on W_{d-1}: a1: x_k -> omega_d^{-k} x_{-k},
+    a2: x_k -> x_{-k}, a3: x_k -> x_{(kr)^{-1}}, a4: x_k -> x_{k^{-1}}."""
     d, r = params.d, params.r
-    w = d - 1
-    m = np.zeros((w, w), dtype=complex)
-    r_inv = params.r_inverse()
-    for k in range(1, d):
-        m[x_index(k * r_inv, d), x_index(k, d)] = 1.0
-    return m
+    return {
+        1: _on_w(params, operator.neg, lambda k: -2 * k),
+        2: _on_w(params, operator.neg),
+        3: _on_w(params, lambda k: pow(k * r, -1, d)),
+        4: _on_w(params, lambda k: pow(k, -1, d)),
+    }
 
 
-def _base_generators_on_w(params: PrimeParams) -> dict[int, np.ndarray]:
-    """Images of a1..a4 on W_{d-1}: explicit pairing / Fourier-pairing forms."""
-    d = params.d
-    w = d - 1
-    half = w // 2
-
-    a1 = np.zeros((w, w), dtype=complex)
-    a2 = np.zeros((w, w), dtype=complex)
-    for j in range(1, half + 1):
-        a1[x_index(j, d), x_index(d - j, d)] = params.omega_d ** j
-        a1[x_index(d - j, d), x_index(j, d)] = params.omega_d ** (-j)
-    for j in range(1, d):
-        a2[x_index(j, d), x_index(d - j, d)] = 1.0
-
-    u = u_basis(params)
-
-    def uket(k: int) -> np.ndarray:
-        return u[:, k]
-
-    def outer(k, l):  # |u_k><u_l|
-        return np.outer(uket(k), uket(l).conj())
-
-    a3 = outer(0, 0) + params.omega_dm1 ** half * outer(half, half)
-    a4 = outer(0, 0) + outer(half, half)
-    for k in range(1, (d - 3) // 2 + 1):
-        a3 = a3 + params.omega_dm1 ** k * outer(k, w - k)
-        a3 = a3 + params.omega_dm1 ** (-k) * outer(w - k, k)
-        a4 = a4 + outer(w - k, k) + outer(k, w - k)
-    return {1: a1, 2: a2, 3: a3, 4: a4}
-
-
-def _derive_chain(params: PrimeParams) -> dict[int, np.ndarray]:
+def _derive_chain(params: PrimeParams) -> dict[int, Monomial]:
     """All a-generator images on W_{d-1}, closing the conjugacy relations."""
     r = params.r
     psi0 = _base_generators_on_w(params)
-    triples = build_conjugacy_triples(r)
-    pending = [t for t in triples]
+    pending = list(build_conjugacy_triples(r))
     total = r + 5
     while len(psi0) < total:
         progressed = False
@@ -135,21 +134,15 @@ def _derive_chain(params: PrimeParams) -> dict[int, np.ndarray]:
     return psi0
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = a
-    out[n:, n:] = b
-    return out
+def _block_diag(a: Monomial, b: Monomial) -> Monomial:
+    """|x1><x1| (x) a + |x2><x2| (x) b."""
+    return Monomial(np.concatenate((a.perm, b.perm + len(a.perm))), np.concatenate((a.phase, b.phase)), a.order)
 
 
-def _block_off(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+def _block_off(top: Monomial, bottom: Monomial) -> Monomial:
     """|x1><x2| (x) top + |x2><x1| (x) bottom."""
-    n = top.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, n:] = top
-    out[n:, :n] = bottom
-    return out
+    m = _block_diag(bottom, top)
+    return Monomial((m.perm + len(top.perm)) % len(m.perm), m.phase, m.order)
 
 
 def build_representation(params: PrimeParams) -> Rep:
@@ -158,43 +151,41 @@ def build_representation(params: PrimeParams) -> Rep:
     w = d - 1
     n0 = r + 5
     psi0 = _derive_chain(params)
-    id_w = eye(w)
-    id_2w = eye(2 * w)
+    id2, id_w, id_2w = (Monomial.identity(n, 2 * d) for n in (2, w, 2 * w))
+    x2 = Monomial(np.array([1, 0]), np.zeros(2, dtype=int), 2 * d)
+    z2 = Monomial(np.arange(2), np.array([0, d]), 2 * d)
 
     # level-1 images on W2 (x) W_{d-1}
-    psi1: dict[str, np.ndarray] = {"f0": kron(_X2, id_w)}
+    psi1: dict[str, Monomial] = {"f0": x2.kron(id_w)}
     for i in range(1, n0 + 1):
         ai = psi0[i]
-        psi1[f"a{i}"] = kron(eye(2), ai)
+        psi1[f"a{i}"] = id2.kron(ai)
         psi1[f"b{i}"] = _block_diag(ai, id_w)
         psi1[f"c{i}"] = _block_diag(id_w, ai)
-        psi1[f"d{i}"] = kron(_X2, ai)
+        psi1[f"d{i}"] = x2.kron(ai)
     triples = build_conjugacy_triples(r)
     for t in triples:
         _, j, k = t
         psi1[h_name(t)] = _block_diag(psi0[j], psi0[k])
 
     # level-2 images on W2 (x) (W2 (x) W_{d-1})
-    table: dict[str, np.ndarray] = {}
-    for name in list(psi1):
-        if name != "f0":
-            table[name] = kron(eye(2), psi1[name])
+    table = {name: id2.kron(m) for name, m in psi1.items() if name != "f0"}
     pauli = {
-        "f0": kron(eye(2), kron(_X2, id_w)),
-        "f1": kron(_X2, kron(_X2, id_w)),
-        "f2": kron(_X2, kron(eye(2), id_w)),
-        "g0": kron(eye(2), kron(_Z2, id_w)),
-        "g1": kron(_Z2, kron(_Z2, id_w)),
-        "g2": kron(_Z2, kron(eye(2), id_w)),
-        "m0": kron(_Z2, kron(_X2, id_w)),
-        "m1": kron(_X2, kron(_Z2, id_w)),
-        "m2": kron(_Y2, kron(_Y2, id_w)),
+        "f0": id2.kron(x2),
+        "f1": x2.kron(x2),
+        "f2": x2.kron(id2),
+        "g0": id2.kron(z2),
+        "g1": z2.kron(z2),
+        "g2": z2.kron(id2),
+        "m0": z2.kron(x2),
+        "m1": x2.kron(z2),
+        "m2": Monomial(np.arange(3, -1, -1), np.array([d, 0, 0, d]), 2 * d),  # Y (x) Y, Y = [[0, i], [-i, 0]]
     }
-    table.update(pauli)
+    table.update((name, m.kron(id_w)) for name, m in pauli.items())
     f0_1 = psi1["f0"]
     for i in range(1, n0 + 1):
         b, c = psi1[f"b{i}"], psi1[f"c{i}"]
-        table[f"p{i}_1"] = kron(_X2, b)
+        table[f"p{i}_1"] = x2.kron(b)
         table[f"p{i}_2"] = _block_off(b @ f0_1, f0_1 @ b)
         table[f"p{i}_3"] = _block_diag(b @ f0_1 @ b, f0_1)
         table[f"p{i}_4"] = _block_diag(b @ c, id_2w)
@@ -202,52 +193,58 @@ def build_representation(params: PrimeParams) -> Rep:
     for t in triples:
         i, j, k = t
         bj, di, ck = psi1[f"b{j}"], psi1[f"d{i}"], psi1[f"c{k}"]
-        table[q_name(t, 1)] = kron(_X2, di)
-        table[q_name(t, 2)] = kron(_X2, bj)
+        table[q_name(t, 1)] = x2.kron(di)
+        table[q_name(t, 2)] = x2.kron(bj)
         table[q_name(t, 3)] = _block_off(bj @ di, di @ bj)
         table[q_name(t, 4)] = _block_diag(bj @ di @ bj, di)
         table[q_name(t, 5)] = _block_diag(bj @ ck, id_2w)
         table[q_name(t, 6)] = _block_diag(bj, ck)
-    table["J"] = -eye(4 * w)
+    table["J"] = -Monomial.identity(4 * w, 2 * d)
 
     return Rep(params=params, dim=4 * w, table=table)
+
+
+def _gap(m: Monomial, target: Monomial) -> float:
+    """0.0 when m == target, else the operator norm of their dense difference."""
+    return 0.0 if m == target else op_norm(m.dense() - target.dense())
 
 
 def verify_representation(rep: Rep, system: LinearSystem) -> float:
     """Max operator-norm residual of Gamma's relations, read off the system.
 
-    Every variable and the central sign J must be a Hermitian involution
-    that commutes with J, and each row's product must be (-1)^c.
-    PreconditionError naming the generator of a non-finite image.
+    Every variable and the central sign J must be an involution that
+    commutes with J (a monomial unitary that squares to 1 is Hermitian), and
+    each row's product must be (-1)^c.  Each relation is decided exactly, so
+    one that holds adds 0.0.
     """
-    identity = eye(rep.dim)
     jm = rep["J"]
-    for name in (*system.variables, "J"):
-        require_finite(rep[name], name)
+    identity = Monomial.identity(rep.dim, jm.order)
     worst = 0.0
     for name in (*system.variables, "J"):
         m = rep[name]
-        worst = max(worst, op_norm(m - dagger(m)), op_norm(m @ m - identity), op_norm(jm @ m - m @ jm))
+        worst = max(worst, _gap(m @ m, identity), _gap(jm @ m, m @ jm))
     for row, c in zip(system.rows, system.rhs):
-        prod = identity
-        for v in row:
-            prod = prod @ rep[system.variables[v]]
-        worst = max(worst, op_norm(prod - (-1) ** c * identity))
+        prod = functools.reduce(operator.matmul, (rep[system.variables[v]] for v in row), identity)
+        worst = max(worst, _gap(prod, -identity if c % 2 else identity))
     return worst
 
 
 def key_unitaries(rep: Rep) -> tuple[np.ndarray, np.ndarray, float]:
-    """(O, U) on W_{d-1} plus the conjugation residual ||U O U^+ - O^r||.
+    """(O, U) on W_{d-1}, O: x_k -> omega_d^k x_k and U: x_k -> x_{k/r}, plus
+    the conjugation residual ||U O - O^r U|| (= ||U O U^+ - O^r||).
 
     Also cross-checks that the KEY_FACTORS products of the images reproduce
-    O and U on the last factor and satisfy the same conjugation on the full space.
+    O and U on the last factor and satisfy the same conjugation on the full
+    space.  Each relation is decided exactly, so one that holds adds 0.0.
     """
-    r = rep.params.r
-    o, u = o_tilde_matrix(rep.params), u_tilde_matrix(rep.params)
-    res = op_norm(u @ o @ dagger(u) - np.linalg.matrix_power(o, r))
+    params = rep.params
+    o = _on_w(params, lambda k: k, lambda k: 2 * k)
+    u = _on_w(params, lambda k: k * params.r_inverse())
+
+    def conj_gap(uu: Monomial, oo: Monomial) -> float:
+        return _gap(uu @ oo, functools.reduce(operator.matmul, [oo] * params.r) @ uu)
 
     oo, uu = (rep[a] @ rep[b] for a, b in KEY_FACTORS.values())
-    res = max(res, op_norm(oo - kron(eye(4), o)))
-    res = max(res, op_norm(uu - kron(eye(4), u)))
-    res = max(res, op_norm(uu @ oo @ dagger(uu) - np.linalg.matrix_power(oo, r)))
-    return o, u, res
+    id4 = Monomial.identity(4, o.order)
+    res = max(conj_gap(u, o), _gap(oo, id4.kron(o)), _gap(uu, id4.kron(u)), conj_gap(uu, oo))
+    return o.dense(), u.dense(), res

@@ -282,12 +282,13 @@ def ideal_state(params: PrimeParams) -> np.ndarray:
 def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strategy:
     """Measurement bases from the representation, with no projector formed.
 
-    An equation's basis is its variables' joint eigenbasis; a variable's,
-    shared by both parties, is the first equation containing it read
-    through its bit (Basis.merged), so it holds that equation's very
-    vectors; a commutation question's is the joint eigenbasis of its two
-    questions.  PreconditionError (see joint_eigenbasis) on a non-finite
-    image or a non-commuting row.
+    An equation's basis is the joint eigenbasis of its variables' dense
+    images, the only images formed densely; a variable's, shared by both
+    parties, is the first equation containing it read through its bit
+    (Basis.merged), so it holds that equation's very vectors; a commutation
+    question's is the joint eigenbasis of its two questions.
+    PreconditionError (see joint_eigenbasis) on a non-finite dense image or
+    a non-commuting row.
     """
     if rep.params.d != params.d or rep.params.r != params.r:
         raise StructuralError("representation was built for different parameters")
@@ -295,7 +296,7 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     one = eye(rep.dim)
 
     alice = {
-        eq_label(i): joint_eigenbasis({g: (one - rep[g]) / 2 for g in system.row_names(i)}, (2, 2, 2))
+        eq_label(i): joint_eigenbasis({g: (one - rep[g].dense()) / 2 for g in system.row_names(i)}, (2, 2, 2))
         for i in range(system.n_rows)
     }
     var_bases = {

@@ -34,13 +34,29 @@ def test_verify_rep(capsys):
     code, out, _ = run(["verify-rep", "--d", "5"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["relation_residual"] <= 1e-10
-    assert payload["conjugation_residual"] <= 1e-10
+    assert payload["relation_residual"] == 0.0
+    assert payload["conjugation_residual"] == 0.0
     assert payload["ok"] is True
 
 
-def test_verify_rep_tolerance_gate(capsys):
-    code, out, _ = run(["verify-rep", "--d", "5", "--tolerance", "1e-20"], capsys)
+def test_verify_rep_tolerance_gate(monkeypatch, capsys):
+    # the residuals are exact, so the ideal passes at tolerance 0, and a
+    # sign-flipped generator fails the gate
+    import lsgame.cli as cli
+
+    code, out, _ = run(["verify-rep", "--d", "5", "--tolerance", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+    build = cli.build_representation
+
+    def flipped(params):
+        rep = build(params)
+        rep.table["f0"] = -rep.table["f0"]
+        return rep
+
+    monkeypatch.setattr(cli, "build_representation", flipped)
+    code, out, _ = run(["verify-rep", "--d", "5"], capsys)
     assert code == 3
     assert json.loads(out)["ok"] is False
 

@@ -18,6 +18,7 @@ from lsgame import (
     verify_representation,
 )
 from lsgame.numtheory import is_primitive_root
+from lsgame.representation import Monomial
 
 PARAMS = [(d, r) for d in (3, 5, 7, 11) for r in range(2, d) if is_primitive_root(r, d)]
 
@@ -49,3 +50,27 @@ def test_ideal_strategy_properties(dr):
     assert (back.d, back.r) == (p.d, p.r)
     assert list(back.entries) == list(corr.entries)
     assert all(np.array_equal(back.entries[key], table) for key, table in corr.entries.items())
+
+
+@st.composite
+def monomials(draw, n, order):
+    """A random n x n Monomial on the phase grid of the given order."""
+    perm = draw(st.permutations(range(n)))
+    phase = draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))
+    return Monomial(np.array(perm), np.array(phase), order)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_monomial_algebra_matches_dense(data):
+    # @, kron and negation agree with their dense forms; == is exact
+    order = 2 * data.draw(st.sampled_from((3, 5, 7, 13, 31)))
+    n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    a, b, c = data.draw(monomials(n, order)), data.draw(monomials(n, order)), data.draw(monomials(m, order))
+    assert np.abs((a @ b).dense() - a.dense() @ b.dense()).max() <= 1e-15
+    assert np.abs(a.kron(c).dense() - np.kron(a.dense(), c.dense())).max() <= 1e-15
+    assert np.abs((-a).dense() + a.dense()).max() <= 1e-15
+    assert a == Monomial(a.perm.copy(), a.phase.copy(), order)
+    moved = a.phase.copy()
+    moved[data.draw(st.integers(0, n - 1))] += 1
+    assert a != Monomial(a.perm, moved, order)

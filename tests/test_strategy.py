@@ -16,9 +16,9 @@ from lsgame import (
     make_params,
     perturb_strategy,
     table_deviation,
-    verify_representation,
 )
 from lsgame.linalg import Basis
+from lsgame.representation import Monomial
 from lsgame.strategy import COMM_GENS, comm_label, eq_label, ext_labels, var_label
 
 
@@ -121,7 +121,7 @@ def test_equation_observable_matches_representation():
     p, rep, test, strat = ideal_setup(3)
     # a3 has no standalone question for Alice; the equation-derived
     # observable must reproduce the representation image
-    np.testing.assert_allclose(strat.observable("A", "a3"), rep["a3"], atol=1e-12)
+    np.testing.assert_allclose(strat.observable("A", "a3"), rep["a3"].dense(), atol=1e-12)
 
 
 def test_outcome2_projectors_vanish_at_d3():
@@ -183,9 +183,9 @@ def dense_families(test, rep, params):
     perp = eye(d - 1) - proj["z0"] - proj["z1"]
     on_w = ((proj["z0"] + proj["z1"], perp), (proj["z0"], proj["z1"], perp), (proj["x0"], proj["x1"], perp))
     ext = {q: kron(eye(4), np.stack(fam)) for q, fam in zip(ext_labels(test.n_vars), on_w)}
-    var = {g: observable_to_projectors(rep[g]) for g in system.variables}
+    var = {g: observable_to_projectors(rep[g].dense()) for g in system.variables}
     rows = range(system.n_rows)
-    out = {("A", eq_label(i)): joint_projector([rep[g] for g in system.row_names(i)]) for i in rows}
+    out = {("A", eq_label(i)): joint_projector([rep[g].dense() for g in system.row_names(i)]) for i in rows}
     for q, fam in ext.items():
         out["A", q] = out["B", q] = fam
     for g in ("a1", "a2") + COMM_GENS:
@@ -218,16 +218,22 @@ def test_correlation_entries_non_negative():
                 assert abs(table.sum() - 1) <= 1e-12, (d, kind, key)
 
 
-def test_non_finite_image_fails_closed():
-    # the verifier and the basis build both raise PreconditionError (exit 2
-    # through the CLI), naming the generator and entry, in place of numpy's
-    # LinAlgError
+def test_non_finite_image_fails_closed(monkeypatch):
+    # the basis build raises PreconditionError (exit 2 through the CLI),
+    # naming the generator and entry, in place of numpy's LinAlgError, when
+    # a dense image handed to joint_eigenbasis is not finite
     p, rep, test, _ = ideal_setup(3)
-    rep.table["p1_3"] = rep.table["p1_3"].copy()
-    rep.table["p1_3"][2, 5] = np.nan
-    for check in (lambda: verify_representation(rep, test.system), lambda: build_ideal_strategy(p, rep, test)):
-        with pytest.raises(PreconditionError, match=r"p1_3 has a non-finite entry \(nan.*\) at \(2, 5\)"):
-            check()
+    target, dense = rep["p1_3"], Monomial.dense
+
+    def poisoned(m):
+        out = dense(m)
+        if m is target:
+            out[2, 5] = np.nan
+        return out
+
+    monkeypatch.setattr(Monomial, "dense", poisoned)
+    with pytest.raises(PreconditionError, match=r"p1_3 has a non-finite entry \(nan.*\) at \(2, 5\)"):
+        build_ideal_strategy(p, rep, test)
 
 
 def test_build_rejects_non_commuting_row():
@@ -235,7 +241,7 @@ def test_build_rejects_non_commuting_row():
     p, rep, test, _ = ideal_setup(3)
     names = test.system.row_names(0)
     second = rep[names[1]]
-    other = next(g for g in test.system.variables if np.abs(rep[g] @ second - second @ rep[g]).max() > 0.1)
+    other = next(g for g in test.system.variables if rep[g] @ second != second @ rep[g])
     rep.table[names[0]] = rep[other]
     with pytest.raises(PreconditionError, match="not an outcome label|no common eigenbasis"):
         build_ideal_strategy(p, rep, test)
