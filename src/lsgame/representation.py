@@ -65,12 +65,17 @@ class Monomial:
     def dense(self) -> np.ndarray:
         n = len(self.perm)
         out = np.zeros((n, n), dtype=complex)
-        # phase/order = q/4 + m/(4 order) with integer q and |m| <= order/2: exact
-        # quarter turns i^q times a rotation by an angle of at most pi/4
-        q = np.rint(4 * self.phase / self.order).astype(int)
-        turn = np.array([1, 1j, -1, -1j])[q % 4]
-        out[self.perm, np.arange(n)] = turn * np.exp(0.5j * np.pi * (4 * self.phase - q * self.order) / self.order)
+        out[self.perm, np.arange(n)] = roots_of_unity(self.phase, self.order)
         return out
+
+
+def roots_of_unity(phase: np.ndarray, order: int) -> np.ndarray:
+    """exp(2 pi i phase / order) for an integer array phase, exact at quarter turns."""
+    # phase/order = q/4 + m/(4 order) with integer q and |m| <= order/2: exact
+    # quarter turns i^q times a rotation by an angle of at most pi/4
+    q = np.rint(4 * phase / order).astype(int)
+    turn = np.array([1, 1j, -1, -1j])[q % 4]
+    return turn * np.exp(0.5j * np.pi * (4 * phase - q * order) / order)
 
 
 @dataclass

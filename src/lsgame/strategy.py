@@ -32,11 +32,11 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
-from .linalg import Basis, basis_vector, eye, joint_eigenbasis, kron
+from .errors import DomainError, PreconditionError, StructuralError
+from .linalg import DEFAULT_TOL, Basis, basis_vector, eye, joint_eigenbasis, kron
 from .lsg import QUOTED_PAIR_COUNT, LinearSystem, build_linear_system
 from .numtheory import PrimeParams
-from .representation import KEY_FACTORS, Rep, x_index
+from .representation import KEY_FACTORS, Rep, roots_of_unity, x_index
 
 COMM_GENS = ("f0", "f2", "g0", "g2")
 
@@ -279,26 +279,66 @@ def ideal_state(params: PrimeParams) -> np.ndarray:
     return full.reshape(4 * w, 4 * w)
 
 
-def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strategy:
-    """Measurement bases from the representation, with no projector formed.
+def equation_bases(rep: Rep, system: LinearSystem) -> list[Basis]:
+    """Each equation's joint eigenbasis of its images, built orbit by orbit.
 
-    An equation's basis is the joint eigenbasis of its variables' dense
-    images, the only images formed densely; a variable's, shared by both
+    An orbit, what the row's permutations reach from an index, holds 1, 2 or
+    4 indices; its block of sum_j w_j (1 - A_j)/2, w = (4, 2, 1), comes from
+    the permutations and phases, with no dense image.  One batched eigh per
+    block size serves every row, the eigenvectors fill the row's vectors at
+    the orbit's indices, and a column's rounded eigenvalue is its outcome, an
+    index into _TRIPLES.  PreconditionError naming the first failing row and
+    its generators unless every eigenvalue is within DEFAULT_TOL of an
+    outcome and every column is, within DEFAULT_TOL, an eigenvector of each
+    image with the sign its outcome gives.
+    """
+    n, rows = rep.dim, system.n_rows
+    images = [[rep[g] for g in system.row_names(i)] for i in range(rows)]
+    perm = np.array([[m.perm for m in row] for row in images])  # (row, generator, index)
+    value = roots_of_unity(np.array([[m.phase for m in row] for row in images]), images[0][0].order)
+    orbit, reached = None, np.broadcast_to(np.arange(n), (rows, n))  # each index's least orbit member found so far
+    while not np.array_equal(orbit, reached):
+        orbit = reached
+        reached = np.minimum(orbit, np.take_along_axis(orbit[:, None], perm, 2).min(axis=1))
+    key = (np.arange(rows)[:, None] * n + orbit).ravel()  # row and orbit (np.unique would import numpy.ma)
+    size = np.bincount(key, minlength=rows * n)[key]
+    vectors, eigval, residual = np.zeros((rows, n, n), dtype=complex), np.empty((rows, n)), np.empty((rows, n))
+    for s in sorted(set(size.tolist())):
+        flat = np.flatnonzero(size == s)
+        row, idx = np.divmod(flat[np.argsort(key[flat], kind="stable")].reshape(-1, s), n)  # one orbit per line
+        at = (row[:, :1, None], np.arange(3)[:, None], idx[:, None, :])  # (orbit, generator, column)
+        # block[o, j, a, b] = A_j[idx[o, a], idx[o, b]]
+        block = np.where(idx[:, None, :, None] == perm[at][:, :, None, :], value[at][:, :, None, :], 0)
+        eigval[row, idx], vecs = np.linalg.eigh(3.5 * np.eye(s) - 2 * block[:, 0] - block[:, 1] - 0.5 * block[:, 2])
+        sign = 1 - 2 * (np.rint(eigval[row, idx]).astype(int)[:, None, :] >> np.array([[2], [1], [0]]) & 1)
+        # A_j v = sign[o, j, b] v for column v = vecs[o, :, b], one generator at a time to keep temporaries small
+        res = [np.linalg.norm(block[:, j] @ vecs - vecs * sign[:, j, None], axis=1) for j in range(3)]
+        residual[row, idx] = np.max(res, axis=0)
+        vectors[row[:, :, None], idx[:, :, None], idx[:, None, :]] = vecs
+    outcome = np.rint(eigval)
+    miss = np.where((outcome >= 0) & (outcome <= 7), np.abs(eigval - outcome), np.inf)
+    for worst, what in ((miss, "an eigenvalue is not an outcome label"), (residual, "no common eigenbasis")):
+        if not (worst <= DEFAULT_TOL).all():
+            i = int(np.argmax(~(worst <= DEFAULT_TOL).all(axis=1)))
+            raise PreconditionError(f"{eq_label(i)} ({', '.join(system.row_names(i))}): {what}", worst[i].max())
+    return [Basis(vectors[i], np.eye(8)[:, outcome[i].astype(int)]) for i in range(rows)]
+
+
+def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strategy:
+    """Measurement bases from the representation, with no projector or dense image formed.
+
+    An equation's basis is the joint eigenbasis of its variables' images,
+    built orbit by orbit (equation_bases); a variable's, shared by both
     parties, is the first equation containing it read through its bit
     (Basis.merged), so it holds that equation's very vectors; a commutation
     question's is the joint eigenbasis of its two questions.
-    PreconditionError (see joint_eigenbasis) on a non-finite dense image or
-    a non-commuting row.
+    PreconditionError (see equation_bases) naming a row whose images do not
+    commute or are not involutions.
     """
     if rep.params.d != params.d or rep.params.r != params.r:
         raise StructuralError("representation was built for different parameters")
     system = test.system
-    one = eye(rep.dim)
-
-    alice = {
-        eq_label(i): joint_eigenbasis({g: (one - rep[g].dense()) / 2 for g in system.row_names(i)}, (2, 2, 2))
-        for i in range(system.n_rows)
-    }
+    alice = {eq_label(i): basis for i, basis in enumerate(equation_bases(rep, system))}
     var_bases = {
         g: alice[eq_label(row)].merged([outcome[pos] for outcome in _TRIPLES])
         for g, (row, pos) in system.first_position.items()

@@ -1,9 +1,15 @@
 import dataclasses
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_reference import family, joint_projector, observable_to_projectors
+from dense_reference import dense_table, family, joint_projector, observable_to_projectors, projectors
 
+import lsgame
 from lsgame import (
     Correlation,
     PreconditionError,
@@ -17,9 +23,10 @@ from lsgame import (
     perturb_strategy,
     table_deviation,
 )
+from lsgame import strategy
 from lsgame.linalg import Basis
 from lsgame.representation import Monomial
-from lsgame.strategy import COMM_GENS, comm_label, eq_label, ext_labels, var_label
+from lsgame.strategy import COMM_GENS, comm_label, eq_label, equation_bases, ext_labels, var_label
 
 
 def ideal_setup(d, r=None):
@@ -207,6 +214,63 @@ def test_projectors_match_dense_reference(d):
     assert worst <= 1e-13, (d, worst)
 
 
+@pytest.mark.parametrize("d, r", [(d, None) for d in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)] + [(13, 6), (13, 7), (13, 11)])
+def test_equation_bases_match_dense_reference(d, r):
+    # every answer's projector is the dense reference's joint projector of the
+    # row's three images, and every column is an eigenvector of each image
+    # with the sign that its outcome's bit gives
+    p = make_params(d, r)
+    test = build_full_test(p)
+    dense = dense_table(p)
+    bases = equation_bases(build_representation(p), test.system)
+    bits = np.array(list(itertools.product((0, 1), repeat=3))).T  # (position, outcome), the first bit slowest
+    worst = {}
+    for i, basis in enumerate(bases):
+        images = [dense[g] for g in test.system.row_names(i)]
+        v, signs = basis.vectors, 1 - 2 * (bits @ basis.outcomes)  # (position, column)
+        worst[eq_label(i)] = max(
+            np.abs(projectors(basis) - joint_projector(images)).max(),
+            *(np.abs(image @ v - v * sign).max() for image, sign in zip(images, signs)),
+        )
+    label = max(worst, key=worst.get)
+    assert worst[label] <= 1e-13, (label, worst[label])
+
+
+def test_build_forms_no_dense_image(monkeypatch):
+    # the equation bases come from the integer images, orbit by orbit: no
+    # dense image is formed, and only the eight commutation questions go
+    # through joint_eigenbasis
+    p, rep, test, _ = ideal_setup(13)
+    calls = {"dense": 0, "joint_eigenbasis": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Monomial, "dense", counted("dense", Monomial.dense))
+    monkeypatch.setattr(strategy, "joint_eigenbasis", counted("joint_eigenbasis", strategy.joint_eigenbasis))
+    build_ideal_strategy(p, rep, test)
+    assert calls == {"dense": 0, "joint_eigenbasis": 8}
+
+
+def test_build_leaves_numpy_ma_unimported():
+    # numpy imports numpy.ma lazily (np.unique does, for one); a fresh process
+    # that pulls it in pays ~15 ms of set-up and 1.3-1.8 MB of peak RSS
+    code = (
+        "import sys\n"
+        "from lsgame import build_full_test, build_ideal_strategy, build_representation, make_params\n"
+        "p = make_params(13)\n"
+        "build_ideal_strategy(p, build_representation(p), build_full_test(p)).correlation()\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(lsgame.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
 def test_correlation_entries_non_negative():
     # every entry is a sum of squared moduli: >= 0 exactly, for any strategy
     for d in (3, 7):
@@ -218,21 +282,16 @@ def test_correlation_entries_non_negative():
                 assert abs(table.sum() - 1) <= 1e-12, (d, kind, key)
 
 
-def test_non_finite_image_fails_closed(monkeypatch):
-    # the basis build raises PreconditionError (exit 2 through the CLI),
-    # naming the generator and entry, in place of numpy's LinAlgError, when
-    # a dense image handed to joint_eigenbasis is not finite
+def test_non_involution_image_fails_closed():
+    # the equation bases take only integer arrays, so no NaN can reach them;
+    # a phase moved one step makes p1_3 no longer an involution, and the
+    # build names the first row containing it, with the row's generators
     p, rep, test, _ = ideal_setup(3)
-    target, dense = rep["p1_3"], Monomial.dense
-
-    def poisoned(m):
-        out = dense(m)
-        if m is target:
-            out[2, 5] = np.nan
-        return out
-
-    monkeypatch.setattr(Monomial, "dense", poisoned)
-    with pytest.raises(PreconditionError, match=r"p1_3 has a non-finite entry \(nan.*\) at \(2, 5\)"):
+    m = rep["p1_3"]
+    rep.table["p1_3"] = Monomial(m.perm, (m.phase + (np.arange(len(m.phase)) == 5)) % m.order, m.order)
+    row, _ = test.system.first_position["p1_3"]
+    names = ", ".join(test.system.row_names(row))
+    with pytest.raises(PreconditionError, match=rf"^{eq_label(row)} \({names}\): "):
         build_ideal_strategy(p, rep, test)
 
 
