@@ -2,7 +2,9 @@
 
 Plain complex128 numpy arrays serve as matrices and state vectors; this
 module adds measurement bases, Fourier matrices and random rotations, the
-algebra the rest of the library leans on.
+algebra the rest of the library leans on.  It holds no eigensolver for
+bases: the ideal strategy's are built per orbit or in closed form
+(lsgame.strategy).
 """
 
 from __future__ import annotations
@@ -47,16 +49,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def require_finite(a: np.ndarray, name: str = "matrix") -> None:
-    """PreconditionError naming the first non-finite entry of a, if any."""
+def op_norm(a: np.ndarray) -> float:
+    """Largest singular value; PreconditionError naming the first non-finite entry."""
     if not np.isfinite(a).all():
         index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
-        raise PreconditionError(f"{name} has a non-finite entry {a[index]} at {index}")
-
-
-def op_norm(a: np.ndarray) -> float:
-    """Largest singular value; PreconditionError on a non-finite entry."""
-    require_finite(a)
+        raise PreconditionError(f"matrix has a non-finite entry {a[index]} at {index}")
     return float(np.linalg.norm(a, 2))
 
 
@@ -105,34 +102,6 @@ class Basis:
         the same vectors object, with outcome a's row of outcomes added to
         row outcome_of[a]."""
         return Basis(self.vectors, np.eye(max(outcome_of) + 1)[:, outcome_of] @ self.outcomes)
-
-
-def joint_eigenbasis(ops: dict[str, np.ndarray], radices: tuple[int, ...]) -> Basis:
-    """Common eigenbasis of commuting Hermitian operators with integer spectra.
-
-    Operator j has eigenvalues 0..radices[j]-1, and a column's outcome reads
-    them as one mixed-radix number, the first slowest: one eigh of the
-    weighted sum gives the columns, and each column's eigenvalue, rounded,
-    is its outcome, the row that holds the column's 1 in the outcome matrix.
-    PreconditionError on a non-finite entry, an eigenvalue not within
-    DEFAULT_TOL of an outcome, or an operator left off-diagonal by more than
-    DEFAULT_TOL (Frobenius norm), as when the operators do not commute.
-    """
-    weights = np.cumprod((1, *radices[:0:-1]))[::-1]
-    for name, op in ops.items():
-        require_finite(op, name)
-    stack = np.stack(list(ops.values()))
-    vals, vecs = np.linalg.eigh(np.tensordot(weights, stack, axes=1))
-    outcomes = np.rint(vals)
-    bad = ~(np.abs(vals - outcomes) <= DEFAULT_TOL) | (outcomes < 0) | (outcomes >= np.prod(radices))
-    if bad.any():
-        raise PreconditionError(f"eigenvalue {vals[bad][0]} of {', '.join(ops)} is not an outcome label")
-    outcomes = outcomes.astype(int)
-    labels = outcomes // weights[:, None] % np.array(radices)[:, None]  # (operator, column)
-    worst = np.linalg.norm(stack @ vecs - vecs * labels[:, None, :], axis=(1, 2)).max()
-    if not worst <= DEFAULT_TOL:
-        raise PreconditionError(f"{', '.join(ops)} have no common eigenbasis", worst)
-    return Basis(vecs, np.eye(np.prod(radices))[:, outcomes])
 
 
 def taylor_degree(t: float) -> int:

@@ -33,10 +33,10 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructuralError
-from .linalg import DEFAULT_TOL, Basis, basis_vector, eye, joint_eigenbasis, kron
+from .linalg import DEFAULT_TOL, Basis, basis_vector, eye, kron
 from .lsg import QUOTED_PAIR_COUNT, LinearSystem, build_linear_system
 from .numtheory import PrimeParams
-from .representation import KEY_FACTORS, Rep, roots_of_unity, x_index
+from .representation import KEY_FACTORS, Monomial, Rep, roots_of_unity, x_index
 
 COMM_GENS = ("f0", "f2", "g0", "g2")
 
@@ -244,25 +244,42 @@ def v1_states(params: PrimeParams) -> dict[str, np.ndarray]:
     }
 
 
-def ext_bases(params: PrimeParams) -> tuple[Basis, Basis, Basis]:
-    """Extension-block bases on W_{d-1}, lifted to the full 4(d-1) space,
-    for the subspace, Z-basis and X-basis questions in ext_labels order; the
-    last answer owns the complement of span(x_1, x_{d-1}), empty at d = 3."""
+def ext_bases(rep: Rep, n_vars: int) -> dict[str, Basis]:
+    """Bases of the extension questions and of Bob's commutation questions,
+    each lifted from columns C_b on W_{d-1} to W2 (x) W2 (x) W_{d-1}.
+
+    Answer b of the subspace, Z-basis and X-basis questions (ext_labels
+    order) gets the columns I_4 (x) C_b; the last answer owns the complement
+    of span(x_1, x_{d-1}), empty at d = 3.  Answer (b1, b2), b2 fastest, of
+    comm_label(q, g) gets E_{b2} (x) C_{b1}, C_{b1} the columns of answer b1
+    of q and E_b the (-1)^b-eigenvectors of g's factor F on W2 (x) W2, read
+    off rep[g] = F (x) I.  PreconditionError naming g unless rep[g] is F (x) I
+    for an involution F.
+    """
+    params = rep.params
     d = params.d
+    w = d - 1
     z0, z1, x0, x1 = (v[:, None] for v in v1_states(params).values())
     span = (x_index(1, d), x_index(d - 1, d))
-    perp = eye(d - 1)[:, [k for k in range(d - 1) if k not in span]]
-    on_w = (
-        (np.hstack((z0, z1)), perp),
-        (z0, z1, perp),
-        (x0, x1, perp),
-    )
-    out = []
-    for fam in on_w:
-        blocks = [kron(eye(4), cols) for cols in fam]  # I_4 (x) each answer's columns
+    perp = eye(w)[:, [k for k in range(w) if k not in span]]
+    sub, z, x = ext_labels(n_vars)
+    on_w = {sub: (np.hstack((z0, z1)), perp), z: (z0, z1, perp), x: (x0, x1, perp)}
+    halves = {}  # g -> (E_0, E_1)
+    for g in COMM_GENS:
+        m = rep[g]
+        factor = Monomial(m.perm[::w] // w, m.phase[::w], m.order)
+        if m != factor.kron(Monomial.identity(w, m.order)) or factor @ factor != Monomial.identity(4, m.order):
+            raise PreconditionError(f"{g} is not an involution of W2 (x) W2 alone")
+        signs, vecs = np.linalg.eigh(factor.dense())
+        halves[g] = vecs[:, signs > 0], vecs[:, signs < 0]
+    families = {q: (cols, (eye(4),)) for q, cols in on_w.items()}
+    families.update((comm_label(q, g), (on_w[q], halves[g])) for q in (z, x) for g in COMM_GENS)
+    out = {}
+    for q, (cols_w, cols_4) in families.items():
+        blocks = [kron(e, cols) for cols in cols_w for e in cols_4]  # answer (b1, b2), b2 fastest
         outcomes = np.repeat(np.eye(len(blocks)), [block.shape[1] for block in blocks], axis=1)
-        out.append(Basis(np.hstack(blocks), outcomes))
-    return tuple(out)
+        out[q] = Basis(np.hstack(blocks), outcomes)
+    return out
 
 
 def ideal_state(params: PrimeParams) -> np.ndarray:
@@ -330,10 +347,11 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     An equation's basis is the joint eigenbasis of its variables' images,
     built orbit by orbit (equation_bases); a variable's, shared by both
     parties, is the first equation containing it read through its bit
-    (Basis.merged), so it holds that equation's very vectors; a commutation
-    question's is the joint eigenbasis of its two questions.
-    PreconditionError (see equation_bases) naming a row whose images do not
-    commute or are not involutions.
+    (Basis.merged), so it holds that equation's very vectors; the extension
+    and commutation questions' are tensor products in closed form (ext_bases).
+    PreconditionError naming a row whose images do not commute or are not
+    involutions (equation_bases), or a commutation variable that is not an
+    involution of W2 (x) W2 alone (ext_bases).
     """
     if rep.params.d != params.d or rep.params.r != params.r:
         raise StructuralError("representation was built for different parameters")
@@ -343,17 +361,12 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
         g: alice[eq_label(row)].merged([outcome[pos] for outcome in _TRIPLES])
         for g, (row, pos) in system.first_position.items()
     }
-    ext = dict(zip(ext_labels(test.n_vars), ext_bases(params)))
-    alice.update(ext)
+    ext = ext_bases(rep, test.n_vars)
+    alice.update((q, ext[q]) for q in ext_labels(test.n_vars))
     alice.update((var_label(g), var_bases[g]) for g in ("a1", "a2") + COMM_GENS)
 
     bob = {var_label(gen): var_bases[gen] for gen in system.variables}
     bob.update(ext)
-    for q in ext_labels(test.n_vars)[1:]:
-        for g in COMM_GENS:
-            # answer (b1, b2): basis answer b1 and variable bit b2, b2 fastest
-            ops = {q: ext[q].operator((0, 1, 2)), var_label(g): var_bases[g].operator((0, 1))}
-            bob[comm_label(q, g)] = joint_eigenbasis(ops, (3, 2))
 
     return Strategy(params=params, test=test, state=ideal_state(params), alice=alice, bob=bob)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lsgame.linalg as la
-from dense_reference import joint_projector, observable_to_projectors, projectors, random_unitaries
+from dense_reference import joint_projector, observable_to_projectors, random_unitaries
 from lsgame import PreconditionError, ResourceError
 from lsgame.errors import PreconditionError as PE
 
@@ -110,48 +110,6 @@ def test_op_norm_names_first_non_finite_entry():
     a[2, 0] = np.inf
     with pytest.raises(PreconditionError, match=r"matrix has a non-finite entry \(nan\+0j\) at \(1, 2\)"):
         la.op_norm(a)
-
-
-def test_joint_eigenbasis_matches_joint_projector(random_binary_observable):
-    rng = np.random.default_rng(5)
-    obs = [
-        la.kron(random_binary_observable(3, rng), la.eye(4)),
-        la.kron(la.eye(3), la.kron(random_binary_observable(2, rng), la.eye(2))),
-        la.kron(la.eye(6), SX),
-    ]
-    basis = la.joint_eigenbasis({f"m{j}": (la.eye(12) - m) / 2 for j, m in enumerate(obs)}, (2, 2, 2))
-    v = basis.vectors
-    assert v.shape == (12, 12) and not v.flags.writeable
-    assert la.op_norm(la.dagger(v) @ v - la.eye(12)) <= 1e-13
-    assert np.abs(projectors(basis) - joint_projector(obs)).max() <= 1e-13
-    # merging by the second bit gives the second observable's projectors
-    second = basis.merged([(o >> 1) & 1 for o in range(8)])
-    assert second.vectors is basis.vectors  # merged relabels; it copies no vector
-    assert np.abs(projectors(second) - observable_to_projectors(obs[1])).max() <= 1e-13
-    np.testing.assert_allclose(second.operator((1, -1)), obs[1], atol=1e-13)
-
-
-def test_joint_eigenbasis_empty_outcome():
-    # Z (x) Z has no (0, 1) or (1, 0) outcome when both factors are the same Z
-    zz = la.kron(SZ, la.eye(2))
-    basis = la.joint_eigenbasis({"a": (la.eye(4) - zz) / 2, "b": (la.eye(4) - zz) / 2}, (2, 2))
-    assert basis.outcomes.sum(axis=1).tolist() == [2, 0, 0, 2]
-    assert np.abs(projectors(basis)[1:3]).max() == 0.0
-
-
-def test_joint_eigenbasis_rejects_bad_inputs():
-    half = lambda m: (la.eye(2) - m) / 2  # noqa: E731
-    with pytest.raises(PreconditionError, match="not an outcome label"):  # they do not commute
-        la.joint_eigenbasis({"z": half(SZ), "x": half(SX)}, (2, 2))
-    # integer eigenvalues 2a + b = 1, 1, but b's spectrum is not {0, 1}
-    with pytest.raises(PreconditionError, match="no common eigenbasis"):
-        la.joint_eigenbasis({"a": np.diag([1.0, 0.0]), "b": np.diag([-1.0, 1.0])}, (2, 2))
-    with pytest.raises(PreconditionError, match="not an outcome label"):
-        la.joint_eigenbasis({"z": half(SZ) / 2}, (2,))
-    bad = half(SZ)
-    bad[0, 1] = np.nan
-    with pytest.raises(PreconditionError, match=r"bad has a non-finite entry \(nan\+0j\) at \(0, 1\)"):
-        la.joint_eigenbasis({"z": half(SZ), "bad": bad}, (2, 2))
 
 
 def test_hermitian_exponential_unitary():

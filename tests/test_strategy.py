@@ -23,10 +23,9 @@ from lsgame import (
     perturb_strategy,
     table_deviation,
 )
-from lsgame import strategy
 from lsgame.linalg import Basis
 from lsgame.representation import Monomial
-from lsgame.strategy import COMM_GENS, comm_label, eq_label, equation_bases, ext_labels, var_label
+from lsgame.strategy import COMM_GENS, comm_label, eq_label, equation_bases, ext_bases, ext_labels, v1_states, var_label
 
 
 def ideal_setup(d, r=None):
@@ -132,10 +131,15 @@ def test_equation_observable_matches_representation():
 
 
 def test_outcome2_projectors_vanish_at_d3():
+    # span(x_1, x_2) is all of W_2: basis answer 2 has no columns, in the
+    # extension questions (the last answer) and in the commutation questions
+    # (the last two, (2, 0) and (2, 1))
     _, _, test, strat = ideal_setup(3)
-    for q in ext_labels(test.n_vars):
-        assert not strat.alice[q].outcomes[-1].any()  # no columns
-        assert np.linalg.norm(family(strat, "A", q)[-1]) == 0.0
+    empty = {q: 1 for q in ext_labels(test.n_vars)}
+    empty.update((comm_label(q, g), 2) for q in ext_labels(test.n_vars)[1:] for g in COMM_GENS)
+    for q, k in empty.items():
+        assert not strat.bob[q].outcomes[-k:].any(), q  # no columns
+        assert np.linalg.norm(family(strat, "B", q)[-k:]) == 0.0, q
 
 
 def test_one_basis_per_question():
@@ -178,18 +182,21 @@ def test_ideal_distinct_vector_arrays(d):
     assert len(distinct) == test.system.n_rows + 3 + 8
 
 
+def dense_ext_families(params, n_vars):
+    """Each extension question's dense projector stack, I_4 (x) its projectors
+    on W_{d-1}, keyed by its label."""
+    proj = {k: np.outer(v, v.conj()) for k, v in v1_states(params).items()}
+    perp = np.eye(params.d - 1) - proj["z0"] - proj["z1"]
+    on_w = ((proj["z0"] + proj["z1"], perp), (proj["z0"], proj["z1"], perp), (proj["x0"], proj["x1"], perp))
+    return {q: np.kron(np.eye(4), np.stack(fam)) for q, fam in zip(ext_labels(n_vars), on_w)}
+
+
 def dense_families(test, rep, params):
     """Every ideal family as a dense projector stack, built from the images
     by the dense reference: equations jointly, variables alone, and the
     commutation questions as products of basis and variable projectors."""
-    from lsgame.linalg import eye, kron
-    from lsgame.strategy import v1_states
-
-    d, system = params.d, test.system
-    proj = {k: np.outer(v, v.conj()) for k, v in v1_states(params).items()}
-    perp = eye(d - 1) - proj["z0"] - proj["z1"]
-    on_w = ((proj["z0"] + proj["z1"], perp), (proj["z0"], proj["z1"], perp), (proj["x0"], proj["x1"], perp))
-    ext = {q: kron(eye(4), np.stack(fam)) for q, fam in zip(ext_labels(test.n_vars), on_w)}
+    system = test.system
+    ext = dense_ext_families(params, test.n_vars)
     var = {g: observable_to_projectors(rep[g].dense()) for g in system.variables}
     rows = range(system.n_rows)
     out = {("A", eq_label(i)): joint_projector([rep[g].dense() for g in system.row_names(i)]) for i in rows}
@@ -236,24 +243,62 @@ def test_equation_bases_match_dense_reference(d, r):
     assert worst[label] <= 1e-13, (label, worst[label])
 
 
-def test_build_forms_no_dense_image(monkeypatch):
-    # the equation bases come from the integer images, orbit by orbit: no
-    # dense image is formed, and only the eight commutation questions go
-    # through joint_eigenbasis
-    p, rep, test, _ = ideal_setup(13)
-    calls = {"dense": 0, "joint_eigenbasis": 0}
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_commutation_bases_match_dense_reference(d):
+    # answer (b1, b2) of comm_label(q, g) projects onto the product of answer
+    # b1's extension projector and (1 + (-1)^b2 g)/2, and every column is an
+    # eigenvector of g's image with the sign (-1)^b2 of its bit
+    p = make_params(d)
+    rep = build_representation(p)
+    n_vars = build_full_test(p).n_vars
+    bases, ext = ext_bases(rep, n_vars), dense_ext_families(p, n_vars)
+    worst = {}
+    for q in ext_labels(n_vars)[1:]:
+        for g in COMM_GENS:
+            basis, image = bases[comm_label(q, g)], rep[g].dense()
+            want = (ext[q][:, None] @ observable_to_projectors(image)[None]).reshape(-1, *image.shape)
+            v, sign = basis.vectors, 1 - 2 * (np.array([0, 1] * 3) @ basis.outcomes)  # (-1)^b2 per column
+            worst[comm_label(q, g)] = max(np.abs(projectors(basis) - want).max(), np.abs(image @ v - v * sign).max())
+    label = max(worst, key=worst.get)
+    assert worst[label] <= 1e-13, (label, worst[label])
 
-    def counted(name, f):
+
+def four_cycle_on_w2w2(rep):
+    # a factor on W2 (x) W2 alone that is no involution
+    m, w = rep["g0"], rep.params.d - 1
+    return Monomial(np.array([1, 2, 3, 0]), np.zeros(4, dtype=int), m.order).kron(Monomial.identity(w, m.order))
+
+
+@pytest.mark.parametrize("fault", [lambda rep: rep["a1"], four_cycle_on_w2w2], ids=["acts-on-w", "not-involution"])
+def test_commutation_variable_fault_named(fault):
+    # g0's image must be F (x) I with F an involution of W2 (x) W2; ext_bases
+    # is called directly, since through build_ideal_strategy the equation
+    # bases fail first
+    p = make_params(3)
+    rep = build_representation(p)
+    rep.table["g0"] = fault(rep)
+    with pytest.raises(PreconditionError, match=r"^g0 "):
+        ext_bases(rep, build_full_test(p).n_vars)
+
+
+def test_build_forms_no_dense_image(monkeypatch):
+    # the equation bases come from the integer images orbit by orbit and the
+    # commutation bases from 4 x 4 factors: no n x n image is made dense and
+    # no eigh sees a matrix larger than 4 x 4
+    p, rep, test, _ = ideal_setup(13)
+    sizes = {"dense": [], "eigh": []}
+
+    def recorded(name, f, size):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            sizes[name].append(size(args[0]))
             return f(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(Monomial, "dense", counted("dense", Monomial.dense))
-    monkeypatch.setattr(strategy, "joint_eigenbasis", counted("joint_eigenbasis", strategy.joint_eigenbasis))
+    monkeypatch.setattr(Monomial, "dense", recorded("dense", Monomial.dense, lambda m: len(m.perm)))
+    monkeypatch.setattr(np.linalg, "eigh", recorded("eigh", np.linalg.eigh, lambda a: a.shape[-1]))
     build_ideal_strategy(p, rep, test)
-    assert calls == {"dense": 0, "joint_eigenbasis": 8}
+    assert sizes["eigh"] and max(sizes["eigh"]) <= 4 and max(sizes["dense"], default=0) <= 4, sizes
 
 
 def test_build_leaves_numpy_ma_unimported():
