@@ -15,7 +15,7 @@ from .errors import (
 from .numtheory import PrimeParams, discrete_log, make_params, smallest_primitive_root
 from .groups import build_conjugacy_triples
 from .lsg import LinearSystem, build_linear_system, system_to_text
-from .linalg import DEFAULT_TOL, Basis, kron, op_norm, qft
+from .linalg import Basis, kron, op_norm, qft
 from .representation import Rep, build_representation, key_unitaries, verify_representation
 from .strategy import (
     Correlation,

@@ -129,6 +129,11 @@ def _within(values, tol: float) -> bool:
     return all(math.isfinite(v) and v <= tol for v in values)
 
 
+def _worst(values) -> float:
+    """The largest value; a NaN wins."""
+    return max(values, key=lambda v: (math.isnan(v), v))
+
+
 def _read_correlation(path: str, params, test) -> Correlation:
     """A correlation file, checked against the command's (d, r), support and table shapes."""
     try:
@@ -178,14 +183,14 @@ def cmd_verify_rep(args) -> int:
     params = make_params(args.d, args.r)
     rep = build_representation(params)
     residual = verify_representation(rep, build_linear_system(params.r))
-    _, _, conj_residual = key_unitaries(rep)
-    ok = _within((residual, conj_residual), args.tolerance)
+    conj_residual = key_unitaries(rep)
+    # every relation is decided exactly: a holding one reads 0.0, and a NaN fails
+    ok = residual == 0.0 and conj_residual == 0.0
     payload = {
         "d": params.d,
         "r": params.r,
         "relation_residual": residual,
         "conjugation_residual": conj_residual,
-        "tolerance": args.tolerance,
         "ok": ok,
     }
     _write(args.out, _dump_json(payload))
@@ -221,6 +226,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_self_test(args) -> int:
+    if not args.tolerance >= 0:  # NaN included
+        raise DomainError(f"--tolerance must be a non-negative number, got {args.tolerance}")
     *_, strategy, ideal_corr = _setup(args.d, args.r)
     target = _perturbed(strategy, args)
     report = selftest_report(target, ideal_corr)
@@ -256,17 +263,16 @@ def cmd_demo_family(args) -> int:
     ok = True
     for d in DEMO_PRIMES:
         params, rep, test, strategy, ideal_corr = _setup(d, None)
-        residual = verify_representation(rep, test.system)
+        residual = _worst((verify_representation(rep, test.system), key_unitaries(rep)))
         report = selftest_report(strategy, ideal_corr)
-        worst = max(report.distances.values(), key=lambda v: (math.isnan(v), v))  # a NaN wins
-        good = _within((residual,), args.tolerance) and _within(report.distances.values(), 1e-8)
+        good = residual == 0.0 and _within(report.distances.values(), 1e-8)
         ok = ok and good
         lines.append(
             {
                 "d": d,
                 "r": params.r,
                 "rep_residual": residual,
-                "max_selftest_distance": worst,
+                "max_selftest_distance": _worst(report.distances.values()),
                 "junk_norm": report.junk_norm,
                 "epsilon": report.epsilon,
                 "ok": bool(good),
@@ -280,14 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lsgame")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text, need_d=True, tolerance=None, seed=False):
+    def command(name, func, help_text, need_d=True, seed=False):
         """A subcommand with --out and only the shared flags it reads."""
         p = sub.add_parser(name, help=help_text)
         if need_d:
             p.add_argument("--d", type=int, required=True, help="odd prime parameter")
             p.add_argument("--r", type=int, default=None, help="primitive root (default: smallest)")
-        if tolerance is not None:
-            p.add_argument("--tolerance", type=float, default=tolerance)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -297,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gen-game", cmd_gen_game, "emit the linear system and game sizes")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
-    command(
-        "verify-rep", cmd_verify_rep, "build the representation and verify all relations", tolerance=1e-9
-    )
+    command("verify-rep", cmd_verify_rep, "build the representation and verify all relations")
 
     command("gen-correlation", cmd_gen_correlation, "emit the ideal correlation")
 
@@ -310,15 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, default=None, help="default both")
     p.add_argument("--seed", type=int, default=None, help="default 0")
 
-    # distances at delta=0 are gated at 1e-8 by default
-    p = command(
-        "self-test",
-        cmd_self_test,
-        "isometry distance report for ideal or perturbed strategy",
-        tolerance=1e-8,
-        seed=True,
-    )
+    p = command("self-test", cmd_self_test, "isometry distance report for ideal or perturbed strategy", seed=True)
     p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--tolerance", type=float, default=1e-8, help="gate on the distances at --delta 0")
     p.add_argument("--kind", choices=KINDS, default="both")
 
     p = command("sweep", cmd_sweep, "perturbation sweep to CSV", seed=True)
@@ -326,13 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--kind", choices=KINDS + ("all",), default="both")
 
-    command(
-        "demo-family",
-        cmd_demo_family,
-        "verify-rep + self-test across d in {3,5,7,11,13}",
-        need_d=False,
-        tolerance=1e-9,
-    )
+    command("demo-family", cmd_demo_family, "verify-rep + self-test across d in {3,5,7,11,13}", need_d=False)
     return parser
 
 

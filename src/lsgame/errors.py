@@ -3,7 +3,8 @@
 DomainError / PreconditionError signal bad inputs, including a file the CLI
 cannot read or write, and ResourceError a size cap that would be exceeded
 (CLI exit code 2).  Any other LsgameError, such as StructuralError, exits 1.
-A residual above tolerance is caught by the CLI's own gates, which exit 3.
+A failing relation or a self-test distance above tolerance is caught by the
+CLI's own gates, which exit 3.
 """
 
 

@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import PreconditionError, ResourceError
 
-#: Global verification tolerance; dimensions stay at most 120 per side
-#: (4(d-1) at the cap d = 31), so roundoff sits far beneath this.
-DEFAULT_TOL = 1e-9
-
 #: Cap on the element count of any matrix produced by kron.  It cannot fire
 #: below make_params' cap of d <= 31: the largest kron lifts an extension
 #: question's columns to the full space, 4(d-1) x 4(d-3) = 13440 elements

@@ -24,40 +24,35 @@ def is_odd_prime(d: int) -> bool:
     return all(d % f != 0 for f in range(3, math.isqrt(d) + 1, 2))
 
 
-def multiplicative_order(a: int, d: int) -> int:
-    """Order of a in the multiplicative group mod d (a must be coprime to d)."""
-    a %= d
-    if a == 0:
-        raise DomainError(f"{a} is not invertible mod {d}")
-    k, x = 1, a
+def _powers(r: int, d: int) -> list[int]:
+    """r^0, r^1, ... mod the odd prime d, up to the last power before 1 comes back.
+
+    r is a primitive root exactly when there are d - 1 of them; entry e is
+    then r^e, the inverse of the discrete-log table.  r % d must be nonzero,
+    or 1 never comes back.
+    """
+    powers, x = [1], r % d
     while x != 1:
-        x = (x * a) % d
-        k += 1
-        if k > d:  # cannot happen for prime d; guards bad input
-            raise DomainError(f"no multiplicative order for {a} mod {d}")
-    return k
+        powers.append(x)
+        x = x * r % d
+    return powers
 
 
 def is_primitive_root(r: int, d: int) -> bool:
     if not is_odd_prime(d):
         raise DomainError(f"d must be an odd prime, got {d}")
-    if math.gcd(r, d) != 1:
-        return False
-    return multiplicative_order(r, d) == d - 1
+    return r % d != 0 and len(_powers(r, d)) == d - 1
 
 
 def smallest_primitive_root(d: int) -> int:
     """Least r >= 2 generating the multiplicative group mod d.
 
-    Verified by an exhaustive order check; raises DomainError unless d is an
-    odd prime.
+    Verified by walking each candidate's powers; raises DomainError unless d
+    is an odd prime.
     """
     if not is_odd_prime(d):
         raise DomainError(f"d must be an odd prime, got {d}")
-    for r in range(2, d):
-        if multiplicative_order(r, d) == d - 1:
-            return r
-    raise DomainError(f"no primitive root below {d}; {d} is not prime")
+    return next(r for r in range(2, d) if len(_powers(r, d)) == d - 1)
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,6 @@ class PrimeParams:
     r: int
     log_table: tuple[int, ...]
     omega_d: complex
-    omega_dm1: complex
 
     def r_inverse(self) -> int:
         """Multiplicative inverse of r mod d."""
@@ -91,25 +85,20 @@ def make_params(d: int, r: int | None = None) -> PrimeParams:
         raise DomainError(f"d={d} above the cap {MAX_PRIME}")
     if not is_odd_prime(d):
         raise DomainError(f"d must be an odd prime, got {d}")
-    if r is None:
-        r = smallest_primitive_root(d)
+    if r is not None and not (2 <= r < d):
+        raise DomainError(f"r must satisfy 2 <= r < d, got r={r}")
+    # one walk over each candidate's powers decides primitivity and, for the
+    # root taken, gives the log table
+    for root in range(2, d) if r is None else (r,):
+        powers = _powers(root, d)
+        if len(powers) == d - 1:
+            break
     else:
-        if not (2 <= r < d):
-            raise DomainError(f"r must satisfy 2 <= r < d, got r={r}")
-        if not is_primitive_root(r, d):
-            raise DomainError(f"r={r} is not a primitive root of {d}")
+        raise DomainError(f"r={r} is not a primitive root of {d}")
     log_table = [0] * (d - 1)
-    x = 1
-    for e in range(d - 1):
+    for e, x in enumerate(powers):
         log_table[x - 1] = e
-        x = (x * r) % d
-    return PrimeParams(
-        d=d,
-        r=r,
-        log_table=tuple(log_table),
-        omega_d=cmath.exp(2j * math.pi / d),
-        omega_dm1=cmath.exp(2j * math.pi / (d - 1)),
-    )
+    return PrimeParams(d=d, r=root, log_table=tuple(log_table), omega_d=cmath.exp(2j * math.pi / d))
 
 
 def discrete_log(params: PrimeParams, j: int) -> int:

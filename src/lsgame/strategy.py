@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructuralError
-from .linalg import DEFAULT_TOL, Basis, basis_vector, eye, kron
+from .linalg import Basis, basis_vector, eye, kron
 from .lsg import QUOTED_PAIR_COUNT, LinearSystem, build_linear_system
 from .numtheory import PrimeParams
 from .representation import KEY_FACTORS, Monomial, Rep, roots_of_unity, x_index
@@ -296,30 +296,64 @@ def ideal_state(params: PrimeParams) -> np.ndarray:
     return full.reshape(4 * w, 4 * w)
 
 
+#: a row's generator pairs, in the order a commutation fault is named
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _require_commuting_involutions(system: LinearSystem, perm: np.ndarray, phase: np.ndarray, order: int) -> None:
+    """PreconditionError naming the first row, and in it the first image that
+    is not an involution or else the first pair that does not commute,
+    decided exactly on the (row, generator, index) perm and phase stacks by
+    Monomial.__matmul__'s rule, phases compared mod order."""
+
+    def product(j, k):  # (perm, phase) of A_j @ A_k in every row
+        right = perm[:, k]
+        return np.take_along_axis(perm[:, j], right, -1), phase[:, k] + np.take_along_axis(phase[:, j], right, -1)
+
+    def differ(x, y):  # per row
+        return ((x[0] != y[0]) | ((x[1] - y[1]) % order != 0)).any(axis=-1)
+
+    # (row, fault): the three involutions, then the three pairs, one at a time to keep temporaries small
+    identity = np.arange(perm.shape[-1]), 0
+    faults = np.stack(
+        [differ(product(j, j), identity) for j in range(3)] + [differ(product(j, k), product(k, j)) for j, k in _PAIRS],
+        axis=1,
+    )
+    if faults.any():
+        i = int(np.argmax(faults.any(axis=1)))
+        names = system.row_names(i)
+        what = [f"{g} is not an involution" for g in names]
+        what += [f"{names[j]} and {names[k]} do not commute" for j, k in _PAIRS]
+        raise PreconditionError(f"{eq_label(i)} ({', '.join(names)}): {what[int(np.argmax(faults[i]))]}")
+
+
 def equation_bases(rep: Rep, system: LinearSystem) -> list[Basis]:
     """Each equation's joint eigenbasis of its images, built orbit by orbit.
 
-    An orbit, what the row's permutations reach from an index, holds 1, 2 or
-    4 indices; its block of sum_j w_j (1 - A_j)/2, w = (4, 2, 1), comes from
-    the permutations and phases, with no dense image.  One batched eigh per
+    The row's images must be involutions that commute, which is decided
+    exactly before any block is formed (_require_commuting_involutions).
+    An orbit, what the row's permutations reach from an index, then holds
+    1, 2 or 4 indices; its block of sum_j w_j (1 - A_j)/2, w = (4, 2, 1),
+    comes from the permutations and phases, with no dense image, and its
+    eigenspaces are the images' joint eigenspaces.  One batched eigh per
     block size serves every row, the eigenvectors fill the row's vectors at
-    the orbit's indices, and a column's rounded eigenvalue is its outcome, an
-    index into _TRIPLES.  PreconditionError naming the first failing row and
-    its generators unless every eigenvalue is within DEFAULT_TOL of an
-    outcome and every column is, within DEFAULT_TOL, an eigenvector of each
-    image with the sign its outcome gives.
+    the orbit's indices, and a column's rounded eigenvalue is its outcome,
+    an index into _TRIPLES.
     """
     n, rows = rep.dim, system.n_rows
     images = [[rep[g] for g in system.row_names(i)] for i in range(rows)]
+    order = images[0][0].order
     perm = np.array([[m.perm for m in row] for row in images])  # (row, generator, index)
-    value = roots_of_unity(np.array([[m.phase for m in row] for row in images]), images[0][0].order)
+    phase = np.array([[m.phase for m in row] for row in images])
+    _require_commuting_involutions(system, perm, phase, order)
+    value = roots_of_unity(phase, order)
     orbit, reached = None, np.broadcast_to(np.arange(n), (rows, n))  # each index's least orbit member found so far
     while not np.array_equal(orbit, reached):
         orbit = reached
         reached = np.minimum(orbit, np.take_along_axis(orbit[:, None], perm, 2).min(axis=1))
     key = (np.arange(rows)[:, None] * n + orbit).ravel()  # row and orbit (np.unique would import numpy.ma)
     size = np.bincount(key, minlength=rows * n)[key]
-    vectors, eigval, residual = np.zeros((rows, n, n), dtype=complex), np.empty((rows, n)), np.empty((rows, n))
+    vectors, eigval = np.zeros((rows, n, n), dtype=complex), np.empty((rows, n))
     for s in sorted(set(size.tolist())):
         flat = np.flatnonzero(size == s)
         row, idx = np.divmod(flat[np.argsort(key[flat], kind="stable")].reshape(-1, s), n)  # one orbit per line
@@ -327,18 +361,9 @@ def equation_bases(rep: Rep, system: LinearSystem) -> list[Basis]:
         # block[o, j, a, b] = A_j[idx[o, a], idx[o, b]]
         block = np.where(idx[:, None, :, None] == perm[at][:, :, None, :], value[at][:, :, None, :], 0)
         eigval[row, idx], vecs = np.linalg.eigh(3.5 * np.eye(s) - 2 * block[:, 0] - block[:, 1] - 0.5 * block[:, 2])
-        sign = 1 - 2 * (np.rint(eigval[row, idx]).astype(int)[:, None, :] >> np.array([[2], [1], [0]]) & 1)
-        # A_j v = sign[o, j, b] v for column v = vecs[o, :, b], one generator at a time to keep temporaries small
-        res = [np.linalg.norm(block[:, j] @ vecs - vecs * sign[:, j, None], axis=1) for j in range(3)]
-        residual[row, idx] = np.max(res, axis=0)
         vectors[row[:, :, None], idx[:, :, None], idx[:, None, :]] = vecs
-    outcome = np.rint(eigval)
-    miss = np.where((outcome >= 0) & (outcome <= 7), np.abs(eigval - outcome), np.inf)
-    for worst, what in ((miss, "an eigenvalue is not an outcome label"), (residual, "no common eigenbasis")):
-        if not (worst <= DEFAULT_TOL).all():
-            i = int(np.argmax(~(worst <= DEFAULT_TOL).all(axis=1)))
-            raise PreconditionError(f"{eq_label(i)} ({', '.join(system.row_names(i))}): {what}", worst[i].max())
-    return [Basis(vectors[i], np.eye(8)[:, outcome[i].astype(int)]) for i in range(rows)]
+    outcome = np.rint(eigval).astype(int)
+    return [Basis(vectors[i], np.eye(8)[:, outcome[i]]) for i in range(rows)]
 
 
 def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strategy:

@@ -11,15 +11,21 @@ a3 and a4 as sums over the Fourier basis u, the reference the exact
 monomial images are held to.
 """
 
+import cmath
 import itertools
+import math
 
 import numpy as np
 
 from lsgame.errors import PreconditionError, StructuralError
 from lsgame.groups import build_conjugacy_triples, h_name, q_name
-from lsgame.linalg import DEFAULT_TOL, dagger, eye, kron, op_norm
+from lsgame.linalg import dagger, eye, kron, op_norm
 from lsgame.representation import x_index
 from lsgame.strategy import eq_label, var_label
+
+#: tolerance of the dense checks; dimensions stay at most 120 per side
+#: (4(d-1) at the cap d = 31), so roundoff sits far beneath this
+DEFAULT_TOL = 1e-9
 
 
 def projectors(basis):
@@ -117,6 +123,11 @@ _Y2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 _Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def omega_dm1(params):
+    """exp(2 pi i / (d - 1)), the root of unity of the Fourier basis u."""
+    return cmath.exp(2j * math.pi / (params.d - 1))
+
+
 def u_basis(params):
     """Columns are u_0..u_{d-2} expressed in the x-basis of W_{d-1}."""
     d, r = params.d, params.r
@@ -125,7 +136,7 @@ def u_basis(params):
     power = 1
     for t in range(w):
         for k in range(w):
-            cols[x_index(power, d), k] += params.omega_dm1 ** (t * k)
+            cols[x_index(power, d), k] += omega_dm1(params) ** (t * k)
         power = (power * r) % d
     return cols / np.sqrt(w)
 
@@ -152,11 +163,11 @@ def _base_generators_on_w(params):
     def outer(k, l):  # |u_k><u_l|
         return np.outer(uket(k), uket(l).conj())
 
-    a3 = outer(0, 0) + params.omega_dm1 ** half * outer(half, half)
+    a3 = outer(0, 0) + omega_dm1(params) ** half * outer(half, half)
     a4 = outer(0, 0) + outer(half, half)
     for k in range(1, (d - 3) // 2 + 1):
-        a3 = a3 + params.omega_dm1 ** k * outer(k, w - k)
-        a3 = a3 + params.omega_dm1 ** (-k) * outer(w - k, k)
+        a3 = a3 + omega_dm1(params) ** k * outer(k, w - k)
+        a3 = a3 + omega_dm1(params) ** (-k) * outer(w - k, k)
         a4 = a4 + outer(w - k, k) + outer(k, w - k)
     return {1: a1, 2: a2, 3: a3, 4: a4}
 

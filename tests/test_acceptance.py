@@ -56,7 +56,7 @@ def test_criterion_1_representation_verification(family):
         params, rep, test, _ = family[(d, r)]
         t0 = time.time()
         residual = verify_representation(rep, test.system)
-        _, _, conj_residual = key_unitaries(rep)
+        conj_residual = key_unitaries(rep)
         elapsed = time.time() - t0
         assert residual <= 1e-9, (d, r, residual)
         assert conj_residual <= 1e-9, (d, r, conj_residual)

@@ -40,13 +40,13 @@ def test_verify_rep(capsys):
 
 
 def test_verify_rep_tolerance_gate(monkeypatch, capsys):
-    # the residuals are exact, so the ideal passes at tolerance 0, and a
-    # sign-flipped generator fails the gate
+    # the residuals are exact, so the verdict is residual == 0 and takes no
+    # --tolerance, and a sign-flipped generator fails it
     import lsgame.cli as cli
 
-    code, out, _ = run(["verify-rep", "--d", "5", "--tolerance", "0"], capsys)
-    assert code == 0
-    assert json.loads(out)["ok"] is True
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-rep", "--d", "5", "--tolerance", "0"])
+    assert exc.value.code == 2
 
     build = cli.build_representation
 
@@ -160,6 +160,9 @@ def test_resource_cap_exits_2(monkeypatch, capsys):
         ["eval", "--d", "3", "--tolerance", "1e-3"],
         ["sweep", "--d", "3", "--format", "csv"],
         ["demo-family", "--seed", "1"],
+        # verify-rep and demo-family decide exactly and take no tolerance
+        ["verify-rep", "--d", "3", "--tolerance", "1e-9"],
+        ["demo-family", "--tolerance", "1e-9"],
     ],
 )
 def test_ignored_flags_rejected(argv, capsys):
@@ -210,7 +213,7 @@ def test_gates_fail_closed_on_nan(monkeypatch, capsys):
     assert payload["ok"] is False
     assert payload["family"][0]["max_selftest_distance"] is None
 
-    monkeypatch.setattr(cli, "key_unitaries", lambda rep: (None, None, float("nan")))
+    monkeypatch.setattr(cli, "key_unitaries", lambda rep: float("nan"))
     code, out, _ = run(["verify-rep", "--d", "3"], capsys)
     assert code == 3
     assert json.loads(out)["ok"] is False
@@ -223,6 +226,31 @@ def test_bad_delta_exits_2(delta, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1e-8"])
+def test_bad_tolerance_exits_2(value, capsys):
+    # a NaN or negative tolerance is bad input, not a verification failure
+    code, out, err = run(["self-test", "--d", "3", f"--tolerance={value}"], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainError"
+    assert "--tolerance" in error["message"]
+
+
+def test_demo_family_gates_conjugation(monkeypatch, capsys):
+    # demo-family gates the conjugation relation verify-rep gates
+    import lsgame.cli as cli
+
+    monkeypatch.setattr(cli, "DEMO_PRIMES", (3,))
+    monkeypatch.setattr(cli, "key_unitaries", lambda rep: 0.5)
+    code, out, _ = run(["demo-family"], capsys)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["family"][0]["rep_residual"] == 0.5
+    assert payload["family"][0]["ok"] is False
 
 
 def test_eval_rejects_mismatched_correlation_file(tmp_path, capsys):

@@ -7,11 +7,13 @@ import pytest
 from lsgame import (
     DomainError,
     ResourceError,
+    Strategy,
     build_full_test,
     build_ideal_strategy,
     build_representation,
     generate_correlation,
     make_params,
+    relation_residuals,
     selftest_report,
 )
 from lsgame.isometry import LABELS, REPORT_LABELS, control_target
@@ -312,3 +314,49 @@ def test_prime_variant_targets():
     report = selftest_report(strat, corr)
     assert report.distances["M2_psi"] <= 1e-8
     assert report.distances["N2_psi"] <= 1e-8
+
+
+def haar_unitary(rng, n):
+    """A Haar-random n x n unitary: QR of a complex Gaussian matrix, R's
+    diagonal phases moved into Q."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def locally_rotated(strat, u_a, u_b):
+    """The strategy seen through U_A (x) U_B: state U_A S U_B^T, every Alice
+    basis V -> U_A V and every Bob basis W -> U_B W."""
+
+    def rotate(bases, u):
+        return {q: Basis(u @ basis.vectors, basis.outcomes) for q, basis in bases.items()}
+
+    state = u_a @ strat.state @ u_b.T
+    return Strategy(strat.params, strat.test, state, rotate(strat.alice, u_a), rotate(strat.bob, u_b))
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+def test_local_unitary_invariance(d, delta):
+    # a self-test certifies the state only up to local unitaries: rotating
+    # the state and every basis by U_A (x) U_B changes no correlation table,
+    # epsilon, distance, junk norm or residual
+    _, _, test, ideal = ideal_setup(d)
+    strat = perturb_strategy(ideal, PerturbationSpec("both", delta, 4))
+    rng = np.random.default_rng(d)
+    u_a, u_b = (haar_unitary(rng, n) for n in strat.state.shape)
+    rotated = locally_rotated(strat, u_a, u_b)
+    ideal_corr = ideal.correlation()
+
+    tables, moved = strat.correlation().entries, rotated.correlation().entries
+    assert max(float(np.abs(moved[key] - table).max()) for key, table in tables.items()) <= 1e-13
+    before, after = selftest_report(strat, ideal_corr), selftest_report(rotated, ideal_corr)
+    assert set(after.distances) == set(REPORT_LABELS)
+    for label, dist in before.distances.items():
+        assert abs(after.distances[label] - dist) <= 1e-13, (label, dist, after.distances[label])
+    assert abs(after.junk_norm - before.junk_norm) <= 1e-13
+    assert abs(after.epsilon - before.epsilon) <= 1e-13
+    residuals, rotated_residuals = relation_residuals(strat), relation_residuals(rotated)
+    assert len(residuals) == 7
+    for name, value in residuals.items():
+        assert abs(rotated_residuals[name] - value) <= 1e-13, (name, value, rotated_residuals[name])

@@ -1,7 +1,7 @@
 import pytest
 
-from lsgame import DomainError, discrete_log, make_params, smallest_primitive_root
-from lsgame.numtheory import is_odd_prime, is_primitive_root, multiplicative_order
+from lsgame import DomainError, discrete_log, make_params, numtheory, smallest_primitive_root
+from lsgame.numtheory import MAX_PRIME, is_odd_prime, is_primitive_root
 
 DEMO_PRIMES = (3, 5, 7, 11, 13)
 
@@ -84,7 +84,34 @@ def test_roots_of_unity():
         p = make_params(d)
         assert abs(abs(p.omega_d) - 1) < 1e-12
         assert abs(p.omega_d**d - 1) < 1e-12
-        assert abs(p.omega_dm1 ** (d - 1) - 1) < 1e-12
-        assert multiplicative_order(p.r, d) == d - 1
         assert is_primitive_root(p.r, d)
         assert (p.r * p.r_inverse()) % d == 1
+
+
+def brute_force_primitive(r, d):
+    # independent oracle: r is primitive when its powers r^1..r^(d-1) hit every unit
+    return len({pow(r, e, d) for e in range(1, d)}) == d - 1
+
+
+def test_make_params_matches_power_oracle():
+    # every (d, r) the cap admits: the primitive r give a log table that
+    # inverts exponentiation, and the rest are refused by name
+    for d in (d for d in range(3, MAX_PRIME + 1) if is_odd_prime(d)):
+        for r in range(2, d):
+            if brute_force_primitive(r, d):
+                p = make_params(d, r)
+                assert (p.d, p.r) == (d, r)
+                assert is_primitive_root(r, d)
+                for j in range(1, d):
+                    assert pow(r, discrete_log(p, j), d) == j, (d, r, j)
+            else:
+                assert not is_primitive_root(r, d)
+                with pytest.raises(DomainError, match=rf"^r={r} is not a primitive root of {d}$"):
+                    make_params(d, r)
+
+
+def test_multiple_of_d_is_not_primitive(monkeypatch):
+    # r = 0 mod d has no power equal to 1: refused without walking its powers
+    monkeypatch.setattr(numtheory, "_powers", lambda r, d: pytest.fail(f"walked the powers of {r} mod {d}"))
+    assert is_primitive_root(14, 7) is False
+    assert is_primitive_root(0, 3) is False

@@ -19,7 +19,7 @@ from lsgame import (
 from lsgame.groups import h_name
 from lsgame.linalg import dagger, eye
 from lsgame.numtheory import is_primitive_root
-from lsgame.representation import Monomial
+from lsgame.representation import KEY_FACTORS, Monomial
 
 DEMO = ((3, 2), (5, 2), (7, 3), (11, 2), (13, 2))
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -102,20 +102,33 @@ def test_missing_generator_named():
         verify_representation(rep, build_linear_system(2))
 
 
+def key_operators(rep):
+    """O and U read off the images' KEY_FACTORS products, each of which must
+    be I_4 (x) (its block on W_{d-1}): the dense blocks."""
+    w = rep.params.d - 1
+    out = []
+    for first, second in KEY_FACTORS.values():
+        product = rep[first] @ rep[second]
+        block = Monomial(product.perm[:w], product.phase[:w], product.order)
+        assert product == Monomial.identity(4, product.order).kron(block), (first, second)
+        out.append(block.dense())
+    return out
+
+
 def test_key_unitaries_d3():
     p = make_params(3, 2)
     rep = build_representation(p)
-    o, u, res = key_unitaries(rep)
+    o, u = key_operators(rep)
     w3 = p.omega_d
     np.testing.assert_allclose(o, np.diag([w3, w3**2]), atol=1e-14)
     np.testing.assert_allclose(u, np.array([[0, 1], [1, 0]], dtype=complex), atol=1e-14)
-    assert res == 0.0
+    assert key_unitaries(rep) == 0.0
 
 
 def test_o_spectrum_d5():
     p = make_params(5, 2)
     rep = build_representation(p)
-    o, _, _ = key_unitaries(rep)
+    o, _ = key_operators(rep)
     eigs = np.sort_complex(np.linalg.eigvals(o))
     want = np.sort_complex(np.array([p.omega_d**k for k in range(1, 5)]))
     np.testing.assert_allclose(eigs, want, atol=1e-12)
@@ -125,7 +138,7 @@ def test_eigenspaces_all_one_dimensional():
     for d, r in ((3, 2), (7, 3)):
         p = make_params(d, r)
         rep = build_representation(p)
-        o, _, _ = key_unitaries(rep)
+        o, _ = key_operators(rep)
         for k in range(1, d):
             gap = o - p.omega_d**k * eye(d - 1)
             assert np.linalg.matrix_rank(gap, tol=1e-8) == d - 2
@@ -135,7 +148,7 @@ def test_u_cyclic():
     for d, r in ((5, 2), (7, 3)):
         p = make_params(d, r)
         rep = build_representation(p)
-        _, u, _ = key_unitaries(rep)
+        _, u = key_operators(rep)
         assert op_norm(np.linalg.matrix_power(u, d - 1) - eye(d - 1)) <= 1e-12
 
 
@@ -176,8 +189,7 @@ def test_demo_family_residuals():
         p = make_params(d, r)
         rep = build_representation(p)
         assert verify_representation(rep, build_linear_system(r)) == 0.0, (d, r)
-        _, _, conj = key_unitaries(rep)
-        assert conj == 0.0, (d, r)
+        assert key_unitaries(rep) == 0.0, (d, r)
 
 
 @pytest.mark.parametrize("d", PRIMES)
@@ -191,7 +203,7 @@ def test_exact_images_match_dense_reference(d):
         worst = max(float(np.abs(rep[g].dense() - ref[g]).max()) for g in ref)
         assert worst <= 1e-13, (d, r, worst)
         assert verify_representation(rep, build_linear_system(r)) == 0.0, (d, r)
-        assert key_unitaries(rep)[2] == 0.0, (d, r)
+        assert key_unitaries(rep) == 0.0, (d, r)
 
 
 def test_conjugation_fault_caught():
@@ -199,4 +211,4 @@ def test_conjugation_fault_caught():
     # to O^(1/r), not O^r
     rep = build_representation(make_params(7, 3))
     rep.table["a3"], rep.table["a4"] = rep.table["a4"], rep.table["a3"]
-    assert key_unitaries(rep)[2] >= 1e-3
+    assert key_unitaries(rep) >= 1e-3

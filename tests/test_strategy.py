@@ -24,7 +24,8 @@ from lsgame import (
     table_deviation,
 )
 from lsgame.linalg import Basis
-from lsgame.representation import Monomial
+from lsgame.lsg import LinearSystem
+from lsgame.representation import Monomial, Rep
 from lsgame.strategy import COMM_GENS, comm_label, eq_label, equation_bases, ext_bases, ext_labels, v1_states, var_label
 
 
@@ -336,7 +337,7 @@ def test_non_involution_image_fails_closed():
     rep.table["p1_3"] = Monomial(m.perm, (m.phase + (np.arange(len(m.phase)) == 5)) % m.order, m.order)
     row, _ = test.system.first_position["p1_3"]
     names = ", ".join(test.system.row_names(row))
-    with pytest.raises(PreconditionError, match=rf"^{eq_label(row)} \({names}\): "):
+    with pytest.raises(PreconditionError, match=rf"^{eq_label(row)} \({names}\): p1_3 is not an involution$"):
         build_ideal_strategy(p, rep, test)
 
 
@@ -347,8 +348,36 @@ def test_build_rejects_non_commuting_row():
     second = rep[names[1]]
     other = next(g for g in test.system.variables if rep[g] @ second != second @ rep[g])
     rep.table[names[0]] = rep[other]
-    with pytest.raises(PreconditionError, match="not an outcome label|no common eigenbasis"):
+    fault = rf"^I1 \({', '.join(names)}\): {names[0]} and {names[1]} do not commute$"
+    with pytest.raises(PreconditionError, match=fault):
         build_ideal_strategy(p, rep, test)
+
+
+#: 2 x 2 monomials of order 4: the identity, X, Z and S = diag(1, i), which is not an involution
+_SMALL = {
+    "1": Monomial(np.arange(2), np.zeros(2, dtype=int), 4),
+    "X": Monomial(np.array([1, 0]), np.zeros(2, dtype=int), 4),
+    "Z": Monomial(np.arange(2), np.array([0, 2]), 4),
+    "S": Monomial(np.arange(2), np.array([0, 1]), 4),
+}
+
+
+@pytest.mark.parametrize(
+    "images, fault",
+    [
+        ("1XZ", "b and c do not commute"),
+        ("X1Z", "a and c do not commute"),
+        ("XZ1", "a and b do not commute"),
+        ("ZXS", "c is not an involution"),  # named before the pairs that also fail
+    ],
+)
+def test_equation_gate_names_its_fault(images, fault):
+    # one row a b c of 2 x 2 images: the gate names the first image that is
+    # not an involution, else the first pair that does not commute
+    system = LinearSystem(2, ("a", "b", "c"), ((0, 1, 2),), (0,))
+    rep = Rep(make_params(3), 2, {g: _SMALL[m] for g, m in zip("abc", images)})
+    with pytest.raises(PreconditionError, match=rf"^I1 \(a, b, c\): {fault}$"):
+        equation_bases(rep, system)
 
 
 def test_correlation_is_probability():
