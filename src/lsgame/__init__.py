@@ -12,7 +12,7 @@ from .errors import (
     ResourceError,
     StructuralError,
 )
-from .numtheory import PrimeParams, discrete_log, make_params, smallest_primitive_root
+from .numtheory import PrimeParams, discrete_log, make_params
 from .groups import build_conjugacy_triples
 from .lsg import LinearSystem, build_linear_system, system_to_text
 from .linalg import Basis, kron, op_norm, qft

@@ -134,15 +134,24 @@ def _worst(values) -> float:
     return max(values, key=lambda v: (math.isnan(v), v))
 
 
+#: characters an --in file may hold per table cell of the (d, r) support;
+#: gen-correlation writes about 38 per cell, and at most 61 in any one entry
+CHARS_PER_CELL = 128
+
+
 def _read_correlation(path: str, params, test) -> Correlation:
-    """A correlation file, checked against the command's (d, r), support and table shapes."""
+    """A correlation file, checked against the command's (d, r), support and
+    table shapes; ResourceError, before parsing, past CHARS_PER_CELL per cell."""
+    cap = CHARS_PER_CELL * sum(len(test.alice_answers[x]) * len(test.bob_answers[y]) for x, y in test.support)
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(cap + 1)
     except OSError as exc:
         raise DomainError(f"cannot read {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    if len(text) > cap:
+        raise ResourceError(f"{path!r} is longer than the cap of {cap} characters for d={params.d}, r={params.r}")
     corr = Correlation.from_json(text)
     if (corr.d, corr.r) != (params.d, params.r):
         raise DomainError(

@@ -38,23 +38,6 @@ def _powers(r: int, d: int) -> list[int]:
     return powers
 
 
-def is_primitive_root(r: int, d: int) -> bool:
-    if not is_odd_prime(d):
-        raise DomainError(f"d must be an odd prime, got {d}")
-    return r % d != 0 and len(_powers(r, d)) == d - 1
-
-
-def smallest_primitive_root(d: int) -> int:
-    """Least r >= 2 generating the multiplicative group mod d.
-
-    Verified by walking each candidate's powers; raises DomainError unless d
-    is an odd prime.
-    """
-    if not is_odd_prime(d):
-        raise DomainError(f"d must be an odd prime, got {d}")
-    return next(r for r in range(2, d) if len(_powers(r, d)) == d - 1)
-
-
 @dataclass(frozen=True)
 class PrimeParams:
     """Number-theoretic context shared by every module.

@@ -25,6 +25,9 @@ MAX_MAGNITUDES = 100
 #: memory of one batched eigvalsh and one Horner pass (rotate_bases)
 GENERATOR_BLOCK = 16
 
+#: relative slack on C_fit, so that a held-out ratio equal to it up to rounding is no violation
+FIT_SLACK = 1e-9
+
 RESIDUAL_LABELS = (
     "sync",
     "equation",
@@ -264,12 +267,12 @@ def run_sweep(
     return records
 
 
-def fit_bound(records: list[SweepRecord], tol_fit: float = 1e-9) -> dict:
+def fit_bound(records: list[SweepRecord]) -> dict:
     """Log-log fit of the state distance against epsilon, and its envelope.
 
     The fit and C_fit, the smallest constant with distance <= C_fit *
     epsilon^(1/8), use the n_fit even-seed records; violations counts the
-    n_held_out odd-seed records above C_fit * (1 + tol_fit), which the fit
+    n_held_out odd-seed records above C_fit * (1 + FIT_SLACK), which the fit
     has not seen, and is None when there are none (a one-trial sweep).
     Records with epsilon 0 are left out.
     """
@@ -285,7 +288,7 @@ def fit_bound(records: list[SweepRecord], tol_fit: float = 1e-9) -> dict:
         "exponent_fit": float(slope),
         "log_intercept": float(intercept),
         "C_fit": float(c_fit),
-        "violations": sum(1 for rho in held_out if rho > c_fit * (1 + tol_fit)) if held_out else None,
+        "violations": sum(1 for rho in held_out if rho > c_fit * (1 + FIT_SLACK)) if held_out else None,
         "n_fit": len(fit),
         "n_held_out": len(held_out),
         "n_points": len(pts),

@@ -374,25 +374,21 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     parties, is the first equation containing it read through its bit
     (Basis.merged), so it holds that equation's very vectors; the extension
     and commutation questions' are tensor products in closed form (ext_bases).
+    Each party measures exactly the questions of its answer table in test.
     PreconditionError naming a row whose images do not commute or are not
     involutions (equation_bases), or a commutation variable that is not an
     involution of W2 (x) W2 alone (ext_bases).
     """
     if rep.params.d != params.d or rep.params.r != params.r:
         raise StructuralError("representation was built for different parameters")
-    system = test.system
-    alice = {eq_label(i): basis for i, basis in enumerate(equation_bases(rep, system))}
-    var_bases = {
-        g: alice[eq_label(row)].merged([outcome[pos] for outcome in _TRIPLES])
-        for g, (row, pos) in system.first_position.items()
-    }
-    ext = ext_bases(rep, test.n_vars)
-    alice.update((q, ext[q]) for q in ext_labels(test.n_vars))
-    alice.update((var_label(g), var_bases[g]) for g in ("a1", "a2") + COMM_GENS)
-
-    bob = {var_label(gen): var_bases[gen] for gen in system.variables}
-    bob.update(ext)
-
+    bases = {eq_label(i): basis for i, basis in enumerate(equation_bases(rep, test.system))}
+    bases.update(
+        (var_label(g), bases[eq_label(row)].merged([outcome[pos] for outcome in _TRIPLES]))
+        for g, (row, pos) in test.system.first_position.items()
+    )
+    bases.update(ext_bases(rep, test.n_vars))
+    alice = {q: bases[q] for q in test.alice_answers}
+    bob = {q: bases[q] for q in test.bob_answers}
     return Strategy(params=params, test=test, state=ideal_state(params), alice=alice, bob=bob)
 
 
@@ -494,8 +490,8 @@ def ideal_table_values(params: PrimeParams, test: FullTest) -> dict[tuple[str, s
     """Every closed-form entry of the published ideal-correlation tables.
 
     Keys are (x, y) question labels; inner keys are (row, col) indices into
-    the correlation table of that pair.  Entries the construction leaves
-    unconstrained are omitted.
+    the table of that pair, read off a grid p(a, b) in the test's answer
+    order.  The answers past a grid's last row or column are unconstrained.
     """
     d = params.d
     w = d - 1
@@ -503,64 +499,31 @@ def ideal_table_values(params: PrimeParams, test: FullTest) -> dict[tuple[str, s
     sin2 = math.sin(math.pi / (2 * d)) ** 2 / w
     plus = (1 + math.sin(math.pi / d)) / (2 * w)
     minus = (1 - math.sin(math.pi / d)) / (2 * w)
-    rest = (d - 3) / w
+    rest, one, half = (d - 3) / w, 1 / w, 1 / (2 * w)
 
-    out: dict[tuple[str, str], dict[tuple[int, int], float]] = {}
-
-    sub, za, xa = ext_labels(test.n_vars)
+    sub, z, x = ext_labels(test.n_vars)
     a1, a2 = var_label("a1"), var_label("a2")
-    # basis questions vs CHSH questions (and the role-flipped block)
-    for y in (a1, a2):
-        out[(za, y)] = {(0, 0): cos2, (1, 0): sin2, (0, 1): sin2, (1, 1): cos2}
-    out[(xa, a1)] = {(0, 0): minus, (1, 0): plus, (0, 1): plus, (1, 1): minus}
-    out[(xa, a2)] = {(0, 0): plus, (1, 0): minus, (0, 1): minus, (1, 1): plus}
-    for (x, y), tab in list(out.items()):
-        out[(y, x)] = {(b, a): v for (a, b), v in tab.items()}
-
-    # basis/subspace questions against each other
-    def sym3(diag_val: float, cross_val: float) -> dict[tuple[int, int], float]:
-        return {
-            (0, 0): diag_val, (0, 1): cross_val, (0, 2): 0.0,
-            (1, 0): cross_val, (1, 1): diag_val, (1, 2): 0.0,
-            (2, 0): 0.0, (2, 1): 0.0, (2, 2): rest,
-        }
-
-    out[(za, za)] = sym3(1 / w, 0.0)
-    out[(xa, xa)] = sym3(1 / w, 0.0)
-    out[(za, xa)] = sym3(1 / (2 * w), 1 / (2 * w))
-    out[(xa, za)] = sym3(1 / (2 * w), 1 / (2 * w))
-    out[(sub, sub)] = {(0, 0): 2 / w, (0, 1): 0.0, (1, 0): 0.0, (1, 1): rest}
-    for q in (za, xa):
-        out[(q, sub)] = {
-            (0, 0): 1 / w, (1, 0): 1 / w, (2, 0): 0.0,
-            (0, 1): 0.0, (1, 1): 0.0, (2, 1): rest,
-        }
-        out[(sub, q)] = {
-            (0, 0): 1 / w, (0, 1): 1 / w, (0, 2): 0.0,
-            (1, 0): 0.0, (1, 1): 0.0, (1, 2): rest,
-        }
-
-    # commutation block: Bob's paired questions
-    for zx_q in (za, xa):
+    by_z = [[cos2, sin2], [sin2, cos2]]
+    same = [[one, 0.0, 0.0], [0.0, one, 0.0], [0.0, 0.0, rest]]
+    cross = [[half, half, 0.0], [half, half, 0.0], [0.0, 0.0, rest]]
+    on_sub = [[one, 0.0], [one, 0.0], [0.0, rest]]
+    grids = {
+        (z, a1): by_z, (z, a2): by_z,
+        (x, a1): [[minus, plus], [plus, minus]], (x, a2): [[plus, minus], [minus, plus]],
+        (z, z): same, (x, x): same, (z, x): cross, (x, z): cross,
+        (sub, sub): [[2 / w, 0.0], [0.0, rest]], (z, sub): on_sub, (x, sub): on_sub,
+    }
+    # the role-flipped pairs, each its partner's transpose
+    grids.update(((qb, qa), list(zip(*grid))) for (qa, qb), grid in list(grids.items()) if (qb, qa) not in grids)
+    # commutation block: Bob's answer (b1, b2) carries the basis question's
+    # answer in b1 and the variable's in b2; mass[b1] is p of a match
+    mass = (half, half, rest / 2)
+    for q in (z, x):
         for g in COMM_GENS:
-            y = comm_label(zx_q, g)
-            tab_basis: dict[tuple[int, int], float] = {}
-            for ia, a in enumerate((0, 1, 2)):
-                for ib, (b1, b2) in enumerate(_COMM_ANSWERS):
-                    if a == b1:
-                        tab_basis[(ia, ib)] = rest / 2 if a == 2 else 1 / (2 * w)
-                    else:
-                        tab_basis[(ia, ib)] = 0.0
-            out[(zx_q, y)] = tab_basis
-            tab_var: dict[tuple[int, int], float] = {}
-            for ia, a in enumerate((0, 1)):
-                for ib, (b1, b2) in enumerate(_COMM_ANSWERS):
-                    if a != b2:
-                        tab_var[(ia, ib)] = 0.0
-                    else:
-                        tab_var[(ia, ib)] = rest / 2 if b1 == 2 else 1 / (2 * w)
-            out[(var_label(g), y)] = tab_var
-    return out
+            y, v = comm_label(q, g), var_label(g)
+            grids[(q, y)] = [[mass[b1] * (a == b1) for b1, b2 in _COMM_ANSWERS] for a in test.alice_answers[q]]
+            grids[(v, y)] = [[mass[b1] * (a == b2) for b1, b2 in _COMM_ANSWERS] for a in test.alice_answers[v]]
+    return {key: {(i, j): p for i, row in enumerate(grid) for j, p in enumerate(row)} for key, grid in grids.items()}
 
 
 def table_deviation(corr: Correlation, reference: dict) -> float:

@@ -8,7 +8,9 @@ variable's observable formed and multiplied out.  random_unitaries forms the
 rotations that lsgame.linalg.rotate_bases applies without forming them.
 dense_table builds the representation's images as dense complex matrices,
 a3 and a4 as sums over the Fourier basis u, the reference the exact
-monomial images are held to.
+monomial images are held to.  brute_force_primitive is the oracle that
+make_params' primitivity verdict is held to, and that enumerates the
+admissible (d, r).
 """
 
 import cmath
@@ -26,6 +28,11 @@ from lsgame.strategy import eq_label, var_label
 #: tolerance of the dense checks; dimensions stay at most 120 per side
 #: (4(d-1) at the cap d = 31), so roundoff sits far beneath this
 DEFAULT_TOL = 1e-9
+
+
+def brute_force_primitive(r, d):
+    """r is primitive when its powers r^1..r^(d-1) hit every unit mod d."""
+    return len({pow(r, e, d) for e in range(1, d)}) == d - 1
 
 
 def projectors(basis):

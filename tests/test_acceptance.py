@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from dense_reference import brute_force_primitive
 
 from lsgame import (
     WeightedChshContext,
@@ -31,7 +32,7 @@ from lsgame import (
     verify_representation,
 )
 from lsgame.evaluation import bell_value, chsh_ideal_instance
-from lsgame.numtheory import is_odd_prime, is_primitive_root
+from lsgame.numtheory import is_odd_prime
 from lsgame.robustness import RESIDUAL_LABELS
 from lsgame.strategy import ext_labels
 
@@ -204,7 +205,7 @@ def test_criterion_10_one_game_for_many_dimensions():
     # pairs, self-tests dimension 4(d-1) for every prime d <= 31 with
     # generator r, whether or not r is the smallest root of d
     for r in (2, 3, 5):
-        primes = [d for d in range(r + 1, 32) if is_odd_prime(d) and is_primitive_root(r, d)]
+        primes = [d for d in range(r + 1, 32) if is_odd_prime(d) and brute_force_primitive(r, d)]
         tests = [build_full_test(make_params(d, r)) for d in primes]
         assert all(test == tests[0] for test in tests), (r, primes)
         assert len(tests[0].support) == 42 * r + 227, r

@@ -419,6 +419,36 @@ def test_unreadable_correlation_file_exits_2(case, word, tmp_path, capsys):
     assert_domain_error(*run(["eval", "--d", "3", "--in", str(path)], capsys), word)
 
 
+def test_eval_in_reads_at_most_the_cap(tmp_path, capsys):
+    # a 100 MiB file of spaces used to be read whole before it was parsed:
+    # the cap is CHARS_PER_CELL characters per table cell of the support, a
+    # valid file padded to the cap is scored, and one character more is refused
+    from lsgame.cli import CHARS_PER_CELL
+
+    path = tmp_path / "corr.json"
+    assert run(["gen-correlation", "--d", "5", "--out", str(path)], capsys)[0] == 0
+    text = path.read_text()
+    cap = CHARS_PER_CELL * sum(len(e["p"]) * len(e["p"][0]) for e in json.loads(text)["entries"])
+    path.write_text(text + " " * (cap - len(text)))
+    assert run(["eval", "--d", "5", "--in", str(path)], capsys)[0] == 0
+    path.write_text(text + " " * (cap + 1 - len(text)))
+    code, out, err = run(["eval", "--d", "5", "--in", str(path)], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ResourceError"
+    assert f"cap of {cap} characters" in error["message"]
+
+
+def test_eval_in_accepts_largest_valid_file(tmp_path, capsys):
+    # r = 27 is the largest admissible root, so (29, 27) has the largest
+    # support and the longest gen-correlation output
+    path = tmp_path / "corr.json"
+    assert run(["gen-correlation", "--d", "29", "--r", "27", "--out", str(path)], capsys)[0] == 0
+    code, out, _ = run(["eval", "--d", "29", "--r", "27", "--in", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["epsilon"] == 0.0
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     # --out into a missing directory used to end in a FileNotFoundError traceback
     out = tmp_path / "no-such-dir" / "game.json"

@@ -1,7 +1,8 @@
 import pytest
+from dense_reference import brute_force_primitive
 
-from lsgame import DomainError, discrete_log, make_params, numtheory, smallest_primitive_root
-from lsgame.numtheory import MAX_PRIME, is_odd_prime, is_primitive_root
+from lsgame import DomainError, discrete_log, make_params, numtheory
+from lsgame.numtheory import MAX_PRIME, is_odd_prime
 
 DEMO_PRIMES = (3, 5, 7, 11, 13)
 
@@ -20,28 +21,29 @@ def brute_force_smallest_root(d):
 
 
 def test_smallest_primitive_root_examples():
-    assert smallest_primitive_root(3) == 2
-    assert smallest_primitive_root(5) == 2
-    assert smallest_primitive_root(7) == 3  # 2 fails: 2^3 = 8 = 1 mod 7
+    # make_params defaults r to the smallest primitive root
+    assert make_params(3).r == 2
+    assert make_params(5).r == 2
+    assert make_params(7).r == 3  # 2 fails: 2^3 = 8 = 1 mod 7
 
 
 def test_smallest_primitive_root_matches_oracle():
-    for d in range(3, 60, 2):
+    for d in range(3, MAX_PRIME + 1, 2):
         if is_odd_prime(d):
-            assert smallest_primitive_root(d) == brute_force_smallest_root(d)
+            assert make_params(d).r == brute_force_smallest_root(d)
 
 
 def test_demo_set_roots_are_small():
     for d in DEMO_PRIMES:
-        assert smallest_primitive_root(d) in (2, 3, 5)
+        assert make_params(d).r in (2, 3, 5)
 
 
 def test_rejects_bad_d():
     for bad in (1, 2, 4, 9, 15, 21):
         with pytest.raises(DomainError):
-            smallest_primitive_root(bad)
-        with pytest.raises(DomainError):
             make_params(bad)
+        with pytest.raises(DomainError):
+            make_params(bad, 2)
 
 
 def test_make_params_rejects_non_primitive_r():
@@ -84,13 +86,8 @@ def test_roots_of_unity():
         p = make_params(d)
         assert abs(abs(p.omega_d) - 1) < 1e-12
         assert abs(p.omega_d**d - 1) < 1e-12
-        assert is_primitive_root(p.r, d)
+        assert brute_force_primitive(p.r, d)
         assert (p.r * p.r_inverse()) % d == 1
-
-
-def brute_force_primitive(r, d):
-    # independent oracle: r is primitive when its powers r^1..r^(d-1) hit every unit
-    return len({pow(r, e, d) for e in range(1, d)}) == d - 1
 
 
 def test_make_params_matches_power_oracle():
@@ -101,11 +98,9 @@ def test_make_params_matches_power_oracle():
             if brute_force_primitive(r, d):
                 p = make_params(d, r)
                 assert (p.d, p.r) == (d, r)
-                assert is_primitive_root(r, d)
                 for j in range(1, d):
                     assert pow(r, discrete_log(p, j), d) == j, (d, r, j)
             else:
-                assert not is_primitive_root(r, d)
                 with pytest.raises(DomainError, match=rf"^r={r} is not a primitive root of {d}$"):
                     make_params(d, r)
 
@@ -113,5 +108,6 @@ def test_make_params_matches_power_oracle():
 def test_multiple_of_d_is_not_primitive(monkeypatch):
     # r = 0 mod d has no power equal to 1: refused without walking its powers
     monkeypatch.setattr(numtheory, "_powers", lambda r, d: pytest.fail(f"walked the powers of {r} mod {d}"))
-    assert is_primitive_root(14, 7) is False
-    assert is_primitive_root(0, 3) is False
+    for d, r in ((7, 14), (3, 0), (3, 3)):
+        with pytest.raises(DomainError, match=r"^r must satisfy 2 <= r < d"):
+            make_params(d, r)
