@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
@@ -41,6 +40,7 @@ from .strategy import (
     Correlation,
     build_full_test,
     build_ideal_strategy,
+    dump_json,
     ideal_table_values,
     table_deviation,
 )
@@ -77,21 +77,6 @@ def _check_writable(path: str | None) -> None:
     else:
         return
     raise DomainError(f"cannot write {path!r}: {os.strerror(code)}")
-
-
-def _strict(obj):
-    """obj with every non-finite float replaced by None, which JSON writes as null."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {key: _strict(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict(value) for value in obj]
-    return obj
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _ideal(params, test) -> tuple:
@@ -184,7 +169,7 @@ def cmd_gen_game(args) -> int:
             "support": len(test.support),
             "quoted_support": test.quoted_support,
         }
-        _write(args.out, _dump_json(payload))
+        _write(args.out, dump_json(payload))
     return 0
 
 
@@ -202,7 +187,7 @@ def cmd_verify_rep(args) -> int:
         "conjugation_residual": conj_residual,
         "ok": ok,
     }
-    _write(args.out, _dump_json(payload))
+    _write(args.out, dump_json(payload))
     return 0 if ok else 3
 
 
@@ -230,7 +215,7 @@ def cmd_eval(args) -> int:
         }
     else:
         payload = evaluation_report(_perturbed(strategy, args), ideal_corr)
-    _write(args.out, _dump_json(payload))
+    _write(args.out, dump_json(payload))
     return 0
 
 
@@ -244,7 +229,7 @@ def cmd_self_test(args) -> int:
     payload["residuals"] = relation_residuals(target)
     payload["d"] = args.d
     payload["delta"] = args.delta
-    _write(args.out, _dump_json(payload))
+    _write(args.out, dump_json(payload))
     if args.delta == 0 and not _within(report.distances.values(), args.tolerance):
         return 3
     return 0
@@ -263,7 +248,7 @@ def cmd_sweep(args) -> int:
         fit = fit_bound(records)
     except DomainError as exc:  # too few distinct epsilon values: say so, and still exit 0
         fit = {"fit": None, "reason": str(exc)}
-    sys.stderr.write(_dump_json(fit))
+    sys.stderr.write(dump_json(fit))
     return 0
 
 
@@ -287,7 +272,7 @@ def cmd_demo_family(args) -> int:
                 "ok": bool(good),
             }
         )
-    _write(args.out, _dump_json({"family": lines, "ok": ok}))
+    _write(args.out, dump_json({"family": lines, "ok": ok}))
     return 0 if ok else 3
 
 
@@ -342,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_writable(args.out)
         return args.func(args)
     except LsgameError as exc:
-        sys.stderr.write(_dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+        sys.stderr.write(dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2 if isinstance(exc, (DomainError, PreconditionError, ResourceError)) else 1
 
 

@@ -15,8 +15,12 @@ The state has 16*d^2*dim_a*dim_b amplitudes, and selftest_report never
 builds it: it works on each party's stage-two QR factors, so a control
 slice costs two dim x dim products, and it weights the off-support slices
 of a control row with R factors that leave one block out (see its
-docstring).  The dense stages live in the test suite, as the reference
-selftest_report is checked against.
+docstring).  Its memory is streamed: the only stacks of d dim x dim
+matrices it holds at once are the four Gram-scaled ladders, Bob's
+left-out factors and one label's support factors, and every other product
+is formed one slice at a time; MAX_SELFTEST_ELEMENTS caps what it holds.
+The dense stages live in the test suite, as the reference selftest_report
+is checked against.
 """
 
 from __future__ import annotations
@@ -135,7 +139,9 @@ def _gram_ladders(strategy: Strategy, roots: dict[str, np.ndarray]) -> dict[tupl
     P(j) = (1/d) sum_k omega^(-jk) O^k is the Fourier transform over the
     powers of O and e(j) = _u_exponents(s)[j], so that stage one maps a
     state matrix S to the control slices B[jA, jB] = L_A[jA] S L_B[jB]^T.
-    Each plain ladder L lives only while its Gram-scaled one is formed.
+    Each ladder is written control value by control value: besides the
+    ladders, one party's stacks of P(j) and of the powers of U are held while
+    its two ladders are written, and no plain ladder L is ever formed.
     """
     params = strategy.params
     d = params.d
@@ -145,8 +151,25 @@ def _gram_ladders(strategy: Strategy, roots: dict[str, np.ndarray]) -> dict[tupl
         fourier_o = np.tensordot(fourier, _powers(strategy.observable(party, "O"), d), axes=1)
         u_pow = _powers(strategy.observable(party, "U"), d - 1)
         for sign in (-1, 1):
-            ladders[party, sign] = roots[party] @ (u_pow[_u_exponents(params, sign)] @ fourier_o)
+            ladder = ladders[party, sign] = np.empty_like(fourier_o)
+            for j, e in enumerate(_u_exponents(params, sign)):
+                np.matmul(roots[party], u_pow[e] @ fourier_o[j], out=ladder[j])
+        del fourier_o, u_pow
     return ladders
+
+
+def selftest_footprint(d: int, da: int, db: int) -> int:
+    """Amplitudes selftest_report holds at once, at most, for a (da, db) state.
+
+    These are the four Gram-scaled ladders; besides them, either one party's
+    stacks of P(j) and of U's powers while its ladders are written, or Bob's
+    left-out factors (the one being built included) and one label's support
+    factors; and at most 64 n x n matrices: both parties' stage-two factors
+    and observables, and the temporaries of one QR or of one label.
+    """
+    n = max(da, db)
+    ladders = 2 * d * (da * da + db * db)
+    return ladders + max(2 * d * n * n, 2 * d * db * db + (d - 1) * da * db) + 64 * n * n
 
 
 def _sq(x: np.ndarray) -> float:
@@ -158,19 +181,22 @@ def _left_out_roots(blocks: np.ndarray) -> np.ndarray:
 
     Entry k >= 1 satisfies R^H R = sum over k' != k of blocks[k']^H blocks[k'];
     entry 0 stacks all n blocks.  Every factor comes from a QR of two
-    stacked (m, m) factors: the running prefix and suffix factors, then one
-    batched QR pairing prefix[k] with the suffix after block k.
+    stacked (m, m) factors.  Nothing but the output is held: entry k first
+    holds the suffix factor of blocks[k + 1:], built from the back, and a
+    forward pass replaces it with the QR of the running prefix factor of
+    blocks[:k] stacked on it.
     """
     n, m = blocks.shape[0], blocks.shape[-1]
-    zero = np.zeros((m, m), dtype=complex)
-    prefix = [zero]  # prefix[k]: blocks[:k]
-    for block in blocks:
-        prefix.append(np.linalg.qr(np.concatenate((prefix[-1], block)), mode="r"))
-    suffix = [zero]  # suffix[i]: blocks[n - i:]
-    for block in blocks[:1:-1]:
-        suffix.append(np.linalg.qr(np.concatenate((block, suffix[-1])), mode="r"))
-    pairs = np.stack([np.concatenate((prefix[k], suffix[n - 1 - k])) for k in range(1, n)])
-    return np.concatenate((prefix[n][None], np.linalg.qr(pairs, mode="r")))
+    out = np.empty_like(blocks)
+    out[n - 1] = 0
+    for k in range(n - 2, 0, -1):
+        out[k] = np.linalg.qr(np.concatenate((blocks[k + 1], out[k + 1])), mode="r")
+    prefix = np.linalg.qr(np.concatenate((np.zeros((m, m), dtype=complex), blocks[0])), mode="r")
+    for k in range(1, n):
+        out[k] = np.linalg.qr(np.concatenate((prefix, out[k])), mode="r")
+        prefix = np.linalg.qr(np.concatenate((prefix, blocks[k])), mode="r")  # blocks[:k + 1]
+    out[0] = prefix
+    return out
 
 
 def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
@@ -199,18 +225,23 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     Every term is the squared norm of an explicitly formed array, never a
     difference of squared norms such as ||v||^2 - ||junk||^2, so
     near-ideal distances keep their absolute accuracy.
+
+    The only (d, n, n)-sized arrays held at once are the four Gram-scaled
+    ladders, Bob's left-out factors and one (d-1, dim_a, dim_b) stack of a
+    label's support factors X_j.  Everything else is formed one n x n slice
+    at a time: per control row j_A, the product R_A L_A[j_A] psi, used at
+    once for that row's support factor and off-support term; the residuals
+    X_j - t_j J, in place; and Q_A J Q_B^T, one of its 16 blocks at a time.
+    The correlation is formed first, before any ladder.
     """
     params = strategy.params
     da, db = strategy.state.shape
     d = params.d
-    # held at once: eight ladders' worth (the four Gram-scaled ones, and the
-    # powers and products behind the one being built), six ladders' worth
-    # of Bob's left-out factors while they are built, and per label the
-    # rows, the support factors and their residuals, the row products and
-    # one (4 da, 4 db) stage-two block
-    footprint = 4 * d * (da * da + db * db) + 6 * d * db * db + (4 * d + 16) * da * db
+    footprint = selftest_footprint(d, da, db)
     if footprint > MAX_SELFTEST_ELEMENTS:
         raise ResourceError(f"self-test would hold {footprint} amplitudes at once, above the cap")
+    # the correlation first, while no ladder is held
+    eps = correlation_distance(strategy.correlation(), ideal)
     # the QR factors and Bob's left-out factors depend on the bases alone
     (q_a, r_a), (q_b, r_b) = (
         strategy.derived(("stage-two QR", party), partial(_stage2_factors, strategy, party)) for party in "AB"
@@ -225,31 +256,45 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
 
     distances: dict[str, float] = {}
     junk_norm = float("nan")
+    x = np.empty((d - 1, da, db), dtype=complex)  # the support factors X_j of one label
     for label, (pre, (s_a, s_b), _, _) in LABELS.items():
         psi = strategy.state
         if pre is not None:
             op = strategy.observable(*pre)
             psi = op @ psi if pre[0] == "A" else psi @ op.T
         t = control_target(label, params).reshape(d, d)
-        rows, cols = np.nonzero(t)  # rows distinct and nonzero: one support column per row
+        rows, cols = np.nonzero(t)  # rows 1 .. d-1 in order (a j runs over them), one support column each
         t_support = t[rows, cols]
-        left = gram_ladders["A", s_a] @ psi  # (d, da, db)
-        x = left[rows] @ gram_ladders["B", s_b][cols].transpose(0, 2, 1)  # R_A B_j R_B^T
-        x_c = np.tensordot(t_support.conj(), x, axes=1)
-        junk = 0.5 * sum(qa @ x_c @ qb.T for qa, qb in q_pairs)
-        proj = 0.5 * sum(qa.conj().T @ junk @ qb.conj() for qa, qb in q_pairs)
-
-        total = _sq(x - t_support[:, None, None] * proj)
-        out = (q_a @ proj @ q_b.T).reshape(4, da, 4, db)
-        for l in range(4):
-            out[l, :, l, :] -= 0.5 * junk
-        total += _sq(t_support) * _sq(out)
         col_of_row = np.zeros(d, dtype=int)
         col_of_row[rows] = cols  # row 0 picks entry 0, the all-blocks factor
-        total += _sq(left @ left_out_t[s_b][col_of_row])
+        ladders_a, ladders_b, roots_t = gram_ladders["A", s_a], gram_ladders["B", s_b], left_out_t[s_b]
+        # each n x n product is dropped once used, so that few are held next to x
+        off_support = 0.0
+        for j, k in enumerate(col_of_row):
+            left = ladders_a[j] @ psi  # R_A L_A[j] psi
+            off_support += _sq(left @ roots_t[k])
+            if j:
+                np.matmul(left, ladders_b[k].T, out=x[j - 1])  # R_A B_j R_B^T
+            del left
+        del psi
+        x_c = np.tensordot(t_support.conj(), x, axes=1)
+        junk = 0.5 * sum(qa @ x_c @ qb.T for qa, qb in q_pairs)
+        del x_c
+        proj = 0.5 * sum(qa.conj().T @ junk @ qb.conj() for qa, qb in q_pairs)
+
+        for x_j, t_j in zip(x, t_support):
+            x_j -= t_j * proj
+        outside = 0.0
+        for l, (qa, _) in enumerate(q_pairs):
+            qa_proj = qa @ proj
+            for m, (_, qb) in enumerate(q_pairs):
+                block = qa_proj @ qb.T  # block (l, m) of Q_A J Q_B^T
+                if l == m:
+                    block -= 0.5 * junk
+                outside += _sq(block)
+        total = _sq(x) + _sq(t_support) * outside + off_support
         distances[label] = math.sqrt(total)
         if label == "psi":
             junk_norm = float(np.linalg.norm(junk))
 
-    eps = correlation_distance(strategy.correlation(), ideal)
     return SelfTestReport(distances=distances, junk_norm=junk_norm, epsilon=eps)

@@ -395,6 +395,23 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
 # --- correlations ------------------------------------------------------------
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
+def dump_json(obj) -> str:
+    """obj as strict JSON, keys sorted and indented by two: a NaN or
+    infinite float is written as null."""
+    return json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 @dataclass
 class Correlation:
     """Conditional probability tables over the full test's support."""
@@ -412,8 +429,7 @@ class Correlation:
             {"x": x, "y": y, "p": [[float(v) for v in row] for row in table]}
             for (x, y), table in self.entries.items()
         ]
-        payload = {"d": self.d, "r": self.r, "n_support": self.n_support, "entries": items}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return dump_json({"d": self.d, "r": self.r, "n_support": self.n_support, "entries": items})
 
     @classmethod
     def from_json(cls, text: str) -> "Correlation":

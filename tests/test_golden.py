@@ -1,5 +1,7 @@
 """The CLI's artifacts against the goldens of tests/golden (see goldens.py)."""
 
+import csv
+import io
 import json
 import math
 
@@ -25,11 +27,38 @@ def assert_close(got, want, where="$"):
         assert got == want and type(got) is type(want), (where, got, want)
 
 
+def csv_cell(text: str):
+    """A CSV cell as an int or a finite float when it reads as one, else as its text."""
+    for kind in (int, float):
+        try:
+            value = kind(text)
+        except ValueError:
+            continue
+        return value if math.isfinite(value) else text
+    return text
+
+
+def parse_csv(data: bytes) -> list:
+    return [[csv_cell(cell) for cell in row] for row in csv.reader(io.StringIO(data.decode()))]
+
+
+PARSE = {"parsed": json.loads, "csv": parse_csv}
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
-    how, argv = CASES[name]
-    got, want = run(argv, str(tmp_path)), (GOLDEN / name).read_bytes()
+    how, stream, argv = CASES[name]
+    got, want = run(argv, str(tmp_path))[stream], (GOLDEN / name).read_bytes()
     if how == "exact":
         assert got == want, name
     else:
-        assert_close(json.loads(got), json.loads(want))
+        assert_close(PARSE[how](got), PARSE[how](want))
+
+
+def test_csv_cells_compare_as_numbers():
+    want = parse_csv(b"kind,delta,dist\nrotate,0.001,0.25\n")
+    assert want == [["kind", "delta", "dist"], ["rotate", 0.001, 0.25]]
+    assert_close(parse_csv(b"kind,delta,dist\nrotate,0.001,0.25000000000000006\n"), want)
+    for moved in (b"kind,delta,dist\nrotate,0.001,0.2500001\n", b"kind,delta,dist\nstate,0.001,0.25\n"):
+        with pytest.raises(AssertionError):
+            assert_close(parse_csv(moved), want)

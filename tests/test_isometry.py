@@ -16,10 +16,10 @@ from lsgame import (
     relation_residuals,
     selftest_report,
 )
-from lsgame.isometry import LABELS, REPORT_LABELS, control_target
+from lsgame.isometry import LABELS, REPORT_LABELS, control_target, selftest_footprint
 from lsgame.linalg import Basis, eye, qft
 from lsgame.numtheory import discrete_log
-from lsgame.robustness import PerturbationSpec, perturb_strategy
+from lsgame.robustness import KINDS, PerturbationSpec, perturb_strategy
 from lsgame.strategy import COMM_GENS, var_label
 
 #: the three (s_A, s_B) exponent-sign pairs that the report labels use
@@ -263,6 +263,26 @@ def test_selftest_report_streams():
     assert peak < stage_two_bytes / 4, (peak, stage_two_bytes)
 
 
+@pytest.mark.parametrize("d", [7, 13])
+def test_selftest_report_holds_at_most_its_footprint(d):
+    # the guard counts what the call holds: on a fresh rotated strategy it
+    # builds every basis-derived factor itself (observables, stage-two
+    # factors, ladders, Bob's left-out factors), and its traced peak stays
+    # within the guard's amplitude count of complex128 bytes
+    _, _, _, ideal = ideal_setup(d)
+    ideal_corr = ideal.correlation()
+    strat = perturb_strategy(ideal, PerturbationSpec("rotate", 1e-3, 3))
+    strat.correlation()  # the strategy's own memo, not the self-test's: formed outside the traced call
+    tracemalloc.start()
+    try:
+        selftest_report(strat, ideal_corr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    da, db = strat.state.shape
+    assert peak <= 16 * selftest_footprint(d, da, db), (peak, 16 * selftest_footprint(d, da, db))
+
+
 def test_selftest_report_resource_guard(monkeypatch):
     import lsgame.isometry as iso
 
@@ -360,3 +380,53 @@ def test_local_unitary_invariance(d, delta):
     assert len(residuals) == 7
     for name, value in residuals.items():
         assert abs(rotated_residuals[name] - value) <= 1e-13, (name, value, rotated_residuals[name])
+
+
+def with_junk(strat, junk):
+    """The strategy tensored with a junk factor: state S (x) J, every Alice
+    basis V -> V (x) I and every Bob basis W -> W (x) I, of J's row and
+    column counts, each answer keeping the columns of its old ones."""
+
+    def lift(bases, m):
+        return {q: Basis(np.kron(b.vectors, np.eye(m)), np.repeat(b.outcomes, m, axis=1)) for q, b in bases.items()}
+
+    ja, jb = junk.shape
+    return Strategy(strat.params, strat.test, np.kron(strat.state, junk), lift(strat.alice, ja), lift(strat.bob, jb))
+
+
+def unit_junk(d):
+    """A seeded random complex 2 x 3 junk factor of unit Frobenius norm."""
+    rng = np.random.default_rng(d)
+    junk = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    return junk / np.linalg.norm(junk)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_junk_factor_invariance(d, kind, delta):
+    # a self-test certifies the state only up to a junk factor: with a 2 x 3
+    # junk J of unit norm the local dimensions differ (2n and 3n), and
+    # epsilon, every distance and the junk norm stay as they were
+    _, _, _, ideal = ideal_setup(d)
+    strat = perturb_strategy(ideal, PerturbationSpec(kind, delta, 4))  # perturbed first, then lifted
+    lifted = with_junk(strat, unit_junk(d))
+    n = strat.state.shape[0]
+    assert lifted.state.shape == (2 * n, 3 * n)
+    ideal_corr = ideal.correlation()
+    before, after = selftest_report(strat, ideal_corr), selftest_report(lifted, ideal_corr)
+    assert set(after.distances) == set(REPORT_LABELS)
+    for label, dist in before.distances.items():
+        assert abs(after.distances[label] - dist) <= 1e-12, (label, dist, after.distances[label])
+    assert abs(after.junk_norm - before.junk_norm) <= 1e-12
+    assert abs(after.epsilon - before.epsilon) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unequal_dimensions_match_dense_reference(kind):
+    # the invariance above compares the report with itself, so it cannot see
+    # a fault that moves both sizes alike (a transposed Q_B factor does):
+    # here the lifted strategy, dims 16 x 24, meets the dense stages
+    _, _, _, ideal = ideal_setup(3)
+    lifted = with_junk(perturb_strategy(ideal, PerturbationSpec(kind, 1e-3, 4)), unit_junk(3))
+    assert_matches_dense(lifted, ideal.correlation(), kind)

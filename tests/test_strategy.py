@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -463,6 +464,20 @@ def test_correlation_json_round_trip():
     assert set(back.entries) == set(corr.entries)
     for key, table in corr.entries.items():
         np.testing.assert_allclose(back.entries[key], table, atol=0)
+
+
+def test_correlation_json_is_strict():
+    # a non-finite cell is written as null, as every CLI artifact writes it,
+    # and never as a bare NaN or Infinity
+    corr = Correlation(d=3, r=2, entries={("x", "y"): np.array([[0.5, np.nan], [np.inf, -np.inf]])})
+    text = corr.to_json()
+    assert "NaN" not in text and "Infinity" not in text
+
+    def reject_constant(name):
+        raise AssertionError(f"non-strict JSON constant {name}")
+
+    payload = json.loads(text, parse_constant=reject_constant)
+    assert payload["entries"] == [{"x": "x", "y": "y", "p": [[0.5, None], [None, None]]}]
 
 
 def test_rep_params_mismatch_rejected():
