@@ -44,6 +44,7 @@ from .isometry import (
 from .robustness import (
     PerturbationSpec,
     SweepRecord,
+    certify,
     fit_bound,
     perturb_strategy,
     records_to_csv,

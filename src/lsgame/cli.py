@@ -24,18 +24,11 @@ from .evaluation import (
     ls_winning_probability_from_correlation,
 )
 from .isometry import selftest_report
+from .linalg import worst
 from .lsg import QUOTED_PAIR_COUNT, build_linear_system, system_to_json_dict, system_to_text
 from .numtheory import make_params
 from .representation import build_representation, key_unitaries, verify_representation
-from .robustness import (
-    KINDS,
-    PerturbationSpec,
-    fit_bound,
-    perturb_strategy,
-    records_to_csv,
-    relation_residuals,
-    run_sweep,
-)
+from .robustness import KINDS, PerturbationSpec, certify, fit_bound, perturb_strategy, records_to_csv, run_sweep
 from .strategy import (
     Correlation,
     build_full_test,
@@ -79,44 +72,26 @@ def _check_writable(path: str | None) -> None:
     raise DomainError(f"cannot write {path!r}: {os.strerror(code)}")
 
 
-def _ideal(params, test) -> tuple:
-    """representation, ideal strategy and its correlation."""
+def _ideal(params, test=None) -> tuple:
+    """The representation and the ideal strategy, on test (default: params' full test)."""
     rep = build_representation(params)
-    strategy = build_ideal_strategy(params, rep, test)
-    return rep, strategy, strategy.correlation()
+    return rep, build_ideal_strategy(params, rep, build_full_test(params) if test is None else test)
 
 
-def _setup(d: int, r: int | None) -> tuple:
-    """params, representation, full test, ideal strategy and its correlation."""
-    params = make_params(d, r)
-    test = build_full_test(params)
-    rep, strategy, ideal_corr = _ideal(params, test)
-    return params, rep, test, strategy, ideal_corr
-
-
-def _perturbed(strategy, args):
-    """The strategy perturbed by --kind/--delta/--seed; at delta 0 the strategy itself.
-
-    An unset flag (eval leaves them unset) means both, 0 and 0.
-    PerturbationSpec rejects a negative or NaN magnitude and a negative seed
-    with DomainError, at delta 0 too.
-    """
-    spec = PerturbationSpec(
+def _spec(args) -> PerturbationSpec:
+    """--kind/--delta/--seed as a perturbation; an unset flag (eval leaves
+    them unset) means both, 0 and 0.  PerturbationSpec rejects a negative or
+    NaN magnitude and a negative seed with DomainError, at delta 0 too."""
+    return PerturbationSpec(
         kind=args.kind or "both",
         magnitude=0.0 if args.delta is None else args.delta,
         seed=args.seed or 0,
     )
-    return perturb_strategy(strategy, spec)
 
 
 def _within(values, tol: float) -> bool:
     """Gate: every value is finite and at most tol (NaN fails)."""
     return all(math.isfinite(v) and v <= tol for v in values)
-
-
-def _worst(values) -> float:
-    """The largest value; a NaN wins."""
-    return max(values, key=lambda v: (math.isnan(v), v))
 
 
 #: characters an --in file may hold per table cell of the (d, r) support;
@@ -192,8 +167,8 @@ def cmd_verify_rep(args) -> int:
 
 
 def cmd_gen_correlation(args) -> int:
-    *_, ideal_corr = _setup(args.d, args.r)
-    _write(args.out, ideal_corr.to_json())
+    _, ideal = _ideal(make_params(args.d, args.r))
+    _write(args.out, ideal.correlation().to_json())
     return 0
 
 
@@ -206,15 +181,15 @@ def cmd_eval(args) -> int:
     test = build_full_test(params)
     # a bad file fails before the representation and strategy are built
     corr = _read_correlation(args.infile, params, test) if args.infile else None
-    _, strategy, ideal_corr = _ideal(params, test)
+    _, ideal = _ideal(params, test)
     if corr is not None:
         payload = {
-            "winning_probability": ls_winning_probability_from_correlation(corr, test),
-            "epsilon": correlation_distance(corr, ideal_corr),
-            "table_deviation": table_deviation(corr, ideal_table_values(params, test)),
+            "winning_probability": ls_winning_probability_from_correlation(corr, ideal.test),
+            "epsilon": correlation_distance(corr, ideal.correlation()),
+            "table_deviation": table_deviation(corr, ideal_table_values(ideal.params, ideal.test)),
         }
     else:
-        payload = evaluation_report(_perturbed(strategy, args), ideal_corr)
+        payload = evaluation_report(perturb_strategy(ideal, _spec(args)), ideal.correlation())
     _write(args.out, dump_json(payload))
     return 0
 
@@ -222,31 +197,34 @@ def cmd_eval(args) -> int:
 def cmd_self_test(args) -> int:
     if not args.tolerance >= 0:  # NaN included
         raise DomainError(f"--tolerance must be a non-negative number, got {args.tolerance}")
-    *_, strategy, ideal_corr = _setup(args.d, args.r)
-    target = _perturbed(strategy, args)
-    report = selftest_report(target, ideal_corr)
-    payload = report.to_dict()
-    payload["residuals"] = relation_residuals(target)
-    payload["d"] = args.d
-    payload["delta"] = args.delta
+    _, ideal = _ideal(make_params(args.d, args.r))
+    rec = certify(ideal, ideal.correlation(), _spec(args))
+    payload = {
+        "distances": rec.distances,
+        "junk_norm": rec.junk_norm,
+        "epsilon": rec.epsilon,
+        "residuals": rec.residuals,
+        "d": rec.d,
+        "delta": rec.delta,
+    }
     _write(args.out, dump_json(payload))
-    if args.delta == 0 and not _within(report.distances.values(), args.tolerance):
+    if rec.delta == 0 and not _within(rec.distances.values(), args.tolerance):
         return 3
     return 0
 
 
 def cmd_sweep(args) -> int:
-    _, _, _, strategy, ideal_corr = _setup(args.d, args.r)
+    _, ideal = _ideal(make_params(args.d, args.r))
     kinds = KINDS if args.kind == "all" else (args.kind,)
     try:
         magnitudes = [float(x) for x in args.deltas.split(",") if x]
     except ValueError as exc:
         raise DomainError(f"--deltas must be comma-separated numbers: {exc}") from None
-    records = run_sweep(strategy, ideal_corr, magnitudes, args.trials, kinds, args.seed)
+    records = run_sweep(ideal, ideal.correlation(), magnitudes, args.trials, kinds, args.seed)
     _write(args.out, records_to_csv(records))
     try:
         fit = fit_bound(records)
-    except DomainError as exc:  # too few distinct epsilon values: say so, and still exit 0
+    except DomainError as exc:  # a non-finite record or too few epsilon values: say so, and still exit 0
         fit = {"fit": None, "reason": str(exc)}
     sys.stderr.write(dump_json(fit))
     return 0
@@ -256,17 +234,17 @@ def cmd_demo_family(args) -> int:
     lines = []
     ok = True
     for d in DEMO_PRIMES:
-        params, rep, test, strategy, ideal_corr = _setup(d, None)
-        residual = _worst((verify_representation(rep, test.system), key_unitaries(rep)))
-        report = selftest_report(strategy, ideal_corr)
+        rep, ideal = _ideal(make_params(d, None))
+        residual = worst((verify_representation(rep, ideal.test.system), key_unitaries(rep)))
+        report = selftest_report(ideal, ideal.correlation())
         good = residual == 0.0 and _within(report.distances.values(), 1e-8)
         ok = ok and good
         lines.append(
             {
                 "d": d,
-                "r": params.r,
+                "r": ideal.params.r,
                 "rep_residual": residual,
-                "max_selftest_distance": _worst(report.distances.values()),
+                "max_selftest_distance": worst(report.distances.values()),
                 "junk_norm": report.junk_norm,
                 "epsilon": report.epsilon,
                 "ok": bool(good),

@@ -122,13 +122,6 @@ class SelfTestReport:
     junk_norm: float
     epsilon: float
 
-    def to_dict(self) -> dict:
-        return {
-            "distances": {k: float(v) for k, v in self.distances.items()},
-            "junk_norm": float(self.junk_norm),
-            "epsilon": float(self.epsilon),
-        }
-
 
 def _gram_ladders(strategy: Strategy, roots: dict[str, np.ndarray]) -> dict[tuple[str, int], np.ndarray]:
     """Stage one resolved per control value and seen through stage two, for

@@ -9,6 +9,7 @@ bases: the ideal strategy's are built per orbit or in closed form
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,11 @@ def op_norm(a: np.ndarray) -> float:
         index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
         raise PreconditionError(f"matrix has a non-finite entry {a[index]} at {index}")
     return float(np.linalg.norm(a, 2))
+
+
+def worst(values) -> float:
+    """The largest of a non-empty iterable of floats; a NaN wins, so no maximum hides one."""
+    return max(values, key=lambda v: (math.isnan(v), v))
 
 
 def qft(n: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError
 from .isometry import REPORT_LABELS, selftest_report
-from .linalg import Basis, rotate_bases
+from .linalg import Basis, rotate_bases, worst
 from .strategy import COMM_GENS, Correlation, Strategy, answer_table, ext_labels
 
 KINDS = ("state", "rotate", "both")
@@ -120,22 +120,22 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     obs = strategy.observable
 
     tables = strategy.correlation().entries
-    sync = 0.0
+    sync = []
     for g in system.variables:
         (qa, signs_a), (qb, signs_b) = strategy.signed_question("A", g), strategy.signed_question("B", g)
         table = tables.get((qa, qb))
         if table is None:  # (x(s), x(s)) for s in COMM_GENS
             alice = strategy.basis("A", qa)
             table = answer_table(alice.vectors.conj().T @ s, alice, strategy.basis("B", qb))
-        sync = max(sync, 2 * math.sqrt(table[np.not_equal.outer(signs_a, signs_b)].sum()))
+        sync.append(2 * math.sqrt(table[np.not_equal.outer(signs_a, signs_b)].sum()))
 
-    equation = 0.0
+    equation = []
     for i in range(system.n_rows):
         prod = s
         for g in reversed(system.row_names(i)):
             qa, signs = strategy.signed_question("A", g)
             prod = strategy.basis("A", qa).reflect(signs, prod)
-        equation = max(equation, norm(prod - (-1) ** system.rhs[i] * s))
+        equation.append(norm(prod - (-1) ** system.rhs[i] * s))
 
     o_a, u_a = obs("A", "O"), obs("A", "U")
     o_a_r = np.linalg.matrix_power(o_a, params.r)
@@ -153,20 +153,19 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     eig_bob = norm(psi1 @ obs("B", "O").T - params.omega_d * psi1)
     eig_alice = norm(o_a @ psi1 - psi1 / params.omega_d)
 
-    comm = 0.0
+    comm = []
     for g in COMM_GENS:
         mg = obs("A", g)
-        for probe in (p0, p1, x_obs):
-            comm = max(comm, norm(probe @ mg @ s - mg @ probe @ s))
+        comm.extend(norm(probe @ mg @ s - mg @ probe @ s) for probe in (p0, p1, x_obs))
 
     return {
-        "sync": sync,
-        "equation": equation,
+        "sync": worst(sync),
+        "equation": worst(equation),
         "conjugacy": conjugacy,
         "psi1_norm": psi1_norm,
         "eig_bob": eig_bob,
         "eig_alice": eig_alice,
-        "comm": comm,
+        "comm": worst(comm),
     }
 
 
@@ -215,6 +214,29 @@ def records_to_csv(records: list[SweepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def certify(ideal: Strategy, ideal_corr: Correlation, spec: PerturbationSpec) -> SweepRecord:
+    """The record of one perturbation: perturb_strategy(ideal, spec), its
+    selftest_report against ideal_corr, then its relation_residuals.
+
+    The perturbed copy, its correlation and a rotated copy's basis memo die
+    when the call returns; an unrotated copy's memo is the ideal's, and at
+    magnitude 0 the copy is the ideal itself.
+    """
+    strategy = perturb_strategy(ideal, spec)
+    report = selftest_report(strategy, ideal_corr)
+    return SweepRecord(
+        d=ideal.params.d,
+        r=ideal.params.r,
+        kind=spec.kind,
+        delta=spec.magnitude,
+        seed=spec.seed,
+        epsilon=report.epsilon,
+        distances=report.distances,
+        junk_norm=report.junk_norm,
+        residuals=relation_residuals(strategy),
+    )
+
+
 def run_sweep(
     ideal: Strategy,
     ideal_corr: Correlation,
@@ -223,7 +245,7 @@ def run_sweep(
     kinds: tuple[str, ...] = ("both",),
     base_seed: int = 0,
 ) -> list[SweepRecord]:
-    """One record per (kind, magnitude, trial); deterministic given base_seed.
+    """One certify record per (kind, magnitude, trial); deterministic given base_seed.
     DomainError unless there are 1 to MAX_MAGNITUDES magnitudes and 1 to
     MAX_TRIALS trials.
 
@@ -243,26 +265,7 @@ def run_sweep(
         for mi, delta in enumerate(magnitudes):
             for trial in range(trials):
                 seed = base_seed * 1_000_000 + ki * 100_000 + mi * 1_000 + trial
-                spec = PerturbationSpec(kind=kind, magnitude=delta, seed=seed)
-                pert = perturb_strategy(ideal, spec)
-                report = selftest_report(pert, ideal_corr)
-                records.append(
-                    SweepRecord(
-                        d=ideal.params.d,
-                        r=ideal.params.r,
-                        kind=kind,
-                        delta=delta,
-                        seed=seed,
-                        epsilon=report.epsilon,
-                        distances=report.distances,
-                        junk_norm=report.junk_norm,
-                        residuals=relation_residuals(pert),
-                    )
-                )
-                # its correlation, and a rotated copy's basis memo, must not
-                # outlive the record; an unrotated copy's memo is the ideal's,
-                # and at magnitude 0 pert is the ideal itself
-                del pert
+                records.append(certify(ideal, ideal_corr, PerturbationSpec(kind=kind, magnitude=delta, seed=seed)))
     records.sort(key=lambda rec: (rec.kind, rec.delta, rec.seed))
     return records
 
@@ -274,8 +277,16 @@ def fit_bound(records: list[SweepRecord]) -> dict:
     epsilon^(1/8), use the n_fit even-seed records; violations counts the
     n_held_out odd-seed records above C_fit * (1 + FIT_SLACK), which the fit
     has not seen, and is None when there are none (a one-trial sweep).
-    Records with epsilon 0 are left out.
+    Records with epsilon 0 are left out.  DomainError, naming the first
+    record whose epsilon or psi distance is not finite, or with fewer than 3
+    distinct positive epsilon values among the even-seed records.
     """
+    for rec in records:
+        if not (math.isfinite(rec.epsilon) and math.isfinite(rec.distances["psi"])):
+            raise DomainError(
+                f"record ({rec.kind}, delta={rec.delta!r}, seed={rec.seed}) has epsilon {rec.epsilon!r}"
+                f" and psi distance {rec.distances['psi']!r}: a fit needs finite values"
+            )
     pts = [(rec.seed % 2, rec.epsilon, rec.distances["psi"]) for rec in records if rec.epsilon > 0]
     fit = [(e, dist) for odd, e, dist in pts if not odd]
     if len({e for e, _ in fit}) < 3:

@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructuralError
-from .linalg import Basis, basis_vector, eye, kron
+from .linalg import Basis, basis_vector, eye, kron, worst
 from .lsg import QUOTED_PAIR_COUNT, LinearSystem, build_linear_system
 from .numtheory import PrimeParams
 from .representation import KEY_FACTORS, Monomial, Rep, roots_of_unity, x_index
@@ -543,12 +543,12 @@ def ideal_table_values(params: PrimeParams, test: FullTest) -> dict[tuple[str, s
 
 
 def table_deviation(corr: Correlation, reference: dict) -> float:
-    """Largest |entry - closed form| over all constrained table entries."""
-    worst = 0.0
-    for key, cells in reference.items():
-        if key not in corr.entries:
-            raise StructuralError(f"correlation lacks support pair {key}")
-        table = corr.entries[key]
-        for (ia, ib), want in cells.items():
-            worst = max(worst, abs(float(table[ia, ib]) - want))
-    return worst
+    """Largest |entry - closed form| over all constrained table entries; a NaN entry wins."""
+    missing = [key for key in reference if key not in corr.entries]
+    if missing:
+        raise StructuralError(f"correlation lacks support pair {missing[0]}")
+    return worst(
+        abs(float(corr.entries[key][ia, ib]) - want)
+        for key, cells in reference.items()
+        for (ia, ib), want in cells.items()
+    )

@@ -204,7 +204,8 @@ def test_gates_fail_closed_on_nan(monkeypatch, capsys):
         report.distances["OA_psi"] = float("nan")
         return report
 
-    monkeypatch.setattr(cli, "selftest_report", nan_report)
+    monkeypatch.setattr(cli, "selftest_report", nan_report)  # demo-family
+    monkeypatch.setattr("lsgame.robustness.selftest_report", nan_report)  # self-test, through certify
     monkeypatch.setattr(cli, "DEMO_PRIMES", (3,))
     assert run(["self-test", "--d", "3"], capsys)[0] == 3
     code, out, _ = run(["demo-family"], capsys)
@@ -511,3 +512,47 @@ def test_out_not_truncated_before_writing(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "run_sweep", failing_sweep)
     assert_domain_error(*run(["sweep", "--d", "3", "--out", str(out)], capsys), "sweep failed")
     assert out.read_text() == "earlier contents\n"
+
+
+def test_self_test_and_sweep_write_one_record(tmp_path, capsys):
+    # both commands write robustness.certify's record for the same spec:
+    # the sweep's one record has seed 0, as the self-test's has
+    from lsgame.isometry import REPORT_LABELS
+    from lsgame.robustness import RESIDUAL_LABELS
+
+    code, out, _ = run(["self-test", "--d", "5", "--kind", "rotate", "--delta", "1e-3", "--seed", "0"], capsys)
+    assert code == 0
+    single = json.loads(out)
+    csv_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "--d", "5", "--kind", "rotate", "--deltas", "1e-3", "--trials", "1", "--seed", "0"]
+    assert run(argv + ["--out", str(csv_path)], capsys)[0] == 0
+    header, row = (line.split(",") for line in csv_path.read_text().splitlines())
+    swept = dict(zip(header, row))
+    assert (swept["kind"], float(swept["delta"]), int(swept["seed"])) == ("rotate", 1e-3, 0)
+    assert float(swept["epsilon"]) == single["epsilon"]
+    assert float(swept["junk_norm"]) == single["junk_norm"]
+    for label in REPORT_LABELS:
+        assert float(swept["dist_" + label.removesuffix("_psi")]) == single["distances"][label], label
+    for label in RESIDUAL_LABELS:
+        assert float(swept["res_" + label]) == single["residuals"][label], label
+
+
+def test_sweep_without_fit_on_a_non_finite_record(monkeypatch, capsys):
+    # a NaN psi distance used to turn C_fit into NaN, so that nothing held
+    # out read as a violation; now the sweep says which record has it
+    import lsgame.robustness as robustness
+
+    real_report = robustness.selftest_report
+
+    def nan_report(strategy, ideal_corr):
+        report = real_report(strategy, ideal_corr)
+        report.distances["psi"] = float("nan")
+        return report
+
+    monkeypatch.setattr(robustness, "selftest_report", nan_report)
+    code, out, err = run(["sweep", "--d", "3", "--deltas", "1e-3", "--trials", "1", "--seed", "2"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[6] == "nan"  # dist_psi
+    fit = json.loads(err)
+    assert fit["fit"] is None
+    assert "record (both, delta=0.001, seed=2000000)" in fit["reason"]

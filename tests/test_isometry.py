@@ -430,3 +430,58 @@ def test_unequal_dimensions_match_dense_reference(kind):
     _, _, _, ideal = ideal_setup(3)
     lifted = with_junk(perturb_strategy(ideal, PerturbationSpec(kind, 1e-3, 4)), unit_junk(3))
     assert_matches_dense(lifted, ideal.correlation(), kind)
+
+
+def padded(strat, pad_a, pad_b):
+    """The strategy embedded with a zero-amplitude block: state [[S, 0], [0, 0]]
+    with pad_a more rows and pad_b more columns, every basis blockdiag(V, I),
+    each pad column given to answer 0."""
+
+    def embed(bases, pad):
+        out = {}
+        for q, b in bases.items():
+            n, m = b.vectors.shape
+            vectors = np.block([[b.vectors, np.zeros((n, pad))], [np.zeros((pad, m)), np.eye(pad)]])
+            to_answer_0 = np.repeat(np.eye(len(b.outcomes), 1, dtype=b.outcomes.dtype), pad, axis=1)
+            out[q] = Basis(vectors, np.hstack([b.outcomes, to_answer_0]))
+        return out
+
+    state = np.pad(strat.state, ((0, pad_a), (0, pad_b)))
+    return Strategy(strat.params, strat.test, state, embed(strat.alice, pad_a), embed(strat.bob, pad_b))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_padding_invariance(d, kind, delta):
+    # a self-test certifies the state only up to a local isometry: embedding
+    # it next to a zero-amplitude block (Alice padded by 2, Bob by 3) changes
+    # no distance, epsilon or junk norm
+    _, _, _, ideal = ideal_setup(d)
+    strat = perturb_strategy(ideal, PerturbationSpec(kind, delta, 4))  # perturbed first, then embedded
+    big = padded(strat, 2, 3)
+    n = strat.state.shape[0]
+    assert big.state.shape == (n + 2, n + 3)
+    ideal_corr = ideal.correlation()
+    before, after = selftest_report(strat, ideal_corr), selftest_report(big, ideal_corr)
+    assert set(after.distances) == set(REPORT_LABELS)
+    for label, dist in before.distances.items():
+        assert abs(after.distances[label] - dist) <= 1e-12, (label, dist, after.distances[label])
+    assert abs(after.junk_norm - before.junk_norm) <= 1e-12
+    assert abs(after.epsilon - before.epsilon) <= 1e-12
+
+
+def test_size_guard_sees_the_padding(monkeypatch):
+    # the guard counts the padded dimensions: with the cap at the unpadded
+    # footprint it accepts the strategy and refuses its padded embedding
+    import lsgame.isometry as iso
+
+    _, _, _, ideal = ideal_setup(3)
+    big = padded(ideal, 2, 3)
+    small_footprint = selftest_footprint(3, *ideal.state.shape)
+    assert small_footprint < selftest_footprint(3, *big.state.shape)
+    monkeypatch.setattr(iso, "MAX_SELFTEST_ELEMENTS", small_footprint)
+    ideal_corr = ideal.correlation()
+    assert max(selftest_report(ideal, ideal_corr).distances.values()) <= 1e-8
+    with pytest.raises(ResourceError):
+        selftest_report(big, ideal_corr)

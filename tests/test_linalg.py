@@ -153,3 +153,10 @@ def test_rotate_bases_matches_formed_unitaries(n, t):
     assert np.max(np.abs(got - want)) <= 1e-13
     for v in got:
         assert la.op_norm(la.dagger(v) @ v - la.eye(n)) <= 1e-13
+
+
+def test_worst_lets_a_nan_win():
+    # max() keeps a NaN only when it comes first, and drops it otherwise
+    assert la.worst([1.0, 3.0, 2.0]) == 3.0
+    for values in ([float("nan"), 1.0], [1.0, float("nan"), 2.0], [2.0, 1.0, float("nan")]):
+        assert np.isnan(la.worst(values)), values

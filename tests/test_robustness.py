@@ -11,6 +11,7 @@ from lsgame import (
     build_full_test,
     build_ideal_strategy,
     build_representation,
+    certify,
     correlation_distance,
     fit_bound,
     generate_correlation,
@@ -408,3 +409,59 @@ def test_sync_outside_the_support(gen):
     by_var = sync_by_variable(moved)
     assert max(by_var, key=by_var.get) == gen
     assert abs(relation_residuals(moved)["sync"] - by_var[gen]) <= 1e-15
+
+
+def poisoned(strat, party, question):
+    """strat with row 0 of one party's basis for question set to NaN."""
+    bases = dict(strat.alice if party == "A" else strat.bob)
+    vectors = bases[question].vectors.copy()
+    vectors[0, :] = np.nan
+    bases[question] = Basis(vectors, bases[question].outcomes)
+    alice, bob = (bases, strat.bob) if party == "A" else (strat.alice, bases)
+    return Strategy(strat.params, strat.test, strat.state, alice, bob)
+
+
+@pytest.mark.parametrize(
+    "party, question, key",
+    [("B", var_label("a5"), "sync"), ("A", "I1", "equation"), ("A", var_label("g2"), "comm")],
+)
+def test_residual_maxima_keep_a_nan(party, question, key):
+    # a NaN term used to vanish in max(acc, x) unless it came first: with a
+    # NaN row in Bob's x(a5), sync read 3.9e-15
+    _, _, strat, _ = ideal_setup(3)
+    res = relation_residuals(poisoned(strat, party, question))
+    assert np.isnan(res[key]), res
+
+
+def test_certify_is_run_sweeps_record():
+    # the record run_sweep appends is the one certify makes for its spec
+    _, _, strat, corr = ideal_setup(3)
+    for kind in KINDS:
+        swept = run_sweep(strat, corr, [1e-3], 1, (kind,), base_seed=2)
+        assert len(swept) == 1
+        assert certify(strat, corr, PerturbationSpec(kind, 1e-3, swept[0].seed)) == swept[0], kind
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "seed, epsilon, dist",
+    [
+        # an even-seed NaN distance made C_fit NaN, after which no held-out
+        # record, not even the one at distance 100, counted as a violation
+        pytest.param(4, 1e-3, NAN, id="fit-distance"),
+        # a NaN held-out distance was not counted as a violation
+        pytest.param(5, 1e-3, NAN, id="held-out-distance"),
+        # a NaN epsilon was dropped by epsilon > 0, and its violation with it
+        pytest.param(5, NAN, 100.0, id="epsilon"),
+    ],
+)
+def test_fit_bound_refuses_non_finite_records(seed, epsilon, dist):
+    records = [_fake_record(eps, 0.5 * eps**0.125) for eps in (1e-6, 1e-4, 1e-2)]
+    records += [dataclasses.replace(rec, seed=1) for rec in records]
+    assert fit_bound(records)["C_fit"] == pytest.approx(0.5)
+    bad = dataclasses.replace(_fake_record(epsilon, dist), kind="rotate", delta=1e-3, seed=seed)
+    violation = dataclasses.replace(_fake_record(1e-2, 100.0), seed=7)
+    with pytest.raises(DomainError, match=rf"record \(rotate, delta=0\.001, seed={seed}\)"):
+        fit_bound(records + [bad, violation])

@@ -513,3 +513,14 @@ def test_strategy_cannot_be_rebound():
     with pytest.raises(TypeError):
         strat.bob[next(iter(strat.bob))] = None
     assert not strat.with_state(strat.state.copy()).state.flags.writeable
+
+
+def test_table_deviation_keeps_a_nan():
+    # a NaN cell used to vanish in max(worst, x): the deviation read 5.6e-16
+    p, _, test, strat = ideal_setup(3)
+    _, z, _ = ext_labels(test.n_vars)
+    key = (z, var_label("a1"))
+    entries = dict(strat.correlation().entries)
+    entries[key] = entries[key].copy()
+    entries[key][0, 1] = np.nan
+    assert np.isnan(table_deviation(Correlation(p.d, p.r, entries), ideal_table_values(p, test)))
