@@ -12,6 +12,7 @@ seeds produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import math
 import os
@@ -189,7 +190,8 @@ def cmd_eval(args) -> int:
             "table_deviation": table_deviation(corr, ideal_table_values(ideal.params, ideal.test)),
         }
     else:
-        payload = evaluation_report(perturb_strategy(ideal, _spec(args)), ideal.correlation())
+        spec = _spec(args)
+        payload = {**evaluation_report(perturb_strategy(ideal, spec), ideal.correlation()), **spec.fields(ideal.params)}
     _write(args.out, dump_json(payload))
     return 0
 
@@ -199,15 +201,7 @@ def cmd_self_test(args) -> int:
         raise DomainError(f"--tolerance must be a non-negative number, got {args.tolerance}")
     _, ideal = _ideal(make_params(args.d, args.r))
     rec = certify(ideal, ideal.correlation(), _spec(args))
-    payload = {
-        "distances": rec.distances,
-        "junk_norm": rec.junk_norm,
-        "epsilon": rec.epsilon,
-        "residuals": rec.residuals,
-        "d": rec.d,
-        "delta": rec.delta,
-    }
-    _write(args.out, dump_json(payload))
+    _write(args.out, dump_json(dataclasses.asdict(rec)))
     if rec.delta == 0 and not _within(rec.distances.values(), args.tolerance):
         return 3
     return 0

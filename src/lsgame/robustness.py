@@ -10,6 +10,7 @@ import numpy as np
 from .errors import DomainError
 from .isometry import REPORT_LABELS, selftest_report
 from .linalg import Basis, rotate_bases, worst
+from .numtheory import PrimeParams
 from .strategy import COMM_GENS, Correlation, Strategy, answer_table, ext_labels
 
 KINDS = ("state", "rotate", "both")
@@ -59,6 +60,10 @@ class PerturbationSpec:
             raise DomainError(f"magnitude must lie in [0, 0.5], got {self.magnitude}")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
+
+    def fields(self, params: PrimeParams) -> dict:
+        """The SweepRecord fields that name this perturbation of the (d, r) ideal."""
+        return {"d": params.d, "r": params.r, "kind": self.kind, "delta": self.magnitude, "seed": self.seed}
 
 
 def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
@@ -182,36 +187,28 @@ class SweepRecord:
     residuals: dict[str, float]
 
 
+def _dist_column(label: str) -> str:
+    return "dist_" + label.removesuffix("_psi")
+
+
 CSV_COLUMNS = (
     ("d", "r", "kind", "delta", "seed", "epsilon")
-    + tuple("dist_" + label.removesuffix("_psi") for label in REPORT_LABELS)
+    + tuple(map(_dist_column, REPORT_LABELS))
     + ("junk_norm",)
     + tuple(f"res_{label}" for label in RESIDUAL_LABELS)
 )
 
 
 def record_row(rec: SweepRecord) -> list[str]:
-    row = [
-        str(rec.d),
-        str(rec.r),
-        rec.kind,
-        repr(rec.delta),
-        str(rec.seed),
-        repr(rec.epsilon),
-    ]
-    for label in REPORT_LABELS:
-        row.append(repr(rec.distances[label]))
-    row.append(repr(rec.junk_norm))
-    for label in RESIDUAL_LABELS:
-        row.append(repr(rec.residuals[label]))
-    return row
+    """rec's cells, read by name in CSV_COLUMNS order: text as it is, a number as its repr."""
+    cells = dict(vars(rec))
+    cells.update((_dist_column(label), v) for label, v in rec.distances.items())
+    cells.update((f"res_{label}", v) for label, v in rec.residuals.items())
+    return [cell if isinstance(cell, str) else repr(cell) for cell in map(cells.__getitem__, CSV_COLUMNS)]
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(record_row(rec)))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in [CSV_COLUMNS, *map(record_row, records)])
 
 
 def certify(ideal: Strategy, ideal_corr: Correlation, spec: PerturbationSpec) -> SweepRecord:
@@ -224,17 +221,7 @@ def certify(ideal: Strategy, ideal_corr: Correlation, spec: PerturbationSpec) ->
     """
     strategy = perturb_strategy(ideal, spec)
     report = selftest_report(strategy, ideal_corr)
-    return SweepRecord(
-        d=ideal.params.d,
-        r=ideal.params.r,
-        kind=spec.kind,
-        delta=spec.magnitude,
-        seed=spec.seed,
-        epsilon=report.epsilon,
-        distances=report.distances,
-        junk_norm=report.junk_norm,
-        residuals=relation_residuals(strategy),
-    )
+    return SweepRecord(**spec.fields(ideal.params), **vars(report), residuals=relation_residuals(strategy))
 
 
 def run_sweep(

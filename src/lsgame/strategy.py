@@ -434,9 +434,10 @@ class Correlation:
     @classmethod
     def from_json(cls, text: str) -> "Correlation":
         """Parse to_json's format; DomainError unless d, r and n_support are
-        JSON integers, every (x, y) pair appears once, n_support counts the
-        entries, and every table is a 2-D, finite distribution of JSON
-        numbers (sum and negative entries within TABLE_TOL)."""
+        JSON integers, every x and y is a JSON string, every (x, y) pair
+        appears once, n_support counts the entries, and every table is a
+        2-D, finite distribution of JSON numbers (sum and negative entries
+        within TABLE_TOL)."""
         try:
             data = json.loads(text)
             for key in ("d", "r", "n_support"):
@@ -446,6 +447,8 @@ class Correlation:
             n_support = data["n_support"]
             for item in data["entries"]:
                 key = (item["x"], item["y"])
+                if not all(type(q) is str for q in key):  # a number, null or bool would not sort with the labels
+                    raise DomainError(f"correlation entry {json.dumps(key)} has a question label that is not a string")
                 if key in corr.entries:
                     raise DomainError(f"correlation file has a duplicate entry for {key}")
                 table = np.array(item["p"], dtype=object)

@@ -317,6 +317,12 @@ def _broken(case, text):
         table[0][0] = True
     elif case == "entry-huge":  # used to escape as an OverflowError
         table[0][0] = 10**400
+    elif case == "x-number":  # used to escape as a TypeError from sorting the support
+        payload["entries"][1]["x"] = 5
+    elif case == "y-null":
+        payload["entries"][1]["y"] = None
+    elif case == "x-bool":
+        payload["entries"][1]["x"] = True
     return json.dumps(payload)
 
 
@@ -337,6 +343,9 @@ def _broken(case, text):
         ("entry-string", "not a JSON number"),
         ("entry-bool", "not a JSON number"),
         ("entry-huge", "OverflowError"),
+        ("x-number", "entry [5, \"x(b1)\"] has a question label that is not a string"),
+        ("y-null", "not a string"),
+        ("x-bool", "not a string"),
         ("deep-nesting", "RecursionError"),
     ],
 )
@@ -515,20 +524,28 @@ def test_out_not_truncated_before_writing(monkeypatch, tmp_path, capsys):
 
 
 def test_self_test_and_sweep_write_one_record(tmp_path, capsys):
-    # both commands write robustness.certify's record for the same spec:
-    # the sweep's one record has seed 0, as the self-test's has
-    from lsgame.isometry import REPORT_LABELS
-    from lsgame.robustness import RESIDUAL_LABELS
+    # both commands write robustness.certify's record: the self-test JSON is
+    # the record whole, and it names the sweep row that holds the same one
+    import dataclasses
 
-    code, out, _ = run(["self-test", "--d", "5", "--kind", "rotate", "--delta", "1e-3", "--seed", "0"], capsys)
+    from lsgame.isometry import REPORT_LABELS
+    from lsgame.robustness import RESIDUAL_LABELS, SweepRecord
+
+    def names(rec):
+        return int(rec["d"]), int(rec["r"]), rec["kind"], float(rec["delta"]), int(rec["seed"])
+
+    # the sweep's record seeds are 0 and 1 at 1e-4, 1000 and 1001 at 1e-3
+    code, out, _ = run(["self-test", "--d", "5", "--kind", "rotate", "--delta", "1e-3", "--seed", "1001"], capsys)
     assert code == 0
     single = json.loads(out)
+    assert set(single) == {field.name for field in dataclasses.fields(SweepRecord)}
     csv_path = tmp_path / "sweep.csv"
-    argv = ["sweep", "--d", "5", "--kind", "rotate", "--deltas", "1e-3", "--trials", "1", "--seed", "0"]
+    argv = ["sweep", "--d", "5", "--kind", "rotate", "--deltas", "1e-4,1e-3", "--trials", "2", "--seed", "0"]
     assert run(argv + ["--out", str(csv_path)], capsys)[0] == 0
-    header, row = (line.split(",") for line in csv_path.read_text().splitlines())
-    swept = dict(zip(header, row))
-    assert (swept["kind"], float(swept["delta"]), int(swept["seed"])) == ("rotate", 1e-3, 0)
+    header, *rows = (line.split(",") for line in csv_path.read_text().splitlines())
+    matches = [swept for swept in (dict(zip(header, row)) for row in rows) if names(swept) == names(single)]
+    assert len(matches) == 1, (names(single), len(rows))
+    swept = matches[0]
     assert float(swept["epsilon"]) == single["epsilon"]
     assert float(swept["junk_norm"]) == single["junk_norm"]
     for label in REPORT_LABELS:

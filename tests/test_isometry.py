@@ -174,9 +174,10 @@ def test_phi2_keeps_trailing_registers():
 
 
 def test_selftest_report_ideal():
-    # (5, 3) and (7, 5) use non-minimal roots, so the r^-1 in the UA/UB
-    # targets differs from the smallest root's inverse
-    for d, r in ((3, None), (5, None), (5, 3), (7, 5)):
+    # (5, 3), (7, 5) and the roots of 11 and 13 other than 2 are non-minimal,
+    # so the r^-1 in the UA/UB targets and the logs of _u_exponents differ
+    # from the smallest root's; every other delta-0 self-test uses r in {2, 3, 5}
+    for d, r in ((3, None), (5, None), (5, 3), (7, 5), (11, 6), (11, 7), (11, 8), (13, 6), (13, 7), (13, 11)):
         p, rep, test, strat = ideal_setup(d, r)
         corr = generate_correlation(strat, test)
         report = selftest_report(strat, corr)
@@ -184,7 +185,7 @@ def test_selftest_report_ideal():
         for label, dist in report.distances.items():
             assert dist <= 1e-8, (d, r, label, dist)
         assert abs(report.junk_norm - 1) <= 1e-8
-        assert report.epsilon <= 1e-12
+        assert report.epsilon == 0
 
 
 def test_selftest_report_matches_dense_reference():
