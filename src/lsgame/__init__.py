@@ -36,11 +36,7 @@ from .evaluation import (
     ls_winning_probability_from_correlation,
     sos_residuals,
 )
-from .isometry import (
-    SelfTestReport,
-    control_target,
-    selftest_report,
-)
+from .isometry import SelfTestReport, selftest_report
 from .robustness import (
     PerturbationSpec,
     SweepRecord,

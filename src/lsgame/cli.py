@@ -41,6 +41,9 @@ from .strategy import (
 
 DEMO_PRIMES = (3, 5, 7, 11, 13)
 
+#: the bound on every self-test distance at --delta 0: self-test's default, demo-family's gate
+SELFTEST_TOLERANCE = 1e-8
+
 
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
@@ -56,13 +59,15 @@ def _write(path: str | None, text: str) -> None:
 def _check_writable(path: str | None) -> None:
     """DomainError now, before any long work, when _write could not open path.
 
-    Checks that path is not a directory and that its directory exists and is
-    writable; the file itself is neither created nor truncated here.
+    Checks that path is not empty, not a directory, and that its directory
+    exists and is writable; the file itself is neither created nor truncated here.
     """
     if path is None or path == "-":
         return
     folder = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(folder):
         code = errno.ENOENT
@@ -174,14 +179,14 @@ def cmd_gen_correlation(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.infile:
+    if args.infile is not None:
         given = [f"--{name}" for name in ("delta", "kind", "seed") if getattr(args, name) is not None]
         if given:
             raise DomainError(f"--in scores the file as written and takes no {', '.join(given)}")
     params = make_params(args.d, args.r)
     test = build_full_test(params)
     # a bad file fails before the representation and strategy are built
-    corr = _read_correlation(args.infile, params, test) if args.infile else None
+    corr = _read_correlation(args.infile, params, test) if args.infile is not None else None
     _, ideal = _ideal(params, test)
     if corr is not None:
         payload = {
@@ -231,7 +236,7 @@ def cmd_demo_family(args) -> int:
         rep, ideal = _ideal(make_params(d, None))
         residual = worst((verify_representation(rep, ideal.test.system), key_unitaries(rep)))
         report = selftest_report(ideal, ideal.correlation())
-        good = residual == 0.0 and _within(report.distances.values(), 1e-8)
+        good = residual == 0.0 and _within(report.distances.values(), SELFTEST_TOLERANCE)
         ok = ok and good
         lines.append(
             {
@@ -280,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("self-test", cmd_self_test, "isometry distance report for ideal or perturbed strategy", seed=True)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--tolerance", type=float, default=1e-8, help="gate on the distances at --delta 0")
+    p.add_argument("--tolerance", type=float, default=SELFTEST_TOLERANCE, help="gate on the distances at --delta 0")
     p.add_argument("--kind", choices=KINDS, default="both")
 
     p = command("sweep", cmd_sweep, "perturbation sweep to CSV", seed=True)

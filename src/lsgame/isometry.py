@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import ResourceError
 from .evaluation import correlation_distance
 from .linalg import eye, qft
 from .numtheory import PrimeParams, discrete_log
@@ -99,21 +99,7 @@ def _stage2_factors(strategy: Strategy, party: str) -> tuple[np.ndarray, np.ndar
     return np.linalg.qr(np.concatenate(maps))
 
 
-# --- targets and the report ---------------------------------------------------
-
-
-def control_target(label: str, params: PrimeParams) -> np.ndarray:
-    """Normalized control-register state the theorem predicts for a label."""
-    if label not in LABELS:
-        raise DomainError(f"unknown report label {label!r}")
-    _, _, index_rule, c = LABELS[label]
-    d = params.d
-    r_inv = params.r_inverse()
-    a, b = (sign * pow(r_inv, k, d) for sign, k in index_rule)
-    t = np.zeros((d, d), dtype=complex)
-    for j in range(1, d):
-        t[(a * j) % d, (b * j) % d] = params.omega_d ** ((c * j) % d)
-    return t.reshape(-1) / math.sqrt(d - 1)
+# --- the report ---------------------------------------------------------------
 
 
 @dataclass
@@ -250,24 +236,26 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     distances: dict[str, float] = {}
     junk_norm = float("nan")
     x = np.empty((d - 1, da, db), dtype=complex)  # the support factors X_j of one label
-    for label, (pre, (s_a, s_b), _, _) in LABELS.items():
+    for label, (pre, (s_a, s_b), index_rule, c) in LABELS.items():
         psi = strategy.state
         if pre is not None:
             op = strategy.observable(*pre)
             psi = op @ psi if pre[0] == "A" else psi @ op.T
-        t = control_target(label, params).reshape(d, d)
-        rows, cols = np.nonzero(t)  # rows 1 .. d-1 in order (a j runs over them), one support column each
-        t_support = t[rows, cols]
-        col_of_row = np.zeros(d, dtype=int)
-        col_of_row[rows] = cols  # row 0 picks entry 0, the all-blocks factor
+        # the target t[a j, b j] = omega^(c j) / sqrt(d-1) meets control row i at
+        # j = i / a, in Bob's column b j; row 0, off it, reads column 0, the all-blocks factor
+        a, b = (sign * pow(params.r, -k, d) for sign, k in index_rule)
+        a_inv = pow(a, -1, d)
+        j_of_row = [a_inv * i % d for i in range(d)]
+        t_support = np.array([params.omega_d ** (c * j % d) for j in j_of_row[1:]]) / math.sqrt(d - 1)
         ladders_a, ladders_b, roots_t = gram_ladders["A", s_a], gram_ladders["B", s_b], left_out_t[s_b]
         # each n x n product is dropped once used, so that few are held next to x
         off_support = 0.0
-        for j, k in enumerate(col_of_row):
-            left = ladders_a[j] @ psi  # R_A L_A[j] psi
+        for i, j in enumerate(j_of_row):
+            k = b * j % d
+            left = ladders_a[i] @ psi  # R_A L_A[i] psi
             off_support += _sq(left @ roots_t[k])
-            if j:
-                np.matmul(left, ladders_b[k].T, out=x[j - 1])  # R_A B_j R_B^T
+            if i:
+                np.matmul(left, ladders_b[k].T, out=x[i - 1])  # R_A B_i R_B^T
             del left
         del psi
         x_c = np.tensordot(t_support.conj(), x, axes=1)

@@ -51,10 +51,6 @@ class PrimeParams:
     log_table: tuple[int, ...]
     omega_d: complex
 
-    def r_inverse(self) -> int:
-        """Multiplicative inverse of r mod d."""
-        return pow(self.r, self.d - 2, self.d)
-
 
 def make_params(d: int, r: int | None = None) -> PrimeParams:
     """Validate (d, r) and precompute the discrete-log table.

@@ -244,7 +244,7 @@ def key_unitaries(rep: Rep) -> float:
     """
     params = rep.params
     o = _on_w(params, lambda k: k, lambda k: 2 * k)
-    u = _on_w(params, lambda k: k * params.r_inverse())
+    u = _on_w(params, lambda k: k * pow(params.r, -1, params.d))
     oo, uu = (rep[a] @ rep[b] for a, b in KEY_FACTORS.values())
     id4 = Monomial.identity(4, o.order)
     o_r = functools.reduce(operator.matmul, [o] * params.r)

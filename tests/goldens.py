@@ -3,9 +3,12 @@ rewrites them:
 
     PYTHONPATH=src python tests/goldens.py
 
-runs every case of CASES in process and overwrites its file.  A case pins
-one stream of one command: its --out file, or what it writes to stderr.  It
-is held to its golden file in one of three ways:
+runs every case of CASES in process and writes its file, unless the golden
+there still passes as the tests compare it (assert_matches): a golden that
+the BLAS kernels would only move by an ulp is kept.  It prints which files
+it kept and which it wrote.  A case pins one stream of one command: its
+--out file, or what it writes to stderr.  It is held to its golden file in
+one of three ways:
 
 - "exact": byte for byte;
 - "parsed": as JSON, number by number within ABS_TOL + REL_TOL * |golden|,
@@ -19,7 +22,10 @@ changes is a change of the tests: say why next to it in CHANGES.md.
 """
 
 import contextlib
+import csv
 import io
+import json
+import math
 import os
 import pathlib
 import sys
@@ -44,6 +50,10 @@ CASES = {
     "self-test_d5_rotate.json": (
         "parsed", "out", ["self-test", "--d", "5", "--kind", "rotate", "--delta", "1e-3", "--seed", "3"]
     ),
+    # a root other than the smallest: the UA/UB targets and the powers of U depend on r
+    "self-test_d13_r7_rotate.json": (
+        "parsed", "out", ["self-test", "--d", "13", "--r", "7", "--kind", "rotate", "--delta", "1e-3", "--seed", "3"]
+    ),
     "sweep_d3.csv": ("csv", "out", ["sweep", "--d", "3", "--trials", "2", "--kind", "all"]),
     "sweep_d3_fit.json": ("parsed", "err", ["sweep", "--d", "3", "--trials", "2", "--kind", "all"]),
     "demo-family.json": ("parsed", "out", ["demo-family"]),
@@ -67,9 +77,62 @@ def run(argv: list[str], workdir: str) -> dict[str, bytes]:
     return {"out": pathlib.Path(out).read_bytes(), "err": err.getvalue().encode()}
 
 
+def assert_close(got, want, where="$"):
+    """got equals want as parsed JSON, numbers within ABS_TOL + REL_TOL * |want|."""
+    numbers = (int, float)
+    if isinstance(want, numbers) and not isinstance(want, bool):
+        assert isinstance(got, numbers) and not isinstance(got, bool), (where, got, want)
+        assert math.isclose(got, want, rel_tol=0, abs_tol=ABS_TOL + REL_TOL * abs(want)), (where, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), (where, got, want)
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), (where, got, want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{i}]")
+    else:
+        assert got == want and type(got) is type(want), (where, got, want)
+
+
+def csv_cell(text: str):
+    """A CSV cell as an int or a finite float when it reads as one, else as its text."""
+    for kind in (int, float):
+        try:
+            value = kind(text)
+        except ValueError:
+            continue
+        return value if math.isfinite(value) else text
+    return text
+
+
+def parse_csv(data: bytes) -> list:
+    return [[csv_cell(cell) for cell in row] for row in csv.reader(io.StringIO(data.decode()))]
+
+
+PARSE = {"parsed": json.loads, "csv": parse_csv}
+
+
+def assert_matches(how: str, got: bytes, want: bytes) -> None:
+    """got passes for the golden want, compared the case's way (see CASES)."""
+    if how == "exact":
+        assert got == want
+    else:
+        assert_close(PARSE[how](got), PARSE[how](want))
+
+
 if __name__ == "__main__":
+    if not __debug__:  # under -O every assert of the comparison is stripped, and every golden would be kept
+        sys.exit("run goldens.py without -O: it compares with assert")
     GOLDEN.mkdir(exist_ok=True)
-    for name, (_, stream, argv) in CASES.items():
+    for name, (how, stream, argv) in CASES.items():
+        golden = GOLDEN / name
         with tempfile.TemporaryDirectory() as workdir:
-            (GOLDEN / name).write_bytes(run(argv, workdir)[stream])
-        sys.stdout.write(f"wrote {GOLDEN / name}\n")
+            got = run(argv, workdir)[stream]
+        try:
+            assert_matches(how, got, golden.read_bytes())
+            verb = "kept"
+        except (OSError, ValueError, AssertionError):  # no golden, one that no longer parses, or one that moved
+            golden.write_bytes(got)
+            verb = "wrote"
+        sys.stdout.write(f"{verb} {golden}\n")

@@ -186,7 +186,8 @@ def test_eval_in_rejects_perturbation_flags(flags, word, monkeypatch, capsys):
     import lsgame.cli as cli
 
     monkeypatch.setattr(cli, "make_params", lambda *a: pytest.fail("the game was built"))
-    assert_domain_error(*run(["eval", "--d", "3", "--in", "corr.json", *flags], capsys), word)
+    for infile in ("corr.json", ""):  # an empty path used to take the --delta branch
+        assert_domain_error(*run(["eval", "--d", "3", "--in", infile, *flags], capsys), word)
 
 
 def reject_constant(name):
@@ -417,11 +418,17 @@ def test_sweep_too_large_for_distinct_seeds_exits_2(flags, monkeypatch, capsys):
     assert_domain_error(*run(["sweep", "--d", "3", "--kind", "all", *flags], capsys), "at most")
 
 
-@pytest.mark.parametrize("case, word", [("missing", "missing.json"), ("directory", "cannot read"), ("latin-1", "UTF-8")])
+@pytest.mark.parametrize(
+    "case, word",
+    [("missing", "missing.json"), ("directory", "cannot read"), ("latin-1", "UTF-8"), ("empty", "cannot read ''")],
+)
 def test_unreadable_correlation_file_exits_2(case, word, tmp_path, capsys):
-    # each of these used to end in an OSError or UnicodeDecodeError traceback
+    # each of these used to end in an OSError or UnicodeDecodeError traceback,
+    # and an empty path in a report on the ideal strategy
     path = tmp_path / "missing.json"
-    if case == "directory":
+    if case == "empty":
+        path = ""
+    elif case == "directory":
         path = tmp_path
     elif case == "latin-1":
         path = tmp_path / "latin1.json"
@@ -504,7 +511,7 @@ def test_out_checked_before_long_work(command, monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(cli, "run_sweep", no_work)
     monkeypatch.setattr(cli, "build_representation", no_work)
-    for out in (tmp_path / "no-such-dir" / "x.csv", tmp_path):
+    for out in (tmp_path / "no-such-dir" / "x.csv", tmp_path, ""):  # "" used to fail only in _write
         assert_domain_error(*run([*command, "--out", str(out)], capsys), "cannot write")
     assert list(tmp_path.iterdir()) == []
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lsgame import (
-    DomainError,
     ResourceError,
     Strategy,
     build_full_test,
@@ -16,7 +15,7 @@ from lsgame import (
     relation_residuals,
     selftest_report,
 )
-from lsgame.isometry import LABELS, REPORT_LABELS, control_target, selftest_footprint
+from lsgame.isometry import LABELS, REPORT_LABELS, selftest_footprint
 from lsgame.linalg import Basis, eye, qft
 from lsgame.numtheory import discrete_log
 from lsgame.robustness import KINDS, PerturbationSpec, perturb_strategy
@@ -84,6 +83,18 @@ def ideal_setup(d, r=None):
 
 def phi1(strat, signs=(-1, 1)):
     return phi1_dense(strat.state, strat.observable, strat.params, signs)
+
+
+def control_target(label, params):
+    """The label's normalized control-register target, dense: t[a j, b j] =
+    omega^(c j) / sqrt(d-1) for j = 1 .. d-1, with a, b and c read off LABELS."""
+    _, _, index_rule, c = LABELS[label]
+    d = params.d
+    a, b = (sign * pow(params.r, -k, d) for sign, k in index_rule)
+    t = np.zeros((d, d), dtype=complex)
+    for j in range(1, d):
+        t[(a * j) % d, (b * j) % d] = params.omega_d ** ((c * j) % d)
+    return t.reshape(-1) / np.sqrt(d - 1)
 
 
 def dense_report(strat):
@@ -313,12 +324,6 @@ def test_variant_outputs_share_ancilla_marginal():
         v = phi2_dense(phi1(strat, signs), strat.observable).reshape(strat.state.size, 16, 9)
         rho = np.einsum("iaj,ibj->ab", v, v.conj())
         assert np.linalg.norm(rho - want) <= 1e-8
-
-
-def test_control_target_rejects_unknown_label():
-    p = make_params(3)
-    with pytest.raises(DomainError):
-        control_target("bogus", p)
 
 
 def test_strategy_o_and_u_are_unitary():
