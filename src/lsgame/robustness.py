@@ -46,8 +46,8 @@ class PerturbationSpec:
     V -> exp(i magnitude h) V for one seeded Hermitian generator h of unit
     operator norm per party per question, applied as a Taylor polynomial
     (linalg.rotate_bases); "both": rotations first, then state noise.
-    magnitude 0 leaves the strategy as it is: perturb_strategy returns its
-    input.  seed must be non-negative."""
+    magnitude 0, stored as 0.0 when given as -0.0, leaves the strategy as
+    it is: perturb_strategy returns its input.  seed must be non-negative."""
 
     kind: str
     magnitude: float
@@ -58,6 +58,7 @@ class PerturbationSpec:
             raise DomainError(f"unknown perturbation kind {self.kind!r}")
         if not (0.0 <= self.magnitude <= 0.5):
             raise DomainError(f"magnitude must lie in [0, 0.5], got {self.magnitude}")
+        object.__setattr__(self, "magnitude", abs(self.magnitude))
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
 
@@ -109,7 +110,7 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     comm       max over s in {f0,f2,g0,g2} of the three commutator probes
                against the basis-question projectors and observable
 
-    M(s) and N(s) are the observables of Strategy.signed_question.  Built
+    M(s) and N(s) are the observables of FullTest.readout.  Built
     from orthonormal bases they square to 1, so for a unit psi
     ||M N psi - psi||^2 = 2 - 2 <M N> = 4 P(a != b) on the pair of their
     questions: sync reads 2 sqrt(P(a != b)) off the strategy's correlation,
@@ -127,7 +128,7 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     tables = strategy.correlation().entries
     sync = []
     for g in system.variables:
-        (qa, signs_a), (qb, signs_b) = strategy.signed_question("A", g), strategy.signed_question("B", g)
+        (qa, signs_a), (qb, signs_b) = test.readout["A", g], test.readout["B", g]
         table = tables.get((qa, qb))
         if table is None:  # (x(s), x(s)) for s in COMM_GENS
             alice = strategy.basis("A", qa)
@@ -138,7 +139,7 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     for i in range(system.n_rows):
         prod = s
         for g in reversed(system.row_names(i)):
-            qa, signs = strategy.signed_question("A", g)
+            qa, signs = test.readout["A", g]
             prod = strategy.basis("A", qa).reflect(signs, prod)
         equation.append(norm(prod - (-1) ** system.rhs[i] * s))
 

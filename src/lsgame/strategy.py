@@ -24,6 +24,7 @@ by the self-test, the residual probes and the embedded CHSH value.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,8 +49,6 @@ TABLE_TOL = 1e-9
 _TRIPLES = tuple(
     (a0, a1, a2) for a0 in (0, 1) for a1 in (0, 1) for a2 in (0, 1)
 )
-#: an equation observable's eigenvalue on each answer, per position of its variable
-_TRIPLE_SIGNS = tuple(tuple((-1.0) ** outcome[pos] for outcome in _TRIPLES) for pos in range(3))
 _COMM_ANSWERS = tuple((b1, b2) for b1 in (0, 1, 2) for b2 in (0, 1))
 
 
@@ -76,7 +75,9 @@ class FullTest:
     """The linear system, answer orders and the uniform support of the test.
 
     The key order of each party's answer table is that party's question
-    order.
+    order.  readout[party, name], for party "A" or "B" and a question label
+    or variable, is the question whose basis carries that party's observable
+    for name and the observable's eigenvalue on each of its answers.
     """
 
     system: LinearSystem
@@ -84,6 +85,7 @@ class FullTest:
     bob_answers: dict[str, tuple]
     support: tuple[tuple[str, str], ...]
     quoted_support: int
+    readout: dict[tuple[str, str], tuple[str, tuple[float, ...]]]
 
     @property
     def n_vars(self) -> int:
@@ -112,12 +114,26 @@ def build_full_test(params: PrimeParams) -> FullTest:
             y = comm_label(basis, g)
             support += [(basis, y), (var_label(g), y)]
 
+    # own questions, and the variables asked, read +1, -1, then 0 on further answers;
+    # Alice reads a variable she is not asked off its bit in its first equation
+    readout = {}
+    for party, answers in (("A", alice_answers), ("B", bob_answers)):
+        own = {q: (q, (1.0, -1.0) + (0.0,) * (len(outcomes) - 2)) for q, outcomes in answers.items()}
+        readout.update(((party, q), entry) for q, entry in own.items())
+        readout.update(((party, g), own[var_label(g)]) for g in system.variables if var_label(g) in own)
+    readout.update(
+        (("A", g), (eq_label(row), tuple((-1.0) ** outcome[pos] for outcome in _TRIPLES)))
+        for g, (row, pos) in system.first_position.items()
+        if var_label(g) not in alice_answers
+    )
+
     return FullTest(
         system=system,
         alice_answers=alice_answers,
         bob_answers=bob_answers,
         support=tuple(support),
         quoted_support=QUOTED_PAIR_COUNT(params.r) + 25 + 16,
+        readout=readout,
     )
 
 
@@ -186,39 +202,21 @@ class Strategy:
             raise StructuralError(f"{party} has no measurement for {question!r}")
         return bases[question]
 
-    def signed_question(self, party: str, name: str) -> tuple[str, tuple[float, ...]]:
-        """The question whose basis carries party's observable for a variable
-        or question label, and the observable's eigenvalue on each answer.
-
-        It is the party's own question for name when there is one (+1 on
-        answer 0, -1 on answer 1, 0 on any other); Alice, where she has none
-        for a variable, reads the bit of the first equation containing it.
-        """
-        bases = self.alice if party == "A" else self.bob
-        question = name if name in bases else var_label(name)
-        if question in bases:
-            return question, (1.0, -1.0) + (0.0,) * (len(bases[question].outcomes) - 2)
-        first = self.test.system.first_position.get(name)
-        if party == "A" and first is not None:
-            row, pos = first
-            return eq_label(row), _TRIPLE_SIGNS[pos]
-        raise StructuralError(f"{party} has no measurement for {name!r}")
-
     def observable(self, party: str, name: str) -> np.ndarray:
         """Party "A" or "B"'s binary observable for name, derived once, read-only.
 
         For a variable or a question label it is sum_a w_a P_a over the
-        basis and eigenvalues of signed_question.  For "O" or "U" it is the
-        product of its KEY_FACTORS' observables.
+        question and eigenvalues of test.readout.  For "O" or "U" it is the
+        product of its KEY_FACTORS' observables, formed from their readouts
+        and not memoized themselves.
         """
         return self.derived(("observable", party, name), lambda: self._derive_observable(party, name))
 
     def _derive_observable(self, party: str, name: str) -> np.ndarray:
-        if name in KEY_FACTORS:
-            first, second = KEY_FACTORS[name]
-            return self.observable(party, first) @ self.observable(party, second)
-        question, signs = self.signed_question(party, name)
-        return self.basis(party, question).operator(signs)
+        readouts = [self.test.readout.get((party, factor)) for factor in KEY_FACTORS.get(name, (name,))]
+        if None in readouts:
+            raise StructuralError(f"{party} has no measurement for {name!r}")
+        return functools.reduce(np.matmul, [self.basis(party, q).operator(signs) for q, signs in readouts])
 
 
 # --- extension-block geometry on W_{d-1} ------------------------------------

@@ -230,6 +230,12 @@ def test_bad_delta_exits_2(delta, capsys):
     assert json.loads(err)["error"]["type"] == "DomainError"
 
 
+def test_negative_zero_delta_is_zero(capsys):
+    # -0.0 passes the range check; stored as 0.0, a zero magnitude has one artifact
+    assert run(["self-test", "--d", "3", "--delta=-0.0"], capsys) == run(["self-test", "--d", "3"], capsys)
+    assert '"delta": 0.0,' in run(["eval", "--d", "3", "--delta=-0.0"], capsys)[1]
+
+
 @pytest.mark.parametrize("value", ["nan", "-1e-8"])
 def test_bad_tolerance_exits_2(value, capsys):
     # a NaN or negative tolerance is bad input, not a verification failure

@@ -15,6 +15,7 @@ from lsgame import (
     correlation_distance,
     fit_bound,
     generate_correlation,
+    ls_winning_probability_from_correlation,
     make_params,
     perturb_strategy,
     records_to_csv,
@@ -320,7 +321,8 @@ def test_fit_bound_needs_spread():
 def test_each_observable_derived_once(monkeypatch):
     # selftest_report and relation_residuals read one table per set of bases,
     # so no (party, name) entry, Alice's equation marginals included, is
-    # derived twice, and a state record derives nothing the ideal holds
+    # derived twice, U is formed from its factors' readouts with no a3 or a4
+    # entry, and a state record derives nothing the ideal holds
     p, test, strat, corr = ideal_setup(3)
     ideal_a3 = strat.observable("A", "a3")  # a marginal: Alice has no x(a3)
     pert = perturb_strategy(strat, PerturbationSpec("rotate", 1e-3, 2))
@@ -337,7 +339,8 @@ def test_each_observable_derived_once(monkeypatch):
     monkeypatch.setattr(Strategy, "derived", spy)
     selftest_report(pert, corr)
     relation_residuals(pert)
-    assert ("observable", "A", "a3") in derived and ("stage-two QR", "B") in derived
+    assert ("observable", "A", "U") in derived and ("stage-two QR", "B") in derived
+    assert not [key for key in derived if key[0] == "observable" and key[2] in ("a3", "a4")]
     assert ("left-out roots", 1) in derived
     assert len(derived) == len(set(derived)), sorted(k for k in set(derived) if derived.count(k) > 1)
     # the rotated copy has its own table, not the ideal's entries
@@ -465,3 +468,25 @@ def test_fit_bound_refuses_non_finite_records(seed, epsilon, dist):
     violation = dataclasses.replace(_fake_record(1e-2, 100.0), seed=7)
     with pytest.raises(DomainError, match=rf"record \(rotate, delta=0\.001, seed={seed}\)"):
         fit_bound(records + [bad, violation])
+
+
+def _ideal_family_member(d):
+    p = make_params(d)
+    return build_ideal_strategy(p, build_representation(p), build_full_test(p))
+
+
+@pytest.mark.parametrize("d, d_other", [(13, 11), (11, 13), (5, 3), (29, 19), (31, 17)])
+def test_other_ideal_of_the_family_is_far(d, d_other):
+    # the (d', r) ideal is a valid strategy for the (d, r) test, since the
+    # test depends on r alone: it wins the LS block outright, yet it is far
+    # from the (d, r) ideal, so both epsilon and every distance must stay
+    # large; measured, epsilon runs from 9.4e-3 to 0.142, the smallest
+    # distance is 0.877 and dist_psi / epsilon^(1/8) runs from 1.12 to 1.68
+    ideal, other = _ideal_family_member(d), _ideal_family_member(d_other)
+    assert ideal.params.r == other.params.r and ideal.test == other.test
+    control = Strategy(params=ideal.params, test=ideal.test, state=other.state, alice=other.alice, bob=other.bob)
+    assert abs(ls_winning_probability_from_correlation(control.correlation(), ideal.test) - 1) <= 1e-12
+    report = selftest_report(control, ideal.correlation())
+    assert report.epsilon >= 5e-3
+    assert min(report.distances.values()) >= 0.5, report.distances
+    assert report.distances["psi"] / report.epsilon**0.125 >= 0.9

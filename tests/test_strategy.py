@@ -15,6 +15,7 @@ from lsgame import (
     Correlation,
     PreconditionError,
     PerturbationSpec,
+    StructuralError,
     build_full_test,
     build_ideal_strategy,
     build_representation,
@@ -27,7 +28,7 @@ from lsgame import (
 from lsgame.linalg import Basis
 from lsgame.lsg import LinearSystem
 from lsgame.representation import Monomial, Rep
-from lsgame.strategy import COMM_GENS, comm_label, eq_label, equation_bases, ext_bases, ext_labels, v1_states, var_label
+from lsgame.strategy import _TRIPLES, COMM_GENS, comm_label, eq_label, equation_bases, ext_bases, ext_labels, v1_states, var_label
 
 
 def ideal_setup(d, r=None):
@@ -100,6 +101,38 @@ def test_question_order():
         + ["ext:0", f"ext:{n + 1}", f"ext:{n + 2}"]
         + [f"comm:{k},{g}" for k in (n + 1, n + 2) for g in comm]
     )
+
+
+@pytest.mark.parametrize("d", [3, 7])  # r = 2 and r = 3
+def test_readout_table(d):
+    # FullTest.readout has an entry for each party's every question and
+    # every variable: an own question reads +1, -1, then 0 on further
+    # answers, a variable read through its question reads the same, and a
+    # variable Alice is not asked reads its bit in its first equation
+    test = build_full_test(make_params(d))
+    system = test.system
+    want = {(party, name) for party, answers in (("A", test.alice_answers), ("B", test.bob_answers))
+            for name in [*answers, *system.variables]}
+    assert set(test.readout) == want
+    for party, answers in (("A", test.alice_answers), ("B", test.bob_answers)):
+        for q, outcomes in answers.items():
+            assert test.readout[party, q] == (q, (1, -1) + (0,) * (len(outcomes) - 2)), (party, q)
+        for g in system.variables:
+            if var_label(g) in answers:
+                assert test.readout[party, g] == test.readout[party, var_label(g)], (party, g)
+    unasked = [g for g in system.variables if var_label(g) not in test.alice_answers]
+    assert len(unasked) == system.n_vars - 6
+    for g in unasked:
+        row, pos = system.first_position[g]
+        assert test.readout["A", g] == (eq_label(row), tuple((-1) ** t[pos] for t in _TRIPLES)), g
+
+
+@pytest.mark.parametrize("party, name", [("A", "zzz"), ("B", "I1"), ("A", "comm:0,f0"), ("B", "O2")])
+def test_observable_of_unknown_name(party, name):
+    strat = ideal_setup(3)[3]
+    with pytest.raises(StructuralError) as exc:
+        strat.observable(party, name)
+    assert str(exc.value) == f"{party} has no measurement for {name!r}"
 
 
 def test_measurement_families_complete():
