@@ -3,9 +3,9 @@
 P0 has r+5 order-2 generators a1..a{r+5} and the r+3 conjugacy relations
 a_i a_j a_i = a_k indexed by :func:`build_conjugacy_triples`.  Products
 a1*a2 and a3*a4 behave like a unitary pair (O, U) obeying U O U^-1 = O^r.
-Slofstra's embedding takes P0 through P1, whose commuting helpers h force
-each conjugacy relation, to the solution group Gamma; Gamma's 3-term
-equations are the linear system built in :mod:`lsgame.lsg`.
+Slofstra's embedding takes P0 through P1, whose helpers h make b_j commute
+with c_k, to the solution group Gamma, whose equations (:mod:`lsgame.lsg`)
+force each x y x = z of P1 by one gadget (:func:`conjugacy_gadgets`).
 
 Generator names are plain strings ("a3", "p2_4", "h1_5", "q4_1_5_2", "f0").
 """
@@ -63,3 +63,13 @@ def h_name(triple: tuple[int, int, int]) -> str:
 def q_name(triple: tuple[int, int, int], m: int) -> str:
     i, j, k = triple
     return f"q{i}_{j}_{k}_{m}"
+
+
+def conjugacy_gadgets(r: int) -> tuple[tuple[str, str, str, tuple[str, ...]], ...]:
+    """Gamma's conjugacy relations x y x = z as (x, y, z, helpers h1..h6): f0 b_i f0 = c_i
+    for i = 1..r+5, whose h1 is f1, then d_i b_j d_i = c_k for each conjugacy triple."""
+    gadgets = [("f0", f"b{i}", f"c{i}", ("f1", *(f"p{i}_{m}" for m in range(1, 6)))) for i in range(1, r + 6)]
+    for t in build_conjugacy_triples(r):
+        i, j, k = t
+        gadgets.append((f"d{i}", f"b{j}", f"c{k}", tuple(q_name(t, m) for m in range(1, 7))))
+    return tuple(gadgets)

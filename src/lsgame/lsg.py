@@ -2,9 +2,9 @@
 
 Gamma has only order-2 generators, 3-term relations and a central sign J.
 Each generator is one variable and each relation one parity equation; the
-single sign relation f1 g1 m2 = J is the only inhomogeneous row.  The game
-asks Alice for an assignment of one equation's three variables and Bob for
-the value of one variable of that equation.
+single sign relation f1 g1 m2 = J is the only inhomogeneous row, and GADGET's
+rows force each conjugacy x y x = z.  The game asks Alice for an assignment
+of one equation's three variables and Bob for the value of one of them.
 """
 
 from __future__ import annotations
@@ -12,11 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .groups import build_conjugacy_triples, h_name, q_name
+from .groups import build_conjugacy_triples, conjugacy_gadgets, h_name
 
 #: quoted closed form for the number of valid question pairs; kept for
 #: reporting because it disagrees with the enumerated count 3*(14r+62)
 QUOTED_PAIR_COUNT = lambda r: 157 * r + 685  # noqa: E731
+
+#: the six rows, in product order, that force x y x = z over the helpers h1..h6
+#: and the shared f2; at x = f0, h1 is f1 and the first row is the sign block's
+GADGET = (
+    ("x", "h1", "f2"),
+    ("y", "f2", "h2"),
+    ("h2", "h3", "h4"),
+    ("x", "h4", "h5"),
+    ("z", "h5", "h6"),
+    ("h1", "h3", "h6"),
+)
 
 
 @dataclass(frozen=True)
@@ -60,47 +71,30 @@ class LinearSystem:
         return out
 
 
+def _gadget_rows(x: str, y: str, z: str, helpers: tuple[str, ...]) -> list[tuple[str, ...]]:
+    role = dict(x=x, y=y, z=z, f2="f2", **{f"h{m}": h for m, h in enumerate(helpers, 1)})
+    return [tuple(map(role.__getitem__, row)) for row in GADGET]
+
+
 def build_linear_system(r: int) -> LinearSystem:
     """Gamma's 16r+75 generators and 14r+62 equations, the sign row last."""
     n0 = r + 5
     triples = build_conjugacy_triples(r)
+    gadgets = conjugacy_gadgets(r)
     variables: list[str] = []
     for letter in "abcd":
         variables += [f"{letter}{i}" for i in range(1, n0 + 1)]
-    for i in range(1, n0 + 1):
-        variables += [f"p{i}_{m}" for m in range(1, 6)]
+    variables += [h for *_, helpers in gadgets[:n0] for h in helpers[1:]]  # h1 is f1
     variables += [f"{letter}{i}" for letter in "fgm" for i in range(3)]
     variables += [h_name(t) for t in triples]
-    for t in triples:
-        variables += [q_name(t, m) for m in range(1, 7)]
+    variables += [h for *_, helpers in gadgets[n0:] for h in helpers]
 
     equations: list[tuple[str, str, str]] = []
-    for i in range(1, n0 + 1):
-        a, b, c, d = f"a{i}", f"b{i}", f"c{i}", f"d{i}"
-        p = [f"p{i}_{m}" for m in range(1, 6)]
-        # Canonical per-generator block; the shared relation f0 f1 f2 = e is
-        # stored once, with the sign block below.
-        equations += [
-            (a, b, c),
-            (a, "f0", d),
-            (b, "f2", p[0]),
-            (p[0], p[1], p[2]),
-            ("f0", p[2], p[3]),
-            (c, p[3], p[4]),
-            ("f1", p[1], p[4]),
-        ]
-    for t in triples:
-        i, j, k = t
-        q = [q_name(t, m) for m in range(1, 7)]
-        equations += [
-            (h_name(t), f"b{j}", f"c{k}"),
-            (f"d{i}", q[0], "f2"),
-            (f"b{j}", "f2", q[1]),
-            (q[1], q[2], q[3]),
-            (f"d{i}", q[3], q[4]),
-            (f"c{k}", q[4], q[5]),
-            (q[0], q[2], q[5]),
-        ]
+    for i, gadget in enumerate(gadgets[:n0], 1):
+        # the gadget's first row, f0 f1 f2 = e, is stored once, with the sign block below
+        equations += [(f"a{i}", f"b{i}", f"c{i}"), (f"a{i}", "f0", f"d{i}"), *_gadget_rows(*gadget)[1:]]
+    for t, (x, y, z, helpers) in zip(triples, gadgets[n0:]):
+        equations += [(h_name(t), y, z), *_gadget_rows(x, y, z, helpers)]
     equations += [
         ("f0", "f1", "f2"),
         ("g0", "g1", "g2"),

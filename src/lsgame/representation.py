@@ -4,8 +4,8 @@ The carrier space is W2 (x) W2 (x) W_{d-1}, dimension 4(d-1).  Every image
 is monomial, one entry per row and column, each a 2d-th root of unity, so
 each is held exactly as a :class:`Monomial`: a permutation and an integer
 phase array.  The images of a1..a4 on W_{d-1} are written in closed form;
-every other a-generator is a conjugate of earlier ones, and the helper
-generators are assembled from fixed block forms, all in integer arithmetic.
+every other a-generator is a conjugate of earlier ones, and each gadget's
+helpers are block forms in its x, y and z, all in integer arithmetic.
 Nothing here is trusted: :func:`verify_representation` rechecks every
 relation by integer equality.
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .groups import build_conjugacy_triples, h_name, q_name
+from .groups import build_conjugacy_triples, conjugacy_gadgets, h_name
 from .linalg import op_norm
 from .lsg import LinearSystem
 from .numtheory import PrimeParams
@@ -150,13 +150,21 @@ def _block_off(top: Monomial, bottom: Monomial) -> Monomial:
     return Monomial((m.perm + len(top.perm)) % len(m.perm), m.phase, m.order)
 
 
+def _gadget_images(x: Monomial, y: Monomial, z: Monomial, x2: Monomial) -> tuple[Monomial, ...]:
+    """Images of the helpers h1..h6 of the gadget x y x = z (lsg.GADGET), from
+    the level-1 images of x, y and z; x2 is the Pauli X on W2."""
+    one = Monomial.identity(len(x.perm), x.order)
+    return (x2.kron(x), x2.kron(y), _block_off(y @ x, x @ y),
+            _block_diag(y @ x @ y, x), _block_diag(y @ z, one), _block_diag(y, z))
+
+
 def build_representation(params: PrimeParams) -> Rep:
     """Assemble the full generator table on W2 (x) W2 (x) W_{d-1}."""
     d, r = params.d, params.r
     w = d - 1
     n0 = r + 5
     psi0 = _derive_chain(params)
-    id2, id_w, id_2w = (Monomial.identity(n, 2 * d) for n in (2, w, 2 * w))
+    id2, id_w = (Monomial.identity(n, 2 * d) for n in (2, w))
     x2 = Monomial(np.array([1, 0]), np.zeros(2, dtype=int), 2 * d)
     z2 = Monomial(np.arange(2), np.array([0, d]), 2 * d)
 
@@ -168,8 +176,7 @@ def build_representation(params: PrimeParams) -> Rep:
         psi1[f"b{i}"] = _block_diag(ai, id_w)
         psi1[f"c{i}"] = _block_diag(id_w, ai)
         psi1[f"d{i}"] = x2.kron(ai)
-    triples = build_conjugacy_triples(r)
-    for t in triples:
+    for t in build_conjugacy_triples(r):
         _, j, k = t
         psi1[h_name(t)] = _block_diag(psi0[j], psi0[k])
 
@@ -187,23 +194,9 @@ def build_representation(params: PrimeParams) -> Rep:
         "m2": Monomial(np.arange(3, -1, -1), np.array([d, 0, 0, d]), 2 * d),  # Y (x) Y, Y = [[0, i], [-i, 0]]
     }
     table.update((name, m.kron(id_w)) for name, m in pauli.items())
-    f0_1 = psi1["f0"]
-    for i in range(1, n0 + 1):
-        b, c = psi1[f"b{i}"], psi1[f"c{i}"]
-        table[f"p{i}_1"] = x2.kron(b)
-        table[f"p{i}_2"] = _block_off(b @ f0_1, f0_1 @ b)
-        table[f"p{i}_3"] = _block_diag(b @ f0_1 @ b, f0_1)
-        table[f"p{i}_4"] = _block_diag(b @ c, id_2w)
-        table[f"p{i}_5"] = _block_diag(b, c)
-    for t in triples:
-        i, j, k = t
-        bj, di, ck = psi1[f"b{j}"], psi1[f"d{i}"], psi1[f"c{k}"]
-        table[q_name(t, 1)] = x2.kron(di)
-        table[q_name(t, 2)] = x2.kron(bj)
-        table[q_name(t, 3)] = _block_off(bj @ di, di @ bj)
-        table[q_name(t, 4)] = _block_diag(bj @ di @ bj, di)
-        table[q_name(t, 5)] = _block_diag(bj @ ck, id_2w)
-        table[q_name(t, 6)] = _block_diag(bj, ck)
+    for x, y, z, helpers in conjugacy_gadgets(r):
+        for name, image in zip(helpers, _gadget_images(psi1[x], psi1[y], psi1[z], x2)):
+            table.setdefault(name, image)  # h1 at x = f0 is f1, whose Pauli image is already there
     table["J"] = -Monomial.identity(4 * w, 2 * d)
 
     return Rep(params=params, dim=4 * w, table=table)

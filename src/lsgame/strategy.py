@@ -197,6 +197,8 @@ class Strategy:
 
     def basis(self, party: str, question: str) -> Basis:
         """Party "A" or "B"'s measurement basis for a question."""
+        if party not in ("A", "B"):
+            raise StructuralError(f"no party {party!r}: the parties are 'A' and 'B'")
         bases = self.alice if party == "A" else self.bob
         if question not in bases:
             raise StructuralError(f"{party} has no measurement for {question!r}")

@@ -41,6 +41,8 @@ REL_TOL = 1e-9
 CASES = {
     "gen-game_d5.json": ("exact", "out", ["gen-game", "--d", "5"]),
     "gen-game_d5.txt": ("exact", "out", ["gen-game", "--d", "5", "--format", "text"]),
+    # an odd r: the o-chain walks its odd branch, and every conjugacy gadget of that walk is pinned
+    "gen-game_d11_r7.txt": ("exact", "out", ["gen-game", "--d", "11", "--r", "7", "--format", "text"]),
     "verify-rep_d5.json": ("exact", "out", ["verify-rep", "--d", "5"]),
     "verify-rep_d13_r7.json": ("exact", "out", ["verify-rep", "--d", "13", "--r", "7"]),
     "eval-in_d5.json": ("parsed", "out", ["eval", "--d", "5", "--in"]),

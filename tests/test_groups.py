@@ -1,6 +1,8 @@
 import pytest
 
 from lsgame import DomainError, build_conjugacy_triples, build_linear_system
+from lsgame.groups import conjugacy_gadgets
+from lsgame.lsg import GADGET
 
 
 def test_triple_counts():
@@ -90,3 +92,25 @@ def test_sign_relation_stored_once():
 def test_generators_unique():
     system = build_linear_system(5)
     assert len(set(system.variables)) == system.n_vars
+
+
+@pytest.mark.parametrize("r", [2, 3, 7])
+def test_gadget_rows_are_system_rows(r):
+    # each instance x y x = z contributes GADGET's rows, in product order: the
+    # last five as one run of the system and the first one either with them
+    # or, for x = f0, as the sign block's f0 f1 f2
+    system = build_linear_system(r)
+    rows = [system.row_names(i) for i in range(system.n_rows)]
+    gadgets = conjugacy_gadgets(r)
+    assert len(gadgets) == (r + 5) + (r + 3)
+    helpers = [h for *_, hs in gadgets for h in hs if h != "f1"]
+    assert len(set(helpers)) == len(helpers) and set(helpers) <= set(system.variables)
+    for x, y, z, hs in gadgets:
+        role = {"x": x, "y": y, "z": z, "f2": "f2", **{f"h{m}": h for m, h in enumerate(hs, 1)}}
+        want = [tuple(role[s] for s in row) for row in GADGET]
+        start = rows.index(want[1])
+        assert rows[start:start + 5] == want[1:], (x, y, z)
+        if x == "f0":
+            assert hs[0] == "f1" and want[0] == ("f0", "f1", "f2") == rows[-6], (x, y, z)
+        else:
+            assert rows[start - 1] == want[0], (x, y, z)

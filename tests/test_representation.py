@@ -16,7 +16,7 @@ from lsgame import (
     op_norm,
     verify_representation,
 )
-from lsgame.groups import h_name
+from lsgame.groups import conjugacy_gadgets, h_name
 from lsgame.linalg import dagger, eye
 from lsgame.representation import KEY_FACTORS, Monomial
 
@@ -51,13 +51,21 @@ def test_small_case_verifies():
     assert verify_representation(rep, build_linear_system(2)) == 0.0
 
 
-def test_all_levels_verify():
-    p = make_params(7, 3)
+@pytest.mark.parametrize("d, r", [(5, 2), (7, 3), (11, 7)])
+def test_all_levels_verify(d, r):
+    p = make_params(d, r)
     rep = build_representation(p)
-    assert verify_representation(rep, build_linear_system(3)) == 0.0
-    for word, rhs in p0_relations(3) + p1_relations(3):
+    assert verify_representation(rep, build_linear_system(r)) == 0.0
+    for word, rhs in p0_relations(r) + p1_relations(r):
         target = identity(rep) if rhs is None else rep[rhs]
         assert functools.reduce(operator.matmul, map(rep.__getitem__, word)) == target, word
+
+
+@pytest.mark.parametrize("d, r", [(5, 2), (7, 3), (11, 7)])
+def test_gadget_conjugacy_holds(d, r):
+    rep = build_representation(make_params(d, r))
+    for x, y, z, _ in conjugacy_gadgets(r):
+        assert rep[x] @ rep[y] @ rep[x] == rep[z], (x, y, z)
 
 
 def test_empty_presentation_gives_zero():

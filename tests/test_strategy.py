@@ -135,6 +135,17 @@ def test_observable_of_unknown_name(party, name):
     assert str(exc.value) == f"{party} has no measurement for {name!r}"
 
 
+@pytest.mark.parametrize("party", ["Alice", "a", "Bob", ""])
+def test_basis_of_unknown_party(party):
+    # Bob has a basis for every comm question and Alice has none: a party that
+    # is not "A" must not fall through to Bob's bases
+    strat = ideal_setup(3)[3]
+    question = next(q for q in strat.bob if q.startswith("comm:"))
+    with pytest.raises(StructuralError) as exc:
+        strat.basis(party, question)
+    assert str(exc.value) == f"no party {party!r}: the parties are 'A' and 'B'"
+
+
 def test_measurement_families_complete():
     _, _, test, strat = ideal_setup(3)
     for party, answers in (("A", test.alice_answers), ("B", test.bob_answers)):
