@@ -1,12 +1,12 @@
 """Command-line front door.
 
 Subcommands: gen-game, verify-rep, gen-correlation, eval, self-test, sweep,
-demo-family.  Exit codes: 0 success, 2 bad input, an unreadable input file,
-an unwritable output file (checked before any work) or a size cap exceeded
-(DomainError, PreconditionError, ResourceError), 3 verification failure;
-any other library error exits 1.  Errors go to stderr as JSON.  JSON output
-is strict: a NaN or infinite value is written as null.  Identical flags and
-seeds produce byte-identical artifacts.
+demo-family.  Exit codes: 0 success, 2 bad input or usage, an unreadable
+input file, an unwritable output file (checked before any work) or a size
+cap exceeded (DomainError, PreconditionError, ResourceError), 3 verification
+failure; any other library error exits 1.  Errors go to stderr as JSON.
+JSON output is strict: a NaN or infinite value is written as null.
+Identical flags and seeds produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -253,8 +253,15 @@ def cmd_demo_family(args) -> int:
     return 0 if ok else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DomainError, which main writes as JSON (exit 2)."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lsgame")
+    parser = _Parser(prog="lsgame")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help_text, need_d=True, seed=False):
@@ -298,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_writable(args.out)
         return args.func(args)
     except LsgameError as exc:

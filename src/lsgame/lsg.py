@@ -30,6 +30,10 @@ GADGET = (
 )
 
 
+def eq_label(i: int) -> str:
+    return f"I{i + 1}"
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """m x n system over Z2; every row has exactly three ones.

@@ -6,8 +6,8 @@ each is held exactly as a :class:`Monomial`: a permutation and an integer
 phase array.  The images of a1..a4 on W_{d-1} are written in closed form;
 every other a-generator is a conjugate of earlier ones, and each gadget's
 helpers are block forms in its x, y and z, all in integer arithmetic.
-Nothing here is trusted: :func:`verify_representation` rechecks every
-relation by integer equality.
+Nothing here is trusted: :func:`broken_relations` rechecks every relation
+by integer equality, for the verifier and the ideal build alike.
 
 Basis conventions: W_k uses basis x_1..x_k stored at indices 0..k-1; on
 W_{d-1} the subscript of x_k is read mod d.
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import StructuralError
 from .groups import build_conjugacy_triples, conjugacy_gadgets, h_name
 from .linalg import op_norm
-from .lsg import LinearSystem
+from .lsg import LinearSystem, eq_label
 from .numtheory import PrimeParams
 
 #: the generator pairs whose products are the key unitaries O = a1 a2 and U = a3 a4
@@ -207,24 +207,44 @@ def _gap(m: Monomial, target: Monomial) -> float:
     return 0.0 if m == target else op_norm(m.dense() - target.dense())
 
 
-def verify_representation(rep: Rep, system: LinearSystem) -> float:
-    """Max operator-norm residual of Gamma's relations, read off the system.
+def broken_relations(rep: Rep, system: LinearSystem) -> list[tuple[str, Monomial, Monomial]]:
+    """Gamma's relations that rep breaks, in order, each as (name, left, right).
 
-    Every variable and the central sign J must be an involution that
-    commutes with J (a monomial unitary that squares to 1 is Hermitian), and
-    each row's product must be (-1)^c.  Each relation is decided exactly, so
-    one that holds adds 0.0.
+    First each variable and then J: it squares to 1 and commutes with J.
+    Then each row: its product is (-1)^c.  Together these make each row's
+    images commuting involutions (a monomial unitary that squares to 1 is
+    Hermitian).  Each side is a word of three images, padded with 1, whose
+    product is formed on (relation, index) perm and phase stacks by
+    Monomial.__matmul__'s rule, so every relation is decided exactly.
     """
-    jm = rep["J"]
-    identity = Monomial.identity(rep.dim, jm.order)
-    worst = 0.0
-    for name in (*system.variables, "J"):
-        m = rep[name]
-        worst = max(worst, _gap(m @ m, identity), _gap(jm @ m, m @ jm))
-    for row, c in zip(system.rows, system.rhs):
-        prod = functools.reduce(operator.matmul, (rep[system.variables[v]] for v in row), identity)
-        worst = max(worst, _gap(prod, -identity if c % 2 else identity))
-    return worst
+    k, e = system.n_vars, system.n_vars + 1  # the indices of J and 1 in the stack; -1 follows 1
+    one = Monomial.identity(rep.dim, rep["J"].order)
+    stack = [*map(rep.__getitem__, system.variables), rep["J"], one, -one]
+    perm, phase = np.array([m.perm for m in stack]), np.array([m.phase for m in stack])
+    relations = []  # (name, left word, right word)
+    for v, g in enumerate((*system.variables, "J")):
+        relations += [(f"{g}: the square is not 1", (v, v, e), (e, e, e))]
+        relations += [(f"{g}: it does not commute with J", (k, v, e), (v, k, e))]
+    for i, (row, c) in enumerate(zip(system.rows, system.rhs)):
+        name = f"{eq_label(i)} ({', '.join(system.row_names(i))}): the product is not {'-1' if c % 2 else '+1'}"
+        relations.append((name, row, (e + c % 2, e, e)))
+
+    def product(words):  # each word's product, as (relation, index) perm and reduced phase stacks
+        p, ph = perm[words[:, 2]], phase[words[:, 2]]
+        for f in (words[:, 1, None], words[:, 0, None]):
+            at = f * rep.dim + p  # flat index of factor f's entry at p
+            p, ph = perm.take(at), ph + phase.take(at)
+        return p, ph % one.order
+
+    (lp, lph), (rp, rph) = (product(np.array([rel[side] for rel in relations])) for side in (1, 2))
+    broken = np.flatnonzero((lp != rp).any(axis=1) | (lph != rph).any(axis=1))
+    return [(relations[i][0], Monomial(lp[i], lph[i], one.order), Monomial(rp[i], rph[i], one.order)) for i in broken]
+
+
+def verify_representation(rep: Rep, system: LinearSystem) -> float:
+    """0.0 when rep satisfies every relation of Gamma (broken_relations), else
+    the largest operator norm of a broken relation's left minus right side."""
+    return max((op_norm(left.dense() - right.dense()) for _, left, right in broken_relations(rep, system)), default=0.0)
 
 
 def key_unitaries(rep: Rep) -> float:

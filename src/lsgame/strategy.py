@@ -35,9 +35,9 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, StructuralError
 from .linalg import Basis, basis_vector, eye, kron, worst
-from .lsg import QUOTED_PAIR_COUNT, LinearSystem, build_linear_system
+from .lsg import QUOTED_PAIR_COUNT, LinearSystem, build_linear_system, eq_label
 from .numtheory import PrimeParams
-from .representation import KEY_FACTORS, Monomial, Rep, roots_of_unity, x_index
+from .representation import KEY_FACTORS, Monomial, Rep, broken_relations, roots_of_unity, x_index
 
 COMM_GENS = ("f0", "f2", "g0", "g2")
 
@@ -50,10 +50,6 @@ _TRIPLES = tuple(
     (a0, a1, a2) for a0 in (0, 1) for a1 in (0, 1) for a2 in (0, 1)
 )
 _COMM_ANSWERS = tuple((b1, b2) for b1 in (0, 1, 2) for b2 in (0, 1))
-
-
-def eq_label(i: int) -> str:
-    return f"I{i + 1}"
 
 
 def var_label(gen: str) -> str:
@@ -296,43 +292,13 @@ def ideal_state(params: PrimeParams) -> np.ndarray:
     return full.reshape(4 * w, 4 * w)
 
 
-#: a row's generator pairs, in the order a commutation fault is named
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def _require_commuting_involutions(system: LinearSystem, perm: np.ndarray, phase: np.ndarray, order: int) -> None:
-    """PreconditionError naming the first row, and in it the first image that
-    is not an involution or else the first pair that does not commute,
-    decided exactly on the (row, generator, index) perm and phase stacks by
-    Monomial.__matmul__'s rule, phases compared mod order."""
-
-    def product(j, k):  # (perm, phase) of A_j @ A_k in every row
-        right = perm[:, k]
-        return np.take_along_axis(perm[:, j], right, -1), phase[:, k] + np.take_along_axis(phase[:, j], right, -1)
-
-    def differ(x, y):  # per row
-        return ((x[0] != y[0]) | ((x[1] - y[1]) % order != 0)).any(axis=-1)
-
-    # (row, fault): the three involutions, then the three pairs, one at a time to keep temporaries small
-    identity = np.arange(perm.shape[-1]), 0
-    faults = np.stack(
-        [differ(product(j, j), identity) for j in range(3)] + [differ(product(j, k), product(k, j)) for j, k in _PAIRS],
-        axis=1,
-    )
-    if faults.any():
-        i = int(np.argmax(faults.any(axis=1)))
-        names = system.row_names(i)
-        what = [f"{g} is not an involution" for g in names]
-        what += [f"{names[j]} and {names[k]} do not commute" for j, k in _PAIRS]
-        raise PreconditionError(f"{eq_label(i)} ({', '.join(names)}): {what[int(np.argmax(faults[i]))]}")
-
-
 def equation_bases(rep: Rep, system: LinearSystem) -> list[Basis]:
     """Each equation's joint eigenbasis of its images, built orbit by orbit.
 
-    The row's images must be involutions that commute, which is decided
-    exactly before any block is formed (_require_commuting_involutions).
-    An orbit, what the row's permutations reach from an index, then holds
+    PreconditionError naming the first relation of Gamma that rep breaks
+    (broken_relations), decided exactly before any block is formed; once
+    they hold, each row's images are commuting involutions.  An orbit, what
+    the row's permutations reach from an index, then holds
     1, 2 or 4 indices; its block of sum_j w_j (1 - A_j)/2, w = (4, 2, 1),
     comes from the permutations and phases, with no dense image, and its
     eigenspaces are the images' joint eigenspaces.  One batched eigh per
@@ -340,12 +306,14 @@ def equation_bases(rep: Rep, system: LinearSystem) -> list[Basis]:
     the orbit's indices, and a column's rounded eigenvalue is its outcome,
     an index into _TRIPLES.
     """
+    broken = broken_relations(rep, system)
+    if broken:
+        raise PreconditionError(broken[0][0])
     n, rows = rep.dim, system.n_rows
     images = [[rep[g] for g in system.row_names(i)] for i in range(rows)]
     order = images[0][0].order
     perm = np.array([[m.perm for m in row] for row in images])  # (row, generator, index)
     phase = np.array([[m.phase for m in row] for row in images])
-    _require_commuting_involutions(system, perm, phase, order)
     value = roots_of_unity(phase, order)
     orbit, reached = None, np.broadcast_to(np.arange(n), (rows, n))  # each index's least orbit member found so far
     while not np.array_equal(orbit, reached):
@@ -375,9 +343,9 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     (Basis.merged), so it holds that equation's very vectors; the extension
     and commutation questions' are tensor products in closed form (ext_bases).
     Each party measures exactly the questions of its answer table in test.
-    PreconditionError naming a row whose images do not commute or are not
-    involutions (equation_bases), or a commutation variable that is not an
-    involution of W2 (x) W2 alone (ext_bases).
+    PreconditionError naming the first relation of Gamma that rep breaks
+    (equation_bases), or a commutation variable that is not an involution of
+    W2 (x) W2 alone (ext_bases).
     """
     if rep.params.d != params.d or rep.params.r != params.r:
         raise StructuralError("representation was built for different parameters")

@@ -44,9 +44,7 @@ def test_verify_rep_tolerance_gate(monkeypatch, capsys):
     # --tolerance, and a sign-flipped generator fails it
     import lsgame.cli as cli
 
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-rep", "--d", "5", "--tolerance", "0"])
-    assert exc.value.code == 2
+    assert_domain_error(*run(["verify-rep", "--d", "5", "--tolerance", "0"], capsys), "unrecognized arguments")
 
     build = cli.build_representation
 
@@ -166,10 +164,29 @@ def test_resource_cap_exits_2(monkeypatch, capsys):
     ],
 )
 def test_ignored_flags_rejected(argv, capsys):
+    assert_domain_error(*run(argv, capsys), "unrecognized arguments")
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["self-test", "--d", "abc"], "argument --d: invalid int value: 'abc'"),
+        (["sweep", "--d", "3", "--trials", "1.5"], "argument --trials: invalid int value: '1.5'"),
+        (["gen-game", "--d", "3", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["verify-rep"], "the following arguments are required: --d"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_are_json(argv, word, capsys):
+    # a usage error reaches stderr as JSON with exit 2, like any other bad input
+    assert_domain_error(*run(argv, capsys), word)
+
+
+def test_help_is_text(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        main(["self-test", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lsgame self-test")
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from lsgame import (
     DomainError,
     PreconditionError,
     StructuralError,
+    Strategy,
     WeightedChshContext,
     build_full_test,
     build_ideal_strategy,
@@ -133,10 +134,15 @@ def test_ideal_wins_perfectly():
 
 
 def test_mutated_strategy_wins_less():
-    p, rep, test, _ = ideal_setup(3)
-    rep.table["f0"] = -rep.table["f0"]
-    broken = build_ideal_strategy(p, rep, test)
-    assert winning_probability(broken, test) < 1.0 - 1e-3
+    # Bob's answer to x(f0) flipped loses every question pair that asks it and
+    # no other (a representation with f0 negated builds no strategy at all:
+    # test_strategy.py::test_build_rejects_negated_generator)
+    p, _, test, strat = ideal_setup(3)
+    bob = {**strat.bob, var_label("f0"): strat.bob[var_label("f0")].merged([1, 0])}
+    broken = Strategy(params=p, test=test, state=strat.state, alice=strat.alice, bob=bob)
+    asked = sum(test.system.variables[v] == "f0" for _, v in test.system.valid_pairs)
+    assert asked > 0
+    assert abs(winning_probability(broken, test) - (1 - asked / len(test.system.valid_pairs))) <= 1e-12
 
 
 def test_orthogonal_product_state_loses_enough():

@@ -1,5 +1,6 @@
 import functools
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dense_reference import brute_force_primitive, dense_table, u_basis
 
 from lsgame import (
     LinearSystem,
+    PreconditionError,
     StructuralError,
     build_conjugacy_triples,
     build_linear_system,
@@ -18,7 +20,8 @@ from lsgame import (
 )
 from lsgame.groups import conjugacy_gadgets, h_name
 from lsgame.linalg import dagger, eye
-from lsgame.representation import KEY_FACTORS, Monomial
+from lsgame.representation import KEY_FACTORS, Monomial, broken_relations
+from lsgame.strategy import equation_bases
 
 DEMO = ((3, 2), (5, 2), (7, 3), (11, 2), (13, 2))
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -82,11 +85,19 @@ def test_mutated_representation_fails():
     assert residual >= 1.0
 
 
-@pytest.mark.parametrize("fault", ["product", "involution", "central"])
-def test_each_relation_class_caught(fault):
+@pytest.mark.parametrize(
+    "fault, first",
+    [
+        pytest.param("product", "I1 (a1, b1, c1): the product is not +1", id="product"),
+        pytest.param("involution", "f0: the square is not 1", id="involution"),
+        pytest.param("central", "d1: it does not commute with J", id="central"),
+    ],
+)
+def test_each_relation_class_caught(fault, first):
     # each fault breaks one relation class of Gamma and keeps the others; a
     # Hermiticity fault cannot be injected, since a monomial is unitary and
-    # a unitary involution is Hermitian
+    # a unitary involution is Hermitian.  verify_representation reads it, and
+    # the ideal build's gate names the first relation broken
     rep = build_representation(make_params(3, 2))
     table = rep.table
     system = build_linear_system(2)
@@ -96,9 +107,57 @@ def test_each_relation_class_caught(fault):
         f0 = table["f0"]
         table["f0"] = Monomial(f0.perm, f0.phase + np.eye(rep.dim, dtype=int)[0], f0.order)
         system = LinearSystem(2, ("f0",), (), ())
-    else:  # a Hermitian involution that anticommutes with f0 but enters no row
+    else:  # a Hermitian involution that anticommutes with d1 (and f0) but enters no row
         table["J"] = table["g0"]
     assert verify_representation(rep, system) >= 1e-3
+    with pytest.raises(PreconditionError, match=f"^{re.escape(first)}$"):
+        equation_bases(rep, system)
+
+
+def loop_relations(rep, system):
+    """(left, right) of each relation of Gamma in broken_relations' order,
+    one Monomial product at a time: the reference for its stacked products."""
+    jm = rep["J"]
+    one = Monomial.identity(rep.dim, jm.order)
+    out = []
+    for g in (*system.variables, "J"):
+        m = rep[g]
+        out += [(m @ m, one), (jm @ m, m @ jm)]
+    for row, c in zip(system.rows, system.rhs):
+        product = functools.reduce(operator.matmul, (rep[system.variables[v]] for v in row))
+        out.append((product, -one if c % 2 else one))
+    return out
+
+
+def _moved_phase(m):
+    return Monomial(m.perm, (m.phase + (np.arange(len(m.phase)) == 5)) % m.order, m.order)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda t: None,
+        lambda t: t.update(f0=-t["f0"]),
+        lambda t: t.update(a1=t["a2"], a2=t["a1"]),
+        lambda t: t.update(J=t["g0"]),
+        lambda t: t.update(p1_3=_moved_phase(t["p1_3"]), m2=-t["m2"]),
+    ],
+    ids=["ideal", "negated-f0", "exchanged-a1-a2", "J-is-g0", "p1_3-and-m2"],
+)
+def test_broken_relations_match_monomial_loop(mutate):
+    # each broken relation, in order, with both sides equal entry for entry
+    # (perm and reduced phase) to the Monomial products, so its dense gap is
+    # the loop's to the last bit
+    rep = build_representation(make_params(5))
+    system = build_linear_system(2)
+    mutate(rep.table)
+    want = [(left, right) for left, right in loop_relations(rep, system) if left != right]
+    got = broken_relations(rep, system)
+    assert len(got) == len(want)
+    for (_, left, right), (left_want, right_want) in zip(got, want):
+        for m, m_want in ((left, left_want), (right, right_want)):
+            assert np.array_equal(m.perm, m_want.perm) and np.array_equal(m.phase, m_want.phase)
+    assert verify_representation(rep, system) == max((op_norm(a.dense() - b.dense()) for a, b in want), default=0.0)
 
 
 def test_missing_generator_named():

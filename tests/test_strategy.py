@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from lsgame import (
     make_params,
     perturb_strategy,
     table_deviation,
+    verify_representation,
 )
 from lsgame.linalg import Basis
 from lsgame.lsg import LinearSystem
@@ -376,25 +378,34 @@ def test_correlation_entries_non_negative():
 def test_non_involution_image_fails_closed():
     # the equation bases take only integer arrays, so no NaN can reach them;
     # a phase moved one step makes p1_3 no longer an involution, and the
-    # build names the first row containing it, with the row's generators
+    # build names that relation before any row containing p1_3
     p, rep, test, _ = ideal_setup(3)
     m = rep["p1_3"]
     rep.table["p1_3"] = Monomial(m.perm, (m.phase + (np.arange(len(m.phase)) == 5)) % m.order, m.order)
-    row, _ = test.system.first_position["p1_3"]
-    names = ", ".join(test.system.row_names(row))
-    with pytest.raises(PreconditionError, match=rf"^{eq_label(row)} \({names}\): p1_3 is not an involution$"):
+    with pytest.raises(PreconditionError, match=r"^p1_3: the square is not 1$"):
         build_ideal_strategy(p, rep, test)
 
 
 def test_build_rejects_non_commuting_row():
-    # a row whose first image is exchanged for one that does not commute with the others
+    # a row whose first image is exchanged for an involution that does not
+    # commute with the second: the row's product is no longer +1
     p, rep, test, _ = ideal_setup(3)
     names = test.system.row_names(0)
     second = rep[names[1]]
     other = next(g for g in test.system.variables if rep[g] @ second != second @ rep[g])
     rep.table[names[0]] = rep[other]
-    fault = rf"^I1 \({', '.join(names)}\): {names[0]} and {names[1]} do not commute$"
-    with pytest.raises(PreconditionError, match=fault):
+    with pytest.raises(PreconditionError, match=rf"^I1 \({', '.join(names)}\): the product is not \+1$"):
+        build_ideal_strategy(p, rep, test)
+
+
+def test_build_rejects_negated_generator():
+    # -f0 is an involution that commutes with J, so only the rows containing
+    # f0 break, and the build names the first of them: a strategy built from
+    # this representation would lose those rows
+    p, rep, test, _ = ideal_setup(5)
+    rep.table["f0"] = -rep["f0"]
+    assert verify_representation(rep, test.system) == 2.0
+    with pytest.raises(PreconditionError, match=r"^I2 \(a1, f0, d1\): the product is not \+1$"):
         build_ideal_strategy(p, rep, test)
 
 
@@ -408,20 +419,28 @@ _SMALL = {
 
 
 @pytest.mark.parametrize(
-    "images, fault",
-    [
-        ("1XZ", "b and c do not commute"),
-        ("X1Z", "a and c do not commute"),
-        ("XZ1", "a and b do not commute"),
-        ("ZXS", "c is not an involution"),  # named before the pairs that also fail
+    "images, rhs, fault",
+    [  # each id names the images and the fault injected
+        pytest.param("1XZ", 0, "I1 (a, b, c): the product is not +1", id="1XZ-b and c do not commute"),
+        pytest.param("X1Z", 0, "I1 (a, b, c): the product is not +1", id="X1Z-a and c do not commute"),
+        pytest.param("XZ1", 0, "I1 (a, b, c): the product is not +1", id="XZ1-a and b do not commute"),
+        pytest.param("111", 1, "I1 (a, b, c): the product is not -1", id="111-the product is not -1"),
+        # named before the row, which fails too
+        pytest.param("ZXS", 0, "c: the square is not 1", id="ZXS-c is not an involution"),
+        pytest.param("ZZ1X", 0, "a: it does not commute with J", id="ZZ1X-a and J do not commute"),
+        pytest.param("111S", 0, "J: the square is not 1", id="111S-J is not an involution"),
     ],
 )
-def test_equation_gate_names_its_fault(images, fault):
-    # one row a b c of 2 x 2 images: the gate names the first image that is
-    # not an involution, else the first pair that does not commute
-    system = LinearSystem(2, ("a", "b", "c"), ((0, 1, 2),), (0,))
-    rep = Rep(make_params(3), 2, {g: _SMALL[m] for g, m in zip("abc", images)})
-    with pytest.raises(PreconditionError, match=rf"^I1 \(a, b, c\): {fault}$"):
+def test_equation_gate_names_its_fault(images, rhs, fault):
+    # one row a b c = (-1)^rhs of 2 x 2 images, J = -1 unless a fourth image
+    # is given: the gate names the first broken relation, each variable's and
+    # J's before the row's
+    system = LinearSystem(2, ("a", "b", "c"), ((0, 1, 2),), (rhs,))
+    table = {g: _SMALL[m] for g, m in zip("abcJ", images)}
+    table.setdefault("J", -_SMALL["1"])
+    rep = Rep(make_params(3), 2, table)
+    assert verify_representation(rep, system) > 0
+    with pytest.raises(PreconditionError, match=f"^{re.escape(fault)}$"):
         equation_bases(rep, system)
 
 
