@@ -29,12 +29,10 @@ from .strategy import (
 )
 from .evaluation import (
     WeightedChshContext,
-    chsh_ideal_instance,
     correlation_distance,
     embedded_chsh_value,
     evaluation_report,
     ls_winning_probability_from_correlation,
-    sos_residuals,
 )
 from .isometry import SelfTestReport, selftest_report
 from .robustness import (

@@ -1,4 +1,4 @@
-"""Scoring: game values, weighted CHSH, SOS residuals, correlation distance."""
+"""Scoring: game values, weighted CHSH and its sum of squares, correlation distance."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, StructuralError
-from .linalg import eye, involution_residual, kron, op_norm
+from .errors import DomainError, StructuralError
 from .strategy import Correlation, FullTest, Strategy, eq_label, ext_labels, var_label
 
 #: smallest |alpha| accepted: cot(pi/3), the d=3 end of the family
@@ -39,17 +38,6 @@ class WeightedChshContext:
         )
 
 
-def chsh_ideal_instance(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """EPR state and the observables achieving the quantum maximum."""
-    ctx = WeightedChshContext.from_alpha(alpha)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    epr = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    n1 = ctx.c * sz + ctx.s * sx
-    n2 = ctx.c * sz - ctx.s * sx
-    return epr, sz, sx, n1, n2
-
-
 def bell_value(
     state: np.ndarray,
     m1: np.ndarray,
@@ -71,44 +59,6 @@ def bell_value(
         + expect(m2, n1)
         - expect(m2, n2)
     )
-
-
-def sos_residuals(m1, m2, n1, n2, ctx: WeightedChshContext) -> tuple[float, float]:
-    """Operator-norm residuals of the two sum-of-squares identities.
-
-    Both identities are exact for arbitrary binary observables: with
-    Ibar = 2*sqrt(1+alpha^2) - (alpha M1(N1+N2) + M2(N1-N2)) as an operator,
-
-        Ibar = (s*Ibar^2 + 4*s*c^2*(Z_A X_B + X_A Z_B)^2) / 4
-        Ibar = (c^2/s)*(Z_A - Z_B)^2 + s*(X_A - X_B)^2
-
-    where Z_B = (N1+N2)/(2c) and X_B = (N1-N2)/(2s).
-    """
-    if ctx.s == 0:
-        raise DomainError("sin(mu) = 0: alpha is infinite")
-    for m in (m1, m2, n1, n2):
-        res = involution_residual(m)
-        if res > 1e-9:
-            raise PreconditionError("SOS identities need binary observables", res)
-    da, db = m1.shape[0], n1.shape[0]
-    ia, ib = eye(da), eye(db)
-    za = kron(m1, ib)
-    xa = kron(m2, ib)
-    zb = kron(ia, (n1 + n2)) / (2 * ctx.c)
-    xb = kron(ia, (n1 - n2)) / (2 * ctx.s)
-    bell_op = (
-        ctx.alpha * kron(m1, n1)
-        + ctx.alpha * kron(m1, n2)
-        + kron(m2, n1)
-        - kron(m2, n2)
-    )
-    ibar = ctx.imax * eye(da * db) - bell_op
-    cross = za @ xb + xa @ zb
-    res1 = op_norm(ibar - (ctx.s * ibar @ ibar + 4 * ctx.s * ctx.c**2 * cross @ cross) / 4)
-    zdiff = za - zb
-    xdiff = xa - xb
-    res2 = op_norm(ibar - ((ctx.c**2 / ctx.s) * zdiff @ zdiff + ctx.s * xdiff @ xdiff))
-    return res1, res2
 
 
 # --- linear system game value -------------------------------------------------
@@ -156,14 +106,23 @@ def correlation_distance(c1: Correlation, c2: Correlation) -> float:
 # --- embedded CHSH diagnostics and the combined report -------------------------
 
 
-def embedded_chsh_value(strategy: Strategy) -> dict:
-    """Bell value of the extension block, on the subspace-conditioned state.
+def embedded_chsh_value(strategy: Strategy) -> tuple[dict, dict]:
+    """Bell value of the extension block, on the subspace-conditioned state,
+    and its deficit from the quantum bound split as a sum of squares.
 
     Alice plays her two basis questions, Bob the two variable questions
     x(a1), x(a2); the shared state is renormalized on Alice's "inside the
     distinguished subspace" outcome.  The test is tuned to alpha =
     -cot(pi/d); the ideal strategy reaches the extremal value -Imax (the
-    sign follows from sin(mu) < 0 at negative alpha).
+    sign follows from c = cos(mu) < 0 at negative alpha: from_alpha takes
+    the branch with sin(mu) > 0).
+
+    The deficit Imax + value is the expectation on that state phi of
+    (c^2/s)(Z_A - Z_B)^2 + s(X_A - X_B)^2 + (c^2/s)(1 - Z_A^2) + s(1 - X_A^2),
+    with Z_B = -(N1+N2)/(2c) and X_B = -(N1-N2)/(2s) (Bamps-Pironio, for
+    binary N1, N2).  z_term and x_term are the two squares' expectations;
+    remainder, what is left, is how far Alice's basis observables are from
+    binary on phi.
     """
     test = strategy.test
     d = strategy.params.d
@@ -174,23 +133,27 @@ def embedded_chsh_value(strategy: Strategy) -> dict:
     norm = float(np.linalg.norm(proj))
     if norm == 0:
         raise StructuralError("conditioned state vanishes")
+    phi = proj / norm
     za, xa = strategy.observable("A", z), strategy.observable("A", x)
     n1, n2 = strategy.observable("B", "a1"), strategy.observable("B", "a2")
-    value = bell_value(proj / norm, za, xa, n1, n2, ctx)
-    return {"alpha": alpha, "value": value, "imax": ctx.imax}
+    value = bell_value(phi, za, xa, n1, n2, ctx)
+    zb, xb = -(n1 + n2) / (2 * ctx.c), -(n1 - n2) / (2 * ctx.s)
+    z_term = ctx.c**2 / ctx.s * float(np.linalg.norm(za @ phi - phi @ zb.T)) ** 2
+    x_term = ctx.s * float(np.linalg.norm(xa @ phi - phi @ xb.T)) ** 2
+    deficit = ctx.imax + value
+    chsh = {"alpha": alpha, "value": value, "imax": ctx.imax}
+    sos = {"deficit": deficit, "z_term": z_term, "x_term": x_term, "remainder": deficit - z_term - x_term}
+    return chsh, sos
 
 
 def evaluation_report(strategy: Strategy, ideal: Correlation) -> dict:
-    """winning probability, embedded CHSH, SOS self-check, and epsilon."""
+    """winning probability, embedded CHSH and its sum of squares, and epsilon."""
     test = strategy.test
     corr = strategy.correlation()
-    chsh = embedded_chsh_value(strategy)
-    alpha = abs(chsh["alpha"])
-    epr, m1, m2, n1, n2 = chsh_ideal_instance(alpha)
-    res1, res2 = sos_residuals(m1, m2, n1, n2, WeightedChshContext.from_alpha(alpha))
+    chsh, sos = embedded_chsh_value(strategy)
     return {
         "winning_probability": ls_winning_probability_from_correlation(corr, test),
         "chsh": chsh,
-        "sos": {"res1": res1, "res2": res2},
+        "sos": sos,
         "epsilon": correlation_distance(corr, ideal),
     }

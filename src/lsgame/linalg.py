@@ -65,11 +65,6 @@ def qft(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
 
-def involution_residual(m: np.ndarray) -> float:
-    """How far m is from a binary observable (Hermitian with m^2 = 1)."""
-    return max(op_norm(m - dagger(m)), op_norm(m @ m - eye(m.shape[0])))
-
-
 @dataclass(frozen=True, eq=False)  # identity equality: vectors are arrays
 class Basis:
     """A complete projective measurement stored as one orthonormal basis.

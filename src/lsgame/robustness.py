@@ -235,7 +235,7 @@ def run_sweep(
 ) -> list[SweepRecord]:
     """One certify record per (kind, magnitude, trial); deterministic given base_seed.
     DomainError unless there are 1 to MAX_MAGNITUDES magnitudes and 1 to
-    MAX_TRIALS trials.
+    MAX_TRIALS trials, and base_seed is non-negative.
 
     selftest_report's size guard raises ResourceError on the first record
     when the strategy is too large for its streamed contraction; no d up to
@@ -248,6 +248,8 @@ def run_sweep(
             f"a sweep takes at most {MAX_MAGNITUDES} magnitudes and {MAX_TRIALS} trials,"
             f" got {len(magnitudes)} and {trials}"
         )
+    if base_seed < 0:
+        raise DomainError(f"seed must be non-negative, got {base_seed}")
     records = []
     for ki, kind in enumerate(kinds):
         for mi, delta in enumerate(magnitudes):

@@ -18,6 +18,7 @@ import itertools
 import math
 
 import numpy as np
+from chsh_reference import involution_residual
 
 from lsgame.errors import PreconditionError, StructuralError
 from lsgame.groups import build_conjugacy_triples, h_name, q_name
@@ -68,7 +69,7 @@ def _halves(m):
 
 def observable_to_projectors(m):
     """Split a binary observable into its stacked (+1, -1) eigenprojectors."""
-    res = max(op_norm(m - dagger(m)), op_norm(m @ m - eye(m.shape[0])))
+    res = involution_residual(m)
     if res > DEFAULT_TOL:
         raise PreconditionError("operator is not a binary observable", res)
     return _halves(m)

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from chsh_reference import chsh_ideal_instance, sos_residuals
 from dense_reference import brute_force_primitive
 
 from lsgame import (
@@ -27,11 +28,10 @@ from lsgame import (
     run_sweep,
     records_to_csv,
     selftest_report,
-    sos_residuals,
     table_deviation,
     verify_representation,
 )
-from lsgame.evaluation import bell_value, chsh_ideal_instance
+from lsgame.evaluation import bell_value
 from lsgame.numtheory import is_odd_prime
 from lsgame.robustness import RESIDUAL_LABELS
 from lsgame.strategy import ext_labels

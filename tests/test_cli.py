@@ -419,8 +419,11 @@ def assert_domain_error(code, out, err, word):
     ],
 )
 def test_negative_seed_exits_2(argv, capsys):
-    # numpy's default_rng used to end these in a ValueError traceback
-    assert_domain_error(*run(argv, capsys), "seed")
+    # numpy's default_rng used to end these in a ValueError traceback, and
+    # sweep named its first record's seed, -1000000, not the one given
+    code, out, err = run(argv, capsys)
+    assert_domain_error(code, out, err, "seed")
+    assert json.loads(err)["error"]["message"].endswith("got -1")
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chsh_reference import chsh_ideal_instance, sos_residuals
 from dense_reference import family
 from lsgame import (
     Correlation,
@@ -19,11 +20,10 @@ from lsgame import (
     generate_correlation,
     ls_winning_probability_from_correlation,
     make_params,
-    sos_residuals,
 )
-from lsgame.evaluation import bell_value, chsh_ideal_instance, embedded_chsh_value, evaluation_report
+from lsgame.evaluation import bell_value, embedded_chsh_value, evaluation_report
 from lsgame.robustness import PerturbationSpec, perturb_strategy
-from lsgame.strategy import eq_label, var_label
+from lsgame.strategy import eq_label, ext_labels, var_label
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -215,18 +215,49 @@ def test_correlation_distance_support_mismatch():
 
 
 def test_embedded_chsh_extremal_at_ideal():
-    for d in (3, 5):
-        _, _, test, strat = ideal_setup(d)
-        out = embedded_chsh_value(strat)
-        assert abs(out["alpha"] + 1 / math.tan(math.pi / d)) < 1e-12
-        assert abs(abs(out["value"]) - out["imax"]) <= 1e-10
+    for d in (3, 5, 7, 13):
+        chsh, sos = embedded_chsh_value(ideal_setup(d)[3])
+        assert abs(chsh["alpha"] + 1 / math.tan(math.pi / d)) < 1e-12
+        assert abs(abs(chsh["value"]) - chsh["imax"]) <= 1e-10
+        assert sos["deficit"] == chsh["imax"] + chsh["value"]
+        assert max(abs(term) for term in sos.values()) <= 1e-13, (d, sos)
+
+
+def test_sos_state_noise_leaves_no_remainder():
+    # state noise leaves the observables, so Alice's stay binary on phi
+    strat = ideal_setup(5)[3]
+    chsh, sos = embedded_chsh_value(perturb_strategy(strat, PerturbationSpec("state", 1e-3, 3)))
+    assert sos["deficit"] == chsh["imax"] + chsh["value"]
+    assert sos["deficit"] > 0
+    assert abs(sos["remainder"]) <= 1e-13, sos
+
+
+def test_sos_remainder_is_how_far_alice_is_from_binary():
+    # remainder = <phi|(c^2/s)(1 - Z_A^2) + s(1 - X_A^2)|phi>, here formed on
+    # the full space; a rotation moves Alice's basis observables off binary
+    _, _, test, strat = ideal_setup(5)
+    noisy = perturb_strategy(strat, PerturbationSpec("rotate", 1e-3, 3))
+    chsh, sos = embedded_chsh_value(noisy)
+    ctx = WeightedChshContext.from_alpha(chsh["alpha"])
+    sub, z, x = ext_labels(test.n_vars)
+    phi = (noisy.basis("A", sub).operator((1, 0)) @ noisy.state).ravel()
+    phi /= np.linalg.norm(phi)
+    one_b = np.eye(noisy.state.shape[1])
+
+    def gap(name):
+        m = noisy.observable("A", name)
+        return np.real(np.vdot(phi, np.kron(np.eye(m.shape[0]) - m @ m, one_b) @ phi))
+
+    assert sos["remainder"] >= 1e-8
+    assert abs(sos["remainder"] - (ctx.c**2 / ctx.s * gap(z) + ctx.s * gap(x))) <= 1e-12
 
 
 def test_evaluation_report_shape():
     _, _, test, strat = ideal_setup(3)
-    ideal_corr = generate_correlation(strat, test)
-    report = evaluation_report(strat, ideal_corr)
+    report = evaluation_report(strat, generate_correlation(strat, test))
+    assert list(report) == ["winning_probability", "chsh", "sos", "epsilon"]
+    assert list(report["chsh"]) == ["alpha", "value", "imax"]
+    assert list(report["sos"]) == ["deficit", "z_term", "x_term", "remainder"]
     assert abs(report["winning_probability"] - 1) <= 1e-10
     assert report["epsilon"] <= 1e-12
-    assert report["sos"]["res1"] <= 1e-9
-    assert report["sos"]["res2"] <= 1e-9
+    assert report["sos"]["deficit"] == report["chsh"]["imax"] + report["chsh"]["value"]

@@ -13,6 +13,7 @@ from lsgame import (
     build_representation,
     certify,
     correlation_distance,
+    embedded_chsh_value,
     fit_bound,
     generate_correlation,
     ls_winning_probability_from_correlation,
@@ -490,3 +491,8 @@ def test_other_ideal_of_the_family_is_far(d, d_other):
     assert report.epsilon >= 5e-3
     assert min(report.distances.values()) >= 0.5, report.distances
     assert report.distances["psi"] / report.epsilon**0.125 >= 0.9
+    # its CHSH deficit is far from 0 too, and all of it is squares: the
+    # other ideal's observables are binary; measured, 6.9e-3 to 0.29
+    _, sos = embedded_chsh_value(control)
+    assert sos["deficit"] >= 5e-3, sos
+    assert abs(sos["remainder"]) <= 1e-12, sos
