@@ -28,7 +28,6 @@ from .strategy import (
     table_deviation,
 )
 from .evaluation import (
-    WeightedChshContext,
     correlation_distance,
     embedded_chsh_value,
     evaluation_report,

@@ -3,62 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import StructuralError
 from .strategy import Correlation, FullTest, Strategy, eq_label, ext_labels, var_label
-
-#: smallest |alpha| accepted: cot(pi/3), the d=3 end of the family
-MIN_ALPHA = 1 / math.sqrt(3)
-
-
-@dataclass(frozen=True)
-class WeightedChshContext:
-    """Angle bookkeeping for the alpha-weighted CHSH expression."""
-
-    alpha: float
-    mu: float
-    c: float
-    s: float
-    imax: float
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "WeightedChshContext":
-        if abs(alpha) < MIN_ALPHA - 1e-12:
-            raise DomainError(f"|alpha| must be at least cot(pi/3), got {alpha}")
-        mu = math.atan2(1.0, alpha)  # arctan(1/alpha), branch with sin(mu) > 0
-        return cls(
-            alpha=alpha,
-            mu=mu,
-            c=math.cos(mu),
-            s=math.sin(mu),
-            imax=2 * math.sqrt(1 + alpha * alpha),
-        )
-
-
-def bell_value(
-    state: np.ndarray,
-    m1: np.ndarray,
-    m2: np.ndarray,
-    n1: np.ndarray,
-    n2: np.ndarray,
-    ctx: WeightedChshContext,
-) -> float:
-    """alpha<M1N1> + alpha<M1N2> + <M2N1> - <M2N2> without involution checks."""
-    da, db = m1.shape[0], n1.shape[0]
-    s = np.asarray(state, dtype=complex).reshape(da, db)
-
-    def expect(ma, nb):
-        return float(np.real(np.vdot(s, ma @ s @ nb.T)))
-
-    return (
-        ctx.alpha * expect(m1, n1)
-        + ctx.alpha * expect(m1, n2)
-        + expect(m2, n1)
-        - expect(m2, n2)
-    )
 
 
 # --- linear system game value -------------------------------------------------
@@ -110,38 +59,48 @@ def embedded_chsh_value(strategy: Strategy) -> tuple[dict, dict]:
     """Bell value of the extension block, on the subspace-conditioned state,
     and its deficit from the quantum bound split as a sum of squares.
 
-    Alice plays her two basis questions, Bob the two variable questions
-    x(a1), x(a2); the shared state is renormalized on Alice's "inside the
-    distinguished subspace" outcome.  The test is tuned to alpha =
-    -cot(pi/d); the ideal strategy reaches the extremal value -Imax (the
-    sign follows from c = cos(mu) < 0 at negative alpha: from_alpha takes
-    the branch with sin(mu) > 0).
+    Alice plays her two basis observables Z_A, X_A, Bob the two variable
+    observables N1, N2 of x(a1), x(a2); the shared state is renormalized on
+    Alice's "inside the distinguished subspace" outcome to phi.  The value
+    is <phi|alpha Z_A(N1+N2) + X_A(N1-N2)|phi> at the test's alpha =
+    -cot(pi/d), whose quantum bound is Imax = 2 sqrt(1+alpha^2).  With
+    cot(mu) = alpha on the branch sin(mu) > 0, c = cos(mu) < 0, so the
+    ideal strategy reaches the extremal value -Imax.
 
-    The deficit Imax + value is the expectation on that state phi of
+    The deficit Imax + value is the expectation on phi of
     (c^2/s)(Z_A - Z_B)^2 + s(X_A - X_B)^2 + (c^2/s)(1 - Z_A^2) + s(1 - X_A^2),
     with Z_B = -(N1+N2)/(2c) and X_B = -(N1-N2)/(2s) (Bamps-Pironio, for
     binary N1, N2).  z_term and x_term are the two squares' expectations;
     remainder, what is left, is how far Alice's basis observables are from
-    binary on phi.
+    binary on phi.  All of them are read off the four products Z_A phi,
+    X_A phi, phi N1^T and phi N2^T, phi held as a dim x dim matrix.
     """
-    test = strategy.test
-    d = strategy.params.d
-    alpha = -1.0 / math.tan(math.pi / d)
-    ctx = WeightedChshContext.from_alpha(alpha)
-    sub, z, x = ext_labels(test.n_vars)
+    alpha = -1.0 / math.tan(math.pi / strategy.params.d)
+    mu = math.atan2(1.0, alpha)  # arctan(1/alpha), branch with sin(mu) > 0
+    c, s = math.cos(mu), math.sin(mu)
+    imax = 2 * math.sqrt(1 + alpha * alpha)
+    sub, z, x = ext_labels(strategy.test.n_vars)
     proj = strategy.basis("A", sub).operator((1, 0)) @ strategy.state
     norm = float(np.linalg.norm(proj))
     if norm == 0:
         raise StructuralError("conditioned state vanishes")
     phi = proj / norm
-    za, xa = strategy.observable("A", z), strategy.observable("A", x)
-    n1, n2 = strategy.observable("B", "a1"), strategy.observable("B", "a2")
-    value = bell_value(phi, za, xa, n1, n2, ctx)
-    zb, xb = -(n1 + n2) / (2 * ctx.c), -(n1 - n2) / (2 * ctx.s)
-    z_term = ctx.c**2 / ctx.s * float(np.linalg.norm(za @ phi - phi @ zb.T)) ** 2
-    x_term = ctx.s * float(np.linalg.norm(xa @ phi - phi @ xb.T)) ** 2
-    deficit = ctx.imax + value
-    chsh = {"alpha": alpha, "value": value, "imax": ctx.imax}
+    za_phi, xa_phi = strategy.observable("A", z) @ phi, strategy.observable("A", x) @ phi
+    phi_n1, phi_n2 = phi @ strategy.observable("B", "a1").T, phi @ strategy.observable("B", "a2").T
+
+    def expect(a_phi, phi_b):  # <phi|M (x) N|phi> = <M phi, phi N^T>, M Hermitian
+        return float(np.real(np.vdot(a_phi, phi_b)))
+
+    value = (
+        alpha * expect(za_phi, phi_n1)
+        + alpha * expect(za_phi, phi_n2)
+        + expect(xa_phi, phi_n1)
+        - expect(xa_phi, phi_n2)
+    )
+    z_term = c**2 / s * float(np.linalg.norm(za_phi + (phi_n1 + phi_n2) / (2 * c))) ** 2
+    x_term = s * float(np.linalg.norm(xa_phi + (phi_n1 - phi_n2) / (2 * s))) ** 2
+    deficit = imax + value
+    chsh = {"alpha": alpha, "value": value, "imax": imax}
     sos = {"deficit": deficit, "z_term": z_term, "x_term": x_term, "remainder": deficit - z_term - x_term}
     return chsh, sos
 

@@ -394,7 +394,7 @@ class Correlation:
 
     def to_json(self) -> str:
         items = [
-            {"x": x, "y": y, "p": [[float(v) for v in row] for row in table]}
+            {"x": x, "y": y, "p": table.tolist()}
             for (x, y), table in self.entries.items()
         ]
         return dump_json({"d": self.d, "r": self.r, "n_support": self.n_support, "entries": items})

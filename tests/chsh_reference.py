@@ -1,10 +1,14 @@
-"""The weighted CHSH expression on two qubits, the reference its two
-sum-of-squares identities are checked against as operator identities.
+"""The weighted CHSH expression as operators on the joint space, the
+reference that lsgame's embedded CHSH value and its two sum-of-squares
+identities are checked against.
 
-chsh_ideal_instance is the EPR state with the observables that reach the
-quantum bound 2*sqrt(1+alpha^2); sos_residuals measures both identities,
-in operator norm, for any binary observables; involution_residual is how
-far a matrix is from a binary observable.
+chsh_constants states mu, c, s and the quantum bound from alpha;
+bell_operator is B_alpha = alpha M1 (N1+N2) + M2 (N1-N2) as a matrix and
+expectation its value on a state; joint_observables lifts Z_A, X_A, Z_B
+and X_B to the joint space; chsh_ideal_instance is the EPR state with
+the observables that reach the bound 2*sqrt(1+alpha^2); sos_residuals
+measures both identities, in operator norm, for any binary observables;
+involution_residual is how far a matrix is from a binary observable.
 """
 
 import math
@@ -12,8 +16,33 @@ import math
 import numpy as np
 
 from lsgame.errors import DomainError, PreconditionError
-from lsgame.evaluation import WeightedChshContext
 from lsgame.linalg import dagger, eye, kron, op_norm
+
+
+def chsh_constants(alpha: float) -> tuple[float, float, float, float]:
+    """mu with cot(mu) = alpha on the branch sin(mu) > 0, c = cos(mu),
+    s = sin(mu), and the quantum bound imax = 2*sqrt(1+alpha^2)."""
+    mu = math.atan2(1.0, alpha)
+    return mu, math.cos(mu), math.sin(mu), 2 * math.sqrt(1 + alpha * alpha)
+
+
+def bell_operator(alpha: float, m1, m2, n1, n2) -> np.ndarray:
+    """alpha M1N1 + alpha M1N2 + M2N1 - M2N2 on the joint space."""
+    return alpha * kron(m1, n1) + alpha * kron(m1, n2) + kron(m2, n1) - kron(m2, n2)
+
+
+def joint_observables(alpha: float, m1, m2, n1, n2) -> tuple[np.ndarray, ...]:
+    """Z_A = M1, X_A = M2, Z_B = (N1+N2)/(2c) and X_B = (N1-N2)/(2s), each
+    on the joint space."""
+    _, c, s, _ = chsh_constants(alpha)
+    ia, ib = eye(m1.shape[0]), eye(n1.shape[0])
+    return kron(m1, ib), kron(m2, ib), kron(ia, n1 + n2) / (2 * c), kron(ia, n1 - n2) / (2 * s)
+
+
+def expectation(op: np.ndarray, state: np.ndarray) -> float:
+    """Re <state|op|state>, the state as a vector or as a dim_a x dim_b matrix."""
+    v = np.ravel(state)
+    return float(np.real(np.vdot(v, op @ v)))
 
 
 def involution_residual(m: np.ndarray) -> float:
@@ -23,16 +52,14 @@ def involution_residual(m: np.ndarray) -> float:
 
 def chsh_ideal_instance(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """EPR state and the observables achieving the quantum maximum."""
-    ctx = WeightedChshContext.from_alpha(alpha)
+    _, c, s, _ = chsh_constants(alpha)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     epr = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    n1 = ctx.c * sz + ctx.s * sx
-    n2 = ctx.c * sz - ctx.s * sx
-    return epr, sz, sx, n1, n2
+    return epr, sz, sx, c * sz + s * sx, c * sz - s * sx
 
 
-def sos_residuals(m1, m2, n1, n2, ctx: WeightedChshContext) -> tuple[float, float]:
+def sos_residuals(alpha: float, m1, m2, n1, n2) -> tuple[float, float]:
     """Operator-norm residuals of the two sum-of-squares identities.
 
     Both identities are exact for arbitrary binary observables: with
@@ -43,28 +70,18 @@ def sos_residuals(m1, m2, n1, n2, ctx: WeightedChshContext) -> tuple[float, floa
 
     where Z_B = (N1+N2)/(2c) and X_B = (N1-N2)/(2s).
     """
-    if ctx.s == 0:
+    _, c, s, imax = chsh_constants(alpha)
+    if s == 0:
         raise DomainError("sin(mu) = 0: alpha is infinite")
     for m in (m1, m2, n1, n2):
         res = involution_residual(m)
         if res > 1e-9:
             raise PreconditionError("SOS identities need binary observables", res)
-    da, db = m1.shape[0], n1.shape[0]
-    ia, ib = eye(da), eye(db)
-    za = kron(m1, ib)
-    xa = kron(m2, ib)
-    zb = kron(ia, (n1 + n2)) / (2 * ctx.c)
-    xb = kron(ia, (n1 - n2)) / (2 * ctx.s)
-    bell_op = (
-        ctx.alpha * kron(m1, n1)
-        + ctx.alpha * kron(m1, n2)
-        + kron(m2, n1)
-        - kron(m2, n2)
-    )
-    ibar = ctx.imax * eye(da * db) - bell_op
+    za, xa, zb, xb = joint_observables(alpha, m1, m2, n1, n2)
+    ibar = imax * eye(za.shape[0]) - bell_operator(alpha, m1, m2, n1, n2)
     cross = za @ xb + xa @ zb
-    res1 = op_norm(ibar - (ctx.s * ibar @ ibar + 4 * ctx.s * ctx.c**2 * cross @ cross) / 4)
+    res1 = op_norm(ibar - (s * ibar @ ibar + 4 * s * c**2 * cross @ cross) / 4)
     zdiff = za - zb
     xdiff = xa - xb
-    res2 = op_norm(ibar - ((ctx.c**2 / ctx.s) * zdiff @ zdiff + ctx.s * xdiff @ xdiff))
+    res2 = op_norm(ibar - ((c**2 / s) * zdiff @ zdiff + s * xdiff @ xdiff))
     return res1, res2

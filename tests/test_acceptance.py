@@ -9,11 +9,10 @@ import time
 
 import numpy as np
 import pytest
-from chsh_reference import chsh_ideal_instance, sos_residuals
+from chsh_reference import bell_operator, chsh_ideal_instance, expectation, sos_residuals
 from dense_reference import brute_force_primitive
 
 from lsgame import (
-    WeightedChshContext,
     build_conjugacy_triples,
     build_full_test,
     build_ideal_strategy,
@@ -31,7 +30,6 @@ from lsgame import (
     table_deviation,
     verify_representation,
 )
-from lsgame.evaluation import bell_value
 from lsgame.numtheory import is_odd_prime
 from lsgame.robustness import RESIDUAL_LABELS
 from lsgame.strategy import ext_labels
@@ -103,19 +101,17 @@ def test_criterion_4_correlation_tables(family):
 def test_criterion_5_weighted_chsh_and_sos(random_binary_observable):
     alphas = (1.0, 1 / math.tan(math.pi / 5), 1 / math.tan(math.pi / 7))
     for alpha in alphas:
-        ctx = WeightedChshContext.from_alpha(alpha)
         state, m1, m2, n1, n2 = chsh_ideal_instance(alpha)
-        value = bell_value(state, m1, m2, n1, n2, ctx)
+        value = expectation(bell_operator(alpha, m1, m2, n1, n2), state)
         assert abs(value - 2 * math.sqrt(1 + alpha**2)) <= 1e-10, alpha
     rng = np.random.default_rng(2024)
-    ctx = WeightedChshContext.from_alpha(1.0)
     worst1 = worst2 = 0.0
     dims = ((2, 2), (4, 4), (6, 6), (4, 2), (6, 2))
     for trial in range(100):
         da, db = dims[trial % len(dims)]
         m1, m2 = (random_binary_observable(da, rng) for _ in range(2))
         n1, n2 = (random_binary_observable(db, rng) for _ in range(2))
-        res1, res2 = sos_residuals(m1, m2, n1, n2, ctx)
+        res1, res2 = sos_residuals(1.0, m1, m2, n1, n2)
         worst1 = max(worst1, res1)
         worst2 = max(worst2, res2)
     assert worst2 <= 1e-9, worst2

@@ -4,15 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from chsh_reference import chsh_ideal_instance, sos_residuals
+from chsh_reference import (
+    bell_operator,
+    chsh_constants,
+    chsh_ideal_instance,
+    expectation,
+    joint_observables,
+    sos_residuals,
+)
 from dense_reference import family
 from lsgame import (
     Correlation,
-    DomainError,
     PreconditionError,
     StructuralError,
     Strategy,
-    WeightedChshContext,
     build_full_test,
     build_ideal_strategy,
     build_representation,
@@ -21,7 +26,7 @@ from lsgame import (
     ls_winning_probability_from_correlation,
     make_params,
 )
-from lsgame.evaluation import bell_value, embedded_chsh_value, evaluation_report
+from lsgame.evaluation import embedded_chsh_value, evaluation_report
 from lsgame.robustness import PerturbationSpec, perturb_strategy
 from lsgame.strategy import eq_label, ext_labels, var_label
 
@@ -32,54 +37,39 @@ ALPHAS = (1.0, 1 / math.tan(math.pi / 5), 1 / math.tan(math.pi / 7))
 
 def test_context_invariants():
     for alpha in ALPHAS:
-        ctx = WeightedChshContext.from_alpha(alpha)
-        assert abs(ctx.c**2 + ctx.s**2 - 1) < 1e-14
-        assert ctx.imax >= 2 * abs(alpha)
-        assert abs(math.tan(ctx.mu) * alpha - 1) < 1e-12
-    with pytest.raises(DomainError):
-        WeightedChshContext.from_alpha(0.5)
-
-
-def test_ideal_value_hits_quantum_maximum():
-    for alpha in ALPHAS:
-        ctx = WeightedChshContext.from_alpha(alpha)
-        state, m1, m2, n1, n2 = chsh_ideal_instance(alpha)
-        value = bell_value(state, m1, m2, n1, n2, ctx)
-        assert abs(value - ctx.imax) <= 1e-10
+        mu, c, s, imax = chsh_constants(alpha)
+        assert abs(c**2 + s**2 - 1) < 1e-14
+        assert imax >= 2 * abs(alpha)
+        assert abs(math.tan(mu) * alpha - 1) < 1e-12
 
 
 def test_alpha_one_reaches_two_root_two():
-    ctx = WeightedChshContext.from_alpha(1.0)
     state, m1, m2, n1, n2 = chsh_ideal_instance(1.0)
-    assert abs(bell_value(state, m1, m2, n1, n2, ctx) - 2 * math.sqrt(2)) <= 1e-12
+    assert abs(expectation(bell_operator(1.0, m1, m2, n1, n2), state) - 2 * math.sqrt(2)) <= 1e-12
 
 
 def test_product_state_respects_classical_bound():
-    ctx = WeightedChshContext.from_alpha(1.0)
     _, m1, m2, n1, n2 = chsh_ideal_instance(1.0)
     product = np.zeros(4, dtype=complex)
     product[0] = 1.0  # |00>
-    assert bell_value(product, m1, m2, n1, n2, ctx) <= 2 * abs(ctx.alpha) + 1e-12
+    assert expectation(bell_operator(1.0, m1, m2, n1, n2), product) <= 2 + 1e-12
 
 
 def test_all_sigma_z_gives_two():
-    ctx = WeightedChshContext.from_alpha(1.0)
     state, *_ = chsh_ideal_instance(1.0)
-    assert abs(bell_value(state, SZ, SZ, SZ, SZ, ctx) - 2.0) <= 1e-12
+    assert abs(expectation(bell_operator(1.0, SZ, SZ, SZ, SZ), state) - 2.0) <= 1e-12
 
 
 def test_chsh_rejects_non_involution():
-    ctx = WeightedChshContext.from_alpha(1.0)
     _, m1, m2, n1, n2 = chsh_ideal_instance(1.0)
     with pytest.raises(PreconditionError):
-        sos_residuals(0.5 * m1, m2, n1, n2, ctx)
+        sos_residuals(1.0, 0.5 * m1, m2, n1, n2)
 
 
 def test_sos_residuals_vanish_on_ideal_grid():
     for alpha in ALPHAS + (2.0, 5.0):
-        ctx = WeightedChshContext.from_alpha(alpha)
         _, m1, m2, n1, n2 = chsh_ideal_instance(alpha)
-        res1, res2 = sos_residuals(m1, m2, n1, n2, ctx)
+        res1, res2 = sos_residuals(alpha, m1, m2, n1, n2)
         assert res1 <= 1e-9 and res2 <= 1e-9
 
 
@@ -88,12 +78,11 @@ def test_sos_residuals_vanish_on_random_observables(random_binary_observable):
     # binary observables, not just the ideal ones; res1's general status
     # is what this test documents.
     rng = np.random.default_rng(42)
-    ctx = WeightedChshContext.from_alpha(1.0)
     for dim_a, dim_b in ((2, 2), (4, 2), (6, 4)):
         for _ in range(10):
             m1, m2 = (random_binary_observable(dim_a, rng) for _ in range(2))
             n1, n2 = (random_binary_observable(dim_b, rng) for _ in range(2))
-            res1, res2 = sos_residuals(m1, m2, n1, n2, ctx)
+            res1, res2 = sos_residuals(1.0, m1, m2, n1, n2)
             assert res1 <= 1e-9
             assert res2 <= 1e-9
 
@@ -238,7 +227,7 @@ def test_sos_remainder_is_how_far_alice_is_from_binary():
     _, _, test, strat = ideal_setup(5)
     noisy = perturb_strategy(strat, PerturbationSpec("rotate", 1e-3, 3))
     chsh, sos = embedded_chsh_value(noisy)
-    ctx = WeightedChshContext.from_alpha(chsh["alpha"])
+    _, c, s, _ = chsh_constants(chsh["alpha"])
     sub, z, x = ext_labels(test.n_vars)
     phi = (noisy.basis("A", sub).operator((1, 0)) @ noisy.state).ravel()
     phi /= np.linalg.norm(phi)
@@ -249,7 +238,30 @@ def test_sos_remainder_is_how_far_alice_is_from_binary():
         return np.real(np.vdot(phi, np.kron(np.eye(m.shape[0]) - m @ m, one_b) @ phi))
 
     assert sos["remainder"] >= 1e-8
-    assert abs(sos["remainder"] - (ctx.c**2 / ctx.s * gap(z) + ctx.s * gap(x))) <= 1e-12
+    assert abs(sos["remainder"] - (c**2 / s * gap(z) + s * gap(x))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", (3, 5, 7))
+@pytest.mark.parametrize("kind", ("state", "rotate", "both"))
+def test_embedded_chsh_matches_reference_operators(d, kind):
+    # an oracle on the joint space: <phi|B_alpha|phi> and the two squares as
+    # dim^2 x dim^2 operators; the deficit imax + <B> is imax - <B> for Bob's
+    # observables negated, so the squares take Z_B and X_B of -N1, -N2
+    _, _, test, strat = ideal_setup(d)
+    noisy = perturb_strategy(strat, PerturbationSpec(kind, 1e-3, 3))
+    chsh, sos = embedded_chsh_value(noisy)
+    alpha = -1 / math.tan(math.pi / d)
+    _, c, s, imax = chsh_constants(alpha)
+    sub, z, x = ext_labels(test.n_vars)
+    phi = noisy.basis("A", sub).operator((1, 0)) @ noisy.state
+    phi /= np.linalg.norm(phi)
+    za, xa = noisy.observable("A", z), noisy.observable("A", x)
+    n1, n2 = noisy.observable("B", "a1"), noisy.observable("B", "a2")
+    zj_a, xj_a, zj_b, xj_b = joint_observables(alpha, za, xa, -n1, -n2)
+    assert abs(chsh["alpha"] - alpha) <= 1e-15 and abs(chsh["imax"] - imax) <= 1e-12
+    assert abs(chsh["value"] - expectation(bell_operator(alpha, za, xa, n1, n2), phi)) <= 1e-12
+    assert abs(sos["z_term"] - c**2 / s * expectation((zj_a - zj_b) @ (zj_a - zj_b), phi)) <= 1e-12
+    assert abs(sos["x_term"] - s * expectation((xj_a - xj_b) @ (xj_a - xj_b), phi)) <= 1e-12
 
 
 def test_evaluation_report_shape():
