@@ -27,12 +27,7 @@ from .strategy import (
     ideal_table_values,
     table_deviation,
 )
-from .evaluation import (
-    correlation_distance,
-    embedded_chsh_value,
-    evaluation_report,
-    ls_winning_probability_from_correlation,
-)
+from .evaluation import correlation_distance, embedded_chsh_value, ls_winning_probability_from_correlation
 from .isometry import SelfTestReport, selftest_report
 from .robustness import (
     PerturbationSpec,

@@ -19,12 +19,7 @@ import os
 import sys
 
 from .errors import DomainError, LsgameError, PreconditionError, ResourceError
-from .evaluation import (
-    correlation_distance,
-    evaluation_report,
-    ls_winning_probability_from_correlation,
-)
-from .isometry import selftest_report
+from .evaluation import correlation_distance, embedded_chsh_value, ls_winning_probability_from_correlation
 from .linalg import worst
 from .lsg import QUOTED_PAIR_COUNT, build_linear_system, system_to_json_dict, system_to_text
 from .numtheory import make_params
@@ -148,7 +143,7 @@ def cmd_gen_game(args) -> int:
             "valid_pairs": len(system.valid_pairs),
             "quoted_pairs": QUOTED_PAIR_COUNT(system.r),
             "support": len(test.support),
-            "quoted_support": test.quoted_support,
+            "quoted_support": QUOTED_PAIR_COUNT(system.r) + 25 + 16,  # the extension and commutation pairs
         }
         _write(args.out, dump_json(payload))
     return 0
@@ -189,14 +184,15 @@ def cmd_eval(args) -> int:
     corr = _read_correlation(args.infile, params, test) if args.infile is not None else None
     _, ideal = _ideal(params, test)
     if corr is not None:
-        payload = {
-            "winning_probability": ls_winning_probability_from_correlation(corr, ideal.test),
-            "epsilon": correlation_distance(corr, ideal.correlation()),
-            "table_deviation": table_deviation(corr, ideal_table_values(ideal.params, ideal.test)),
-        }
+        payload = {"table_deviation": table_deviation(corr, ideal_table_values(params, test))}
     else:
         spec = _spec(args)
-        payload = {**evaluation_report(perturb_strategy(ideal, spec), ideal.correlation()), **spec.fields(ideal.params)}
+        strategy = perturb_strategy(ideal, spec)
+        corr = strategy.correlation()
+        chsh, sos = embedded_chsh_value(strategy)
+        payload = {"chsh": chsh, "sos": sos, **spec.fields(params)}
+    payload["winning_probability"] = ls_winning_probability_from_correlation(corr, test)
+    payload["epsilon"] = correlation_distance(corr, ideal.correlation())
     _write(args.out, dump_json(payload))
     return 0
 
@@ -235,17 +231,17 @@ def cmd_demo_family(args) -> int:
     for d in DEMO_PRIMES:
         rep, ideal = _ideal(make_params(d, None))
         residual = worst((verify_representation(rep, ideal.test.system), key_unitaries(rep)))
-        report = selftest_report(ideal, ideal.correlation())
-        good = residual == 0.0 and _within(report.distances.values(), SELFTEST_TOLERANCE)
+        rec = certify(ideal, ideal.correlation(), PerturbationSpec("both", 0.0, 0))  # self-test --d d's record
+        good = residual == 0.0 and _within(rec.distances.values(), SELFTEST_TOLERANCE)
         ok = ok and good
         lines.append(
             {
                 "d": d,
                 "r": ideal.params.r,
                 "rep_residual": residual,
-                "max_selftest_distance": worst(report.distances.values()),
-                "junk_norm": report.junk_norm,
-                "epsilon": report.epsilon,
+                "max_selftest_distance": worst(rec.distances.values()),
+                "junk_norm": rec.junk_norm,
+                "epsilon": rec.epsilon,
                 "ok": bool(good),
             }
         )

@@ -52,7 +52,7 @@ def correlation_distance(c1: Correlation, c2: Correlation) -> float:
     return total
 
 
-# --- embedded CHSH diagnostics and the combined report -------------------------
+# --- embedded CHSH diagnostics ------------------------------------------------
 
 
 def embedded_chsh_value(strategy: Strategy) -> tuple[dict, dict]:
@@ -103,16 +103,3 @@ def embedded_chsh_value(strategy: Strategy) -> tuple[dict, dict]:
     chsh = {"alpha": alpha, "value": value, "imax": imax}
     sos = {"deficit": deficit, "z_term": z_term, "x_term": x_term, "remainder": deficit - z_term - x_term}
     return chsh, sos
-
-
-def evaluation_report(strategy: Strategy, ideal: Correlation) -> dict:
-    """winning probability, embedded CHSH and its sum of squares, and epsilon."""
-    test = strategy.test
-    corr = strategy.correlation()
-    chsh, sos = embedded_chsh_value(strategy)
-    return {
-        "winning_probability": ls_winning_probability_from_correlation(corr, test),
-        "chsh": chsh,
-        "sos": sos,
-        "epsilon": correlation_distance(corr, ideal),
-    }

@@ -32,10 +32,9 @@ from functools import partial
 import numpy as np
 
 from .errors import ResourceError
-from .evaluation import correlation_distance
 from .linalg import eye, qft
 from .numtheory import PrimeParams, discrete_log
-from .strategy import COMM_GENS, Correlation, Strategy
+from .strategy import COMM_GENS, Strategy
 
 #: One row per report label, in report order:
 #:   (pre-applied (party, name), read as strategy.observable(party, name), or None,
@@ -106,7 +105,6 @@ def _stage2_factors(strategy: Strategy, party: str) -> tuple[np.ndarray, np.ndar
 class SelfTestReport:
     distances: dict[str, float]
     junk_norm: float
-    epsilon: float
 
 
 def _gram_ladders(strategy: Strategy, roots: dict[str, np.ndarray]) -> dict[tuple[str, int], np.ndarray]:
@@ -178,7 +176,7 @@ def _left_out_roots(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
+def selftest_report(strategy: Strategy) -> SelfTestReport:
     """Distances of the isometry outputs from junk (x) EPR^2 (x) target.
 
     junk is the unnormalized contraction of the output against the EPR and
@@ -211,7 +209,6 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     at a time: per control row j_A, the product R_A L_A[j_A] psi, used at
     once for that row's support factor and off-support term; the residuals
     X_j - t_j J, in place; and Q_A J Q_B^T, one of its 16 blocks at a time.
-    The correlation is formed first, before any ladder.
     """
     params = strategy.params
     da, db = strategy.state.shape
@@ -219,8 +216,6 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
     footprint = selftest_footprint(d, da, db)
     if footprint > MAX_SELFTEST_ELEMENTS:
         raise ResourceError(f"self-test would hold {footprint} amplitudes at once, above the cap")
-    # the correlation first, while no ladder is held
-    eps = correlation_distance(strategy.correlation(), ideal)
     # the QR factors and Bob's left-out factors depend on the bases alone
     (q_a, r_a), (q_b, r_b) = (
         strategy.derived(("stage-two QR", party), partial(_stage2_factors, strategy, party)) for party in "AB"
@@ -278,4 +273,4 @@ def selftest_report(strategy: Strategy, ideal: Correlation) -> SelfTestReport:
         if label == "psi":
             junk_norm = float(np.linalg.norm(junk))
 
-    return SelfTestReport(distances=distances, junk_norm=junk_norm, epsilon=eps)
+    return SelfTestReport(distances=distances, junk_norm=junk_norm)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .evaluation import correlation_distance
 from .isometry import REPORT_LABELS, selftest_report
 from .linalg import Basis, rotate_bases, worst
 from .numtheory import PrimeParams
@@ -214,15 +215,21 @@ def records_to_csv(records: list[SweepRecord]) -> str:
 
 def certify(ideal: Strategy, ideal_corr: Correlation, spec: PerturbationSpec) -> SweepRecord:
     """The record of one perturbation: perturb_strategy(ideal, spec), its
-    selftest_report against ideal_corr, then its relation_residuals.
+    selftest_report, its epsilon against ideal_corr, then its
+    relation_residuals.  The self-test runs first, so its size guard fires
+    before the copy's correlation or residuals are formed, and that
+    correlation is never held next to the self-test's ladders.
 
     The perturbed copy, its correlation and a rotated copy's basis memo die
     when the call returns; an unrotated copy's memo is the ideal's, and at
     magnitude 0 the copy is the ideal itself.
     """
     strategy = perturb_strategy(ideal, spec)
-    report = selftest_report(strategy, ideal_corr)
-    return SweepRecord(**spec.fields(ideal.params), **vars(report), residuals=relation_residuals(strategy))
+    report = selftest_report(strategy)
+    epsilon = correlation_distance(strategy.correlation(), ideal_corr)
+    return SweepRecord(
+        **spec.fields(ideal.params), epsilon=epsilon, **vars(report), residuals=relation_residuals(strategy)
+    )
 
 
 def run_sweep(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, StructuralError
 from .linalg import Basis, basis_vector, eye, kron, worst
-from .lsg import QUOTED_PAIR_COUNT, LinearSystem, build_linear_system, eq_label
+from .lsg import LinearSystem, build_linear_system, eq_label
 from .numtheory import PrimeParams
 from .representation import KEY_FACTORS, Monomial, Rep, broken_relations, roots_of_unity, x_index
 
@@ -80,7 +80,6 @@ class FullTest:
     alice_answers: dict[str, tuple]
     bob_answers: dict[str, tuple]
     support: tuple[tuple[str, str], ...]
-    quoted_support: int
     readout: dict[tuple[str, str], tuple[str, tuple[float, ...]]]
 
     @property
@@ -128,7 +127,6 @@ def build_full_test(params: PrimeParams) -> FullTest:
         alice_answers=alice_answers,
         bob_answers=bob_answers,
         support=tuple(support),
-        quoted_support=QUOTED_PAIR_COUNT(params.r) + 25 + 16,
         readout=readout,
     )
 

@@ -123,9 +123,8 @@ def test_criterion_5_weighted_chsh_and_sos(random_binary_observable):
 def test_criterion_6_selftest_ideal(family):
     for d in (3, 5):
         params, _, test, strategy = family[(d, 2)]
-        corr = generate_correlation(strategy, test)
         t0 = time.time()
-        report = selftest_report(strategy, corr)
+        report = selftest_report(strategy)
         elapsed = time.time() - t0
         worst = max(report.distances.values())
         assert worst <= 1e-8, (d, report.distances)
@@ -210,7 +209,7 @@ def test_criterion_10_one_game_for_many_dimensions():
         for d, test in zip(primes, tests):
             params = make_params(d, r)
             strategy = build_ideal_strategy(params, build_representation(params), test)
-            report = selftest_report(strategy, generate_correlation(strategy, test))
+            report = selftest_report(strategy)
             assert max(report.distances.values()) <= 1e-8, (d, r, report.distances)
             worst = max(worst, *report.distances.values())
         print(f"PASS criterion 10 (r={r}): one test of {len(tests[0].support)} pairs for d in {primes}; "

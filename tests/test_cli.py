@@ -28,6 +28,7 @@ def test_gen_game_json_counts(capsys):
     assert payload["game"]["valid_pairs"] == 270
     assert payload["game"]["support"] == 311
     assert payload["game"]["quoted_pairs"] == 999
+    assert payload["game"]["quoted_support"] == 157 * 2 + 726
 
 
 def test_verify_rep(capsys):
@@ -109,7 +110,26 @@ def test_eval_strategy_report(capsys):
     code, out, _ = run(["eval", "--d", "3"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert {"winning_probability", "chsh", "sos", "epsilon"} <= set(payload)
+    assert set(payload) == {"winning_probability", "chsh", "sos", "epsilon", "d", "r", "kind", "delta", "seed"}
+    assert abs(payload["winning_probability"] - 1) <= 1e-10
+    assert payload["epsilon"] <= 1e-12
+    assert payload["sos"]["deficit"] == payload["chsh"]["imax"] + payload["chsh"]["value"]
+
+
+def test_eval_and_self_test_read_one_epsilon(tmp_path, capsys):
+    # one path to each score: eval's strategy branch at delta 0 and its file
+    # branch on the same ideal write the same winning probability and
+    # epsilon, and eval's epsilon at delta > 0 is self-test's, to the bit
+    corr_path = tmp_path / "corr.json"
+    assert run(["gen-correlation", "--d", "5", "--out", str(corr_path)], capsys)[0] == 0
+    scores = [json.loads(run(["eval", "--d", "5", *flags], capsys)[1]) for flags in ([], ["--in", str(corr_path)])]
+    for key in ("winning_probability", "epsilon"):
+        assert scores[0][key] == scores[1][key], key
+    for kind in ("state", "rotate", "both"):
+        flags = ["--d", "5", "--kind", kind, "--delta", "1e-3", "--seed", "3"]
+        evaluated, tested = (json.loads(run([command, *flags], capsys)[1]) for command in ("eval", "self-test"))
+        assert evaluated["epsilon"] > 0
+        assert evaluated["epsilon"] == tested["epsilon"], kind
 
 
 def test_demo_family(tmp_path, capsys):
@@ -122,8 +142,9 @@ def test_demo_family(tmp_path, capsys):
     assert [row["d"] for row in payload["family"]] == [3, 5, 7, 11, 13]
     assert payload["ok"] is True
     for row in payload["family"]:
-        assert row["rep_residual"] <= 1e-9
+        assert row["rep_residual"] == 0.0
         assert row["max_selftest_distance"] <= 1e-8
+        assert row["epsilon"] == 0.0  # the ideal's own delta-0 record, as self-test --d d writes it
 
 
 def test_bad_prime_exits_2(capsys):
@@ -214,16 +235,16 @@ def reject_constant(name):
 def test_gates_fail_closed_on_nan(monkeypatch, capsys):
     # a NaN after the first label used to vanish in max() and pass the gate
     import lsgame.cli as cli
+    import lsgame.robustness as robustness
 
-    real_report = cli.selftest_report
+    real_report = robustness.selftest_report
 
-    def nan_report(*args):
-        report = real_report(*args)
+    def nan_report(strategy):
+        report = real_report(strategy)
         report.distances["OA_psi"] = float("nan")
         return report
 
-    monkeypatch.setattr(cli, "selftest_report", nan_report)  # demo-family
-    monkeypatch.setattr("lsgame.robustness.selftest_report", nan_report)  # self-test, through certify
+    monkeypatch.setattr(robustness, "selftest_report", nan_report)  # self-test and demo-family, through certify
     monkeypatch.setattr(cli, "DEMO_PRIMES", (3,))
     assert run(["self-test", "--d", "3"], capsys)[0] == 3
     code, out, _ = run(["demo-family"], capsys)
@@ -594,8 +615,8 @@ def test_sweep_without_fit_on_a_non_finite_record(monkeypatch, capsys):
 
     real_report = robustness.selftest_report
 
-    def nan_report(strategy, ideal_corr):
-        report = real_report(strategy, ideal_corr)
+    def nan_report(strategy):
+        report = real_report(strategy)
         report.distances["psi"] = float("nan")
         return report
 

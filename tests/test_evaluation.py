@@ -26,7 +26,7 @@ from lsgame import (
     ls_winning_probability_from_correlation,
     make_params,
 )
-from lsgame.evaluation import embedded_chsh_value, evaluation_report
+from lsgame.evaluation import embedded_chsh_value
 from lsgame.robustness import PerturbationSpec, perturb_strategy
 from lsgame.strategy import eq_label, ext_labels, var_label
 
@@ -206,6 +206,8 @@ def test_correlation_distance_support_mismatch():
 def test_embedded_chsh_extremal_at_ideal():
     for d in (3, 5, 7, 13):
         chsh, sos = embedded_chsh_value(ideal_setup(d)[3])
+        assert list(chsh) == ["alpha", "value", "imax"]
+        assert list(sos) == ["deficit", "z_term", "x_term", "remainder"]
         assert abs(chsh["alpha"] + 1 / math.tan(math.pi / d)) < 1e-12
         assert abs(abs(chsh["value"]) - chsh["imax"]) <= 1e-10
         assert sos["deficit"] == chsh["imax"] + chsh["value"]
@@ -262,14 +264,3 @@ def test_embedded_chsh_matches_reference_operators(d, kind):
     assert abs(chsh["value"] - expectation(bell_operator(alpha, za, xa, n1, n2), phi)) <= 1e-12
     assert abs(sos["z_term"] - c**2 / s * expectation((zj_a - zj_b) @ (zj_a - zj_b), phi)) <= 1e-12
     assert abs(sos["x_term"] - s * expectation((xj_a - xj_b) @ (xj_a - xj_b), phi)) <= 1e-12
-
-
-def test_evaluation_report_shape():
-    _, _, test, strat = ideal_setup(3)
-    report = evaluation_report(strat, generate_correlation(strat, test))
-    assert list(report) == ["winning_probability", "chsh", "sos", "epsilon"]
-    assert list(report["chsh"]) == ["alpha", "value", "imax"]
-    assert list(report["sos"]) == ["deficit", "z_term", "x_term", "remainder"]
-    assert abs(report["winning_probability"] - 1) <= 1e-10
-    assert report["epsilon"] <= 1e-12
-    assert report["sos"]["deficit"] == report["chsh"]["imax"] + report["chsh"]["value"]

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +12,16 @@ from lsgame import (
     build_full_test,
     build_ideal_strategy,
     build_representation,
-    generate_correlation,
+    correlation_distance,
     make_params,
     relation_residuals,
     selftest_report,
 )
+import lsgame.isometry as iso
 from lsgame.isometry import LABELS, REPORT_LABELS, selftest_footprint
 from lsgame.linalg import Basis, eye, qft
 from lsgame.numtheory import discrete_log
-from lsgame.robustness import KINDS, PerturbationSpec, perturb_strategy
+from lsgame.robustness import KINDS, PerturbationSpec, certify, perturb_strategy
 from lsgame.strategy import COMM_GENS, var_label
 
 #: the three (s_A, s_B) exponent-sign pairs that the report labels use
@@ -113,8 +116,8 @@ def dense_report(strat):
     return out
 
 
-def assert_matches_dense(strat, corr, context):
-    report = selftest_report(strat, corr)
+def assert_matches_dense(strat, context):
+    report = selftest_report(strat)
     dense = dense_report(strat)
     for label, (dist, junk_norm) in dense.items():
         assert abs(report.distances[label] - dist) <= 1e-12, (context, label, report.distances[label], dist)
@@ -184,19 +187,32 @@ def test_phi2_keeps_trailing_registers():
     assert abs(np.linalg.norm(out) - 1) <= 1e-10
 
 
+def test_isometry_reads_the_strategy_alone():
+    # the self-test is about the isometry: it imports no scoring of
+    # correlations (evaluation) and no perturbation harness (robustness)
+    tree = ast.parse(Path(iso.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("lsgame." * (node.level == 1) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    ours = {name.removeprefix("lsgame.") for name in modules if name.startswith("lsgame.")}
+    assert ours == {"errors", "linalg", "numtheory", "strategy"}, ours
+
+
 def test_selftest_report_ideal():
     # (5, 3), (7, 5) and the roots of 11 and 13 other than 2 are non-minimal,
     # so the r^-1 in the UA/UB targets and the logs of _u_exponents differ
     # from the smallest root's; every other delta-0 self-test uses r in {2, 3, 5}
     for d, r in ((3, None), (5, None), (5, 3), (7, 5), (11, 6), (11, 7), (11, 8), (13, 6), (13, 7), (13, 11)):
         p, rep, test, strat = ideal_setup(d, r)
-        corr = generate_correlation(strat, test)
-        report = selftest_report(strat, corr)
-        assert set(report.distances) == set(REPORT_LABELS)
-        for label, dist in report.distances.items():
+        rec = certify(strat, strat.correlation(), PerturbationSpec("both", 0.0, 0))
+        assert set(rec.distances) == set(REPORT_LABELS)
+        for label, dist in rec.distances.items():
             assert dist <= 1e-8, (d, r, label, dist)
-        assert abs(report.junk_norm - 1) <= 1e-8
-        assert report.epsilon == 0
+        assert abs(rec.junk_norm - 1) <= 1e-8
+        assert rec.epsilon == 0
 
 
 def test_selftest_report_matches_dense_reference():
@@ -204,11 +220,10 @@ def test_selftest_report_matches_dense_reference():
     # from the explicit residual to sqrt(||v||^2 - ||junk||^2)
     for d, r in ((3, None), (5, None), (5, 3), (7, 5)):
         p, rep, test, strat = ideal_setup(d, r)
-        corr = generate_correlation(strat, test)
         for kind in ("state", "rotate", "both"):
             for delta in (1e-6, 1e-5, 1e-4, 1e-2):
                 pert = perturb_strategy(strat, PerturbationSpec(kind, delta, 17))
-                assert_matches_dense(pert, corr, (d, r, kind, delta))
+                assert_matches_dense(pert, (d, r, kind, delta))
 
 
 def test_selftest_report_non_isometric_stage_two():
@@ -216,7 +231,6 @@ def test_selftest_report_non_isometric_stage_two():
     # observable is 0.9 times a unitary: sum_l M_l^H M_l is no longer the
     # identity, so off-support slices must be weighted by the Gram matrix
     p, rep, test, strat = ideal_setup(5)
-    corr = generate_correlation(strat, test)
     pert = perturb_strategy(strat, PerturbationSpec("both", 1e-2, 4))
     key = var_label("f0")
 
@@ -230,7 +244,7 @@ def test_selftest_report_non_isometric_stage_two():
     )
     np.testing.assert_allclose(scaled.observable("A", "f0"), 0.9 * pert.observable("A", "f0"), atol=1e-14)
     assert abs(np.linalg.norm(phi2_dense(scaled.state, scaled.observable)) - 1) > 1e-3
-    assert_matches_dense(scaled, corr, "f0 scaled by 0.9")
+    assert_matches_dense(scaled, "f0 scaled by 0.9")
 
 
 def test_selftest_report_rank_deficient_stage_two():
@@ -239,7 +253,6 @@ def test_selftest_report_rank_deficient_stage_two():
     # stage-two maps lose rank and R is singular.
     # (f0 alone is not enough: the ideal Gram matrix is then 1/2.)
     p, rep, test, strat = ideal_setup(5)
-    corr = generate_correlation(strat, test)
     keys = (var_label("f0"), var_label("f2"))
 
     def zero(basis):
@@ -256,18 +269,17 @@ def test_selftest_report_rank_deficient_stage_two():
         for party in "AB":
             stack = swap_maps(zeroed.observable, party).reshape(4 * da, da)
             assert np.linalg.matrix_rank(stack) < da
-        assert_matches_dense(zeroed, corr, "f0 and f2 zeroed")
+        assert_matches_dense(zeroed, "f0 and f2 zeroed")
 
 
 def test_selftest_report_streams():
     # no stage-two output is built: the call's allocation peak stays below
     # the bytes of one (da, db, 2,2,2,2, d, d) array
     p, rep, test, strat = ideal_setup(7)
-    corr = strat.correlation()  # memoized, so formed outside the traced call
     stage_two_bytes = strat.state.size * 16 * 7 * 7 * 16
     tracemalloc.start()
     try:
-        report = selftest_report(strat, corr)
+        report = selftest_report(strat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -282,12 +294,10 @@ def test_selftest_report_holds_at_most_its_footprint(d):
     # factors, ladders, Bob's left-out factors), and its traced peak stays
     # within the guard's amplitude count of complex128 bytes
     _, _, _, ideal = ideal_setup(d)
-    ideal_corr = ideal.correlation()
     strat = perturb_strategy(ideal, PerturbationSpec("rotate", 1e-3, 3))
-    strat.correlation()  # the strategy's own memo, not the self-test's: formed outside the traced call
     tracemalloc.start()
     try:
-        selftest_report(strat, ideal_corr)
+        selftest_report(strat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -296,24 +306,19 @@ def test_selftest_report_holds_at_most_its_footprint(d):
 
 
 def test_selftest_report_resource_guard(monkeypatch):
-    import lsgame.isometry as iso
-
     p, rep, test, strat = ideal_setup(3)
-    corr = generate_correlation(strat, test)
     monkeypatch.setattr(iso, "MAX_SELFTEST_ELEMENTS", 100)
     with pytest.raises(ResourceError):
-        selftest_report(strat, corr)
+        selftest_report(strat)
 
 
 def test_selftest_report_contaminated_state():
     p, rep, test, strat = ideal_setup(3)
-    corr = generate_correlation(strat, test)
-    noisy = perturb_strategy(strat, PerturbationSpec("state", 1e-4, 9))
-    report = selftest_report(noisy, corr)
-    assert report.epsilon > 0
-    for dist in report.distances.values():
+    rec = certify(strat, strat.correlation(), PerturbationSpec("state", 1e-4, 9))
+    assert rec.epsilon > 0
+    for dist in rec.distances.values():
         assert np.isfinite(dist)
-    assert 0 <= report.junk_norm <= 1 + 1e-9
+    assert 0 <= rec.junk_norm <= 1 + 1e-9
 
 
 def test_variant_outputs_share_ancilla_marginal():
@@ -336,8 +341,7 @@ def test_strategy_o_and_u_are_unitary():
 def test_prime_variant_targets():
     # the unphased diagonal target for the second CHSH observable
     p, rep, test, strat = ideal_setup(5)
-    corr = generate_correlation(strat, test)
-    report = selftest_report(strat, corr)
+    report = selftest_report(strat)
     assert report.distances["M2_psi"] <= 1e-8
     assert report.distances["N2_psi"] <= 1e-8
 
@@ -376,12 +380,13 @@ def test_local_unitary_invariance(d, delta):
 
     tables, moved = strat.correlation().entries, rotated.correlation().entries
     assert max(float(np.abs(moved[key] - table).max()) for key, table in tables.items()) <= 1e-13
-    before, after = selftest_report(strat, ideal_corr), selftest_report(rotated, ideal_corr)
+    before, after = selftest_report(strat), selftest_report(rotated)
     assert set(after.distances) == set(REPORT_LABELS)
     for label, dist in before.distances.items():
         assert abs(after.distances[label] - dist) <= 1e-13, (label, dist, after.distances[label])
     assert abs(after.junk_norm - before.junk_norm) <= 1e-13
-    assert abs(after.epsilon - before.epsilon) <= 1e-13
+    eps_before, eps_after = (correlation_distance(s.correlation(), ideal_corr) for s in (strat, rotated))
+    assert abs(eps_after - eps_before) <= 1e-13
     residuals, rotated_residuals = relation_residuals(strat), relation_residuals(rotated)
     assert len(residuals) == 7
     for name, value in residuals.items():
@@ -420,12 +425,13 @@ def test_junk_factor_invariance(d, kind, delta):
     n = strat.state.shape[0]
     assert lifted.state.shape == (2 * n, 3 * n)
     ideal_corr = ideal.correlation()
-    before, after = selftest_report(strat, ideal_corr), selftest_report(lifted, ideal_corr)
+    before, after = selftest_report(strat), selftest_report(lifted)
     assert set(after.distances) == set(REPORT_LABELS)
     for label, dist in before.distances.items():
         assert abs(after.distances[label] - dist) <= 1e-12, (label, dist, after.distances[label])
     assert abs(after.junk_norm - before.junk_norm) <= 1e-12
-    assert abs(after.epsilon - before.epsilon) <= 1e-12
+    eps_before, eps_after = (correlation_distance(s.correlation(), ideal_corr) for s in (strat, lifted))
+    assert abs(eps_after - eps_before) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -435,7 +441,7 @@ def test_unequal_dimensions_match_dense_reference(kind):
     # here the lifted strategy, dims 16 x 24, meets the dense stages
     _, _, _, ideal = ideal_setup(3)
     lifted = with_junk(perturb_strategy(ideal, PerturbationSpec(kind, 1e-3, 4)), unit_junk(3))
-    assert_matches_dense(lifted, ideal.correlation(), kind)
+    assert_matches_dense(lifted, kind)
 
 
 def padded(strat, pad_a, pad_b):
@@ -469,25 +475,23 @@ def test_padding_invariance(d, kind, delta):
     n = strat.state.shape[0]
     assert big.state.shape == (n + 2, n + 3)
     ideal_corr = ideal.correlation()
-    before, after = selftest_report(strat, ideal_corr), selftest_report(big, ideal_corr)
+    before, after = selftest_report(strat), selftest_report(big)
     assert set(after.distances) == set(REPORT_LABELS)
     for label, dist in before.distances.items():
         assert abs(after.distances[label] - dist) <= 1e-12, (label, dist, after.distances[label])
     assert abs(after.junk_norm - before.junk_norm) <= 1e-12
-    assert abs(after.epsilon - before.epsilon) <= 1e-12
+    eps_before, eps_after = (correlation_distance(s.correlation(), ideal_corr) for s in (strat, big))
+    assert abs(eps_after - eps_before) <= 1e-12
 
 
 def test_size_guard_sees_the_padding(monkeypatch):
     # the guard counts the padded dimensions: with the cap at the unpadded
     # footprint it accepts the strategy and refuses its padded embedding
-    import lsgame.isometry as iso
-
     _, _, _, ideal = ideal_setup(3)
     big = padded(ideal, 2, 3)
     small_footprint = selftest_footprint(3, *ideal.state.shape)
     assert small_footprint < selftest_footprint(3, *big.state.shape)
     monkeypatch.setattr(iso, "MAX_SELFTEST_ELEMENTS", small_footprint)
-    ideal_corr = ideal.correlation()
-    assert max(selftest_report(ideal, ideal_corr).distances.values()) <= 1e-8
+    assert max(selftest_report(ideal).distances.values()) <= 1e-8
     with pytest.raises(ResourceError):
-        selftest_report(big, ideal_corr)
+        selftest_report(big)

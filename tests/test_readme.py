@@ -16,7 +16,7 @@ def test_readme_pipeline_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     report = ast.literal_eval(out.getvalue())
-    assert set(report) == {"distances", "junk_norm", "epsilon"}
+    assert set(report) == {"d", "r", "kind", "delta", "seed", "epsilon", "distances", "junk_norm", "residuals"}
     assert max(report["distances"].values()) <= 1e-8
     assert abs(report["junk_norm"] - 1) <= 1e-8
     assert report["epsilon"] == 0.0

@@ -106,7 +106,7 @@ def test_generated_tables_read_only():
     assert not any(table.flags.writeable for table in memo.entries.values())
     with pytest.raises(ValueError, match="read-only"):
         memo.entries[test.support[0]][0, 0] += 0.5
-    record = selftest_report(perturb_strategy(strat, PerturbationSpec("both", 0.0, 1)), generate_correlation(strat, test))
+    record = certify(strat, generate_correlation(strat, test), PerturbationSpec("both", 0.0, 1))
     assert record.epsilon == 0.0
 
 
@@ -338,7 +338,7 @@ def test_each_observable_derived_once(monkeypatch):
         return real(self, key, recorded)
 
     monkeypatch.setattr(Strategy, "derived", spy)
-    selftest_report(pert, corr)
+    selftest_report(pert)
     relation_residuals(pert)
     assert ("observable", "A", "U") in derived and ("stage-two QR", "B") in derived
     assert not [key for key in derived if key[0] == "observable" and key[2] in ("a3", "a4")]
@@ -347,11 +347,11 @@ def test_each_observable_derived_once(monkeypatch):
     # the rotated copy has its own table, not the ideal's entries
     assert np.linalg.norm(pert.observable("A", "a3") - ideal_a3) > 1e-6
 
-    selftest_report(strat, corr)
+    selftest_report(strat)
     relation_residuals(strat)
     derived.clear()
     noisy = perturb_strategy(strat, PerturbationSpec("state", 1e-3, 2))
-    selftest_report(noisy, corr)
+    selftest_report(noisy)
     relation_residuals(noisy)
     assert derived == []
 
@@ -379,12 +379,13 @@ def test_shared_memo_gives_bit_identical_outputs(kind):
     # a record read through the ideal's filled table and a copy that derives
     # everything anew agree to the last bit
     _, test, strat, corr = ideal_setup(5)
-    selftest_report(strat, corr)
+    selftest_report(strat)
     relation_residuals(strat)
     for delta in (0.0, 1e-3):
         pert = perturb_strategy(strat, PerturbationSpec(kind, delta, 8))
         fresh = dataclasses.replace(pert)
-        assert selftest_report(pert, corr) == selftest_report(fresh, corr), delta
+        assert selftest_report(pert) == selftest_report(fresh), delta
+        assert correlation_distance(pert.correlation(), corr) == correlation_distance(fresh.correlation(), corr), delta
         assert relation_residuals(pert) == relation_residuals(fresh), delta
 
 
@@ -487,10 +488,11 @@ def test_other_ideal_of_the_family_is_far(d, d_other):
     assert ideal.params.r == other.params.r and ideal.test == other.test
     control = Strategy(params=ideal.params, test=ideal.test, state=other.state, alice=other.alice, bob=other.bob)
     assert abs(ls_winning_probability_from_correlation(control.correlation(), ideal.test) - 1) <= 1e-12
-    report = selftest_report(control, ideal.correlation())
-    assert report.epsilon >= 5e-3
+    report = selftest_report(control)
+    epsilon = correlation_distance(control.correlation(), ideal.correlation())
+    assert epsilon >= 5e-3
     assert min(report.distances.values()) >= 0.5, report.distances
-    assert report.distances["psi"] / report.epsilon**0.125 >= 0.9
+    assert report.distances["psi"] / epsilon**0.125 >= 0.9
     # its CHSH deficit is far from 0 too, and all of it is squares: the
     # other ideal's observables are binary; measured, 6.9e-3 to 0.29
     _, sos = embedded_chsh_value(control)

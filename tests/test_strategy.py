@@ -52,7 +52,6 @@ def test_support_structure():
     assert len(comm_pairs) == 16
     assert len(test.support) == len(ls_pairs) + 25 + 16
     assert len(set(test.support)) == len(test.support)
-    assert test.quoted_support == 157 * 2 + 726
 
 
 def test_disjoint_blocks():
