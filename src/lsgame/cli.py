@@ -23,7 +23,7 @@ from .evaluation import correlation_distance, embedded_chsh_value, ls_winning_pr
 from .linalg import worst
 from .lsg import QUOTED_PAIR_COUNT, build_linear_system, system_to_json_dict, system_to_text
 from .numtheory import make_params
-from .representation import build_representation, key_unitaries, verify_representation
+from .representation import broken_relations, build_representation, key_unitaries, verify_representation, worst_gap
 from .robustness import KINDS, PerturbationSpec, certify, fit_bound, perturb_strategy, records_to_csv, run_sweep
 from .strategy import (
     Correlation,
@@ -152,7 +152,8 @@ def cmd_gen_game(args) -> int:
 def cmd_verify_rep(args) -> int:
     params = make_params(args.d, args.r)
     rep = build_representation(params)
-    residual = verify_representation(rep, build_linear_system(params.r))
+    broken = broken_relations(rep, build_linear_system(params.r))
+    residual = worst_gap(rel[1:] for rel in broken)
     conj_residual = key_unitaries(rep)
     # every relation is decided exactly: a holding one reads 0.0, and a NaN fails
     ok = residual == 0.0 and conj_residual == 0.0
@@ -161,6 +162,7 @@ def cmd_verify_rep(args) -> int:
         "r": params.r,
         "relation_residual": residual,
         "conjugation_residual": conj_residual,
+        "first_broken": broken[0][0] if broken else None,
         "ok": ok,
     }
     _write(args.out, dump_json(payload))
@@ -232,7 +234,8 @@ def cmd_demo_family(args) -> int:
         rep, ideal = _ideal(make_params(d, None))
         residual = worst((verify_representation(rep, ideal.test.system), key_unitaries(rep)))
         rec = certify(ideal, ideal.correlation(), PerturbationSpec("both", 0.0, 0))  # self-test --d d's record
-        good = residual == 0.0 and _within(rec.distances.values(), SELFTEST_TOLERANCE)
+        max_residual = worst(rec.residuals.values())
+        good = residual == 0.0 and _within([*rec.distances.values(), max_residual], SELFTEST_TOLERANCE)
         ok = ok and good
         lines.append(
             {
@@ -242,6 +245,7 @@ def cmd_demo_family(args) -> int:
                 "max_selftest_distance": worst(rec.distances.values()),
                 "junk_norm": rec.junk_norm,
                 "epsilon": rec.epsilon,
+                "max_residual": max_residual,
                 "ok": bool(good),
             }
         )

@@ -14,21 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, ResourceError
-
-#: Cap on the element count of any matrix produced by kron.  It cannot fire
-#: below make_params' cap of d <= 31: the largest kron lifts an extension
-#: question's columns to the full space, 4(d-1) x 4(d-3) = 13440 elements
-#: at d = 31 (the representation's images are exact, not dense krons).
-MAX_KRON_ELEMENTS = 1 << 26
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a size guard."""
-    size = a.size * b.size
-    if size > MAX_KRON_ELEMENTS:
-        raise ResourceError(f"kron result with {size} elements exceeds the cap")
-    return np.kron(a, b)
+from .errors import PreconditionError
 
 
 def eye(n: int) -> np.ndarray:

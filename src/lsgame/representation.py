@@ -202,49 +202,41 @@ def build_representation(params: PrimeParams) -> Rep:
     return Rep(params=params, dim=4 * w, table=table)
 
 
-def _gap(m: Monomial, target: Monomial) -> float:
-    """0.0 when m == target, else the operator norm of their dense difference."""
-    return 0.0 if m == target else op_norm(m.dense() - target.dense())
+def worst_gap(pairs) -> float:
+    """The largest operator norm of left - right over (left, right) Monomial
+    pairs, an equal pair reading 0.0 with no dense matrix; 0.0 for no pair."""
+    return max((0.0 if left == right else op_norm(left.dense() - right.dense()) for left, right in pairs), default=0.0)
 
 
 def broken_relations(rep: Rep, system: LinearSystem) -> list[tuple[str, Monomial, Monomial]]:
     """Gamma's relations that rep breaks, in order, each as (name, left, right).
 
     First each variable and then J: it squares to 1 and commutes with J.
-    Then each row: its product is (-1)^c.  Together these make each row's
-    images commuting involutions (a monomial unitary that squares to 1 is
-    Hermitian).  Each side is a word of three images, padded with 1, whose
-    product is formed on (relation, index) perm and phase stacks by
-    Monomial.__matmul__'s rule, so every relation is decided exactly.
+    Then each row: the product of its three images, in order, is (-1)^c.
+    Together these make each row's images commuting involutions (a monomial
+    unitary that squares to 1 is Hermitian).  Each side is a Monomial
+    product, so every relation is decided exactly.
     """
-    k, e = system.n_vars, system.n_vars + 1  # the indices of J and 1 in the stack; -1 follows 1
-    one = Monomial.identity(rep.dim, rep["J"].order)
-    stack = [*map(rep.__getitem__, system.variables), rep["J"], one, -one]
-    perm, phase = np.array([m.perm for m in stack]), np.array([m.phase for m in stack])
-    relations = []  # (name, left word, right word)
-    for v, g in enumerate((*system.variables, "J")):
-        relations += [(f"{g}: the square is not 1", (v, v, e), (e, e, e))]
-        relations += [(f"{g}: it does not commute with J", (k, v, e), (v, k, e))]
-    for i, (row, c) in enumerate(zip(system.rows, system.rhs)):
-        name = f"{eq_label(i)} ({', '.join(system.row_names(i))}): the product is not {'-1' if c % 2 else '+1'}"
-        relations.append((name, row, (e + c % 2, e, e)))
+    jm = rep["J"]
+    one = Monomial.identity(rep.dim, jm.order)
+    images = [*map(rep.__getitem__, system.variables), jm]
 
-    def product(words):  # each word's product, as (relation, index) perm and reduced phase stacks
-        p, ph = perm[words[:, 2]], phase[words[:, 2]]
-        for f in (words[:, 1, None], words[:, 0, None]):
-            at = f * rep.dim + p  # flat index of factor f's entry at p
-            p, ph = perm.take(at), ph + phase.take(at)
-        return p, ph % one.order
+    def relations():  # (name, left, right), one at a time
+        for g, m in zip((*system.variables, "J"), images):
+            yield f"{g}: the square is not 1", m @ m, one
+            yield f"{g}: it does not commute with J", jm @ m, m @ jm
+        for i, (row, c) in enumerate(zip(system.rows, system.rhs)):
+            x, y, z = (images[v] for v in row)
+            name = f"{eq_label(i)} ({', '.join(system.row_names(i))}): the product is not {'-1' if c % 2 else '+1'}"
+            yield name, x @ y @ z, -one if c % 2 else one
 
-    (lp, lph), (rp, rph) = (product(np.array([rel[side] for rel in relations])) for side in (1, 2))
-    broken = np.flatnonzero((lp != rp).any(axis=1) | (lph != rph).any(axis=1))
-    return [(relations[i][0], Monomial(lp[i], lph[i], one.order), Monomial(rp[i], rph[i], one.order)) for i in broken]
+    return [(name, left, right) for name, left, right in relations() if left != right]
 
 
 def verify_representation(rep: Rep, system: LinearSystem) -> float:
     """0.0 when rep satisfies every relation of Gamma (broken_relations), else
     the largest operator norm of a broken relation's left minus right side."""
-    return max((op_norm(left.dense() - right.dense()) for _, left, right in broken_relations(rep, system)), default=0.0)
+    return worst_gap(rel[1:] for rel in broken_relations(rep, system))
 
 
 def key_unitaries(rep: Rep) -> float:
@@ -261,4 +253,4 @@ def key_unitaries(rep: Rep) -> float:
     oo, uu = (rep[a] @ rep[b] for a, b in KEY_FACTORS.values())
     id4 = Monomial.identity(4, o.order)
     o_r = functools.reduce(operator.matmul, [o] * params.r)
-    return max(_gap(u @ o, o_r @ u), _gap(oo, id4.kron(o)), _gap(uu, id4.kron(u)))
+    return worst_gap([(u @ o, o_r @ u), (oo, id4.kron(o)), (uu, id4.kron(u))])

@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructuralError
-from .linalg import Basis, basis_vector, eye, kron, worst
+from .linalg import Basis, basis_vector, eye, worst
 from .lsg import LinearSystem, build_linear_system, eq_label
 from .numtheory import PrimeParams
 from .representation import KEY_FACTORS, Monomial, Rep, broken_relations, roots_of_unity, x_index
@@ -270,7 +270,7 @@ def ext_bases(rep: Rep, n_vars: int) -> dict[str, Basis]:
     families.update((comm_label(q, g), (on_w[q], halves[g])) for q in (z, x) for g in COMM_GENS)
     out = {}
     for q, (cols_w, cols_4) in families.items():
-        blocks = [kron(e, cols) for cols in cols_w for e in cols_4]  # answer (b1, b2), b2 fastest
+        blocks = [np.kron(e, cols) for cols in cols_w for e in cols_4]  # answer (b1, b2), b2 fastest
         outcomes = np.repeat(np.eye(len(blocks)), [block.shape[1] for block in blocks], axis=1)
         out[q] = Basis(np.hstack(blocks), outcomes)
     return out

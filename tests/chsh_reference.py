@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from lsgame.errors import DomainError, PreconditionError
-from lsgame.linalg import dagger, eye, kron, op_norm
+from lsgame.linalg import dagger, eye, op_norm
 
 
 def chsh_constants(alpha: float) -> tuple[float, float, float, float]:
@@ -28,7 +28,7 @@ def chsh_constants(alpha: float) -> tuple[float, float, float, float]:
 
 def bell_operator(alpha: float, m1, m2, n1, n2) -> np.ndarray:
     """alpha M1N1 + alpha M1N2 + M2N1 - M2N2 on the joint space."""
-    return alpha * kron(m1, n1) + alpha * kron(m1, n2) + kron(m2, n1) - kron(m2, n2)
+    return alpha * np.kron(m1, n1) + alpha * np.kron(m1, n2) + np.kron(m2, n1) - np.kron(m2, n2)
 
 
 def joint_observables(alpha: float, m1, m2, n1, n2) -> tuple[np.ndarray, ...]:
@@ -36,7 +36,7 @@ def joint_observables(alpha: float, m1, m2, n1, n2) -> tuple[np.ndarray, ...]:
     on the joint space."""
     _, c, s, _ = chsh_constants(alpha)
     ia, ib = eye(m1.shape[0]), eye(n1.shape[0])
-    return kron(m1, ib), kron(m2, ib), kron(ia, n1 + n2) / (2 * c), kron(ia, n1 - n2) / (2 * s)
+    return np.kron(m1, ib), np.kron(m2, ib), np.kron(ia, n1 + n2) / (2 * c), np.kron(ia, n1 - n2) / (2 * s)
 
 
 def expectation(op: np.ndarray, state: np.ndarray) -> float:

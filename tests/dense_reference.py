@@ -22,7 +22,7 @@ from chsh_reference import involution_residual
 
 from lsgame.errors import PreconditionError, StructuralError
 from lsgame.groups import build_conjugacy_triples, h_name, q_name
-from lsgame.linalg import dagger, eye, kron, op_norm
+from lsgame.linalg import dagger, eye, op_norm
 from lsgame.representation import x_index
 from lsgame.strategy import eq_label, var_label
 
@@ -228,13 +228,13 @@ def dense_table(params):
     id_2w = eye(2 * w)
 
     # level-1 images on W2 (x) W_{d-1}
-    psi1 = {"f0": kron(_X2, id_w)}
+    psi1 = {"f0": np.kron(_X2, id_w)}
     for i in range(1, n0 + 1):
         ai = psi0[i]
-        psi1[f"a{i}"] = kron(eye(2), ai)
+        psi1[f"a{i}"] = np.kron(eye(2), ai)
         psi1[f"b{i}"] = _block_diag(ai, id_w)
         psi1[f"c{i}"] = _block_diag(id_w, ai)
-        psi1[f"d{i}"] = kron(_X2, ai)
+        psi1[f"d{i}"] = np.kron(_X2, ai)
     triples = build_conjugacy_triples(r)
     for t in triples:
         _, j, k = t
@@ -244,23 +244,23 @@ def dense_table(params):
     table = {}
     for name in list(psi1):
         if name != "f0":
-            table[name] = kron(eye(2), psi1[name])
+            table[name] = np.kron(eye(2), psi1[name])
     pauli = {
-        "f0": kron(eye(2), kron(_X2, id_w)),
-        "f1": kron(_X2, kron(_X2, id_w)),
-        "f2": kron(_X2, kron(eye(2), id_w)),
-        "g0": kron(eye(2), kron(_Z2, id_w)),
-        "g1": kron(_Z2, kron(_Z2, id_w)),
-        "g2": kron(_Z2, kron(eye(2), id_w)),
-        "m0": kron(_Z2, kron(_X2, id_w)),
-        "m1": kron(_X2, kron(_Z2, id_w)),
-        "m2": kron(_Y2, kron(_Y2, id_w)),
+        "f0": np.kron(eye(2), np.kron(_X2, id_w)),
+        "f1": np.kron(_X2, np.kron(_X2, id_w)),
+        "f2": np.kron(_X2, np.kron(eye(2), id_w)),
+        "g0": np.kron(eye(2), np.kron(_Z2, id_w)),
+        "g1": np.kron(_Z2, np.kron(_Z2, id_w)),
+        "g2": np.kron(_Z2, np.kron(eye(2), id_w)),
+        "m0": np.kron(_Z2, np.kron(_X2, id_w)),
+        "m1": np.kron(_X2, np.kron(_Z2, id_w)),
+        "m2": np.kron(_Y2, np.kron(_Y2, id_w)),
     }
     table.update(pauli)
     f0_1 = psi1["f0"]
     for i in range(1, n0 + 1):
         b, c = psi1[f"b{i}"], psi1[f"c{i}"]
-        table[f"p{i}_1"] = kron(_X2, b)
+        table[f"p{i}_1"] = np.kron(_X2, b)
         table[f"p{i}_2"] = _block_off(b @ f0_1, f0_1 @ b)
         table[f"p{i}_3"] = _block_diag(b @ f0_1 @ b, f0_1)
         table[f"p{i}_4"] = _block_diag(b @ c, id_2w)
@@ -268,8 +268,8 @@ def dense_table(params):
     for t in triples:
         i, j, k = t
         bj, di, ck = psi1[f"b{j}"], psi1[f"d{i}"], psi1[f"c{k}"]
-        table[q_name(t, 1)] = kron(_X2, di)
-        table[q_name(t, 2)] = kron(_X2, bj)
+        table[q_name(t, 1)] = np.kron(_X2, di)
+        table[q_name(t, 2)] = np.kron(_X2, bj)
         table[q_name(t, 3)] = _block_off(bj @ di, di @ bj)
         table[q_name(t, 4)] = _block_diag(bj @ di @ bj, di)
         table[q_name(t, 5)] = _block_diag(bj @ ck, id_2w)

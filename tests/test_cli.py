@@ -37,6 +37,7 @@ def test_verify_rep(capsys):
     payload = json.loads(out)
     assert payload["relation_residual"] == 0.0
     assert payload["conjugation_residual"] == 0.0
+    assert payload["first_broken"] is None
     assert payload["ok"] is True
 
 
@@ -58,6 +59,27 @@ def test_verify_rep_tolerance_gate(monkeypatch, capsys):
     code, out, _ = run(["verify-rep", "--d", "5"], capsys)
     assert code == 3
     assert json.loads(out)["ok"] is False
+
+
+def test_verify_rep_names_first_broken(monkeypatch, capsys):
+    # a1 and a2 exchanged: each is still an involution commuting with J, so
+    # the first relation broken is the first row's product
+    import lsgame.cli as cli
+
+    build = cli.build_representation
+
+    def exchanged(params):
+        rep = build(params)
+        rep.table["a1"], rep.table["a2"] = rep.table["a2"], rep.table["a1"]
+        return rep
+
+    monkeypatch.setattr(cli, "build_representation", exchanged)
+    code, out, _ = run(["verify-rep", "--d", "3"], capsys)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["first_broken"] == "I1 (a1, b1, c1): the product is not +1"
+    assert payload["relation_residual"] > 0
+    assert payload["ok"] is False
 
 
 def test_self_test_ideal(capsys):
@@ -144,7 +166,32 @@ def test_demo_family(tmp_path, capsys):
     for row in payload["family"]:
         assert row["rep_residual"] == 0.0
         assert row["max_selftest_distance"] <= 1e-8
+        assert row["max_residual"] <= 1e-8
         assert row["epsilon"] == 0.0  # the ideal's own delta-0 record, as self-test --d d writes it
+
+
+@pytest.mark.parametrize("value, written", [(1e-3, 1e-3), (float("nan"), None)])
+def test_demo_family_gates_residual_probes(value, written, monkeypatch, capsys):
+    # one probe off at d = 5 fails that row, and only that row
+    import lsgame.cli as cli
+    import lsgame.robustness as robustness
+
+    real_residuals = robustness.relation_residuals
+
+    def off_at_five(strategy):
+        residuals = real_residuals(strategy)
+        if strategy.params.d == 5:
+            residuals["comm"] = value
+        return residuals
+
+    monkeypatch.setattr(robustness, "relation_residuals", off_at_five)
+    monkeypatch.setattr(cli, "DEMO_PRIMES", (3, 5))
+    code, out, _ = run(["demo-family"], capsys)
+    assert code == 3
+    payload = json.loads(out, parse_constant=reject_constant)
+    assert payload["ok"] is False
+    assert [row["ok"] for row in payload["family"]] == [True, False]
+    assert payload["family"][1]["max_residual"] == written
 
 
 def test_bad_prime_exits_2(capsys):

@@ -3,31 +3,11 @@ import pytest
 
 import lsgame.linalg as la
 from dense_reference import joint_projector, observable_to_projectors, random_unitaries
-from lsgame import PreconditionError, ResourceError
+from lsgame import PreconditionError
 from lsgame.errors import PreconditionError as PE
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def test_kron_identities():
-    np.testing.assert_allclose(la.kron(la.eye(2), la.eye(3)), la.eye(6))
-    assert la.kron(SZ, SX)[0, 1] == 1
-
-
-def test_kron_mixed_product():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
-        lhs = la.kron(a, b) @ la.kron(c, d)
-        rhs = la.kron(a @ c, b @ d)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_kron_size_guard(monkeypatch):
-    monkeypatch.setattr(la, "MAX_KRON_ELEMENTS", 16)
-    with pytest.raises(ResourceError):
-        la.kron(la.eye(4), la.eye(4))
 
 
 def test_qft_two_is_hadamard():
@@ -80,14 +60,14 @@ def test_observable_rejects_non_involution():
 
 def test_joint_projector_basic():
     np.testing.assert_allclose(joint_projector([SZ])[0], np.diag([1, 0]).astype(complex))
-    zz = joint_projector([la.kron(SZ, la.eye(2)), la.kron(la.eye(2), SZ)])[1]  # outcome (0, 1)
-    np.testing.assert_allclose(zz, la.kron(np.diag([1, 0]), np.diag([0, 1])), atol=1e-14)
+    zz = joint_projector([np.kron(SZ, la.eye(2)), np.kron(la.eye(2), SZ)])[1]  # outcome (0, 1)
+    np.testing.assert_allclose(zz, np.kron(np.diag([1, 0]), np.diag([0, 1])), atol=1e-14)
 
 
 def test_joint_projector_completeness_random(random_binary_observable):
     rng = np.random.default_rng(3)
     a = random_binary_observable(3, rng)
-    obs = [la.kron(a, la.eye(2)), la.kron(la.eye(3), random_binary_observable(2, rng))]
+    obs = [np.kron(a, la.eye(2)), np.kron(la.eye(3), random_binary_observable(2, rng))]
     stack = joint_projector(obs)
     total = np.zeros((6, 6), dtype=complex)
     for o1 in (0, 1):

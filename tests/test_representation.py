@@ -20,6 +20,7 @@ from lsgame import (
 )
 from lsgame.groups import conjugacy_gadgets, h_name
 from lsgame.linalg import dagger, eye
+from lsgame.lsg import eq_label
 from lsgame.representation import KEY_FACTORS, Monomial, broken_relations
 from lsgame.strategy import equation_bases
 
@@ -114,18 +115,20 @@ def test_each_relation_class_caught(fault, first):
         equation_bases(rep, system)
 
 
-def loop_relations(rep, system):
-    """(left, right) of each relation of Gamma in broken_relations' order,
-    one Monomial product at a time: the reference for its stacked products."""
-    jm = rep["J"]
-    one = Monomial.identity(rep.dim, jm.order)
+def dense_gaps(rep, system):
+    """(name, gap) of each relation of Gamma, in broken_relations' order, each
+    gap the operator norm of left minus right formed from the dense images."""
+    dense = {g: rep[g].dense() for g in (*system.variables, "J")}
+    jm, one = dense["J"], eye(rep.dim)
     out = []
     for g in (*system.variables, "J"):
-        m = rep[g]
-        out += [(m @ m, one), (jm @ m, m @ jm)]
-    for row, c in zip(system.rows, system.rhs):
-        product = functools.reduce(operator.matmul, (rep[system.variables[v]] for v in row))
-        out.append((product, -one if c % 2 else one))
+        m = dense[g]
+        out += [(f"{g}: the square is not 1", op_norm(m @ m - one))]
+        out += [(f"{g}: it does not commute with J", op_norm(jm @ m - m @ jm))]
+    for i, (row, c) in enumerate(zip(system.rows, system.rhs)):
+        x, y, z = (dense[system.variables[v]] for v in row)
+        name = f"{eq_label(i)} ({', '.join(system.row_names(i))}): the product is not {'-1' if c % 2 else '+1'}"
+        out.append((name, op_norm(x @ y @ z - (-1) ** c * one)))
     return out
 
 
@@ -145,19 +148,16 @@ def _moved_phase(m):
     ids=["ideal", "negated-f0", "exchanged-a1-a2", "J-is-g0", "p1_3-and-m2"],
 )
 def test_broken_relations_match_monomial_loop(mutate):
-    # each broken relation, in order, with both sides equal entry for entry
-    # (perm and reduced phase) to the Monomial products, so its dense gap is
-    # the loop's to the last bit
+    # the Monomial loop names broken, in order, exactly the relations whose
+    # dense products miss by more than 1e-9, and verify_representation reads
+    # the largest dense gap
     rep = build_representation(make_params(5))
     system = build_linear_system(2)
     mutate(rep.table)
-    want = [(left, right) for left, right in loop_relations(rep, system) if left != right]
-    got = broken_relations(rep, system)
-    assert len(got) == len(want)
-    for (_, left, right), (left_want, right_want) in zip(got, want):
-        for m, m_want in ((left, left_want), (right, right_want)):
-            assert np.array_equal(m.perm, m_want.perm) and np.array_equal(m.phase, m_want.phase)
-    assert verify_representation(rep, system) == max((op_norm(a.dense() - b.dense()) for a, b in want), default=0.0)
+    gaps = dense_gaps(rep, system)
+    assert [name for name, _, _ in broken_relations(rep, system)] == [name for name, gap in gaps if gap > 1e-9]
+    want = max(gap for _, gap in gaps)
+    assert verify_representation(rep, system) == pytest.approx(want if want > 1e-9 else 0.0, rel=1e-12, abs=0.0)
 
 
 def test_missing_generator_named():

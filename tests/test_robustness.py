@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import statistics
 
 import numpy as np
@@ -498,3 +499,33 @@ def test_other_ideal_of_the_family_is_far(d, d_other):
     _, sos = embedded_chsh_value(control)
     assert sos["deficit"] >= 5e-3, sos
     assert abs(sos["remainder"]) <= 1e-12, sos
+
+
+#: members of the family sharing a root r, whose ideals are compared in closed form
+FAMILY = {2: (5, 11, 13, 19, 29), 3: (7, 17, 31)}
+
+
+@pytest.fixture(scope="module")
+def family_correlations():
+    return {d: _ideal_family_member(d).correlation() for ds in FAMILY.values() for d in ds}
+
+
+@pytest.mark.parametrize(
+    "r, d, d_other", [(r, *pair) for r, ds in FAMILY.items() for pair in itertools.combinations(ds, 2)]
+)
+def test_family_distance_in_closed_form(r, d, d_other, family_correlations):
+    # two ideals of one root share the test, and their tables move with
+    # u = 1/(d-1) alone: the L1 gap of the LS, extension and commutation
+    # blocks is 25.5, 86 and 64 times |u - u'|, so epsilon is
+    # (25.5 + 86 + 64)/|S_r| |u - u'| = 351/(2|S_r|) |u - u'|
+    corr, other = family_correlations[d], family_correlations[d_other]
+    assert (corr.r, other.r) == (r, r)
+    du = abs(1 / (d - 1) - 1 / (d_other - 1))
+    support = list(corr.entries)
+    assert len(support) == {2: 311, 3: 353}[r]
+    assert correlation_distance(corr, other) == pytest.approx(351 / (2 * len(support)) * du, rel=1e-13, abs=0.0)
+    n_ls = len(support) - 25 - 16  # the support lists the LS pairs, then 25 extension and 16 commutation pairs
+    blocks = (support[:n_ls], support[n_ls:n_ls + 25], support[n_ls + 25:])
+    for keys, factor in zip(blocks, (25.5, 86, 64)):
+        gap = sum(float(np.abs(corr.entries[k] - other.entries[k]).sum()) for k in keys)
+        assert gap == pytest.approx(factor * du, rel=5e-13, abs=0.0), (keys[0], factor)
