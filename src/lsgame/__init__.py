@@ -24,10 +24,13 @@ from .strategy import (
     build_full_test,
     build_ideal_strategy,
     generate_correlation,
-    ideal_table_values,
+)
+from .evaluation import (
+    correlation_distance,
+    embedded_chsh_value,
+    ls_winning_probability_from_correlation,
     table_deviation,
 )
-from .evaluation import correlation_distance, embedded_chsh_value, ls_winning_probability_from_correlation
 from .isometry import SelfTestReport, selftest_report
 from .robustness import (
     PerturbationSpec,

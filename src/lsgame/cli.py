@@ -19,20 +19,15 @@ import os
 import sys
 
 from .errors import DomainError, LsgameError, PreconditionError, ResourceError
-from .evaluation import correlation_distance, embedded_chsh_value, ls_winning_probability_from_correlation
+from .evaluation import (
+    correlation_distance, embedded_chsh_value, ls_winning_probability_from_correlation, table_deviation,
+)
 from .linalg import worst
 from .lsg import QUOTED_PAIR_COUNT, build_linear_system, system_to_json_dict, system_to_text
 from .numtheory import make_params
-from .representation import broken_relations, build_representation, key_unitaries, verify_representation, worst_gap
+from .representation import broken_relations, build_representation, key_unitaries, worst_gap
 from .robustness import KINDS, PerturbationSpec, certify, fit_bound, perturb_strategy, records_to_csv, run_sweep
-from .strategy import (
-    Correlation,
-    build_full_test,
-    build_ideal_strategy,
-    dump_json,
-    ideal_table_values,
-    table_deviation,
-)
+from .strategy import Correlation, build_full_test, build_ideal_strategy, dump_json
 
 DEMO_PRIMES = (3, 5, 7, 11, 13)
 
@@ -186,7 +181,7 @@ def cmd_eval(args) -> int:
     corr = _read_correlation(args.infile, params, test) if args.infile is not None else None
     _, ideal = _ideal(params, test)
     if corr is not None:
-        payload = {"table_deviation": table_deviation(corr, ideal_table_values(params, test))}
+        payload = {"table_deviation": table_deviation(corr, ideal.correlation())}
     else:
         spec = _spec(args)
         strategy = perturb_strategy(ideal, spec)
@@ -231,8 +226,9 @@ def cmd_demo_family(args) -> int:
     lines = []
     ok = True
     for d in DEMO_PRIMES:
+        # the ideal build has already refused a broken relation of Gamma
         rep, ideal = _ideal(make_params(d, None))
-        residual = worst((verify_representation(rep, ideal.test.system), key_unitaries(rep)))
+        residual = key_unitaries(rep)
         rec = certify(ideal, ideal.correlation(), PerturbationSpec("both", 0.0, 0))  # self-test --d d's record
         max_residual = worst(rec.residuals.values())
         good = residual == 0.0 and _within([*rec.distances.values(), max_residual], SELFTEST_TOLERANCE)

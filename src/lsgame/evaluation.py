@@ -1,4 +1,4 @@
-"""Scoring: game values, weighted CHSH and its sum of squares, correlation distance."""
+"""Scoring: game values, weighted CHSH and its sum of squares, distances between correlations."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .errors import StructuralError
+from .linalg import worst
 from .strategy import Correlation, FullTest, Strategy, eq_label, ext_labels, var_label
 
 
@@ -38,18 +39,33 @@ def ls_winning_probability_from_correlation(corr: Correlation, test: FullTest) -
 # --- correlation distance -----------------------------------------------------
 
 
-def correlation_distance(c1: Correlation, c2: Correlation) -> float:
-    """Expected L1 distance of the conditional tables under the uniform support."""
+def _table_pairs(c1: Correlation, c2: Correlation) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The two correlations' tables, pair by pair in c1's order; StructuralError
+    unless they have one support and one answer alphabet per pair."""
     if set(c1.entries) != set(c2.entries):
         raise StructuralError("correlations have different supports")
-    pi = 1.0 / len(c1.entries)
-    total = 0.0
+    pairs = []
     for key, t1 in c1.entries.items():
         t2 = c2.entries[key]
         if t1.shape != t2.shape:
             raise StructuralError(f"answer alphabets differ at {key}")
+        pairs.append((t1, t2))
+    return pairs
+
+
+def correlation_distance(c1: Correlation, c2: Correlation) -> float:
+    """Expected L1 distance of the conditional tables under the uniform support."""
+    pairs = _table_pairs(c1, c2)
+    pi = 1.0 / len(pairs)
+    total = 0.0
+    for t1, t2 in pairs:
         total += pi * float(np.abs(t1 - t2).sum())
     return total
+
+
+def table_deviation(corr: Correlation, ideal: Correlation) -> float:
+    """Largest |corr - ideal| over every cell of the support; a NaN cell wins."""
+    return worst(float(np.abs(t1 - t2).max()) for t1, t2 in _table_pairs(corr, ideal))
 
 
 # --- embedded CHSH diagnostics ------------------------------------------------

@@ -243,10 +243,6 @@ def run_sweep(
     """One certify record per (kind, magnitude, trial); deterministic given base_seed.
     DomainError unless there are 1 to MAX_MAGNITUDES magnitudes and 1 to
     MAX_TRIALS trials, and base_seed is non-negative.
-
-    selftest_report's size guard raises ResourceError on the first record
-    when the strategy is too large for its streamed contraction; no d up to
-    make_params' cap of 31 is.
     """
     if trials < 1 or not magnitudes:
         raise DomainError(f"a sweep needs a magnitude and a trial, got {len(magnitudes)} and {trials}")

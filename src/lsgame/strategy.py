@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructuralError
-from .linalg import Basis, basis_vector, eye, worst
+from .linalg import Basis, basis_vector, eye
 from .lsg import LinearSystem, build_linear_system, eq_label
 from .numtheory import PrimeParams
 from .representation import KEY_FACTORS, Monomial, Rep, broken_relations, roots_of_unity, x_index
@@ -466,58 +466,3 @@ def generate_correlation(strategy: Strategy, test: FullTest | None = None) -> Co
     corr = Correlation(d=strategy.params.d, r=strategy.params.r)
     corr.entries.update((pair, tables[pair]) for pair in test.support)
     return corr
-
-
-# --- closed-form reference values for the ideal correlation ------------------
-
-
-def ideal_table_values(params: PrimeParams, test: FullTest) -> dict[tuple[str, str], dict[tuple[int, int], float]]:
-    """Every closed-form entry of the published ideal-correlation tables.
-
-    Keys are (x, y) question labels; inner keys are (row, col) indices into
-    the table of that pair, read off a grid p(a, b) in the test's answer
-    order.  The answers past a grid's last row or column are unconstrained.
-    """
-    d = params.d
-    w = d - 1
-    cos2 = math.cos(math.pi / (2 * d)) ** 2 / w
-    sin2 = math.sin(math.pi / (2 * d)) ** 2 / w
-    plus = (1 + math.sin(math.pi / d)) / (2 * w)
-    minus = (1 - math.sin(math.pi / d)) / (2 * w)
-    rest, one, half = (d - 3) / w, 1 / w, 1 / (2 * w)
-
-    sub, z, x = ext_labels(test.n_vars)
-    a1, a2 = var_label("a1"), var_label("a2")
-    by_z = [[cos2, sin2], [sin2, cos2]]
-    same = [[one, 0.0, 0.0], [0.0, one, 0.0], [0.0, 0.0, rest]]
-    cross = [[half, half, 0.0], [half, half, 0.0], [0.0, 0.0, rest]]
-    on_sub = [[one, 0.0], [one, 0.0], [0.0, rest]]
-    grids = {
-        (z, a1): by_z, (z, a2): by_z,
-        (x, a1): [[minus, plus], [plus, minus]], (x, a2): [[plus, minus], [minus, plus]],
-        (z, z): same, (x, x): same, (z, x): cross, (x, z): cross,
-        (sub, sub): [[2 / w, 0.0], [0.0, rest]], (z, sub): on_sub, (x, sub): on_sub,
-    }
-    # the role-flipped pairs, each its partner's transpose
-    grids.update(((qb, qa), list(zip(*grid))) for (qa, qb), grid in list(grids.items()) if (qb, qa) not in grids)
-    # commutation block: Bob's answer (b1, b2) carries the basis question's
-    # answer in b1 and the variable's in b2; mass[b1] is p of a match
-    mass = (half, half, rest / 2)
-    for q in (z, x):
-        for g in COMM_GENS:
-            y, v = comm_label(q, g), var_label(g)
-            grids[(q, y)] = [[mass[b1] * (a == b1) for b1, b2 in _COMM_ANSWERS] for a in test.alice_answers[q]]
-            grids[(v, y)] = [[mass[b1] * (a == b2) for b1, b2 in _COMM_ANSWERS] for a in test.alice_answers[v]]
-    return {key: {(i, j): p for i, row in enumerate(grid) for j, p in enumerate(row)} for key, grid in grids.items()}
-
-
-def table_deviation(corr: Correlation, reference: dict) -> float:
-    """Largest |entry - closed form| over all constrained table entries; a NaN entry wins."""
-    missing = [key for key in reference if key not in corr.entries]
-    if missing:
-        raise StructuralError(f"correlation lacks support pair {missing[0]}")
-    return worst(
-        abs(float(corr.entries[key][ia, ib]) - want)
-        for key, cells in reference.items()
-        for (ia, ib), want in cells.items()
-    )

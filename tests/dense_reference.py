@@ -10,7 +10,10 @@ dense_table builds the representation's images as dense complex matrices,
 a3 and a4 as sums over the Fourier basis u, the reference the exact
 monomial images are held to.  brute_force_primitive is the oracle that
 make_params' primitivity verdict is held to, and that enumerates the
-admissible (d, r).
+admissible (d, r).  ideal_table_values gives the published closed forms of
+the ideal correlation's extension-block and commutation tables, the oracle
+the generated ideal correlation is held to, cell by cell, with
+closed_form_deviation.
 """
 
 import cmath
@@ -22,9 +25,9 @@ from chsh_reference import involution_residual
 
 from lsgame.errors import PreconditionError, StructuralError
 from lsgame.groups import build_conjugacy_triples, h_name, q_name
-from lsgame.linalg import dagger, eye, op_norm
+from lsgame.linalg import dagger, eye, op_norm, worst
 from lsgame.representation import x_index
-from lsgame.strategy import eq_label, var_label
+from lsgame.strategy import COMM_GENS, comm_label, eq_label, ext_labels, var_label
 
 #: tolerance of the dense checks; dimensions stay at most 120 per side
 #: (4(d-1) at the cap d = 31), so roundoff sits far beneath this
@@ -276,3 +279,53 @@ def dense_table(params):
         table[q_name(t, 6)] = _block_diag(bj, ck)
     table["J"] = -eye(4 * w)
     return table
+
+
+def ideal_table_values(params, test):
+    """Every closed-form entry of the published ideal-correlation tables.
+
+    Keys are (x, y) question labels; inner keys are (row, col) indices into
+    the table of that pair, read off a grid p(a, b) in the test's answer
+    order.  The answers past a grid's last row or column are unconstrained.
+    """
+    d = params.d
+    w = d - 1
+    cos2 = math.cos(math.pi / (2 * d)) ** 2 / w
+    sin2 = math.sin(math.pi / (2 * d)) ** 2 / w
+    plus = (1 + math.sin(math.pi / d)) / (2 * w)
+    minus = (1 - math.sin(math.pi / d)) / (2 * w)
+    rest, one, half = (d - 3) / w, 1 / w, 1 / (2 * w)
+
+    sub, z, x = ext_labels(test.n_vars)
+    a1, a2 = var_label("a1"), var_label("a2")
+    by_z = [[cos2, sin2], [sin2, cos2]]
+    same = [[one, 0.0, 0.0], [0.0, one, 0.0], [0.0, 0.0, rest]]
+    cross = [[half, half, 0.0], [half, half, 0.0], [0.0, 0.0, rest]]
+    on_sub = [[one, 0.0], [one, 0.0], [0.0, rest]]
+    grids = {
+        (z, a1): by_z, (z, a2): by_z,
+        (x, a1): [[minus, plus], [plus, minus]], (x, a2): [[plus, minus], [minus, plus]],
+        (z, z): same, (x, x): same, (z, x): cross, (x, z): cross,
+        (sub, sub): [[2 / w, 0.0], [0.0, rest]], (z, sub): on_sub, (x, sub): on_sub,
+    }
+    # the role-flipped pairs, each its partner's transpose
+    grids.update(((qb, qa), list(zip(*grid))) for (qa, qb), grid in list(grids.items()) if (qb, qa) not in grids)
+    # commutation block: Bob's answer (b1, b2) carries the basis question's
+    # answer in b1 and the variable's in b2; mass[b1] is p of a match
+    mass = (half, half, rest / 2)
+    for q in (z, x):
+        for g in COMM_GENS:
+            y, v = comm_label(q, g), var_label(g)
+            answers = test.bob_answers[y]
+            grids[(q, y)] = [[mass[b1] * (a == b1) for b1, b2 in answers] for a in test.alice_answers[q]]
+            grids[(v, y)] = [[mass[b1] * (a == b2) for b1, b2 in answers] for a in test.alice_answers[v]]
+    return {key: {(i, j): p for i, row in enumerate(grid) for j, p in enumerate(row)} for key, grid in grids.items()}
+
+
+def closed_form_deviation(corr, reference):
+    """Largest |entry - closed form| over the cells that reference constrains; a NaN entry wins."""
+    return worst(
+        abs(float(corr.entries[key][ia, ib]) - want)
+        for key, cells in reference.items()
+        for (ia, ib), want in cells.items()
+    )

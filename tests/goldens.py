@@ -5,10 +5,12 @@ rewrites them:
 
 runs every case of CASES in process and writes its file, unless the golden
 there still passes as the tests compare it (assert_matches): a golden that
-the BLAS kernels would only move by an ulp is kept.  It prints which files
-it kept and which it wrote.  A case pins one stream of one command: its
---out file, or what it writes to stderr.  It is held to its golden file in
-one of three ways:
+the BLAS kernels would only move by an ulp is kept.  A golden that fails is
+merged (merge): each of its numbers that still passes is kept, and only a
+number that moved or a new one is taken from the run.  It prints which
+files it kept, merged or wrote.  A case pins one stream of one command:
+its --out file, or what it writes to stderr.  It is held to its golden file
+in one of three ways:
 
 - "exact": byte for byte;
 - "parsed": as JSON, number by number within ABS_TOL + REL_TOL * |golden|,
@@ -32,6 +34,7 @@ import sys
 import tempfile
 
 from lsgame.cli import main
+from lsgame.strategy import dump_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ABS_TOL = 1e-12
@@ -123,6 +126,37 @@ def assert_matches(how: str, got: bytes, want: bytes) -> None:
         assert_close(PARSE[how](got), PARSE[how](want))
 
 
+def keep_passing(got, want, read=lambda value: value):
+    """got, with each leaf of want kept where the two still compare equal
+    (assert_close, on the leaves as read gives them); a key or item that
+    want lacks, or a list that changed length, is got's."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return {key: keep_passing(value, want[key], read) if key in want else value for key, value in got.items()}
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [keep_passing(g, w, read) for g, w in zip(got, want)]
+    try:
+        assert_close(read(got), read(want))
+    except AssertionError:
+        return got
+    return want
+
+
+def merge(how: str, got: bytes, want: bytes) -> bytes:
+    """What to write for a golden want that got fails: got, keeping every
+    number of a "parsed" golden and every cell of a "csv" one that still
+    passes, written as the CLI writes it.  An "exact" golden, or one that
+    no longer parses, is got whole."""
+    try:
+        if how == "parsed":
+            return dump_json(keep_passing(json.loads(got), json.loads(want))).encode()
+        if how == "csv":
+            got_rows, want_rows = (list(csv.reader(io.StringIO(data.decode()))) for data in (got, want))
+            return "".join(",".join(row) + "\n" for row in keep_passing(got_rows, want_rows, csv_cell)).encode()
+    except ValueError:
+        pass
+    return got
+
+
 if __name__ == "__main__":
     if not __debug__:  # under -O every assert of the comparison is stripped, and every golden would be kept
         sys.exit("run goldens.py without -O: it compares with assert")
@@ -132,9 +166,13 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as workdir:
             got = run(argv, workdir)[stream]
         try:
-            assert_matches(how, got, golden.read_bytes())
+            want = golden.read_bytes()
+            assert_matches(how, got, want)
             verb = "kept"
-        except (OSError, ValueError, AssertionError):  # no golden, one that no longer parses, or one that moved
+        except OSError:  # no golden yet
             golden.write_bytes(got)
             verb = "wrote"
+        except (ValueError, AssertionError):  # one that no longer parses, or one that moved
+            golden.write_bytes(merge(how, got, want))
+            verb = "merged"
         sys.stdout.write(f"{verb} {golden}\n")

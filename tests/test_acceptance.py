@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 from chsh_reference import bell_operator, chsh_ideal_instance, expectation, sos_residuals
-from dense_reference import brute_force_primitive
+from dense_reference import brute_force_primitive, closed_form_deviation, ideal_table_values
 
 from lsgame import (
     build_conjugacy_triples,
@@ -19,7 +19,6 @@ from lsgame import (
     build_linear_system,
     build_representation,
     generate_correlation,
-    ideal_table_values,
     key_unitaries,
     ls_winning_probability_from_correlation,
     make_params,
@@ -27,7 +26,6 @@ from lsgame import (
     run_sweep,
     records_to_csv,
     selftest_report,
-    table_deviation,
     verify_representation,
 )
 from lsgame.numtheory import is_odd_prime
@@ -88,7 +86,7 @@ def test_criterion_4_correlation_tables(family):
         params, _, test, strategy = family[(d, r)]
         corr = generate_correlation(strategy, test)
         reference = ideal_table_values(params, test)
-        deviation = table_deviation(corr, reference)
+        deviation = closed_form_deviation(corr, reference)
         assert deviation <= 1e-10, (d, r, deviation)
         if d == 3:
             _, ext_z, _ = ext_labels(test.n_vars)

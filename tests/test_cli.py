@@ -124,8 +124,27 @@ def test_eval_correlation_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["winning_probability"] - 1) <= 1e-10
-    assert payload["epsilon"] <= 1e-12
-    assert payload["table_deviation"] <= 1e-10
+    assert payload["epsilon"] == 0.0
+    assert payload["table_deviation"] == 0.0
+
+
+def test_eval_in_reads_every_cell(tmp_path, capsys):
+    # 1e-3 moved inside one linear-system table, which still sums to 1: no
+    # closed-form cell of the extension or commutation block moves
+    ideal_path, moved_path = tmp_path / "ideal.json", tmp_path / "moved.json"
+    assert run(["gen-correlation", "--d", "5", "--out", str(ideal_path)], capsys)[0] == 0
+    data = json.loads(ideal_path.read_text())
+    table = next(e["p"] for e in data["entries"] if (e["x"], e["y"]) == ("I1", "x(a1)"))
+    cells = [(i, j) for i, row in enumerate(table) for j, _ in enumerate(row)]
+    (ia, ja), (ib, jb) = max(cells, key=lambda c: table[c[0]][c[1]]), min(cells, key=lambda c: table[c[0]][c[1]])
+    table[ia][ja] -= 1e-3
+    table[ib][jb] += 1e-3
+    moved_path.write_text(json.dumps(data))
+    code, out, _ = run(["eval", "--d", "5", "--in", str(moved_path)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["table_deviation"] - 1e-3) <= 1e-12
+    assert payload["epsilon"] > 0
 
 
 def test_eval_strategy_report(capsys):
@@ -330,6 +349,26 @@ def test_bad_tolerance_exits_2(value, capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "DomainError"
     assert "--tolerance" in error["message"]
+
+
+def test_demo_family_refuses_a_broken_relation(monkeypatch, capsys):
+    # the ideal build checks every relation of Gamma before demo-family reads
+    # a residual, so a broken one is a precondition error, not a failed row
+    import lsgame.cli as cli
+
+    build = cli.build_representation
+
+    def negated(params):
+        rep = build(params)
+        rep.table["f0"] = -rep.table["f0"]
+        return rep
+
+    monkeypatch.setattr(cli, "build_representation", negated)
+    code, out, err = run(["demo-family"], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error == {"type": "PreconditionError", "message": "I2 (a1, f0, d1): the product is not +1"}
 
 
 def test_demo_family_gates_conjugation(monkeypatch, capsys):

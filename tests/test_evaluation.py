@@ -25,6 +25,7 @@ from lsgame import (
     generate_correlation,
     ls_winning_probability_from_correlation,
     make_params,
+    table_deviation,
 )
 from lsgame.evaluation import embedded_chsh_value
 from lsgame.robustness import PerturbationSpec, perturb_strategy
@@ -201,6 +202,22 @@ def test_correlation_distance_support_mismatch():
         trimmed.entries[key] = table
     with pytest.raises(StructuralError):
         correlation_distance(base, trimmed)
+
+
+@pytest.mark.parametrize("measure", [correlation_distance, table_deviation])
+def test_correlation_measures_check_support_and_shape(measure):
+    # both compare a file with the ideal through the same support and shape checks
+    *_, strat = ideal_setup(3)
+    base = strat.correlation()
+    key = next(iter(base.entries))
+    trimmed = Correlation(base.d, base.r, {k: t for k, t in base.entries.items() if k != key})
+    reshaped = Correlation(base.d, base.r, {**base.entries, key: base.entries[key][:, :1]})
+    for other in (trimmed, reshaped):
+        with pytest.raises(StructuralError):
+            measure(base, other)
+        with pytest.raises(StructuralError):
+            measure(other, base)
+    assert measure(base, base) == 0.0
 
 
 def test_embedded_chsh_extremal_at_ideal():

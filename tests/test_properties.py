@@ -4,17 +4,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import brute_force_primitive, projectors
+from dense_reference import brute_force_primitive, closed_form_deviation, ideal_table_values, projectors
 from lsgame import (
     Correlation,
     build_full_test,
     build_ideal_strategy,
     build_representation,
     generate_correlation,
-    ideal_table_values,
     ls_winning_probability_from_correlation,
     make_params,
-    table_deviation,
     verify_representation,
 )
 from lsgame.representation import Monomial
@@ -43,7 +41,7 @@ def test_ideal_strategy_properties(dr):
 
     corr = generate_correlation(strat, test)
     assert abs(ls_winning_probability_from_correlation(corr, test) - 1) <= 1e-10
-    assert table_deviation(corr, ideal_table_values(p, test)) <= 1e-10
+    assert closed_form_deviation(corr, ideal_table_values(p, test)) <= 1e-10
 
     back = Correlation.from_json(corr.to_json())
     assert (back.d, back.r) == (p.d, p.r)

@@ -9,7 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_reference import dense_table, family, joint_projector, observable_to_projectors, projectors
+from dense_reference import (
+    closed_form_deviation,
+    dense_table,
+    family,
+    ideal_table_values,
+    joint_projector,
+    observable_to_projectors,
+    projectors,
+)
 
 import lsgame
 from lsgame import (
@@ -21,7 +29,6 @@ from lsgame import (
     build_ideal_strategy,
     build_representation,
     generate_correlation,
-    ideal_table_values,
     make_params,
     perturb_strategy,
     table_deviation,
@@ -496,7 +503,7 @@ def test_tables_match_reference():
     for d in (3, 5):
         p, _, test, strat = ideal_setup(d)
         corr = generate_correlation(strat, test)
-        assert table_deviation(corr, ideal_table_values(p, test)) <= 1e-10
+        assert closed_form_deviation(corr, ideal_table_values(p, test)) <= 1e-10
 
 
 def test_degenerate_entries_at_d3():
@@ -585,4 +592,4 @@ def test_table_deviation_keeps_a_nan():
     entries = dict(strat.correlation().entries)
     entries[key] = entries[key].copy()
     entries[key][0, 1] = np.nan
-    assert np.isnan(table_deviation(Correlation(p.d, p.r, entries), ideal_table_values(p, test)))
+    assert np.isnan(table_deviation(Correlation(p.d, p.r, entries), strat.correlation()))
