@@ -21,6 +21,19 @@ left-out factors and one label's support factors, and every other product
 is formed one slice at a time; MAX_SELFTEST_ELEMENTS caps what it holds.
 The dense stages live in the test suite, as the reference selftest_report
 is checked against.
+
+The stage-two factors, the ladders and Bob's left-out factors depend on the
+bases alone, so each is derived once per set of bases (Strategy.derived)
+and stays in the bases' memo.  A strategy that keeps the ideal's bases
+(Strategy.with_state: every delta-0 and state record) reads the ideal's,
+where each stage-one slice P(j) has 4 columns and P(0) none, an exact
+support that build_ideal_strategy seeds from the integer O.  There the
+ideal's memo keeps, across records, ladders of 4 (d-1) * 4 dim amplitudes
+instead of 4 d dim^2, and a control row's product and support factor read
+4 rows of the state and 4 of Bob's columns: O(4 dim^2) each instead of
+O(dim^3); only its off-support term multiplies by a full left-out factor.
+Every other strategy (rotated, dataclasses.replace, padded) has an empty
+memo and takes the same code with all dim columns.
 """
 
 from __future__ import annotations
@@ -107,42 +120,46 @@ class SelfTestReport:
     junk_norm: float
 
 
-def _gram_ladders(strategy: Strategy, roots: dict[str, np.ndarray]) -> dict[tuple[str, int], np.ndarray]:
+def _gram_ladders(strategy: Strategy, party: str, root: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
     """Stage one resolved per control value and seen through stage two, for
-    each (party, sign).
+    the party's signs -1 and +1, each at its slices' column support.
 
-    ladders[party, s][j] = R L[j], where R is the party's stage-two R factor
-    and L[j] = U^e(j) P(j) is stage one on control value j:
-    P(j) = (1/d) sum_k omega^(-jk) O^k is the Fourier transform over the
-    powers of O and e(j) = _u_exponents(s)[j], so that stage one maps a
-    state matrix S to the control slices B[jA, jB] = L_A[jA] S L_B[jB]^T.
-    Each ladder is written control value by control value: besides the
-    ladders, one party's stacks of P(j) and of the powers of U are held while
-    its two ladders are written, and no plain ladder L is ever formed.
+    ladder[s][j] = R L[j][:, C_j], where R is the party's stage-two R factor,
+    L[j] = U^e(j) P(j) is stage one on control value j, C_j the columns of
+    P(j) (Strategy.stage_one_columns; L[j] is 0 on every other column) and
+    e(j) = _u_exponents(s)[j]: P(j) = (1/d) sum_k omega^(-jk) O^k is the
+    Fourier transform over the powers of O, so that stage one maps a state
+    matrix S to the control slices B[jA, jB] = L_A[jA] S L_B[jB]^T.  At the
+    ideal's exact support a slice holds 4 columns, and none at j = 0.  While
+    the ladders are written, the party's stacks of P(j) and of the powers of
+    U are held besides them, and no plain ladder L is ever formed.
     """
     params = strategy.params
     d = params.d
+    columns = strategy.stage_one_columns(party)
     fourier = qft(d).conj() / math.sqrt(d)
-    ladders = {}
-    for party in "AB":
-        fourier_o = np.tensordot(fourier, _powers(strategy.observable(party, "O"), d), axes=1)
-        u_pow = _powers(strategy.observable(party, "U"), d - 1)
-        for sign in (-1, 1):
-            ladder = ladders[party, sign] = np.empty_like(fourier_o)
-            for j, e in enumerate(_u_exponents(params, sign)):
-                np.matmul(roots[party], u_pow[e] @ fourier_o[j], out=ladder[j])
-        del fourier_o, u_pow
-    return ladders
+    fourier_o = np.tensordot(fourier, _powers(strategy.observable(party, "O"), d), axes=1)
+    u_pow = _powers(strategy.observable(party, "U"), d - 1)
+    return tuple(
+        tuple(root @ (u_pow[e] @ fourier_o[j][:, columns[j]]) for j, e in enumerate(_u_exponents(params, sign)))
+        for sign in (-1, 1)
+    )
 
 
 def selftest_footprint(d: int, da: int, db: int) -> int:
     """Amplitudes selftest_report holds at once, at most, for a (da, db) state.
 
-    These are the four Gram-scaled ladders; besides them, either one party's
-    stacks of P(j) and of U's powers while its ladders are written, or Bob's
-    left-out factors (the one being built included) and one label's support
-    factors; and at most 64 n x n matrices: both parties' stage-two factors
-    and observables, and the temporaries of one QR or of one label.
+    These are the four Gram-scaled ladders at full width; besides them,
+    either one party's stacks of P(j) and of U's powers while its ladders
+    are written, or Bob's left-out factors (the one being built included)
+    and one label's support factors; and at most 64 n x n matrices: both
+    parties' stage-two factors and observables, and the temporaries of one
+    QR or of one label.  This is the dense bound, for a strategy that
+    derives all of it itself.  The ideal's memo keeps the stage-two factors,
+    the observables and Bob's left-out factors across records, with ladders
+    of 4 columns a slice (see the module docstring), and the residual probes
+    of robustness.relation_residuals besides: a record that keeps the
+    ideal's bases holds less than this count while the call runs.
     """
     n = max(da, db)
     ladders = 2 * d * (da * da + db * db)
@@ -153,25 +170,32 @@ def _sq(x: np.ndarray) -> float:
     return float(np.vdot(x, x).real)
 
 
-def _left_out_roots(blocks: np.ndarray) -> np.ndarray:
-    """R factors of n stacked (m, m) blocks with one block left out.
+def _left_out_roots(ladder: tuple[np.ndarray, ...], columns: tuple) -> np.ndarray:
+    """R factors of a ladder's n (m, m) blocks with one block left out.
 
-    Entry k >= 1 satisfies R^H R = sum over k' != k of blocks[k']^H blocks[k'];
-    entry 0 stacks all n blocks.  Every factor comes from a QR of two
-    stacked (m, m) factors.  Nothing but the output is held: entry k first
-    holds the suffix factor of blocks[k + 1:], built from the back, and a
-    forward pass replaces it with the QR of the running prefix factor of
-    blocks[:k] stacked on it.
+    Block k is ladder[k] in the columns columns[k] and 0 in every other
+    (_gram_ladders).  Entry k >= 1 satisfies R^H R = sum over k' != k of
+    block[k']^H block[k']; entry 0 stacks all n blocks.  Every factor comes
+    from a QR of two stacked (m, m) factors.  Nothing but the output and one
+    block at a time is held: entry k first holds the suffix factor of
+    blocks k + 1 .., built from the back, and a forward pass replaces it
+    with the QR of the running prefix factor of blocks .. k - 1 stacked on it.
     """
-    n, m = blocks.shape[0], blocks.shape[-1]
-    out = np.empty_like(blocks)
+    n, m = len(ladder), ladder[0].shape[0]
+
+    def block(k: int) -> np.ndarray:
+        out = np.zeros((m, m), dtype=complex)
+        out[:, columns[k]] = ladder[k]
+        return out
+
+    out = np.empty((n, m, m), dtype=complex)
     out[n - 1] = 0
     for k in range(n - 2, 0, -1):
-        out[k] = np.linalg.qr(np.concatenate((blocks[k + 1], out[k + 1])), mode="r")
-    prefix = np.linalg.qr(np.concatenate((np.zeros((m, m), dtype=complex), blocks[0])), mode="r")
+        out[k] = np.linalg.qr(np.concatenate((block(k + 1), out[k + 1])), mode="r")
+    prefix = np.linalg.qr(np.concatenate((np.zeros((m, m), dtype=complex), block(0))), mode="r")
     for k in range(1, n):
         out[k] = np.linalg.qr(np.concatenate((prefix, out[k])), mode="r")
-        prefix = np.linalg.qr(np.concatenate((prefix, blocks[k])), mode="r")  # blocks[:k + 1]
+        prefix = np.linalg.qr(np.concatenate((prefix, block(k))), mode="r")  # blocks .. k
     out[0] = prefix
     return out
 
@@ -206,9 +230,11 @@ def selftest_report(strategy: Strategy) -> SelfTestReport:
     The only (d, n, n)-sized arrays held at once are the four Gram-scaled
     ladders, Bob's left-out factors and one (d-1, dim_a, dim_b) stack of a
     label's support factors X_j.  Everything else is formed one n x n slice
-    at a time: per control row j_A, the product R_A L_A[j_A] psi, used at
-    once for that row's support factor and off-support term; the residuals
-    X_j - t_j J, in place; and Q_A J Q_B^T, one of its 16 blocks at a time.
+    at a time: per control row j_A, the product R_A L_A[j_A] psi, formed
+    from the rows of psi that the slice's columns pick and used at once for
+    that row's off-support term and, through Bob's slice columns, its
+    support factor; the residuals X_j - t_j J, in place; and Q_A J Q_B^T,
+    one of its 16 blocks at a time.
     """
     params = strategy.params
     da, db = strategy.state.shape
@@ -216,16 +242,20 @@ def selftest_report(strategy: Strategy) -> SelfTestReport:
     footprint = selftest_footprint(d, da, db)
     if footprint > MAX_SELFTEST_ELEMENTS:
         raise ResourceError(f"self-test would hold {footprint} amplitudes at once, above the cap")
-    # the QR factors and Bob's left-out factors depend on the bases alone
+    # the QR factors, the ladders and Bob's left-out factors depend on the bases alone
     (q_a, r_a), (q_b, r_b) = (
         strategy.derived(("stage-two QR", party), partial(_stage2_factors, strategy, party)) for party in "AB"
     )
     q_pairs = list(zip(q_a.reshape(4, da, da), q_b.reshape(4, db, db)))  # (Q_A,l, Q_B,l)
-    gram_ladders = _gram_ladders(strategy, {"A": r_a, "B": r_b})
+    columns = {party: strategy.stage_one_columns(party) for party in "AB"}
+    gram_ladders = {}
+    for party, root in (("A", r_a), ("B", r_b)):
+        derive = partial(_gram_ladders, strategy, party, root)
+        gram_ladders[party, -1], gram_ladders[party, 1] = strategy.derived(("Gram ladders", party), derive)
     # left_out_t[s][k] = R_k^T for Bob's sign s
     left_out_t = {}
     for s in (-1, 1):
-        roots = strategy.derived(("left-out roots", s), partial(_left_out_roots, gram_ladders["B", s]))
+        roots = strategy.derived(("left-out roots", s), partial(_left_out_roots, gram_ladders["B", s], columns["B"]))
         left_out_t[s] = roots.transpose(0, 2, 1)
 
     distances: dict[str, float] = {}
@@ -247,10 +277,10 @@ def selftest_report(strategy: Strategy) -> SelfTestReport:
         off_support = 0.0
         for i, j in enumerate(j_of_row):
             k = b * j % d
-            left = ladders_a[i] @ psi  # R_A L_A[i] psi
+            left = ladders_a[i] @ psi[columns["A"][i]]  # R_A L_A[i] psi, from the rows of psi the slice reads
             off_support += _sq(left @ roots_t[k])
             if i:
-                np.matmul(left, ladders_b[k].T, out=x[i - 1])  # R_A B_i R_B^T
+                np.matmul(left[:, columns["B"][k]], ladders_b[k].T, out=x[i - 1])  # R_A B_i R_B^T
             del left
         del psi
         x_c = np.tensordot(t_support.conj(), x, axes=1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -99,6 +100,23 @@ def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
     return Strategy(params=ideal.params, test=ideal.test, state=state, alice=alice, bob=bob)
 
 
+def _residual_operators(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The operators relation_residuals applies to psi that the bases alone
+    determine: O_A^r; half = (p0 + i X p1 - i X p0 + p1) / 2, which maps psi
+    to psi_1, p0 and p1 Alice's Z-basis projectors on the distinguished
+    subspace and X her X-basis observable; and the twelve commutators
+    [probe, M(s)] of comm, for each s in COMM_GENS in turn probe = p0, p1, X.
+    """
+    obs = strategy.observable
+    _, z, x = ext_labels(strategy.test.n_vars)
+    z_basis = strategy.basis("A", z)
+    p0, p1 = z_basis.operator((1, 0, 0)), z_basis.operator((0, 1, 0))
+    x_obs = obs("A", x)
+    half = 0.5 * (p0 + 1j * (x_obs @ p1) - 1j * (x_obs @ p0) + p1)
+    comm = tuple(probe @ mg - mg @ probe for mg in (obs("A", g) for g in COMM_GENS) for probe in (p0, p1, x_obs))
+    return np.linalg.matrix_power(obs("A", "O"), strategy.params.r), half, comm
+
+
 def relation_residuals(strategy: Strategy) -> dict[str, float]:
     """State-dependent residuals of the key algebraic relations.
 
@@ -117,7 +135,10 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     questions: sync reads 2 sqrt(P(a != b)) off the strategy's correlation,
     and contracts alone the pairs (x(s), x(s)), s in COMM_GENS, that lie
     outside the support.  equation applies each factor in its basis
-    (Basis.reflect), so no per-variable observable is formed.
+    (Basis.reflect), so no per-variable observable is formed.  The
+    operators that the bases alone determine (_residual_operators) are
+    derived once per set of bases, so a record that keeps the ideal's bases
+    only applies them to psi.
     """
     test = strategy.test
     params = strategy.params
@@ -144,15 +165,10 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
             prod = strategy.basis("A", qa).reflect(signs, prod)
         equation.append(norm(prod - (-1) ** system.rhs[i] * s))
 
+    o_a_r, half, commutators = strategy.derived(("residual operators", "A"), partial(_residual_operators, strategy))
     o_a, u_a = obs("A", "O"), obs("A", "U")
-    o_a_r = np.linalg.matrix_power(o_a, params.r)
     conjugacy = norm(o_a @ u_a.conj().T @ s - u_a.conj().T @ o_a_r @ s)
 
-    _, z, x = ext_labels(test.n_vars)
-    z_basis = strategy.basis("A", z)
-    p0, p1 = z_basis.operator((1, 0, 0)), z_basis.operator((0, 1, 0))
-    x_obs = obs("A", x)
-    half = 0.5 * (p0 + 1j * (x_obs @ p1) - 1j * (x_obs @ p0) + p1)
     psi1 = half @ s
     w = params.d - 1
     psi1_norm = abs(norm(psi1) ** 2 - 1.0 / w)
@@ -160,10 +176,7 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     eig_bob = norm(psi1 @ obs("B", "O").T - params.omega_d * psi1)
     eig_alice = norm(o_a @ psi1 - psi1 / params.omega_d)
 
-    comm = []
-    for g in COMM_GENS:
-        mg = obs("A", g)
-        comm.extend(norm(probe @ mg @ s - mg @ probe @ s) for probe in (p0, p1, x_obs))
+    comm = [norm(c @ s) for c in commutators]
 
     return {
         "sync": worst(sync),
@@ -217,12 +230,15 @@ def certify(ideal: Strategy, ideal_corr: Correlation, spec: PerturbationSpec) ->
     """The record of one perturbation: perturb_strategy(ideal, spec), its
     selftest_report, its epsilon against ideal_corr, then its
     relation_residuals.  The self-test runs first, so its size guard fires
-    before the copy's correlation or residuals are formed, and that
-    correlation is never held next to the self-test's ladders.
+    before the copy's correlation or residuals are formed.  The self-test's
+    ladders and Bob's left-out factors stay in the copy's basis memo while
+    its correlation and residuals are formed, so the call holds, at most,
+    the copy's bases, what the self-test's guard counts
+    (isometry.selftest_footprint) and the correlation.
 
     The perturbed copy, its correlation and a rotated copy's basis memo die
-    when the call returns; an unrotated copy's memo is the ideal's, and at
-    magnitude 0 the copy is the ideal itself.
+    when the call returns; an unrotated copy's memo is the ideal's, kept
+    across records, and at magnitude 0 the copy is the ideal itself.
     """
     strategy = perturb_strategy(ideal, spec)
     report = selftest_report(strategy)

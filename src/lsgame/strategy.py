@@ -41,6 +41,10 @@ from .representation import KEY_FACTORS, Monomial, Rep, broken_relations, roots_
 
 COMM_GENS = ("f0", "f2", "g0", "g2")
 
+#: memo key, with a party, of Strategy.stage_one_columns: build_ideal_strategy
+#: seeds it from the exact O (_fourier_supports)
+STAGE_ONE_COLUMNS = "stage-one columns"
+
 #: tolerance on the sum and on negative entries of a parsed correlation table
 #: (generated entries are sums of squares, never negative, but a file may
 #: come from elsewhere)
@@ -142,11 +146,14 @@ class Strategy:
     may share the state and the bases.
 
     What the bases alone determine (observables, the self-test's stage-two
-    factors) is memoized in a table that belongs to the bases: with_state
-    makes a strategy with another state and the same bases, and shares that
-    table.  Every other construction, dataclasses.replace included, starts
-    with an empty one.  The correlation depends on the state, so each
-    strategy memoizes its own and shares it with none.
+    factors and ladders, the residual probes) is memoized in a table that
+    belongs to the bases: with_state makes a strategy with another state and
+    the same bases, and shares that table.  Every other construction,
+    dataclasses.replace included, starts with an empty one; only
+    build_ideal_strategy seeds it, with the exact column support of the
+    self-test's stage-one slices (stage_one_columns).  The correlation
+    depends on the state, so each strategy memoizes its own and shares it
+    with none.
     """
 
     params: PrimeParams
@@ -174,14 +181,21 @@ class Strategy:
         """derive(), memoized under key for every strategy with these bases.
 
         derive must read nothing but the bases; the arrays it returns (one,
-        or a tuple of them) are made read-only, since every reader shares them.
+        or held in nested tuples) are made read-only, since every reader
+        shares them.
         """
         if key not in self._by_bases:
             value = derive()
-            for array in value if isinstance(value, tuple) else (value,):
-                array.setflags(write=False)
+            _freeze(value)
             self._by_bases[key] = value
         return self._by_bases[key]
+
+    def stage_one_columns(self, party: str) -> tuple:
+        """Each control value j's columns of the party's P(j) =
+        (1/d) sum_k omega_d^(-jk) O^k, the self-test's stage-one slice
+        (isometry._gram_ladders): the exact support that build_ideal_strategy
+        seeds, else all of them, slice(None)."""
+        return self.derived((STAGE_ONE_COLUMNS, party), lambda: (slice(None),) * self.params.d)
 
     def correlation(self) -> Correlation:
         """generate_correlation(self), formed once per strategy."""
@@ -213,6 +227,15 @@ class Strategy:
         if None in readouts:
             raise StructuralError(f"{party} has no measurement for {name!r}")
         return functools.reduce(np.matmul, [self.basis(party, q).operator(signs) for q, signs in readouts])
+
+
+def _freeze(value) -> None:
+    """Make every array in value, at any depth of tuples, read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
 
 
 # --- extension-block geometry on W_{d-1} ------------------------------------
@@ -332,6 +355,19 @@ def equation_bases(rep: Rep, system: LinearSystem) -> list[Basis]:
     return [Basis(vectors[i], np.eye(8)[:, outcome[i]]) for i in range(rows)]
 
 
+def _fourier_supports(o: Monomial, d: int) -> tuple[np.ndarray, ...] | None:
+    """The columns of P(j) = (1/d) sum_k omega_d^(-jk) O^k for j = 0 .. d-1.
+
+    For a diagonal O whose entries are d-th roots of unity, P(j) is the
+    projector on the columns where O reads omega_d^j, read off the integer
+    phases, so the support is exact.  None for any other O.
+    """
+    if not np.array_equal(o.perm, np.arange(len(o.perm))) or (o.phase * d % o.order).any():
+        return None
+    power = o.phase * d // o.order % d  # O reads omega_d^power[c] in column c
+    return tuple(np.flatnonzero(power == j) for j in range(d))
+
+
 def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strategy:
     """Measurement bases from the representation, with no projector or dense image formed.
 
@@ -341,6 +377,10 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     (Basis.merged), so it holds that equation's very vectors; the extension
     and commutation questions' are tensor products in closed form (ext_bases).
     Each party measures exactly the questions of its answer table in test.
+    The bases' memo is seeded with each party's stage_one_columns, read off
+    the exact O = a1 a2 of rep (_fourier_supports): at the ideal O is
+    I_4 (x) diag(omega_d^k), so P(j) has 4 columns and P(0) none; for any
+    other O nothing is seeded, and the self-test reads all columns.
     PreconditionError naming the first relation of Gamma that rep breaks
     (equation_bases), or a commutation variable that is not an involution of
     W2 (x) W2 alone (ext_bases).
@@ -355,7 +395,13 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     bases.update(ext_bases(rep, test.n_vars))
     alice = {q: bases[q] for q in test.alice_answers}
     bob = {q: bases[q] for q in test.bob_answers}
-    return Strategy(params=params, test=test, state=ideal_state(params), alice=alice, bob=bob)
+    strategy = Strategy(params=params, test=test, state=ideal_state(params), alice=alice, bob=bob)
+    first, second = KEY_FACTORS["O"]
+    columns = _fourier_supports(rep[first] @ rep[second], params.d)
+    if columns is not None:  # both parties measure a1 and a2 in the same bases
+        for party in "AB":
+            strategy.derived((STAGE_ONE_COLUMNS, party), lambda: columns)
+    return strategy
 
 
 # --- correlations ------------------------------------------------------------

@@ -22,7 +22,7 @@ from lsgame.isometry import LABELS, REPORT_LABELS, selftest_footprint
 from lsgame.linalg import Basis, eye, qft
 from lsgame.numtheory import discrete_log
 from lsgame.robustness import KINDS, PerturbationSpec, certify, perturb_strategy
-from lsgame.strategy import COMM_GENS, var_label
+from lsgame.strategy import COMM_GENS, STAGE_ONE_COLUMNS, var_label
 
 #: the three (s_A, s_B) exponent-sign pairs that the report labels use
 SIGN_PAIRS = ((-1, 1), (1, 1), (-1, -1))
@@ -287,22 +287,95 @@ def test_selftest_report_streams():
     assert peak < stage_two_bytes / 4, (peak, stage_two_bytes)
 
 
-@pytest.mark.parametrize("d", [7, 13])
-def test_selftest_report_holds_at_most_its_footprint(d):
-    # the guard counts what the call holds: on a fresh rotated strategy it
-    # builds every basis-derived factor itself (observables, stage-two
-    # factors, ladders, Bob's left-out factors), and its traced peak stays
-    # within the guard's amplitude count of complex128 bytes
-    _, _, _, ideal = ideal_setup(d)
-    strat = perturb_strategy(ideal, PerturbationSpec("rotate", 1e-3, 3))
+def _traced(call):
+    """(call's result, bytes it leaves allocated, its traced peak in bytes)."""
     tracemalloc.start()
     try:
-        selftest_report(strat)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    da, db = strat.state.shape
-    assert peak <= 16 * selftest_footprint(d, da, db), (peak, 16 * selftest_footprint(d, da, db))
+    return out, held, peak
+
+
+@pytest.mark.parametrize("d", [7, 13])
+def test_selftest_report_holds_at_most_its_footprint(d):
+    # the guard counts what the call holds: on a fresh rotated strategy, and
+    # on a state record of a fresh ideal, it builds every basis-derived
+    # factor itself (observables, stage-two factors, ladders, Bob's left-out
+    # factors), and its traced peak stays within the guard's amplitude count
+    # of complex128 bytes; the state record's ladders are the ideal's, at
+    # 4 columns a slice, which the dense count bounds too
+    for kind in ("rotate", "state"):
+        _, _, _, ideal = ideal_setup(d)
+        strat = perturb_strategy(ideal, PerturbationSpec(kind, 1e-3, 3))
+        _, _, peak = _traced(lambda: selftest_report(strat))
+        da, db = strat.state.shape
+        assert peak <= 16 * selftest_footprint(d, da, db), (kind, peak, 16 * selftest_footprint(d, da, db))
+
+
+@pytest.mark.parametrize("d", [7, 13])
+def test_certify_holds_the_bases_the_guarded_self_test_and_the_correlation(d):
+    # a rotated copy keeps its ladders and Bob's left-out factors in its memo
+    # while certify forms its correlation and residuals: the call's traced
+    # peak stays within the copy's bases, the self-test's guarded count of
+    # complex128 bytes and the correlation
+    _, _, _, ideal = ideal_setup(d)
+    ideal_corr = ideal.correlation()
+    spec = PerturbationSpec("rotate", 1e-3, 3)
+    copy, bases, _ = _traced(lambda: perturb_strategy(ideal, spec))
+    _, corr_bytes, _ = _traced(copy.correlation)
+    _, _, peak = _traced(lambda: certify(ideal, ideal_corr, spec))
+    n = ideal.state.shape[0]
+    assert peak <= bases + 16 * selftest_footprint(d, n, n) + corr_bytes, (peak, bases, corr_bytes)
+
+
+@pytest.mark.parametrize("d, r", [(3, None), (5, None), (7, None), (13, None), (13, 7)])
+def test_thin_and_dense_ladders_agree(d, r):
+    # the ideal's memo holds each stage-one slice at its exact 4 columns
+    # (none at j = 0); a dataclasses.replace copy starts with an empty memo
+    # and takes the same code with all n columns.  On the ideal and two
+    # state records both give the same report: within 1e-15 where the state
+    # is perturbed, and within 2e-15 at the ideal, whose distances are
+    # rounding noise of a few 1e-15 and where the dense ladders' float
+    # leakage on the dropped columns reads up to 1.3e-15 more at d = 13
+    _, _, _, ideal = ideal_setup(d, r)
+    n = ideal.state.shape[0]
+    columns = ideal.stage_one_columns("A")
+    assert len(columns[0]) == 0 and all(len(c) == 4 for c in columns[1:])
+    assert sorted(np.concatenate(columns).tolist()) == list(range(n))
+    records = [ideal] + [perturb_strategy(ideal, PerturbationSpec("state", delta, 6)) for delta in (1e-3, 1e-2)]
+    for strat, tol in zip(records, (2e-15, 1e-15, 1e-15)):
+        thin, dense = selftest_report(strat), selftest_report(dataclasses.replace(strat))
+        for label, dist in thin.distances.items():
+            assert abs(dense.distances[label] - dist) <= tol, (d, r, label, dist, dense.distances[label])
+        assert abs(dense.junk_norm - thin.junk_norm) <= tol, (d, r)
+    thin_a = ideal.derived(("Gram ladders", "A"), None)
+    assert [m.shape for m in thin_a[0]] == [(n, 0)] + [(n, 4)] * (d - 1)
+
+
+def test_shifted_stage_one_columns_break_the_ideal():
+    # the seeded support carries weight, so it must be decided exactly: in a
+    # copy of the ideal whose memo holds each slice's last column shifted by
+    # one index, a delta-0 distance reads far from 0; with every column
+    # shifted, the slices read only columns where P(j) is 0, and the junk
+    # norm, 1 at the ideal, drops to 0
+    _, _, _, ideal = ideal_setup(5)
+    n = ideal.state.shape[0]
+    columns = ideal.stage_one_columns("A")
+    report = selftest_report(ideal)
+    assert max(report.distances.values()) <= 1e-13 and abs(report.junk_norm - 1) <= 1e-13
+    one = tuple(np.append(c[:-1], (c[-1:] + 1) % n) for c in columns)
+    every = tuple((c + 1) % n for c in columns)
+    for shifted in (one, every):
+        copy = dataclasses.replace(ideal)
+        for party in "AB":
+            copy.derived((STAGE_ONE_COLUMNS, party), lambda: shifted)
+        report = selftest_report(copy)
+        if shifted is one:
+            assert max(report.distances.values()) > 1e-8, report
+        else:
+            assert report.junk_norm <= 1e-8, report
 
 
 def test_selftest_report_resource_guard(monkeypatch):

@@ -356,6 +356,18 @@ def test_each_observable_derived_once(monkeypatch):
     relation_residuals(noisy)
     assert derived == []
 
+    # on a fresh ideal, the first state record derives the ladders and the
+    # residual operators into the ideal's table; a second state record and
+    # a delta-0 record then derive nothing
+    fresh = build_ideal_strategy(p, build_representation(p), test)
+    certify(fresh, corr, PerturbationSpec("state", 1e-3, 3))
+    assert ("Gram ladders", "A") in derived and ("residual operators", "A") in derived
+    assert len(derived) == len(set(derived)), sorted(k for k in set(derived) if derived.count(k) > 1)
+    derived.clear()
+    certify(fresh, corr, PerturbationSpec("state", 1e-3, 4))
+    certify(fresh, corr, PerturbationSpec("both", 0.0, 0))
+    assert derived == []
+
 
 def test_basis_memo_shared_only_by_unrotated_copies():
     # what the bases determine belongs to the bases: a copy that keeps them
@@ -378,13 +390,19 @@ def test_basis_memo_shared_only_by_unrotated_copies():
 @pytest.mark.parametrize("kind", KINDS)
 def test_shared_memo_gives_bit_identical_outputs(kind):
     # a record read through the ideal's filled table and a copy that derives
-    # everything anew agree to the last bit
-    _, test, strat, corr = ideal_setup(5)
+    # everything anew agree to the last bit.  A copy that keeps the ideal's
+    # bases is rebuilt on a fresh ideal, whose memo holds only the seeded
+    # stage-one columns; a dataclasses.replace copy of it would read all
+    # columns, which test_thin_and_dense_ladders_agree compares
+    p, test, strat, corr = ideal_setup(5)
     selftest_report(strat)
     relation_residuals(strat)
     for delta in (0.0, 1e-3):
         pert = perturb_strategy(strat, PerturbationSpec(kind, delta, 8))
-        fresh = dataclasses.replace(pert)
+        if kind == "state" or delta == 0:
+            fresh = build_ideal_strategy(p, build_representation(p), test).with_state(pert.state)
+        else:
+            fresh = dataclasses.replace(pert)
         assert selftest_report(pert) == selftest_report(fresh), delta
         assert correlation_distance(pert.correlation(), corr) == correlation_distance(fresh.correlation(), corr), delta
         assert relation_residuals(pert) == relation_residuals(fresh), delta
