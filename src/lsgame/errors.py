@@ -17,13 +17,7 @@ class DomainError(LsgameError, ValueError):
 
 
 class PreconditionError(LsgameError, ValueError):
-    """Numerical precondition violated; carries the offending residual."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        if residual is not None:
-            message = f"{message} (residual {residual:.3e})"
-        super().__init__(message)
-        self.residual = residual
+    """Numerical precondition violated."""
 
 
 class StructuralError(LsgameError, RuntimeError):

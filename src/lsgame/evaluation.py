@@ -41,9 +41,11 @@ def ls_winning_probability_from_correlation(corr: Correlation, test: FullTest) -
 
 def _table_pairs(c1: Correlation, c2: Correlation) -> list[tuple[np.ndarray, np.ndarray]]:
     """The two correlations' tables, pair by pair in c1's order; StructuralError
-    unless they have one support and one answer alphabet per pair."""
-    if set(c1.entries) != set(c2.entries):
-        raise StructuralError("correlations have different supports")
+    unless they have one support (else naming how many pairs differ and the
+    first, sorted) and one answer alphabet per pair."""
+    diff = sorted(set(c1.entries).symmetric_difference(c2.entries))
+    if diff:
+        raise StructuralError(f"correlations have different supports at {len(diff)} pairs, first {diff[0]}")
     pairs = []
     for key, t1 in c1.entries.items():
         t2 = c2.entries[key]

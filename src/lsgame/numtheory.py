@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-#: Largest d accepted; matrix dimensions grow as 4(d-1) per side, so this cap
-#: is the size guard of every path that builds a strategy.
+#: Largest d any command accepts (make_params).  gen-game depends on r alone;
+#: the self-test has its own guard, isometry.selftest_footprint, which admits d <= 79.
 MAX_PRIME = 31
 
 

@@ -233,12 +233,6 @@ def broken_relations(rep: Rep, system: LinearSystem) -> list[tuple[str, Monomial
     return [(name, left, right) for name, left, right in relations() if left != right]
 
 
-def verify_representation(rep: Rep, system: LinearSystem) -> float:
-    """0.0 when rep satisfies every relation of Gamma (broken_relations), else
-    the largest operator norm of a broken relation's left minus right side."""
-    return worst_gap(rel[1:] for rel in broken_relations(rep, system))
-
-
 def key_unitaries(rep: Rep) -> float:
     """Residual of the key unitaries O = a1 a2 and U = a3 a4 (KEY_FACTORS).
 

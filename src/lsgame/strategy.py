@@ -381,12 +381,16 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     the exact O = a1 a2 of rep (_fourier_supports): at the ideal O is
     I_4 (x) diag(omega_d^k), so P(j) has 4 columns and P(0) none; for any
     other O nothing is seeded, and the self-test reads all columns.
+    StructuralError, before any basis is built, unless rep was built for
+    params and test for params.r (the test depends on r alone).
     PreconditionError naming the first relation of Gamma that rep breaks
     (equation_bases), or a commutation variable that is not an involution of
     W2 (x) W2 alone (ext_bases).
     """
     if rep.params.d != params.d or rep.params.r != params.r:
         raise StructuralError("representation was built for different parameters")
+    if test.system.r != params.r:
+        raise StructuralError(f"test was built for r={test.system.r}, not r={params.r}")
     bases = {eq_label(i): basis for i, basis in enumerate(equation_bases(rep, test.system))}
     bases.update(
         (var_label(g), bases[eq_label(row)].merged([outcome[pos] for outcome in _TRIPLES]))

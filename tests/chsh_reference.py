@@ -76,7 +76,7 @@ def sos_residuals(alpha: float, m1, m2, n1, n2) -> tuple[float, float]:
     for m in (m1, m2, n1, n2):
         res = involution_residual(m)
         if res > 1e-9:
-            raise PreconditionError("SOS identities need binary observables", res)
+            raise PreconditionError(f"SOS identities need binary observables (residual {res:.3e})")
     za, xa, zb, xb = joint_observables(alpha, m1, m2, n1, n2)
     ibar = imax * eye(za.shape[0]) - bell_operator(alpha, m1, m2, n1, n2)
     cross = za @ xb + xa @ zb

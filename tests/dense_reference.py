@@ -74,7 +74,7 @@ def observable_to_projectors(m):
     """Split a binary observable into its stacked (+1, -1) eigenprojectors."""
     res = involution_residual(m)
     if res > DEFAULT_TOL:
-        raise PreconditionError("operator is not a binary observable", res)
+        raise PreconditionError(f"operator is not a binary observable (residual {res:.3e})")
     return _halves(m)
 
 
@@ -89,7 +89,7 @@ def joint_projector(observables):
         for b in observables[i + 1 :]:
             worst = max(worst, op_norm(a @ b - b @ a))
     if worst > DEFAULT_TOL:
-        raise PreconditionError("observables do not commute", worst)
+        raise PreconditionError(f"observables do not commute (residual {worst:.3e})")
     out = _halves(observables[0])
     for m in observables[1:]:
         out = (out[:, None] @ _halves(m)[None]).reshape(-1, *m.shape)

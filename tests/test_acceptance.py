@@ -26,9 +26,9 @@ from lsgame import (
     run_sweep,
     records_to_csv,
     selftest_report,
-    verify_representation,
 )
 from lsgame.numtheory import is_odd_prime
+from lsgame.representation import broken_relations, worst_gap
 from lsgame.robustness import RESIDUAL_LABELS
 from lsgame.strategy import ext_labels
 
@@ -52,7 +52,7 @@ def test_criterion_1_representation_verification(family):
     for d, r in DEMO:
         params, rep, test, _ = family[(d, r)]
         t0 = time.time()
-        residual = verify_representation(rep, test.system)
+        residual = worst_gap(rel[1:] for rel in broken_relations(rep, test.system))
         conj_residual = key_unitaries(rep)
         elapsed = time.time() - t0
         assert residual <= 1e-9, (d, r, residual)

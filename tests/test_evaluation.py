@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,16 +207,19 @@ def test_correlation_distance_support_mismatch():
 
 @pytest.mark.parametrize("measure", [correlation_distance, table_deviation])
 def test_correlation_measures_check_support_and_shape(measure):
-    # both compare a file with the ideal through the same support and shape checks
+    # both compare a file with the ideal through the same support and shape
+    # checks; a support mismatch names its size and its first pair in sorted order
     *_, strat = ideal_setup(3)
     base = strat.correlation()
-    key = next(iter(base.entries))
-    trimmed = Correlation(base.d, base.r, {k: t for k, t in base.entries.items() if k != key})
+    keys = list(base.entries)
+    key, dropped = keys[0], (keys[-1], keys[0])
+    trimmed = Correlation(base.d, base.r, {k: t for k, t in base.entries.items() if k not in dropped})
     reshaped = Correlation(base.d, base.r, {**base.entries, key: base.entries[key][:, :1]})
-    for other in (trimmed, reshaped):
-        with pytest.raises(StructuralError):
+    support = rf"^correlations have different supports at 2 pairs, first {re.escape(str(min(dropped)))}$"
+    for other, match in ((trimmed, support), (reshaped, rf"^answer alphabets differ at {re.escape(str(key))}$")):
+        with pytest.raises(StructuralError, match=match):
             measure(base, other)
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=match):
             measure(other, base)
     assert measure(base, base) == 0.0
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,11 @@ from lsgame.errors import PreconditionError as PE
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def residual(err):
+    """The residual a reference check formats at the end of its message."""
+    return float(re.fullmatch(r".* \(residual (\S+)\)", str(err.value)).group(1))
 
 
 def test_qft_two_is_hadamard():
@@ -55,7 +62,7 @@ def test_observable_round_trip_random(random_binary_observable):
 def test_observable_rejects_non_involution():
     with pytest.raises(PreconditionError) as err:
         observable_to_projectors(np.diag([1.0, 0.5]).astype(complex))
-    assert err.value.residual is not None
+    assert residual(err) > 0
 
 
 def test_joint_projector_basic():
@@ -81,7 +88,7 @@ def test_joint_projector_completeness_random(random_binary_observable):
 def test_joint_projector_rejects_non_commuting():
     with pytest.raises(PE) as err:
         joint_projector([SZ, SX])
-    assert err.value.residual > 1
+    assert residual(err) > 1
 
 
 def test_op_norm_names_first_non_finite_entry():

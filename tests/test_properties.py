@@ -13,9 +13,8 @@ from lsgame import (
     generate_correlation,
     ls_winning_probability_from_correlation,
     make_params,
-    verify_representation,
 )
-from lsgame.representation import Monomial
+from lsgame.representation import Monomial, broken_relations
 
 PARAMS = [(d, r) for d in (3, 5, 7, 11) for r in range(2, d) if brute_force_primitive(r, d)]
 
@@ -26,7 +25,7 @@ def test_ideal_strategy_properties(dr):
     p = make_params(*dr)
     test = build_full_test(p)
     rep = build_representation(p)
-    assert verify_representation(rep, test.system) == 0.0
+    assert broken_relations(rep, test.system) == []
     strat = build_ideal_strategy(p, rep, test)
 
     # every family is a complete stack of orthogonal Hermitian projectors:

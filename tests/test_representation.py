@@ -16,12 +16,11 @@ from lsgame import (
     key_unitaries,
     make_params,
     op_norm,
-    verify_representation,
 )
 from lsgame.groups import conjugacy_gadgets, h_name
 from lsgame.linalg import dagger, eye
 from lsgame.lsg import eq_label
-from lsgame.representation import KEY_FACTORS, Monomial, broken_relations
+from lsgame.representation import KEY_FACTORS, Monomial, broken_relations, worst_gap
 from lsgame.strategy import equation_bases
 
 DEMO = ((3, 2), (5, 2), (7, 3), (11, 2), (13, 2))
@@ -52,14 +51,14 @@ def p1_relations(r):
 def test_small_case_verifies():
     p = make_params(3, 2)
     rep = build_representation(p)
-    assert verify_representation(rep, build_linear_system(2)) == 0.0
+    assert broken_relations(rep, build_linear_system(2)) == []
 
 
 @pytest.mark.parametrize("d, r", [(5, 2), (7, 3), (11, 7)])
 def test_all_levels_verify(d, r):
     p = make_params(d, r)
     rep = build_representation(p)
-    assert verify_representation(rep, build_linear_system(r)) == 0.0
+    assert broken_relations(rep, build_linear_system(r)) == []
     for word, rhs in p0_relations(r) + p1_relations(r):
         target = identity(rep) if rhs is None else rep[rhs]
         assert functools.reduce(operator.matmul, map(rep.__getitem__, word)) == target, word
@@ -75,15 +74,16 @@ def test_gadget_conjugacy_holds(d, r):
 def test_empty_presentation_gives_zero():
     p = make_params(3, 2)
     rep = build_representation(p)
-    assert verify_representation(rep, LinearSystem(2, (), (), ())) == 0.0
+    assert broken_relations(rep, LinearSystem(2, (), (), ())) == []
 
 
 def test_mutated_representation_fails():
     p = make_params(3, 2)
     rep = build_representation(p)
     rep.table["f0"] = -rep.table["f0"]
-    residual = verify_representation(rep, build_linear_system(2))
-    assert residual >= 1.0
+    broken = broken_relations(rep, build_linear_system(2))
+    assert broken[0][0] == "I2 (a1, f0, d1): the product is not +1"
+    assert worst_gap(rel[1:] for rel in broken) >= 1.0
 
 
 @pytest.mark.parametrize(
@@ -97,7 +97,7 @@ def test_mutated_representation_fails():
 def test_each_relation_class_caught(fault, first):
     # each fault breaks one relation class of Gamma and keeps the others; a
     # Hermiticity fault cannot be injected, since a monomial is unitary and
-    # a unitary involution is Hermitian.  verify_representation reads it, and
+    # a unitary involution is Hermitian.  broken_relations names it first, and
     # the ideal build's gate names the first relation broken
     rep = build_representation(make_params(3, 2))
     table = rep.table
@@ -110,7 +110,9 @@ def test_each_relation_class_caught(fault, first):
         system = LinearSystem(2, ("f0",), (), ())
     else:  # a Hermitian involution that anticommutes with d1 (and f0) but enters no row
         table["J"] = table["g0"]
-    assert verify_representation(rep, system) >= 1e-3
+    broken = broken_relations(rep, system)
+    assert broken[0][0] == first
+    assert worst_gap(rel[1:] for rel in broken) >= 1e-3
     with pytest.raises(PreconditionError, match=f"^{re.escape(first)}$"):
         equation_bases(rep, system)
 
@@ -149,15 +151,16 @@ def _moved_phase(m):
 )
 def test_broken_relations_match_monomial_loop(mutate):
     # the Monomial loop names broken, in order, exactly the relations whose
-    # dense products miss by more than 1e-9, and verify_representation reads
+    # dense products miss by more than 1e-9, and worst_gap over them reads
     # the largest dense gap
     rep = build_representation(make_params(5))
     system = build_linear_system(2)
     mutate(rep.table)
     gaps = dense_gaps(rep, system)
-    assert [name for name, _, _ in broken_relations(rep, system)] == [name for name, gap in gaps if gap > 1e-9]
+    broken = broken_relations(rep, system)
+    assert [name for name, _, _ in broken] == [name for name, gap in gaps if gap > 1e-9]
     want = max(gap for _, gap in gaps)
-    assert verify_representation(rep, system) == pytest.approx(want if want > 1e-9 else 0.0, rel=1e-12, abs=0.0)
+    assert worst_gap(rel[1:] for rel in broken) == pytest.approx(want if want > 1e-9 else 0.0, rel=1e-12, abs=0.0)
 
 
 def test_missing_generator_named():
@@ -165,7 +168,7 @@ def test_missing_generator_named():
     rep = build_representation(p)
     del rep.table["m2"]
     with pytest.raises(StructuralError, match="m2"):
-        verify_representation(rep, build_linear_system(2))
+        broken_relations(rep, build_linear_system(2))
 
 
 def key_operators(rep):
@@ -254,7 +257,7 @@ def test_demo_family_residuals():
     for d, r in DEMO:
         p = make_params(d, r)
         rep = build_representation(p)
-        assert verify_representation(rep, build_linear_system(r)) == 0.0, (d, r)
+        assert broken_relations(rep, build_linear_system(r)) == [], (d, r)
         assert key_unitaries(rep) == 0.0, (d, r)
 
 
@@ -268,7 +271,7 @@ def test_exact_images_match_dense_reference(d):
         assert list(rep.table) == list(ref), (d, r)
         worst = max(float(np.abs(rep[g].dense() - ref[g]).max()) for g in ref)
         assert worst <= 1e-13, (d, r, worst)
-        assert verify_representation(rep, build_linear_system(r)) == 0.0, (d, r)
+        assert broken_relations(rep, build_linear_system(r)) == [], (d, r)
         assert key_unitaries(rep) == 0.0, (d, r)
 
 

@@ -32,11 +32,10 @@ from lsgame import (
     make_params,
     perturb_strategy,
     table_deviation,
-    verify_representation,
 )
 from lsgame.linalg import Basis
 from lsgame.lsg import LinearSystem
-from lsgame.representation import Monomial, Rep
+from lsgame.representation import Monomial, Rep, broken_relations, worst_gap
 from lsgame.strategy import _TRIPLES, COMM_GENS, comm_label, eq_label, equation_bases, ext_bases, ext_labels, v1_states, var_label
 
 
@@ -410,9 +409,31 @@ def test_build_rejects_negated_generator():
     # this representation would lose those rows
     p, rep, test, _ = ideal_setup(5)
     rep.table["f0"] = -rep["f0"]
-    assert verify_representation(rep, test.system) == 2.0
+    broken = broken_relations(rep, test.system)
+    assert broken[0][0] == "I2 (a1, f0, d1): the product is not +1"
+    assert worst_gap(rel[1:] for rel in broken) == 2.0
     with pytest.raises(PreconditionError, match=r"^I2 \(a1, f0, d1\): the product is not \+1$"):
         build_ideal_strategy(p, rep, test)
+
+
+@pytest.mark.parametrize("d, test_d", [(7, 5), (5, 7)])
+def test_build_refuses_a_test_of_another_r(d, test_d):
+    # d=7 has r=3 and d=5 has r=2: the build names both r before it reads
+    # any generator, instead of failing on one the test asks for
+    p = make_params(d)
+    test = build_full_test(make_params(test_d))
+    with pytest.raises(StructuralError, match=rf"^test was built for r={test.system.r}, not r={p.r}$"):
+        build_ideal_strategy(p, build_representation(p), test)
+
+
+def test_build_takes_a_test_of_the_same_r():
+    # the test depends on r alone: d=5's test serves d=13 (both r=2)
+    p = make_params(13)
+    test = build_full_test(make_params(5))
+    own = build_ideal_strategy(p, build_representation(p), build_full_test(p)).correlation()
+    corr = build_ideal_strategy(p, build_representation(p), test).correlation()
+    assert list(corr.entries) == list(own.entries)
+    assert all(np.array_equal(corr.entries[key], table) for key, table in own.entries.items())
 
 
 #: 2 x 2 monomials of order 4: the identity, X, Z and S = diag(1, i), which is not an involution
@@ -445,7 +466,9 @@ def test_equation_gate_names_its_fault(images, rhs, fault):
     table = {g: _SMALL[m] for g, m in zip("abcJ", images)}
     table.setdefault("J", -_SMALL["1"])
     rep = Rep(make_params(3), 2, table)
-    assert verify_representation(rep, system) > 0
+    broken = broken_relations(rep, system)
+    assert broken[0][0] == fault
+    assert worst_gap(rel[1:] for rel in broken) > 0
     with pytest.raises(PreconditionError, match=f"^{re.escape(fault)}$"):
         equation_bases(rep, system)
 
