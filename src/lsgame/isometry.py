@@ -23,24 +23,24 @@ The dense stages live in the test suite, as the reference selftest_report
 is checked against.
 
 The stage-two factors, the ladders and Bob's left-out factors depend on the
-bases alone, so each is derived once per set of bases (Strategy.derived)
-and stays in the bases' memo.  A strategy that keeps the ideal's bases
+bases alone, so each is derived once per set of bases and stays in the
+bases' memo, keyed by the function that derives it and its arguments
+(Strategy.derived).  A strategy that keeps the ideal's bases
 (Strategy.with_state: every delta-0 and state record) reads the ideal's,
-where each stage-one slice P(j) has 4 columns and P(0) none, an exact
-support that build_ideal_strategy seeds from the integer O.  There the
-ideal's memo keeps, across records, ladders of 4 (d-1) * 4 dim amplitudes
-instead of 4 d dim^2, and a control row's product and support factor read
-4 rows of the state and 4 of Bob's columns: O(4 dim^2) each instead of
-O(dim^3); only its off-support term multiplies by a full left-out factor.
-Every other strategy (rotated, dataclasses.replace, padded) has an empty
-memo and takes the same code with all dim columns.
+where each stage-one slice P(j) has 4 columns and P(0) none: the memo's one
+seeded entry, an exact support that build_ideal_strategy reads off the
+integer O.  There the ideal's memo keeps, across records, ladders of
+4 (d-1) * 4 dim amplitudes instead of 4 d dim^2, and a control row's product
+and support factor read 4 rows of the state and 4 of Bob's columns:
+O(4 dim^2) each instead of O(dim^3); only its off-support term multiplies by
+a full left-out factor.  Every other strategy (rotated, dataclasses.replace,
+padded) has an empty memo and takes the same code with all dim columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -120,9 +120,9 @@ class SelfTestReport:
     junk_norm: float
 
 
-def _gram_ladders(strategy: Strategy, party: str, root: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+def _gram_ladders(strategy: Strategy, party: str) -> tuple[tuple[np.ndarray, ...], ...]:
     """Stage one resolved per control value and seen through stage two, for
-    the party's signs -1 and +1, each at its slices' column support.
+    the party's signs -1 and +1 (entry s > 0), each at its slices' columns.
 
     ladder[s][j] = R L[j][:, C_j], where R is the party's stage-two R factor,
     L[j] = U^e(j) P(j) is stage one on control value j, C_j the columns of
@@ -136,6 +136,7 @@ def _gram_ladders(strategy: Strategy, party: str, root: np.ndarray) -> tuple[tup
     """
     params = strategy.params
     d = params.d
+    root = strategy.derived(_stage2_factors, party)[1]
     columns = strategy.stage_one_columns(party)
     fourier = qft(d).conj() / math.sqrt(d)
     fourier_o = np.tensordot(fourier, _powers(strategy.observable(party, "O"), d), axes=1)
@@ -170,10 +171,10 @@ def _sq(x: np.ndarray) -> float:
     return float(np.vdot(x, x).real)
 
 
-def _left_out_roots(ladder: tuple[np.ndarray, ...], columns: tuple) -> np.ndarray:
-    """R factors of a ladder's n (m, m) blocks with one block left out.
+def _left_out_roots(strategy: Strategy, sign: int) -> np.ndarray:
+    """R factors of the n (m, m) blocks of Bob's ladder for sign, one left out.
 
-    Block k is ladder[k] in the columns columns[k] and 0 in every other
+    Block k is ladder entry k in Bob's stage-one columns k, 0 elsewhere
     (_gram_ladders).  Entry k >= 1 satisfies R^H R = sum over k' != k of
     block[k']^H block[k']; entry 0 stacks all n blocks.  Every factor comes
     from a QR of two stacked (m, m) factors.  Nothing but the output and one
@@ -181,6 +182,8 @@ def _left_out_roots(ladder: tuple[np.ndarray, ...], columns: tuple) -> np.ndarra
     blocks k + 1 .., built from the back, and a forward pass replaces it
     with the QR of the running prefix factor of blocks .. k - 1 stacked on it.
     """
+    ladder = strategy.derived(_gram_ladders, "B")[sign > 0]
+    columns = strategy.stage_one_columns("B")
     n, m = len(ladder), ladder[0].shape[0]
 
     def block(k: int) -> np.ndarray:
@@ -243,20 +246,11 @@ def selftest_report(strategy: Strategy) -> SelfTestReport:
     if footprint > MAX_SELFTEST_ELEMENTS:
         raise ResourceError(f"self-test would hold {footprint} amplitudes at once, above the cap")
     # the QR factors, the ladders and Bob's left-out factors depend on the bases alone
-    (q_a, r_a), (q_b, r_b) = (
-        strategy.derived(("stage-two QR", party), partial(_stage2_factors, strategy, party)) for party in "AB"
-    )
+    q_a, q_b = (strategy.derived(_stage2_factors, party)[0] for party in "AB")
     q_pairs = list(zip(q_a.reshape(4, da, da), q_b.reshape(4, db, db)))  # (Q_A,l, Q_B,l)
     columns = {party: strategy.stage_one_columns(party) for party in "AB"}
-    gram_ladders = {}
-    for party, root in (("A", r_a), ("B", r_b)):
-        derive = partial(_gram_ladders, strategy, party, root)
-        gram_ladders[party, -1], gram_ladders[party, 1] = strategy.derived(("Gram ladders", party), derive)
-    # left_out_t[s][k] = R_k^T for Bob's sign s
-    left_out_t = {}
-    for s in (-1, 1):
-        roots = strategy.derived(("left-out roots", s), partial(_left_out_roots, gram_ladders["B", s], columns["B"]))
-        left_out_t[s] = roots.transpose(0, 2, 1)
+    gram_ladders = {(party, s): strategy.derived(_gram_ladders, party)[s > 0] for party in "AB" for s in (-1, 1)}
+    left_out_t = {s: strategy.derived(_left_out_roots, s).transpose(0, 2, 1) for s in (-1, 1)}  # R_k^T, Bob's sign s
 
     distances: dict[str, float] = {}
     junk_norm = float("nan")

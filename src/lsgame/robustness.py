@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -165,7 +164,7 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
             prod = strategy.basis("A", qa).reflect(signs, prod)
         equation.append(norm(prod - (-1) ** system.rhs[i] * s))
 
-    o_a_r, half, commutators = strategy.derived(("residual operators", "A"), partial(_residual_operators, strategy))
+    o_a_r, half, commutators = strategy.derived(_residual_operators)
     o_a, u_a = obs("A", "O"), obs("A", "U")
     conjugacy = norm(o_a @ u_a.conj().T @ s - u_a.conj().T @ o_a_r @ s)
 

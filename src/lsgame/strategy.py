@@ -41,10 +41,6 @@ from .representation import KEY_FACTORS, Monomial, Rep, broken_relations, roots_
 
 COMM_GENS = ("f0", "f2", "g0", "g2")
 
-#: memo key, with a party, of Strategy.stage_one_columns: build_ideal_strategy
-#: seeds it from the exact O (_fourier_supports)
-STAGE_ONE_COLUMNS = "stage-one columns"
-
 #: tolerance on the sum and on negative entries of a parsed correlation table
 #: (generated entries are sums of squares, never negative, but a file may
 #: come from elsewhere)
@@ -147,13 +143,14 @@ class Strategy:
 
     What the bases alone determine (observables, the self-test's stage-two
     factors and ladders, the residual probes) is memoized in a table that
-    belongs to the bases: with_state makes a strategy with another state and
-    the same bases, and shares that table.  Every other construction,
+    belongs to the bases, keyed by the function that derives each entry and
+    its arguments (derived): with_state makes a strategy with another state
+    and the same bases, and shares that table.  Every other construction,
     dataclasses.replace included, starts with an empty one; only
-    build_ideal_strategy seeds it, with the exact column support of the
-    self-test's stage-one slices (stage_one_columns).  The correlation
-    depends on the state, so each strategy memoizes its own and shares it
-    with none.
+    build_ideal_strategy seeds it, under stage_one_columns' key alone, with
+    the exact column support of the self-test's stage-one slices.  The
+    correlation depends on the state, so each strategy memoizes its own and
+    shares it with none.
     """
 
     params: PrimeParams
@@ -177,25 +174,24 @@ class Strategy:
         object.__setattr__(out, "_by_bases", self._by_bases)
         return out
 
-    def derived(self, key: tuple, derive: Callable[[], Any]) -> Any:
-        """derive(), memoized under key for every strategy with these bases.
+    def derived(self, derive: Callable[..., Any], *args) -> Any:
+        """derive(self, *args), memoized under (derive, *args) for every strategy with these bases.
 
-        derive must read nothing but the bases; the arrays it returns (one,
-        or held in nested tuples) are made read-only, since every reader
-        shares them.
+        derive, a module function, reads nothing but the bases, args and other
+        derived entries, so the key names every input; the arrays it returns
+        (one, or held in nested tuples) are made read-only, as readers share them.
         """
+        key = (derive, *args)
         if key not in self._by_bases:
-            value = derive()
-            _freeze(value)
-            self._by_bases[key] = value
+            self._by_bases[key] = _freeze(derive(self, *args))
         return self._by_bases[key]
 
     def stage_one_columns(self, party: str) -> tuple:
         """Each control value j's columns of the party's P(j) =
         (1/d) sum_k omega_d^(-jk) O^k, the self-test's stage-one slice
         (isometry._gram_ladders): the exact support that build_ideal_strategy
-        seeds, else all of them, slice(None)."""
-        return self.derived((STAGE_ONE_COLUMNS, party), lambda: (slice(None),) * self.params.d)
+        seeds, else all of them (_stage_one_columns)."""
+        return self.derived(_stage_one_columns, party)
 
     def correlation(self) -> Correlation:
         """generate_correlation(self), formed once per strategy."""
@@ -220,22 +216,29 @@ class Strategy:
         product of its KEY_FACTORS' observables, formed from their readouts
         and not memoized themselves.
         """
-        return self.derived(("observable", party, name), lambda: self._derive_observable(party, name))
-
-    def _derive_observable(self, party: str, name: str) -> np.ndarray:
-        readouts = [self.test.readout.get((party, factor)) for factor in KEY_FACTORS.get(name, (name,))]
-        if None in readouts:
-            raise StructuralError(f"{party} has no measurement for {name!r}")
-        return functools.reduce(np.matmul, [self.basis(party, q).operator(signs) for q, signs in readouts])
+        return self.derived(_observable, party, name)
 
 
-def _freeze(value) -> None:
-    """Make every array in value, at any depth of tuples, read-only."""
+def _observable(strategy: Strategy, party: str, name: str) -> np.ndarray:
+    readouts = [strategy.test.readout.get((party, factor)) for factor in KEY_FACTORS.get(name, (name,))]
+    if None in readouts:
+        raise StructuralError(f"{party} has no measurement for {name!r}")
+    return functools.reduce(np.matmul, [strategy.basis(party, q).operator(signs) for q, signs in readouts])
+
+
+def _stage_one_columns(strategy: Strategy, party: str) -> tuple:
+    """Every column of each of the d slices, where no support is seeded."""
+    return (slice(None),) * strategy.params.d
+
+
+def _freeze(value):
+    """value, with every array in it, at any depth of tuples, made read-only."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     elif isinstance(value, tuple):
         for item in value:
             _freeze(item)
+    return value
 
 
 # --- extension-block geometry on W_{d-1} ------------------------------------
@@ -355,15 +358,15 @@ def equation_bases(rep: Rep, system: LinearSystem) -> list[Basis]:
     return [Basis(vectors[i], np.eye(8)[:, outcome[i]]) for i in range(rows)]
 
 
-def _fourier_supports(o: Monomial, d: int) -> tuple[np.ndarray, ...] | None:
+def _fourier_supports(o: Monomial, d: int) -> tuple[np.ndarray, ...]:
     """The columns of P(j) = (1/d) sum_k omega_d^(-jk) O^k for j = 0 .. d-1.
 
     For a diagonal O whose entries are d-th roots of unity, P(j) is the
     projector on the columns where O reads omega_d^j, read off the integer
-    phases, so the support is exact.  None for any other O.
+    phases, so the support is exact.  StructuralError for any other O.
     """
     if not np.array_equal(o.perm, np.arange(len(o.perm))) or (o.phase * d % o.order).any():
-        return None
+        raise StructuralError(f"O = a1 a2 is not diagonal with d-th roots of unity (d={d}) on its diagonal")
     power = o.phase * d // o.order % d  # O reads omega_d^power[c] in column c
     return tuple(np.flatnonzero(power == j) for j in range(d))
 
@@ -379,16 +382,17 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     Each party measures exactly the questions of its answer table in test.
     The bases' memo is seeded with each party's stage_one_columns, read off
     the exact O = a1 a2 of rep (_fourier_supports): at the ideal O is
-    I_4 (x) diag(omega_d^k), so P(j) has 4 columns and P(0) none; for any
-    other O nothing is seeded, and the self-test reads all columns.
+    I_4 (x) diag(omega_d^k), so P(j) has 4 columns and P(0) none.
     StructuralError, before any basis is built, unless rep was built for
-    params and test for params.r (the test depends on r alone).
+    params and test for params.r (the test depends on r alone), and after
+    the relation gate unless O is diagonal with d-th roots of unity.
     PreconditionError naming the first relation of Gamma that rep breaks
     (equation_bases), or a commutation variable that is not an involution of
     W2 (x) W2 alone (ext_bases).
     """
-    if rep.params.d != params.d or rep.params.r != params.r:
-        raise StructuralError("representation was built for different parameters")
+    built = rep.params
+    if (built.d, built.r) != (params.d, params.r):
+        raise StructuralError(f"representation was built for d={built.d}, r={built.r}, not d={params.d}, r={params.r}")
     if test.system.r != params.r:
         raise StructuralError(f"test was built for r={test.system.r}, not r={params.r}")
     bases = {eq_label(i): basis for i, basis in enumerate(equation_bases(rep, test.system))}
@@ -401,10 +405,9 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     bob = {q: bases[q] for q in test.bob_answers}
     strategy = Strategy(params=params, test=test, state=ideal_state(params), alice=alice, bob=bob)
     first, second = KEY_FACTORS["O"]
-    columns = _fourier_supports(rep[first] @ rep[second], params.d)
-    if columns is not None:  # both parties measure a1 and a2 in the same bases
-        for party in "AB":
-            strategy.derived((STAGE_ONE_COLUMNS, party), lambda: columns)
+    columns = _freeze(_fourier_supports(rep[first] @ rep[second], params.d))
+    for party in "AB":  # both parties measure a1 and a2 in the same bases
+        strategy._by_bases[_stage_one_columns, party] = columns
     return strategy
 
 

@@ -1,5 +1,16 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
+
+# On a failing @given test, hypothesis's pytest plugin imports this module,
+# and libcst warns on import; under filterwarnings = ["error"] that warning
+# is an exception inside a pytest hook, which aborts the whole run.  Import
+# it here once, with the warning ignored, so a failure is counted.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -154,6 +154,18 @@ def test_winning_probability_from_correlation_matches():
         assert abs(direct - via_corr) <= 1e-12
 
 
+def test_winning_probability_names_a_missing_support_pair():
+    # a correlation without one of the linear system's pairs is refused, not
+    # scored on the pairs it has, and the error names the pair
+    _, _, test, strat = ideal_setup(5)
+    corr = generate_correlation(strat, test)
+    i, v = test.system.valid_pairs[-1]
+    key = (eq_label(i), var_label(test.system.variables[v]))
+    del corr.entries[key]
+    with pytest.raises(StructuralError, match=rf"^correlation lacks support pair {re.escape(str(key))}$"):
+        ls_winning_probability_from_correlation(corr, test)
+
+
 def test_winning_probability_monotone_under_mixing():
     # convex contamination at the correlation level is exactly linear
     p, rep, test, strat = ideal_setup(3)

@@ -22,7 +22,7 @@ from lsgame.isometry import LABELS, REPORT_LABELS, selftest_footprint
 from lsgame.linalg import Basis, eye, qft
 from lsgame.numtheory import discrete_log
 from lsgame.robustness import KINDS, PerturbationSpec, certify, perturb_strategy
-from lsgame.strategy import COMM_GENS, STAGE_ONE_COLUMNS, var_label
+from lsgame.strategy import COMM_GENS, _stage_one_columns, var_label
 
 #: the three (s_A, s_B) exponent-sign pairs that the report labels use
 SIGN_PAIRS = ((-1, 1), (1, 1), (-1, -1))
@@ -350,7 +350,7 @@ def test_thin_and_dense_ladders_agree(d, r):
         for label, dist in thin.distances.items():
             assert abs(dense.distances[label] - dist) <= tol, (d, r, label, dist, dense.distances[label])
         assert abs(dense.junk_norm - thin.junk_norm) <= tol, (d, r)
-    thin_a = ideal.derived(("Gram ladders", "A"), None)
+    thin_a = ideal.derived(iso._gram_ladders, "A")
     assert [m.shape for m in thin_a[0]] == [(n, 0)] + [(n, 4)] * (d - 1)
 
 
@@ -370,7 +370,7 @@ def test_shifted_stage_one_columns_break_the_ideal():
     for shifted in (one, every):
         copy = dataclasses.replace(ideal)
         for party in "AB":
-            copy.derived((STAGE_ONE_COLUMNS, party), lambda: shifted)
+            copy._by_bases[_stage_one_columns, party] = shifted
         report = selftest_report(copy)
         if shifted is one:
             assert max(report.distances.values()) > 1e-8, report

@@ -35,8 +35,11 @@ from lsgame import (
 )
 from lsgame.linalg import Basis
 from lsgame.lsg import LinearSystem
-from lsgame.representation import Monomial, Rep, broken_relations, worst_gap
-from lsgame.strategy import _TRIPLES, COMM_GENS, comm_label, eq_label, equation_bases, ext_bases, ext_labels, v1_states, var_label
+from lsgame.representation import KEY_FACTORS, Monomial, Rep, broken_relations, worst_gap
+from lsgame.strategy import (
+    _TRIPLES, COMM_GENS, _fourier_supports, comm_label, eq_label, equation_bases, ext_bases, ext_labels, v1_states,
+    var_label,
+)
 
 
 def ideal_setup(d, r=None):
@@ -424,6 +427,32 @@ def test_build_refuses_a_test_of_another_r(d, test_d):
     test = build_full_test(make_params(test_d))
     with pytest.raises(StructuralError, match=rf"^test was built for r={test.system.r}, not r={p.r}$"):
         build_ideal_strategy(p, build_representation(p), test)
+
+
+@pytest.mark.parametrize("built, asked", [((5, 2), (5, 3)), ((7, 3), (5, 3))])
+def test_build_names_both_parameters_of_a_foreign_representation(built, asked):
+    # a representation of another (d, r) is refused before any basis is
+    # built, and the error names both sides
+    p = make_params(*asked)
+    rep = build_representation(make_params(*built))
+    message = rf"^representation was built for d={built[0]}, r={built[1]}, not d=5, r=3$"
+    with pytest.raises(StructuralError, match=message):
+        build_ideal_strategy(p, rep, build_full_test(p))
+
+
+@pytest.mark.parametrize("gen", ["a2", "g0"])
+def test_fourier_supports_fail_closed_off_a_diagonal_of_dth_roots(gen):
+    # a2 is not diagonal, and g0's -1 phase is not a 5th root of unity: no
+    # support can be read off either, so none is guessed
+    p, rep, test, _ = ideal_setup(5)
+    with pytest.raises(StructuralError, match=r"^O = a1 a2 is not diagonal"):
+        _fourier_supports(rep[gen], p.d)
+    first, second = KEY_FACTORS["O"]
+    assert [len(c) for c in _fourier_supports(rep[first] @ rep[second], p.d)] == [0] + [4] * (p.d - 1)
+    # with a1 negated, O's phases are -omega^k, but the broken relation is named first
+    rep.table[first] = -rep[first]
+    with pytest.raises(PreconditionError, match=f"^{re.escape(broken_relations(rep, test.system)[0][0])}$"):
+        build_ideal_strategy(p, rep, test)
 
 
 def test_build_takes_a_test_of_the_same_r():
