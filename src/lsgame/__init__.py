@@ -16,7 +16,7 @@ from .numtheory import PrimeParams, discrete_log, make_params
 from .groups import build_conjugacy_triples
 from .lsg import LinearSystem, build_linear_system, system_to_text
 from .linalg import Basis, op_norm, qft
-from .representation import Rep, build_representation, key_unitaries
+from .representation import Rep, broken_key_relations, build_representation
 from .strategy import (
     Correlation,
     FullTest,

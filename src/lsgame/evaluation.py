@@ -18,17 +18,20 @@ def ls_winning_probability_from_correlation(corr: Correlation, test: FullTest) -
     """Expected score on the linear system block, read off a correlation.
 
     A cell wins when Alice's triple has the equation's parity and agrees
-    with Bob's bit at his variable.
+    with Bob's bit at his variable.  StructuralError naming the pair when a
+    linear-system pair is missing or its table has the wrong shape.
     """
     system = test.system
     pairs = system.valid_pairs
     total = 0.0
     for i, v in pairs:
-        x = eq_label(i)
-        key = (x, var_label(system.variables[v]))
+        x, y = key = (eq_label(i), var_label(system.variables[v]))
         if key not in corr.entries:
             raise StructuralError(f"correlation lacks support pair {key}")
         table = corr.entries[key]
+        shape = (len(test.alice_answers[x]), len(test.bob_answers[y]))
+        if table.shape != shape:
+            raise StructuralError(f"correlation table {key} has shape {table.shape}, not {shape}")
         pos = system.rows[i].index(v)
         for ia, triple in enumerate(test.alice_answers[x]):
             if sum(triple) % 2 == system.rhs[i]:

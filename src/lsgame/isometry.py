@@ -28,12 +28,13 @@ bases' memo, keyed by the function that derives it and its arguments
 (Strategy.derived).  A strategy that keeps the ideal's bases
 (Strategy.with_state: every delta-0 and state record) reads the ideal's,
 where each stage-one slice P(j) has 4 columns and P(0) none: the memo's one
-seeded entry, an exact support that build_ideal_strategy reads off the
-integer O.  There the ideal's memo keeps, across records, ladders of
-4 (d-1) * 4 dim amplitudes instead of 4 d dim^2, and a control row's product
-and support factor read 4 rows of the state and 4 of Bob's columns:
-O(4 dim^2) each instead of O(dim^3); only its off-support term multiplies by
-a full left-out factor.  Every other strategy (rotated, dataclasses.replace,
+seeded entry, an exact support that build_ideal_strategy reads off O's
+integer phases once rep's key relations hold (broken_key_relations).  There
+the ideal's memo keeps, across records, ladders of 4 (d-1) * 4 dim
+amplitudes instead of 4 d dim^2, and a control row's product and support
+factor read 4 rows of the state and 4 of Bob's columns: O(4 dim^2) each
+instead of O(dim^3); only its off-support term multiplies by a full
+left-out factor.  Every other strategy (rotated, dataclasses.replace,
 padded) has an empty memo and takes the same code with all dim columns.
 """
 

@@ -7,7 +7,8 @@ phase array.  The images of a1..a4 on W_{d-1} are written in closed form;
 every other a-generator is a conjugate of earlier ones, and each gadget's
 helpers are block forms in its x, y and z, all in integer arithmetic.
 Nothing here is trusted: :func:`broken_relations` rechecks every relation
-by integer equality, for the verifier and the ideal build alike.
+of Gamma, and :func:`broken_key_relations` the key unitaries' relations, by
+integer equality, for the verifier and the ideal build alike.
 
 Basis conventions: W_k uses basis x_1..x_k stored at indices 0..k-1; on
 W_{d-1} the subscript of x_k is read mod d.
@@ -233,13 +234,13 @@ def broken_relations(rep: Rep, system: LinearSystem) -> list[tuple[str, Monomial
     return [(name, left, right) for name, left, right in relations() if left != right]
 
 
-def key_unitaries(rep: Rep) -> float:
-    """Residual of the key unitaries O = a1 a2 and U = a3 a4 (KEY_FACTORS).
+def broken_key_relations(rep: Rep) -> list[tuple[str, Monomial, Monomial]]:
+    """The key relations rep breaks, in order, each as (name, left, right).
 
     On W_{d-1}, O: x_k -> omega_d^k x_k and U: x_k -> x_{k/r} must satisfy
     U O = O^r U, and the images' KEY_FACTORS products must be I_4 (x) O and
     I_4 (x) U, which then satisfy it on the full space too.  Each relation
-    is decided exactly, so one that holds adds 0.0.
+    is decided exactly, as in broken_relations.
     """
     params = rep.params
     o = _on_w(params, lambda k: k, lambda k: 2 * k)
@@ -247,4 +248,6 @@ def key_unitaries(rep: Rep) -> float:
     oo, uu = (rep[a] @ rep[b] for a, b in KEY_FACTORS.values())
     id4 = Monomial.identity(4, o.order)
     o_r = functools.reduce(operator.matmul, [o] * params.r)
-    return worst_gap([(u @ o, o_r @ u), (oo, id4.kron(o)), (uu, id4.kron(u))])
+    relations = (("U O = O^r U on W_{d-1}", u @ o, o_r @ u),
+                 ("a1 a2 = I_4 (x) O", oo, id4.kron(o)), ("a3 a4 = I_4 (x) U", uu, id4.kron(u)))
+    return [(name, left, right) for name, left, right in relations if left != right]

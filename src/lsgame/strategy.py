@@ -37,7 +37,7 @@ from .errors import DomainError, PreconditionError, StructuralError
 from .linalg import Basis, basis_vector, eye
 from .lsg import LinearSystem, build_linear_system, eq_label
 from .numtheory import PrimeParams
-from .representation import KEY_FACTORS, Monomial, Rep, broken_relations, roots_of_unity, x_index
+from .representation import KEY_FACTORS, Monomial, Rep, broken_key_relations, broken_relations, roots_of_unity, x_index
 
 COMM_GENS = ("f0", "f2", "g0", "g2")
 
@@ -358,19 +358,6 @@ def equation_bases(rep: Rep, system: LinearSystem) -> list[Basis]:
     return [Basis(vectors[i], np.eye(8)[:, outcome[i]]) for i in range(rows)]
 
 
-def _fourier_supports(o: Monomial, d: int) -> tuple[np.ndarray, ...]:
-    """The columns of P(j) = (1/d) sum_k omega_d^(-jk) O^k for j = 0 .. d-1.
-
-    For a diagonal O whose entries are d-th roots of unity, P(j) is the
-    projector on the columns where O reads omega_d^j, read off the integer
-    phases, so the support is exact.  StructuralError for any other O.
-    """
-    if not np.array_equal(o.perm, np.arange(len(o.perm))) or (o.phase * d % o.order).any():
-        raise StructuralError(f"O = a1 a2 is not diagonal with d-th roots of unity (d={d}) on its diagonal")
-    power = o.phase * d // o.order % d  # O reads omega_d^power[c] in column c
-    return tuple(np.flatnonzero(power == j) for j in range(d))
-
-
 def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strategy:
     """Measurement bases from the representation, with no projector or dense image formed.
 
@@ -381,14 +368,14 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     and commutation questions' are tensor products in closed form (ext_bases).
     Each party measures exactly the questions of its answer table in test.
     The bases' memo is seeded with each party's stage_one_columns, read off
-    the exact O = a1 a2 of rep (_fourier_supports): at the ideal O is
+    the integer phases of the exact O = a1 a2 of rep: at the ideal O is
     I_4 (x) diag(omega_d^k), so P(j) has 4 columns and P(0) none.
     StructuralError, before any basis is built, unless rep was built for
-    params and test for params.r (the test depends on r alone), and after
-    the relation gate unless O is diagonal with d-th roots of unity.
+    params and test for params.r (the test depends on r alone).
     PreconditionError naming the first relation of Gamma that rep breaks
-    (equation_bases), or a commutation variable that is not an involution of
-    W2 (x) W2 alone (ext_bases).
+    (equation_bases), then the first key relation it breaks
+    (broken_key_relations), or a commutation variable that is not an
+    involution of W2 (x) W2 alone (ext_bases).
     """
     built = rep.params
     if (built.d, built.r) != (params.d, params.r):
@@ -396,6 +383,9 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     if test.system.r != params.r:
         raise StructuralError(f"test was built for r={test.system.r}, not r={params.r}")
     bases = {eq_label(i): basis for i, basis in enumerate(equation_bases(rep, test.system))}
+    broken = broken_key_relations(rep)
+    if broken:
+        raise PreconditionError(broken[0][0])
     bases.update(
         (var_label(g), bases[eq_label(row)].merged([outcome[pos] for outcome in _TRIPLES]))
         for g, (row, pos) in test.system.first_position.items()
@@ -405,7 +395,8 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     bob = {q: bases[q] for q in test.bob_answers}
     strategy = Strategy(params=params, test=test, state=ideal_state(params), alice=alice, bob=bob)
     first, second = KEY_FACTORS["O"]
-    columns = _freeze(_fourier_supports(rep[first] @ rep[second], params.d))
+    o, d = rep[first] @ rep[second], params.d  # I_4 (x) diag(omega_d^k), by the key relations
+    columns = _freeze(tuple(np.flatnonzero(o.phase * d // o.order % d == j) for j in range(d)))
     for party in "AB":  # both parties measure a1 and a2 in the same bases
         strategy._by_bases[_stage_one_columns, party] = columns
     return strategy

@@ -26,3 +26,21 @@ def random_binary_observable():
         return q @ np.diag(signs.astype(complex)) @ q.conj().T
 
     return make
+
+
+@pytest.fixture
+def swap_x1_x2():
+    """Factory rep -> rep, every image conjugated in place by I_4 (x) (x_1 <-> x_2).
+
+    Every relation of Gamma still holds, but a1 a2 is no longer I_4 (x) O.
+    """
+    from lsgame.representation import Monomial  # here, so that test_conftest's copy runs without lsgame
+
+    def conjugate(rep):
+        order, w = rep["J"].order, rep.dim // 4
+        swap = Monomial(np.array([1, 0, *range(2, w)]), np.zeros(w, dtype=int), order)
+        p = Monomial.identity(4, order).kron(swap)
+        rep.table = {g: p @ m @ p for g, m in rep.table.items()}
+        return rep
+
+    return conjugate

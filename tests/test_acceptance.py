@@ -13,13 +13,13 @@ from chsh_reference import bell_operator, chsh_ideal_instance, expectation, sos_
 from dense_reference import brute_force_primitive, closed_form_deviation, ideal_table_values
 
 from lsgame import (
+    broken_key_relations,
     build_conjugacy_triples,
     build_full_test,
     build_ideal_strategy,
     build_linear_system,
     build_representation,
     generate_correlation,
-    key_unitaries,
     ls_winning_probability_from_correlation,
     make_params,
     relation_residuals,
@@ -53,7 +53,7 @@ def test_criterion_1_representation_verification(family):
         params, rep, test, _ = family[(d, r)]
         t0 = time.time()
         residual = worst_gap(rel[1:] for rel in broken_relations(rep, test.system))
-        conj_residual = key_unitaries(rep)
+        conj_residual = worst_gap(rel[1:] for rel in broken_key_relations(rep))
         elapsed = time.time() - t0
         assert residual <= 1e-9, (d, r, residual)
         assert conj_residual <= 1e-9, (d, r, conj_residual)

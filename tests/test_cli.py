@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -319,7 +320,7 @@ def test_gates_fail_closed_on_nan(monkeypatch, capsys):
     assert payload["ok"] is False
     assert payload["family"][0]["max_selftest_distance"] is None
 
-    monkeypatch.setattr(cli, "key_unitaries", lambda rep: float("nan"))
+    monkeypatch.setattr(cli, "worst_gap", lambda pairs: float("nan"))
     code, out, _ = run(["verify-rep", "--d", "3"], capsys)
     assert code == 3
     assert json.loads(out)["ok"] is False
@@ -371,18 +372,34 @@ def test_demo_family_refuses_a_broken_relation(monkeypatch, capsys):
     assert error == {"type": "PreconditionError", "message": "I2 (a1, f0, d1): the product is not +1"}
 
 
-def test_demo_family_gates_conjugation(monkeypatch, capsys):
-    # demo-family gates the conjugation relation verify-rep gates
+def test_demo_family_gates_conjugation(monkeypatch, capsys, swap_x1_x2):
+    # the ideal build checks the key relations verify-rep checks, so a
+    # representation whose a1 a2 is not I_4 (x) O is a precondition error,
+    # not a failed row
     import lsgame.cli as cli
 
-    monkeypatch.setattr(cli, "DEMO_PRIMES", (3,))
-    monkeypatch.setattr(cli, "key_unitaries", lambda rep: 0.5)
-    code, out, _ = run(["demo-family"], capsys)
+    build = cli.build_representation
+    monkeypatch.setattr(cli, "build_representation", lambda params: swap_x1_x2(build(params)))
+    code, out, err = run(["demo-family"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "PreconditionError", "message": "a1 a2 = I_4 (x) O"}
+
+
+def test_verify_rep_names_a_broken_key_relation(monkeypatch, capsys, swap_x1_x2):
+    # every relation of Gamma holds, so first_broken falls through to the
+    # first broken key relation instead of reading null beside ok: false
+    import lsgame.cli as cli
+
+    build = cli.build_representation
+    monkeypatch.setattr(cli, "build_representation", lambda params: swap_x1_x2(build(params)))
+    code, out, _ = run(["verify-rep", "--d", "5"], capsys)
     assert code == 3
     payload = json.loads(out)
+    assert payload["first_broken"] == "a1 a2 = I_4 (x) O"
+    assert payload["relation_residual"] == 0.0
+    assert payload["conjugation_residual"] == 1.7320508075688772
     assert payload["ok"] is False
-    assert payload["family"][0]["rep_residual"] == 0.5
-    assert payload["family"][0]["ok"] is False
 
 
 def test_eval_rejects_mismatched_correlation_file(tmp_path, capsys):
@@ -661,6 +678,17 @@ def test_out_not_truncated_before_writing(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "run_sweep", failing_sweep)
     assert_domain_error(*run(["sweep", "--d", "3", "--out", str(out)], capsys), "sweep failed")
     assert out.read_text() == "earlier contents\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a /dev/full device")
+def test_write_failure_is_a_domain_error(capsys):
+    # /dev/full passes the early check, and the write itself fails: that is
+    # a JSON DomainError with exit 2, not a traceback
+    code, out, err = run(["verify-rep", "--d", "3", "--out", "/dev/full"], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error == {"type": "DomainError", "message": "cannot write '/dev/full': No space left on device"}
 
 
 def test_self_test_and_sweep_write_one_record(tmp_path, capsys):

@@ -166,6 +166,18 @@ def test_winning_probability_names_a_missing_support_pair():
         ls_winning_probability_from_correlation(corr, test)
 
 
+def test_winning_probability_names_a_table_of_the_wrong_shape():
+    # a linear-system table cut to 2 of its 8 rows is refused by pair and
+    # shape, not read past its end with an IndexError
+    _, _, test, strat = ideal_setup(5)
+    corr = generate_correlation(strat, test)
+    key = ("I1", "x(a1)")
+    corr.entries[key] = corr.entries[key][:2]
+    message = rf"^correlation table {re.escape(str(key))} has shape \(2, 2\), not \(8, 2\)$"
+    with pytest.raises(StructuralError, match=message):
+        ls_winning_probability_from_correlation(corr, test)
+
+
 def test_winning_probability_monotone_under_mixing():
     # convex contamination at the correlation level is exactly linear
     p, rep, test, strat = ideal_setup(3)

@@ -10,10 +10,10 @@ from lsgame import (
     LinearSystem,
     PreconditionError,
     StructuralError,
+    broken_key_relations,
     build_conjugacy_triples,
     build_linear_system,
     build_representation,
-    key_unitaries,
     make_params,
     op_norm,
 )
@@ -191,7 +191,7 @@ def test_key_unitaries_d3():
     w3 = p.omega_d
     np.testing.assert_allclose(o, np.diag([w3, w3**2]), atol=1e-14)
     np.testing.assert_allclose(u, np.array([[0, 1], [1, 0]], dtype=complex), atol=1e-14)
-    assert key_unitaries(rep) == 0.0
+    assert broken_key_relations(rep) == []
 
 
 def test_o_spectrum_d5():
@@ -258,7 +258,7 @@ def test_demo_family_residuals():
         p = make_params(d, r)
         rep = build_representation(p)
         assert broken_relations(rep, build_linear_system(r)) == [], (d, r)
-        assert key_unitaries(rep) == 0.0, (d, r)
+        assert broken_key_relations(rep) == [], (d, r)
 
 
 @pytest.mark.parametrize("d", PRIMES)
@@ -272,12 +272,14 @@ def test_exact_images_match_dense_reference(d):
         worst = max(float(np.abs(rep[g].dense() - ref[g]).max()) for g in ref)
         assert worst <= 1e-13, (d, r, worst)
         assert broken_relations(rep, build_linear_system(r)) == [], (d, r)
-        assert key_unitaries(rep) == 0.0, (d, r)
+        assert broken_key_relations(rep) == [], (d, r)
 
 
 def test_conjugation_fault_caught():
     # a3 and a4 exchanged: U = a3 a4 becomes its inverse, which conjugates O
-    # to O^(1/r), not O^r
+    # to O^(1/r), not O^r; that one key relation breaks, by name
     rep = build_representation(make_params(7, 3))
     rep.table["a3"], rep.table["a4"] = rep.table["a4"], rep.table["a3"]
-    assert key_unitaries(rep) >= 1e-3
+    broken = broken_key_relations(rep)
+    assert [name for name, *_ in broken] == ["a3 a4 = I_4 (x) U"]
+    assert worst_gap(rel[1:] for rel in broken) >= 1e-3

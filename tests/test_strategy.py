@@ -35,10 +35,9 @@ from lsgame import (
 )
 from lsgame.linalg import Basis
 from lsgame.lsg import LinearSystem
-from lsgame.representation import KEY_FACTORS, Monomial, Rep, broken_relations, worst_gap
+from lsgame.representation import Monomial, Rep, broken_key_relations, broken_relations, worst_gap
 from lsgame.strategy import (
-    _TRIPLES, COMM_GENS, _fourier_supports, comm_label, eq_label, equation_bases, ext_bases, ext_labels, v1_states,
-    var_label,
+    _TRIPLES, COMM_GENS, comm_label, eq_label, equation_bases, ext_bases, ext_labels, v1_states, var_label,
 )
 
 
@@ -154,6 +153,16 @@ def test_basis_of_unknown_party(party):
     with pytest.raises(StructuralError) as exc:
         strat.basis(party, question)
     assert str(exc.value) == f"no party {party!r}: the parties are 'A' and 'B'"
+
+
+@pytest.mark.parametrize("party, question", [("A", "nope"), ("A", "comm:0,f0"), ("B", "I1")])
+def test_basis_of_unknown_question(party, question):
+    # a question the party is not asked is refused by name, not a KeyError:
+    # Alice has no commutation question and Bob no equation
+    strat = ideal_setup(3)[3]
+    with pytest.raises(StructuralError) as exc:
+        strat.basis(party, question)
+    assert str(exc.value) == f"{party} has no measurement for {question!r}"
 
 
 def test_measurement_families_complete():
@@ -440,17 +449,20 @@ def test_build_names_both_parameters_of_a_foreign_representation(built, asked):
         build_ideal_strategy(p, rep, build_full_test(p))
 
 
-@pytest.mark.parametrize("gen", ["a2", "g0"])
-def test_fourier_supports_fail_closed_off_a_diagonal_of_dth_roots(gen):
-    # a2 is not diagonal, and g0's -1 phase is not a 5th root of unity: no
-    # support can be read off either, so none is guessed
-    p, rep, test, _ = ideal_setup(5)
-    with pytest.raises(StructuralError, match=r"^O = a1 a2 is not diagonal"):
-        _fourier_supports(rep[gen], p.d)
-    first, second = KEY_FACTORS["O"]
-    assert [len(c) for c in _fourier_supports(rep[first] @ rep[second], p.d)] == [0] + [4] * (p.d - 1)
-    # with a1 negated, O's phases are -omega^k, but the broken relation is named first
-    rep.table[first] = -rep[first]
+@pytest.mark.parametrize("d", [3, 5])
+def test_build_refuses_a_conjugated_representation(d, swap_x1_x2):
+    # conjugated by I_4 (x) (x_1 <-> x_2), every relation of Gamma holds but
+    # O = a1 a2 is not I_4 (x) diag(omega^k): the build names the broken key
+    # relation, as verify-rep does, instead of reading stage-one columns off it
+    p, rep, test, ideal = ideal_setup(d)
+    assert [len(c) for c in ideal.stage_one_columns("A")] == [0] + [4] * (d - 1)
+    swap_x1_x2(rep)
+    assert broken_relations(rep, test.system) == []
+    assert broken_key_relations(rep)[0][0] == "a1 a2 = I_4 (x) O"
+    with pytest.raises(PreconditionError, match=r"^a1 a2 = I_4 \(x\) O$"):
+        build_ideal_strategy(p, rep, test)
+    # with a1 negated as well, O's phases are -omega^k, but Gamma's broken relation is named first
+    rep.table["a1"] = -rep["a1"]
     with pytest.raises(PreconditionError, match=f"^{re.escape(broken_relations(rep, test.system)[0][0])}$"):
         build_ideal_strategy(p, rep, test)
 
