@@ -147,8 +147,10 @@ def cmd_gen_game(args) -> int:
 def cmd_verify_rep(args) -> int:
     params = make_params(args.d, args.r)
     rep = build_representation(params)
-    broken, broken_key = broken_relations(rep, build_linear_system(params.r)), broken_key_relations(rep)
-    residual, conj_residual = (worst_gap(rel[1:] for rel in rels) for rels in (broken, broken_key))
+    broken = broken_relations(rep, build_linear_system(params.r))
+    residual = worst_gap(rel[1:] for rel in broken)
+    broken_key = broken_key_relations(rep)
+    conj_residual = worst_gap(rel[1:] for rel in broken_key)
     # every relation is decided exactly: a holding one reads 0.0, and a NaN fails
     ok = residual == 0.0 and conj_residual == 0.0
     payload = {

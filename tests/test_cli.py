@@ -320,10 +320,14 @@ def test_gates_fail_closed_on_nan(monkeypatch, capsys):
     assert payload["ok"] is False
     assert payload["family"][0]["max_selftest_distance"] is None
 
-    monkeypatch.setattr(cli, "worst_gap", lambda pairs: float("nan"))
+    gaps = iter([0.0, float("nan")])  # Gamma's relations hold; only the key relations' residual is NaN
+    monkeypatch.setattr(cli, "worst_gap", lambda pairs: next(gaps))
     code, out, _ = run(["verify-rep", "--d", "3"], capsys)
     assert code == 3
-    assert json.loads(out)["ok"] is False
+    payload = json.loads(out, parse_constant=reject_constant)
+    assert payload["ok"] is False
+    assert payload["relation_residual"] == 0.0
+    assert payload["conjugation_residual"] is None
 
 
 @pytest.mark.parametrize("delta", ["-0.5", "nan"])
