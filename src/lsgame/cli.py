@@ -27,7 +27,7 @@ from .lsg import QUOTED_PAIR_COUNT, build_linear_system, system_to_json_dict, sy
 from .numtheory import make_params
 from .representation import broken_key_relations, broken_relations, build_representation, worst_gap
 from .robustness import KINDS, PerturbationSpec, certify, fit_bound, perturb_strategy, records_to_csv, run_sweep
-from .strategy import Correlation, build_full_test, build_ideal_strategy, dump_json
+from .strategy import Correlation, build_full_test, build_ideal_strategy, dump_json, misfit_message, shape_misfits
 
 DEMO_PRIMES = (3, 5, 7, 11, 13)
 
@@ -68,10 +68,9 @@ def _check_writable(path: str | None) -> None:
     raise DomainError(f"cannot write {path!r}: {os.strerror(code)}")
 
 
-def _ideal(params, test=None) -> tuple:
-    """The representation and the ideal strategy, on test (default: params' full test)."""
-    rep = build_representation(params)
-    return rep, build_ideal_strategy(params, rep, build_full_test(params) if test is None else test)
+def _ideal(params, test=None):
+    """The ideal strategy, on test (default: params' full test)."""
+    return build_ideal_strategy(params, build_representation(params), build_full_test(params) if test is None else test)
 
 
 def _spec(args) -> PerturbationSpec:
@@ -96,9 +95,9 @@ CHARS_PER_CELL = 128
 
 
 def _read_correlation(path: str, params, test) -> Correlation:
-    """A correlation file, checked against the command's (d, r), support and
-    table shapes; ResourceError, before parsing, past CHARS_PER_CELL per cell."""
-    cap = CHARS_PER_CELL * sum(len(test.alice_answers[x]) * len(test.bob_answers[y]) for x, y in test.support)
+    """A correlation file, checked against the command's (d, r) and test.shapes (DomainError);
+    ResourceError, before parsing, past CHARS_PER_CELL per cell of those shapes."""
+    cap = CHARS_PER_CELL * sum(rows * cols for rows, cols in test.shapes.values())
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read(cap + 1)
@@ -110,19 +109,9 @@ def _read_correlation(path: str, params, test) -> Correlation:
         raise ResourceError(f"{path!r} is longer than the cap of {cap} characters for d={params.d}, r={params.r}")
     corr = Correlation.from_json(text)
     if (corr.d, corr.r) != (params.d, params.r):
-        raise DomainError(
-            f"correlation file is for d={corr.d}, r={corr.r}, not d={params.d}, r={params.r}"
-        )
-    want = set(test.support)
-    if set(corr.entries) != want:
-        diff = sorted(want.symmetric_difference(corr.entries))
-        raise DomainError(
-            f"correlation file support differs from the game's at {len(diff)} pairs, first {diff[0]}"
-        )
-    for (x, y), table in corr.entries.items():
-        shape = (len(test.alice_answers[x]), len(test.bob_answers[y]))
-        if table.shape != shape:
-            raise DomainError(f"correlation table {(x, y)} has shape {table.shape}, not {shape}")
+        raise DomainError(f"correlation file is for d={corr.d}, r={corr.r}, not d={params.d}, r={params.r}")
+    if misfits := shape_misfits(corr.shapes, test.shapes):
+        raise DomainError(misfit_message("correlation file differs from the game's", misfits))
     return corr
 
 
@@ -166,7 +155,7 @@ def cmd_verify_rep(args) -> int:
 
 
 def cmd_gen_correlation(args) -> int:
-    _, ideal = _ideal(make_params(args.d, args.r))
+    ideal = _ideal(make_params(args.d, args.r))
     _write(args.out, ideal.correlation().to_json())
     return 0
 
@@ -180,7 +169,7 @@ def cmd_eval(args) -> int:
     test = build_full_test(params)
     # a bad file fails before the representation and strategy are built
     corr = _read_correlation(args.infile, params, test) if args.infile is not None else None
-    _, ideal = _ideal(params, test)
+    ideal = _ideal(params, test)
     if corr is not None:
         payload = {"table_deviation": table_deviation(corr, ideal.correlation())}
     else:
@@ -198,7 +187,7 @@ def cmd_eval(args) -> int:
 def cmd_self_test(args) -> int:
     if not args.tolerance >= 0:  # NaN included
         raise DomainError(f"--tolerance must be a non-negative number, got {args.tolerance}")
-    _, ideal = _ideal(make_params(args.d, args.r))
+    ideal = _ideal(make_params(args.d, args.r))
     rec = certify(ideal, ideal.correlation(), _spec(args))
     _write(args.out, dump_json(dataclasses.asdict(rec)))
     if rec.delta == 0 and not _within(rec.distances.values(), args.tolerance):
@@ -207,7 +196,7 @@ def cmd_self_test(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _, ideal = _ideal(make_params(args.d, args.r))
+    ideal = _ideal(make_params(args.d, args.r))
     kinds = KINDS if args.kind == "all" else (args.kind,)
     try:
         magnitudes = [float(x) for x in args.deltas.split(",") if x]
@@ -228,7 +217,7 @@ def cmd_demo_family(args) -> int:
     ok = True
     for d in DEMO_PRIMES:
         # the ideal build has already refused a broken relation of Gamma or a broken key relation
-        rep, ideal = _ideal(make_params(d, None))
+        ideal = _ideal(make_params(d, None))
         rec = certify(ideal, ideal.correlation(), PerturbationSpec("both", 0.0, 0))  # self-test --d d's record
         max_residual = worst(rec.residuals.values())
         good = _within([*rec.distances.values(), max_residual], SELFTEST_TOLERANCE)
@@ -237,7 +226,6 @@ def cmd_demo_family(args) -> int:
             {
                 "d": d,
                 "r": ideal.params.r,
-                "rep_residual": worst_gap(rel[1:] for rel in broken_key_relations(rep)),
                 "max_selftest_distance": worst(rec.distances.values()),
                 "junk_norm": rec.junk_norm,
                 "epsilon": rec.epsilon,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .linalg import worst
-from .strategy import Correlation, FullTest, Strategy, eq_label, ext_labels, var_label
+from .strategy import Correlation, FullTest, Strategy, eq_label, ext_labels, misfit_message, shape_misfits, var_label
 
 
 # --- linear system game value -------------------------------------------------
@@ -18,20 +18,16 @@ def ls_winning_probability_from_correlation(corr: Correlation, test: FullTest) -
     """Expected score on the linear system block, read off a correlation.
 
     A cell wins when Alice's triple has the equation's parity and agrees
-    with Bob's bit at his variable.  StructuralError naming the pair when a
-    linear-system pair is missing or its table has the wrong shape.
+    with Bob's bit at his variable.  Only the linear-system pairs are held to
+    test.shapes, so they alone score; StructuralError names their misfits.
     """
     system = test.system
-    pairs = system.valid_pairs
+    pairs = {(eq_label(i), var_label(system.variables[v])): (i, v) for i, v in system.valid_pairs}
+    if misfits := [misfit for misfit in shape_misfits(corr.shapes, test.shapes) if misfit[0] in pairs]:
+        raise StructuralError(misfit_message("correlation differs from the linear system's", misfits))
     total = 0.0
-    for i, v in pairs:
-        x, y = key = (eq_label(i), var_label(system.variables[v]))
-        if key not in corr.entries:
-            raise StructuralError(f"correlation lacks support pair {key}")
-        table = corr.entries[key]
-        shape = (len(test.alice_answers[x]), len(test.bob_answers[y]))
-        if table.shape != shape:
-            raise StructuralError(f"correlation table {key} has shape {table.shape}, not {shape}")
+    for (x, y), (i, v) in pairs.items():
+        table = corr.entries[x, y]
         pos = system.rows[i].index(v)
         for ia, triple in enumerate(test.alice_answers[x]):
             if sum(triple) % 2 == system.rhs[i]:
@@ -44,18 +40,10 @@ def ls_winning_probability_from_correlation(corr: Correlation, test: FullTest) -
 
 def _table_pairs(c1: Correlation, c2: Correlation) -> list[tuple[np.ndarray, np.ndarray]]:
     """The two correlations' tables, pair by pair in c1's order; StructuralError
-    unless they have one support (else naming how many pairs differ and the
-    first, sorted) and one answer alphabet per pair."""
-    diff = sorted(set(c1.entries).symmetric_difference(c2.entries))
-    if diff:
-        raise StructuralError(f"correlations have different supports at {len(diff)} pairs, first {diff[0]}")
-    pairs = []
-    for key, t1 in c1.entries.items():
-        t2 = c2.entries[key]
-        if t1.shape != t2.shape:
-            raise StructuralError(f"answer alphabets differ at {key}")
-        pairs.append((t1, t2))
-    return pairs
+    naming the misfits unless c1 holds exactly c2's pairs, each in c2's shape."""
+    if misfits := shape_misfits(c1.shapes, c2.shapes):
+        raise StructuralError(misfit_message("correlations differ", misfits))
+    return [(t1, c2.entries[key]) for key, t1 in c1.entries.items()]
 
 
 def correlation_distance(c1: Correlation, c2: Correlation) -> float:

@@ -71,9 +71,10 @@ class FullTest:
     """The linear system, answer orders and the uniform support of the test.
 
     The key order of each party's answer table is that party's question
-    order.  readout[party, name], for party "A" or "B" and a question label
-    or variable, is the question whose basis carries that party's observable
-    for name and the observable's eigenvalue on each of its answers.
+    order, and shapes holds each support pair's table shape.  readout[party,
+    name], for party "A" or "B" and a question label or variable, is the
+    question whose basis carries that party's observable for name and the
+    observable's eigenvalue on each of its answers.
     """
 
     system: LinearSystem
@@ -85,6 +86,11 @@ class FullTest:
     @property
     def n_vars(self) -> int:
         return self.system.n_vars
+
+    @functools.cached_property
+    def shapes(self) -> dict[tuple[str, str], tuple[int, int]]:
+        """Each support pair's table shape: (Alice's answers, Bob's answers)."""
+        return {(x, y): (len(self.alice_answers[x]), len(self.bob_answers[y])) for x, y in self.support}
 
 
 def build_full_test(params: PrimeParams) -> FullTest:
@@ -434,6 +440,11 @@ class Correlation:
     def n_support(self) -> int:
         return len(self.entries)
 
+    @property
+    def shapes(self) -> dict[tuple[str, str], tuple[int, ...]]:
+        """Each entry's table shape, to hold against FullTest.shapes or another correlation's."""
+        return {pair: table.shape for pair, table in self.entries.items()}
+
     def to_json(self) -> str:
         items = [
             {"x": x, "y": y, "p": table.tolist()}
@@ -475,6 +486,17 @@ class Correlation:
             if t.ndim != 2 or not np.isfinite(t).all() or abs(t.sum() - 1) > TABLE_TOL or t.min() < -TABLE_TOL:
                 raise DomainError(f"correlation table {key} is not a 2-D probability table: {t.tolist()}")
         return corr
+
+
+def shape_misfits(have: Mapping, want: Mapping) -> list[tuple]:
+    """Sorted (pair, have's shape, want's shape) where two shape maps differ, None where absent."""
+    return sorted((p, have.get(p), want.get(p)) for p in have.keys() | want.keys() if have.get(p) != want.get(p))
+
+
+def misfit_message(subject: str, misfits: list[tuple]) -> str:
+    """The error text for shape_misfits' list: the count, the first pair and its shape on each side."""
+    pair, have, want = ("no table" if item is None else item for item in misfits[0])
+    return f"{subject} in support or table shape at {len(misfits)} pairs, first {pair}: {have} against {want}"
 
 
 def answer_table(left: np.ndarray, alice: Basis, bob: Basis) -> np.ndarray:

@@ -184,7 +184,8 @@ def test_demo_family(tmp_path, capsys):
     assert [row["d"] for row in payload["family"]] == [3, 5, 7, 11, 13]
     assert payload["ok"] is True
     for row in payload["family"]:
-        assert row["rep_residual"] == 0.0
+        # no rep_residual: the ideal build refuses a broken key relation before any row is written
+        assert set(row) == {"d", "r", "max_selftest_distance", "junk_norm", "epsilon", "max_residual", "ok"}
         assert row["max_selftest_distance"] <= 1e-8
         assert row["max_residual"] <= 1e-8
         assert row["epsilon"] == 0.0  # the ideal's own delta-0 record, as self-test --d d writes it
@@ -410,16 +411,19 @@ def test_eval_rejects_mismatched_correlation_file(tmp_path, capsys):
     d7r5 = tmp_path / "d7r5.json"
     d3 = tmp_path / "d3.json"
     short = tmp_path / "short.json"
+    extra = tmp_path / "extra.json"
     assert run(["gen-correlation", "--d", "7", "--r", "5", "--out", str(d7r5)], capsys)[0] == 0
     assert run(["gen-correlation", "--d", "3", "--out", str(d3)], capsys)[0] == 0
     payload = json.loads(d3.read_text())
-    payload["entries"] = payload["entries"][1:]
-    payload["n_support"] -= 1
-    short.write_text(json.dumps(payload))
+    entries, n_support = payload["entries"], payload["n_support"]
+    short.write_text(json.dumps({**payload, "entries": entries[1:], "n_support": n_support - 1}))
+    added = {"x": "I1", "y": "ext:0", "p": [[1 / 16] * 2] * 8}  # a valid table for a pair the game does not ask
+    extra.write_text(json.dumps({**payload, "entries": [*entries, added], "n_support": n_support + 1}))
     cases = (
         (["--d", "7"], d7r5, "r=5"),
         (["--d", "5"], d3, "d=3"),
         (["--d", "3"], short, "support"),
+        (["--d", "3"], extra, "at 1 pairs, first ('I1', 'ext:0'): (8, 2) against no table"),
     )
     for flags, path, word in cases:
         code, out, err = run(["eval", *flags, "--in", str(path)], capsys)
@@ -644,8 +648,12 @@ def test_eval_in_checks_file_before_building(monkeypatch, tmp_path, capsys):
     # a bad --in file used to be reported only after the whole ideal build
     import lsgame.cli as cli
 
-    d7r5 = tmp_path / "d7r5.json"
+    d7r5, d7 = tmp_path / "d7r5.json", tmp_path / "d7.json"
     assert run(["gen-correlation", "--d", "7", "--r", "5", "--out", str(d7r5)], capsys)[0] == 0
+    assert run(["gen-correlation", "--d", "7", "--out", str(d7)], capsys)[0] == 0
+    payload = json.loads(d7.read_text())
+    payload["entries"][0]["p"] = [[0.5, 0.5]]  # a probability table of one row, where the game has eight
+    d7.write_text(json.dumps(payload))
 
     def no_build(*args):
         raise AssertionError("the representation was built")
@@ -653,6 +661,7 @@ def test_eval_in_checks_file_before_building(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "build_representation", no_build)
     assert_domain_error(*run(["eval", "--d", "7", "--in", str(tmp_path / "missing.json")], capsys), "cannot read")
     assert_domain_error(*run(["eval", "--d", "7", "--in", str(d7r5)], capsys), "r=5")
+    assert_domain_error(*run(["eval", "--d", "7", "--in", str(d7)], capsys), "(1, 2) against (8, 2)")
 
 
 @pytest.mark.parametrize("command", [["sweep", "--d", "3"], ["demo-family"]])

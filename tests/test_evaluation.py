@@ -36,6 +36,10 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 ALPHAS = (1.0, 1 / math.tan(math.pi / 5), 1 / math.tan(math.pi / 7))
 
+#: how the game value and the two measures begin a support or shape error
+LS_MISFIT = "correlation differs from the linear system's in support or table shape"
+MEASURE_MISFIT = "correlations differ in support or table shape"
+
 
 def test_context_invariants():
     for alpha in ALPHAS:
@@ -162,7 +166,8 @@ def test_winning_probability_names_a_missing_support_pair():
     i, v = test.system.valid_pairs[-1]
     key = (eq_label(i), var_label(test.system.variables[v]))
     del corr.entries[key]
-    with pytest.raises(StructuralError, match=rf"^correlation lacks support pair {re.escape(str(key))}$"):
+    message = rf"^{LS_MISFIT} at 1 pairs, first {re.escape(str(key))}: no table against \(8, 2\)$"
+    with pytest.raises(StructuralError, match=message):
         ls_winning_probability_from_correlation(corr, test)
 
 
@@ -173,7 +178,7 @@ def test_winning_probability_names_a_table_of_the_wrong_shape():
     corr = generate_correlation(strat, test)
     key = ("I1", "x(a1)")
     corr.entries[key] = corr.entries[key][:2]
-    message = rf"^correlation table {re.escape(str(key))} has shape \(2, 2\), not \(8, 2\)$"
+    message = rf"^{LS_MISFIT} at 1 pairs, first {re.escape(str(key))}: \(2, 2\) against \(8, 2\)$"
     with pytest.raises(StructuralError, match=message):
         ls_winning_probability_from_correlation(corr, test)
 
@@ -231,20 +236,31 @@ def test_correlation_distance_support_mismatch():
 
 @pytest.mark.parametrize("measure", [correlation_distance, table_deviation])
 def test_correlation_measures_check_support_and_shape(measure):
-    # both compare a file with the ideal through the same support and shape
-    # checks; a support mismatch names its size and its first pair in sorted order
+    # both compare a file with the ideal through the same shape check: a pair
+    # that either side lacks or a table of another shape is named by the count
+    # of misfits, the first in sorted order and its shape on each side
     *_, strat = ideal_setup(3)
     base = strat.correlation()
     keys = list(base.entries)
-    key, dropped = keys[0], (keys[-1], keys[0])
-    trimmed = Correlation(base.d, base.r, {k: t for k, t in base.entries.items() if k not in dropped})
-    reshaped = Correlation(base.d, base.r, {**base.entries, key: base.entries[key][:, :1]})
-    support = rf"^correlations have different supports at 2 pairs, first {re.escape(str(min(dropped)))}$"
-    for other, match in ((trimmed, support), (reshaped, rf"^answer alphabets differ at {re.escape(str(key))}$")):
-        with pytest.raises(StructuralError, match=match):
-            measure(base, other)
-        with pytest.raises(StructuralError, match=match):
-            measure(other, base)
+    key, dropped, added = keys[0], (keys[-1], keys[0]), ("I1", "ext:0")
+    i2, i10 = (next(k for k in keys if k[0] == x) for x in ("I2", "I10"))  # I2 comes first, I10 sorts first
+
+    def without(*pairs):
+        return {k: t for k, t in base.entries.items() if k not in pairs}
+
+    cases = (  # the other side's tables, the count of misfits, the first, its shape in base and in other
+        (without(*dropped), 2, min(dropped), (8, 2), None),
+        ({**base.entries, key: base.entries[key][:, :1]}, 1, key, (8, 2), (8, 1)),
+        ({**base.entries, added: np.full((8, 2), 1 / 16)}, 1, added, None, (8, 2)),
+        ({**without(i2), i10: base.entries[i10][:, :1]}, 2, i10, (8, 2), (8, 1)),
+    )
+    for entries, count, first, shape, other_shape in cases:
+        other = Correlation(base.d, base.r, entries)
+        for (c1, c2), shapes in (((base, other), (shape, other_shape)), ((other, base), (other_shape, shape))):
+            have, want = (re.escape(str("no table" if s is None else s)) for s in shapes)
+            match = rf"^{MEASURE_MISFIT} at {count} pairs, first {re.escape(str(first))}: {have} against {want}$"
+            with pytest.raises(StructuralError, match=match):
+                measure(c1, c2)
     assert measure(base, base) == 0.0
 
 
