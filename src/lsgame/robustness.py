@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DomainError
 from .evaluation import correlation_distance
 from .isometry import REPORT_LABELS, selftest_report
-from .linalg import Basis, rotate_bases, worst
+from .linalg import Basis, eye, rotate_bases, worst
 from .numtheory import PrimeParams
 from .strategy import COMM_GENS, Correlation, Strategy, answer_table, ext_labels
 
@@ -99,21 +99,28 @@ def perturb_strategy(ideal: Strategy, spec: PerturbationSpec) -> Strategy:
     return Strategy(params=ideal.params, test=ideal.test, state=state, alice=alice, bob=bob)
 
 
-def _residual_operators(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """The operators relation_residuals applies to psi that the bases alone
-    determine: O_A^r; half = (p0 + i X p1 - i X p0 + p1) / 2, which maps psi
-    to psi_1, p0 and p1 Alice's Z-basis projectors on the distinguished
-    subspace and X her X-basis observable; and the twelve commutators
+def _residual_operators(
+    strategy: Strategy,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The operators relation_residuals applies that the bases alone
+    determine: conjugacy's O_A U_A^+ - U_A^+ O_A^r; half = (p0 + i X p1 -
+    i X p0 + p1) / 2, which maps psi to psi_1, p0 and p1 Alice's Z-basis
+    projectors on the distinguished subspace and X her X-basis observable;
+    eig_bob's (O_B - omega_d)^T, which acts on the right of psi_1;
+    eig_alice's (O_A - omega_d^{-1}) half; and the twelve commutators
     [probe, M(s)] of comm, for each s in COMM_GENS in turn probe = p0, p1, X.
     """
     obs = strategy.observable
+    params = strategy.params
     _, z, x = ext_labels(strategy.test.n_vars)
     z_basis = strategy.basis("A", z)
     p0, p1 = z_basis.operator((1, 0, 0)), z_basis.operator((0, 1, 0))
     x_obs = obs("A", x)
     half = 0.5 * (p0 + 1j * (x_obs @ p1) - 1j * (x_obs @ p0) + p1)
+    o_a, u_a_dag, one = obs("A", "O"), obs("A", "U").conj().T, eye(len(p0))
+    conjugacy = o_a @ u_a_dag - u_a_dag @ np.linalg.matrix_power(o_a, params.r)
     comm = tuple(probe @ mg - mg @ probe for mg in (obs("A", g) for g in COMM_GENS) for probe in (p0, p1, x_obs))
-    return np.linalg.matrix_power(obs("A", "O"), strategy.params.r), half, comm
+    return conjugacy, half, obs("B", "O").T - params.omega_d * one, (o_a - one / params.omega_d) @ half, comm
 
 
 def relation_residuals(strategy: Strategy) -> dict[str, float]:
@@ -121,10 +128,10 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
 
     sync       max_s || M(s) N(s) psi - psi ||
     equation   max_i || prod_{s in I_i} M(s) psi - (-1)^{c(i)} psi ||
-    conjugacy  || O_A U_A^+ psi - U_A^+ O_A^r psi ||
+    conjugacy  || (O_A U_A^+ - U_A^+ O_A^r) psi ||
     psi1_norm  | ||psi_1||^2 - 1/(d-1) |
-    eig_bob    || N1 N2 psi_1 - omega_d psi_1 ||
-    eig_alice  || M1 M2 psi_1 - omega_d^{-1} psi_1 ||
+    eig_bob    || (N1 N2 - omega_d) psi_1 ||
+    eig_alice  || (M1 M2 - omega_d^{-1}) psi_1 ||
     comm       max over s in {f0,f2,g0,g2} of the three commutator probes
                against the basis-question projectors and observable
 
@@ -134,17 +141,16 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
     questions: sync reads 2 sqrt(P(a != b)) off the strategy's correlation,
     and contracts alone the pairs (x(s), x(s)), s in COMM_GENS, that lie
     outside the support.  equation applies each factor in its basis
-    (Basis.reflect), so no per-variable observable is formed.  The
-    operators that the bases alone determine (_residual_operators) are
+    (Basis.reflect), so no per-variable observable is formed.  Every other
+    probe applies one operator that the bases alone determine
+    (_residual_operators) to psi, eig_bob to psi_1 from the right; each is
     derived once per set of bases, so a record that keeps the ideal's bases
-    only applies them to psi.
+    only applies them.
     """
     test = strategy.test
-    params = strategy.params
     system = test.system
     s = strategy.state
     norm = lambda m: float(np.linalg.norm(m))  # noqa: E731
-    obs = strategy.observable
 
     tables = strategy.correlation().entries
     sync = []
@@ -164,28 +170,12 @@ def relation_residuals(strategy: Strategy) -> dict[str, float]:
             prod = strategy.basis("A", qa).reflect(signs, prod)
         equation.append(norm(prod - (-1) ** system.rhs[i] * s))
 
-    o_a_r, half, commutators = strategy.derived(_residual_operators)
-    o_a, u_a = obs("A", "O"), obs("A", "U")
-    conjugacy = norm(o_a @ u_a.conj().T @ s - u_a.conj().T @ o_a_r @ s)
-
+    conjugacy, half, eig_bob, eig_alice, commutators = strategy.derived(_residual_operators)
     psi1 = half @ s
-    w = params.d - 1
-    psi1_norm = abs(norm(psi1) ** 2 - 1.0 / w)
-
-    eig_bob = norm(psi1 @ obs("B", "O").T - params.omega_d * psi1)
-    eig_alice = norm(o_a @ psi1 - psi1 / params.omega_d)
-
-    comm = [norm(c @ s) for c in commutators]
-
-    return {
-        "sync": worst(sync),
-        "equation": worst(equation),
-        "conjugacy": conjugacy,
-        "psi1_norm": psi1_norm,
-        "eig_bob": eig_bob,
-        "eig_alice": eig_alice,
-        "comm": worst(comm),
-    }
+    psi1_norm = abs(norm(psi1) ** 2 - 1.0 / (strategy.params.d - 1))
+    values = [worst(sync), worst(equation), norm(conjugacy @ s), psi1_norm]
+    values += [norm(psi1 @ eig_bob), norm(eig_alice @ s), worst([norm(c @ s) for c in commutators])]
+    return dict(zip(RESIDUAL_LABELS, values))
 
 
 @dataclass

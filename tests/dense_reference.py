@@ -3,9 +3,10 @@
 A binary observable splits into its two eigenprojectors (1 +/- m)/2, and k
 commuting observables into the 2^k products of theirs, stacked as a
 (2^k, n, n) array; a stored basis expands into the same kind of stack.
-The sync and equation probes are rebuilt here from those stacks, with every
-variable's observable formed and multiplied out.  random_unitaries forms the
-rotations that lsgame.linalg.rotate_bases applies without forming them.
+The seven relation probes are rebuilt here from those stacks, with every
+variable's observable formed and each term of a probe applied to the state
+on its own.  random_unitaries forms the rotations that
+lsgame.linalg.rotate_bases applies without forming them.
 dense_table builds the representation's images as dense complex matrices,
 a3 and a4 as sums over the Fourier basis u, the reference the exact
 monomial images are held to.  brute_force_primitive is the oracle that
@@ -17,6 +18,7 @@ closed_form_deviation.
 """
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -127,6 +129,31 @@ def equation_residual(strategy):
         np.linalg.norm(obs[g1] @ (obs[g2] @ (obs[g3] @ s)) - (-1) ** c * s)
         for (g1, g2, g3), c in ((system.row_names(i), system.rhs[i]) for i in range(system.n_rows))
     )
+
+
+def identity_probes(strategy):
+    """conjugacy, psi1_norm, eig_bob, eig_alice and comm, each written out as
+    in relation_residuals' docstring from formed observables: O = M(a1) M(a2),
+    U = M(a3) M(a4), p0 and p1 Alice's first two Z-basis projectors and X
+    the P0 - P1 of her X-basis question."""
+    params, s = strategy.params, strategy.state
+    norm = np.linalg.norm
+    obs = functools.partial(variable_observable, strategy)
+    o_a, o_b = obs("A", "a1") @ obs("A", "a2"), obs("B", "a1") @ obs("B", "a2")
+    u_dag = dagger(obs("A", "a3") @ obs("A", "a4"))
+    _, z, x = ext_labels(strategy.test.n_vars)
+    p0, p1 = family(strategy, "A", z)[:2]
+    px = family(strategy, "A", x)
+    x_obs = px[0] - px[1]
+    comm_obs = [obs("A", g) for g in COMM_GENS]
+    psi1 = 0.5 * (p0 @ s + 1j * (x_obs @ (p1 @ s)) - 1j * (x_obs @ (p0 @ s)) + p1 @ s)
+    return {
+        "conjugacy": norm(o_a @ (u_dag @ s) - u_dag @ (np.linalg.matrix_power(o_a, params.r) @ s)),
+        "psi1_norm": abs(norm(psi1) ** 2 - 1 / (params.d - 1)),
+        "eig_bob": norm(psi1 @ o_b.T - params.omega_d * psi1),
+        "eig_alice": norm(o_a @ psi1 - psi1 / params.omega_d),
+        "comm": max(norm(probe @ (mg @ s) - mg @ (probe @ s)) for mg in comm_obs for probe in (p0, p1, x_obs)),
+    }
 
 
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)

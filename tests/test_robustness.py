@@ -5,7 +5,7 @@ import statistics
 import numpy as np
 import pytest
 
-from dense_reference import equation_residual, family, sync_by_variable
+from dense_reference import equation_residual, family, identity_probes, sync_by_variable
 from lsgame import (
     DomainError,
     PerturbationSpec,
@@ -408,8 +408,12 @@ def test_shared_memo_gives_bit_identical_outputs(kind):
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_sync_and_equation_match_dense_reference(d):
-    # sync read off the correlation as 2 sqrt(P(a != b)) and equation applied
-    # factor by factor in each basis, against formed observables
+    # sync read off the correlation as 2 sqrt(P(a != b)), equation applied
+    # factor by factor in each basis, and the other five probes each applying
+    # one operator formed from the bases, against formed observables with
+    # each term applied to the state on its own.  Absolute, not relative:
+    # psi1_norm is a difference of squares, whose relative error near 1e-10
+    # reaches 1e-7
     _, test, strat, _ = ideal_setup(d)
     for kind in KINDS:
         for delta in (0.0, 1e-4, 1e-2):
@@ -417,6 +421,24 @@ def test_sync_and_equation_match_dense_reference(d):
             res = relation_residuals(pert)
             assert abs(res["sync"] - max(sync_by_variable(pert).values())) <= 1e-15, (kind, delta)
             assert abs(res["equation"] - equation_residual(pert)) <= 1e-15, (kind, delta)
+            for label, value in identity_probes(pert).items():
+                assert abs(res[label] - value) <= 1e-15, (kind, delta, label, res[label], value)
+
+
+@pytest.mark.parametrize("d", [3, 7, 13])
+def test_state_noise_leaves_the_operator_identities(d):
+    # conjugacy, eig_alice, comm and equation test identities between
+    # operators that state noise leaves alone: they stay at rounding level,
+    # while sync, eig_bob and psi1_norm, which ask something of the state,
+    # move with it
+    _, _, strat, _ = ideal_setup(d)
+    for delta in (1e-4, 1e-2):
+        for seed in range(4):
+            res = relation_residuals(perturb_strategy(strat, PerturbationSpec("state", delta, seed)))
+            for label in ("conjugacy", "eig_alice", "comm", "equation"):
+                assert res[label] <= 1e-13, (delta, seed, label, res[label])
+            for label in ("sync", "eig_bob", "psi1_norm"):
+                assert res[label] >= 1e-8, (delta, seed, label, res[label])
 
 
 @pytest.mark.parametrize("gen", COMM_GENS)
