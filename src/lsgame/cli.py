@@ -50,7 +50,8 @@ def _check_writable(path: str | None) -> None:
     """DomainError now, before any long work, when _write could not open path.
 
     Checks that path is not empty, not a directory, and that its directory
-    exists and is writable; the file itself is neither created nor truncated here.
+    exists, is a directory and is writable; the file itself is neither
+    created nor truncated here.
     """
     if path is None or path == "-":
         return
@@ -60,7 +61,11 @@ def _check_writable(path: str | None) -> None:
     elif os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(folder):
-        code = errno.ENOENT
+        try:
+            os.stat(folder)
+            code = errno.ENOTDIR  # it exists, and is no directory
+        except OSError as exc:  # missing (ENOENT), or under a regular file (ENOTDIR)
+            code = exc.errno
     elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
         code = errno.EACCES
     else:

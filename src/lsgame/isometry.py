@@ -23,19 +23,14 @@ The dense stages live in the test suite, as the reference selftest_report
 is checked against.
 
 The stage-two factors, the ladders and Bob's left-out factors depend on the
-bases alone, so each is derived once per set of bases and stays in the
-bases' memo, keyed by the function that derives it and its arguments
-(Strategy.derived).  A strategy that keeps the ideal's bases
-(Strategy.with_state: every delta-0 and state record) reads the ideal's,
-where each stage-one slice P(j) has 4 columns and P(0) none: the memo's one
-seeded entry, an exact support that build_ideal_strategy reads off O's
-integer phases once rep's key relations hold (broken_key_relations).  There
-the ideal's memo keeps, across records, ladders of 4 (d-1) * 4 dim
+bases alone, so each is derived once per set of bases and kept in the
+bases' memo (Strategy states what shares it and what is seeded).  Read
+through the ideal's seeded stage-one support, ladders hold 4 (d-1) * 4 dim
 amplitudes instead of 4 d dim^2, and a control row's product and support
 factor read 4 rows of the state and 4 of Bob's columns: O(4 dim^2) each
 instead of O(dim^3); only its off-support term multiplies by a full
-left-out factor.  Every other strategy (rotated, dataclasses.replace,
-padded) has an empty memo and takes the same code with all dim columns.
+left-out factor.  Every other strategy takes the same code with all dim
+columns.
 """
 
 from __future__ import annotations
@@ -157,11 +152,8 @@ def selftest_footprint(d: int, da: int, db: int) -> int:
     and one label's support factors; and at most 64 n x n matrices: both
     parties' stage-two factors and observables, and the temporaries of one
     QR or of one label.  This is the dense bound, for a strategy that
-    derives all of it itself.  The ideal's memo keeps the stage-two factors,
-    the observables and Bob's left-out factors across records, with ladders
-    of 4 columns a slice (see the module docstring), and the residual probes
-    of robustness.relation_residuals besides: a record that keeps the
-    ideal's bases holds less than this count while the call runs.
+    derives all of it itself; a record that shares the ideal's memo
+    (Strategy) holds less while the call runs.
     """
     n = max(da, db)
     ladders = 2 * d * (da * da + db * db)

@@ -223,11 +223,10 @@ def certify(ideal: Strategy, ideal_corr: Correlation, spec: PerturbationSpec) ->
     ladders and Bob's left-out factors stay in the copy's basis memo while
     its correlation and residuals are formed, so the call holds, at most,
     the copy's bases, what the self-test's guard counts
-    (isometry.selftest_footprint) and the correlation.
-
-    The perturbed copy, its correlation and a rotated copy's basis memo die
-    when the call returns; an unrotated copy's memo is the ideal's, kept
-    across records, and at magnitude 0 the copy is the ideal itself.
+    (isometry.selftest_footprint) and the correlation.  The perturbed copy
+    and its correlation die when the call returns; what outlives it is the
+    ideal's memo, which an unrotated copy shares (Strategy), and at
+    magnitude 0 the copy is the ideal itself.
     """
     strategy = perturb_strategy(ideal, spec)
     report = selftest_report(strategy)

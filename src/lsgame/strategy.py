@@ -148,15 +148,19 @@ class Strategy:
     may share the state and the bases.
 
     What the bases alone determine (observables, the self-test's stage-two
-    factors and ladders, the residual probes) is memoized in a table that
-    belongs to the bases, keyed by the function that derives each entry and
-    its arguments (derived): with_state makes a strategy with another state
-    and the same bases, and shares that table.  Every other construction,
-    dataclasses.replace included, starts with an empty one; only
-    build_ideal_strategy seeds it, under stage_one_columns' key alone, with
-    the exact column support of the self-test's stage-one slices.  The
-    correlation depends on the state, so each strategy memoizes its own and
-    shares it with none.
+    factors, ladders and left-out factors, the residual probes) is memoized
+    in a table that belongs to the bases, keyed by the function that derives
+    each entry and its arguments (derived): with_state makes a strategy with
+    another state and the same bases, and shares that table, so every
+    delta-0 and state record reads the ideal's entries across records.
+    Every other construction, dataclasses.replace included, starts with an
+    empty one.  Only build_ideal_strategy seeds it, under stage_one_columns'
+    key alone, with the exact column support of the self-test's stage-one
+    slices: at the ideal O = a1 a2 is I_4 (x) diag(omega_d^k), so P(j) has
+    the 4 columns where O reads omega_d^j and P(0) none, read off O's
+    integer phases; every other strategy reads all columns.  The correlation
+    depends on the state, so each strategy memoizes its own and shares it
+    with none.
     """
 
     params: PrimeParams
@@ -195,8 +199,7 @@ class Strategy:
     def stage_one_columns(self, party: str) -> tuple:
         """Each control value j's columns of the party's P(j) =
         (1/d) sum_k omega_d^(-jk) O^k, the self-test's stage-one slice
-        (isometry._gram_ladders): the exact support that build_ideal_strategy
-        seeds, else all of them (_stage_one_columns)."""
+        (isometry._gram_ladders); see the class docstring."""
         return self.derived(_stage_one_columns, party)
 
     def correlation(self) -> Correlation:
@@ -325,30 +328,25 @@ def ideal_state(params: PrimeParams) -> np.ndarray:
 def equation_bases(rep: Rep, system: LinearSystem) -> list[Basis]:
     """Each equation's joint eigenbasis of its images, built orbit by orbit.
 
-    PreconditionError naming the first relation of Gamma that rep breaks
-    (broken_relations), decided exactly before any block is formed; once
-    they hold, each row's images are commuting involutions.  An orbit, what
-    the row's permutations reach from an index, then holds
-    1, 2 or 4 indices; its block of sum_j w_j (1 - A_j)/2, w = (4, 2, 1),
-    comes from the permutations and phases, with no dense image, and its
-    eigenspaces are the images' joint eigenspaces.  One batched eigh per
-    block size serves every row, the eigenvectors fill the row's vectors at
-    the orbit's indices, and a column's rounded eigenvalue is its outcome,
-    an index into _TRIPLES.
+    rep must satisfy every relation of Gamma (broken_relations), which
+    build_ideal_strategy decides before it calls this: each row's images
+    x, y, z are then commuting involutions with z = +-x y.  An index i's
+    orbit, what the row's permutations reach from it, is {i, p_x i, p_y i,
+    p_x p_y i}, of 1, 2 or 4 indices; its block of sum_j w_j (1 - A_j)/2,
+    w = (4, 2, 1), comes from the permutations and phases, with no dense
+    image, and its eigenspaces are the images' joint eigenspaces.  One
+    batched eigh per block size serves every row, the eigenvectors fill the
+    row's vectors at the orbit's indices, and a column's rounded eigenvalue
+    is its outcome, an index into _TRIPLES.
     """
-    broken = broken_relations(rep, system)
-    if broken:
-        raise PreconditionError(broken[0][0])
     n, rows = rep.dim, system.n_rows
     images = [[rep[g] for g in system.row_names(i)] for i in range(rows)]
     order = images[0][0].order
     perm = np.array([[m.perm for m in row] for row in images])  # (row, generator, index)
     phase = np.array([[m.phase for m in row] for row in images])
     value = roots_of_unity(phase, order)
-    orbit, reached = None, np.broadcast_to(np.arange(n), (rows, n))  # each index's least orbit member found so far
-    while not np.array_equal(orbit, reached):
-        orbit = reached
-        reached = np.minimum(orbit, np.take_along_axis(orbit[:, None], perm, 2).min(axis=1))
+    px, py = perm[:, 0], perm[:, 1]  # orbit: each index's least orbit member
+    orbit = np.minimum.reduce([np.broadcast_to(np.arange(n), (rows, n)), px, py, np.take_along_axis(px, py, 1)])
     key = (np.arange(rows)[:, None] * n + orbit).ravel()  # row and orbit (np.unique would import numpy.ma)
     size = np.bincount(key, minlength=rows * n)[key]
     vectors, eigval = np.zeros((rows, n, n), dtype=complex), np.empty((rows, n))
@@ -372,26 +370,27 @@ def build_ideal_strategy(params: PrimeParams, rep: Rep, test: FullTest) -> Strat
     parties, is the first equation containing it read through its bit
     (Basis.merged), so it holds that equation's very vectors; the extension
     and commutation questions' are tensor products in closed form (ext_bases).
-    Each party measures exactly the questions of its answer table in test.
-    The bases' memo is seeded with each party's stage_one_columns, read off
-    the integer phases of the exact O = a1 a2 of rep: at the ideal O is
-    I_4 (x) diag(omega_d^k), so P(j) has 4 columns and P(0) none.
-    StructuralError, before any basis is built, unless rep was built for
-    params and test for params.r (the test depends on r alone).
-    PreconditionError naming the first relation of Gamma that rep breaks
-    (equation_bases), then the first key relation it breaks
-    (broken_key_relations), or a commutation variable that is not an
-    involution of W2 (x) W2 alone (ext_bases).
+    Each party measures exactly the questions of its answer table in test,
+    and the bases' memo is seeded with each party's stage_one_columns (see
+    Strategy).
+
+    StructuralError unless rep was built for params and test for params.r
+    (the test depends on r alone).  Then the representation is decided once,
+    before anything is formed, by one list: Gamma's broken relations, then
+    the broken key relations, the list verify-rep reads first_broken from;
+    PreconditionError names its first entry.  Past that gate, only ext_bases
+    can refuse rep: PreconditionError naming a commutation variable that is
+    not an involution of W2 (x) W2 alone.
     """
     built = rep.params
     if (built.d, built.r) != (params.d, params.r):
         raise StructuralError(f"representation was built for d={built.d}, r={built.r}, not d={params.d}, r={params.r}")
     if test.system.r != params.r:
         raise StructuralError(f"test was built for r={test.system.r}, not r={params.r}")
-    bases = {eq_label(i): basis for i, basis in enumerate(equation_bases(rep, test.system))}
-    broken = broken_key_relations(rep)
+    broken = broken_relations(rep, test.system) + broken_key_relations(rep)
     if broken:
         raise PreconditionError(broken[0][0])
+    bases = {eq_label(i): basis for i, basis in enumerate(equation_bases(rep, test.system))}
     bases.update(
         (var_label(g), bases[eq_label(row)].merged([outcome[pos] for outcome in _TRIPLES]))
         for g, (row, pos) in test.system.first_position.items()

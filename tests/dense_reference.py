@@ -11,7 +11,9 @@ dense_table builds the representation's images as dense complex matrices,
 a3 and a4 as sums over the Fourier basis u, the reference the exact
 monomial images are held to.  brute_force_primitive is the oracle that
 make_params' primitivity verdict is held to, and that enumerates the
-admissible (d, r).  ideal_table_values gives the published closed forms of
+admissible (d, r).  least_orbit_members is the fixed-point orbit search
+that the closed-form orbits of lsgame.strategy.equation_bases are held to.
+ideal_table_values gives the published closed forms of
 the ideal correlation's extension-block and commutation tables, the oracle
 the generated ideal correlation is held to, cell by cell, with
 closed_form_deviation.
@@ -39,6 +41,19 @@ DEFAULT_TOL = 1e-9
 def brute_force_primitive(r, d):
     """r is primitive when its powers r^1..r^(d-1) hit every unit mod d."""
     return len({pow(r, e, d) for e in range(1, d)}) == d - 1
+
+
+def least_orbit_members(perm):
+    """(row, index) -> the least index that the row's permutations reach
+    from it, perm a (row, generator, index) integer array: each index's
+    least member found so far, lowered through every permutation until
+    nothing changes."""
+    rows, _, n = perm.shape
+    orbit, reached = None, np.broadcast_to(np.arange(n), (rows, n))
+    while not np.array_equal(orbit, reached):
+        orbit = reached
+        reached = np.minimum(orbit, np.take_along_axis(orbit[:, None], perm, 2).min(axis=1))
+    return orbit
 
 
 def projectors(basis):

@@ -1,9 +1,14 @@
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lsgame import PreconditionError, build_full_test, build_ideal_strategy, build_representation, make_params
 from lsgame.cli import main
+from lsgame.lsg import build_linear_system
+from lsgame.representation import Monomial
 
 
 def run(argv, capsys):
@@ -407,6 +412,62 @@ def test_verify_rep_names_a_broken_key_relation(monkeypatch, capsys, swap_x1_x2)
     assert payload["ok"] is False
 
 
+def _step_p1_3(rep):
+    m = rep["p1_3"]
+    rep.table["p1_3"] = Monomial(m.perm, (m.phase + (np.arange(len(m.phase)) == 5)) % m.order, m.order)
+
+
+def _non_commuting_first_image(rep):
+    names = build_linear_system(rep.params.r).row_names(0)
+    second = rep[names[1]]
+    rep.table[names[0]] = next(m for m in rep.table.values() if m @ second != second @ m)
+
+
+@pytest.mark.parametrize(
+    "faults, first",
+    [
+        pytest.param((), None, id="none"),
+        pytest.param(("f0",), "I2 (a1, f0, d1): the product is not +1", id="f0 negated"),
+        pytest.param((_step_p1_3,), "p1_3: the square is not 1", id="p1_3 phase stepped"),
+        pytest.param((_non_commuting_first_image,), "I1 (a1, b1, c1): the product is not +1", id="row image swapped"),
+        pytest.param(("swap",), "a1 a2 = I_4 (x) O", id="swap_x1_x2"),
+        pytest.param(("swap", "a1"), "I1 (a1, b1, c1): the product is not +1", id="swap_x1_x2 and a1 negated"),
+    ],
+)
+def test_verify_rep_and_build_agree(faults, first, monkeypatch, capsys, swap_x1_x2):
+    # verify-rep and the ideal build decide a representation by one list:
+    # verify-rep exits 3 naming first_broken exactly when the build raises
+    # PreconditionError naming it, and the build does so before any basis
+    # builder runs (a generator name is a fault that negates its image)
+    import lsgame.cli as cli
+    import lsgame.strategy as strategy
+
+    def faulted(params):
+        rep = build_representation(params)
+        for fault in faults:
+            if fault == "swap":
+                swap_x1_x2(rep)
+            elif isinstance(fault, str):
+                rep.table[fault] = -rep[fault]
+            else:
+                fault(rep)
+        return rep
+
+    monkeypatch.setattr(cli, "build_representation", faulted)
+    code, out, _ = run(["verify-rep", "--d", "5"], capsys)
+    assert (code, json.loads(out)["first_broken"]) == (0 if first is None else 3, first)
+
+    def no_builder(*args):
+        raise AssertionError("a basis builder ran")
+
+    for name in ("equation_bases", "ext_bases", "ideal_state"):
+        monkeypatch.setattr(strategy, name, no_builder)
+    p = make_params(5)
+    error, message = (AssertionError, "a basis builder ran") if first is None else (PreconditionError, first)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build_ideal_strategy(p, faulted(p), build_full_test(p))
+
+
 def test_eval_rejects_mismatched_correlation_file(tmp_path, capsys):
     d7r5 = tmp_path / "d7r5.json"
     d3 = tmp_path / "d3.json"
@@ -677,6 +738,21 @@ def test_out_checked_before_long_work(command, monkeypatch, tmp_path, capsys):
     for out in (tmp_path / "no-such-dir" / "x.csv", tmp_path, ""):  # "" used to fail only in _write
         assert_domain_error(*run([*command, "--out", str(out)], capsys), "cannot write")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_under_a_regular_file_names_not_a_directory(tmp_path, capsys):
+    # the early check used to read a folder that is, or lies under, a regular
+    # file as missing; open itself fails there with ENOTDIR, and so does the check
+    plain = tmp_path / "plain"
+    plain.write_text("kept\n")
+    for out in (plain / "x", plain / "x" / "y"):
+        with pytest.raises(NotADirectoryError):
+            open(out, "w")
+        code, stdout, err = run(["verify-rep", "--d", "3", "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        error = json.loads(err)["error"]
+        assert error == {"type": "DomainError", "message": f"cannot write {str(out)!r}: Not a directory"}
+    assert plain.read_text() == "kept\n"
 
 
 def test_out_not_truncated_before_writing(monkeypatch, tmp_path, capsys):
